@@ -2,19 +2,21 @@
  * @file
  * google-benchmark microbenchmarks for the simulator substrates: the
  * decoupled variable-segment set, the stride prefetcher, the event
- * kernel, the priority link, and the functional L2 access path that
- * dominates warmup time.
+ * kernel, the value store, the priority link, and the functional L2
+ * access path that dominates warmup time.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <queue>
+#include <vector>
 
 #include "src/cache/decoupled_set.h"
 #include "src/common/random.h"
 #include "src/cache/l2_cache.h"
 #include "src/compression/fpc.h"
 #include "src/mem/priority_link.h"
+#include "src/mem/value_store.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/prefetch/stride_prefetcher.h"
@@ -26,14 +28,15 @@ using namespace cmpsim;
 
 /**
  * The pre-optimization event kernel, kept here as the baseline the
- * EventQueue benchmarks compare against: std::priority_queue with
- * either copy-on-pop (the original) or move-on-pop (the first fix).
+ * EventQueue benchmarks compare against: std::priority_queue of whole
+ * events (callback inside) with either copy-on-pop (the original) or
+ * move-on-pop (the first fix).
  */
 template <bool MovePop>
 class LegacyEventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = std::function<void(Cycle)>;
 
     Cycle now() const { return now_; }
 
@@ -52,7 +55,7 @@ class LegacyEventQueue
                            : heap_.top();
             heap_.pop();
             now_ = ev.when;
-            ev.cb();
+            ev.cb(ev.when);
         }
     }
 
@@ -97,7 +100,7 @@ runScheduleDrainBatch(Queue &q, std::uint64_t &sink)
     for (int i = 0; i < 16; ++i) {
         p.addr += 64;
         q.schedule(q.now() + 1 + (i * 7) % 13,
-                   [p] { *p.sink += p.addr + p.meta; });
+                   [p](Cycle) { *p.sink += p.addr + p.meta; });
     }
     q.drain();
 }
@@ -105,7 +108,8 @@ runScheduleDrainBatch(Queue &q, std::uint64_t &sink)
 void
 BM_DecoupledSetInsert(benchmark::State &state)
 {
-    DecoupledSet set(8, 32);
+    std::vector<TagEntry> tags(8);
+    DecoupledSet set(tags.data(), 8, 32);
     Random rng(1);
     std::uint64_t line = 0;
     for (auto _ : state) {
@@ -113,10 +117,10 @@ BM_DecoupledSetInsert(benchmark::State &state)
         e.line = (line++ % 64) << kLineShift;
         e.valid = true;
         e.segments = static_cast<std::uint8_t>(rng.inRange(1, 8));
-        if (set.find(e.line) == nullptr)
-            benchmark::DoNotOptimize(set.insert(e));
+        if (TagEntry *hit = set.find(e.line))
+            set.touch(hit);
         else
-            set.touch(e.line);
+            benchmark::DoNotOptimize(set.insert(e));
     }
 }
 BENCHMARK(BM_DecoupledSetInsert);
@@ -124,7 +128,8 @@ BENCHMARK(BM_DecoupledSetInsert);
 void
 BM_DecoupledSetLookup(benchmark::State &state)
 {
-    DecoupledSet set(8, 32);
+    std::vector<TagEntry> tags(8);
+    DecoupledSet set(tags.data(), 8, 32);
     for (Addr a = 0; a < 6; ++a) {
         TagEntry e;
         e.line = a << kLineShift;
@@ -140,6 +145,37 @@ BM_DecoupledSetLookup(benchmark::State &state)
 }
 BENCHMARK(BM_DecoupledSetLookup);
 
+// DecoupledSet::find at cache scale: 16 K compressed-L2 sets (8 tags,
+// 32 segments) over one tag array, half full, probed at random lines
+// with the set picked by a mask, as in the L2 lookup.
+void
+BM_DecoupledSetFind(benchmark::State &state)
+{
+    constexpr unsigned kSets = 16384;
+    constexpr unsigned kTags = 8;
+    std::vector<TagEntry> tags(std::size_t{kSets} * kTags);
+    std::vector<DecoupledSet> sets;
+    sets.reserve(kSets);
+    for (unsigned i = 0; i < kSets; ++i)
+        sets.emplace_back(&tags[std::size_t{i} * kTags], kTags, 32);
+    Random rng(5);
+    for (unsigned n = 0; n < kSets * 4; ++n) {
+        TagEntry e;
+        e.line = rng.below(kSets * 16) << kLineShift;
+        e.valid = true;
+        e.segments = 8;
+        DecoupledSet &set = sets[lineNumber(e.line) & (kSets - 1)];
+        if (set.find(e.line) == nullptr)
+            set.insert(e);
+    }
+    for (auto _ : state) {
+        const Addr line = rng.below(kSets * 16) << kLineShift;
+        benchmark::DoNotOptimize(
+            sets[lineNumber(line) & (kSets - 1)].find(line));
+    }
+}
+BENCHMARK(BM_DecoupledSetFind);
+
 void
 BM_PrefetcherObserveMiss(benchmark::State &state)
 {
@@ -154,22 +190,95 @@ BM_PrefetcherObserveMiss(benchmark::State &state)
 }
 BENCHMARK(BM_PrefetcherObserveMiss);
 
+// observeMiss over eight interleaved streams with unit strides of both
+// signs and non-unit strides, plus a scattered miss every 16th call:
+// each call scans the whole stream table, and the window test rejects
+// most streams.
+void
+BM_PrefetcherObserveMissStreams(benchmark::State &state)
+{
+    PrefetcherParams p;
+    p.startup_prefetches = 25;
+    p.page_lines = 0;
+    StridePrefetcher pf(p);
+    constexpr std::int64_t kStrides[] = {1, -1, 3, -2, 1, -1, 5, -7};
+    std::int64_t heads[8];
+    for (unsigned s = 0; s < 8; ++s)
+        heads[s] = (std::int64_t{1} << 30) + std::int64_t{s} * (1 << 20);
+    Random rng(9);
+    unsigned i = 0;
+    for (auto _ : state) {
+        const unsigned s = i++ & 7;
+        Addr line;
+        if ((i & 15) == 0) {
+            line = (rng.below(1u << 28) + (1u << 29)) << kLineShift;
+        } else {
+            heads[s] += kStrides[s];
+            line = static_cast<Addr>(heads[s]) << kLineShift;
+        }
+        benchmark::DoNotOptimize(pf.observeMiss(line, 25));
+    }
+}
+BENCHMARK(BM_PrefetcherObserveMissStreams);
+
+// ValueStore lookups in a store of 256 K lines (16 MiB of values,
+// several times a host's last-level cache): hits on resident lines and
+// misses on absent ones, at random.
+constexpr Addr kValueLines = Addr{1} << 18;
+
+void
+fillValueStore(ValueStore &store)
+{
+    for (Addr n = 0; n < kValueLines; ++n)
+        store.writeWord((n * 2) << kLineShift,
+                        static_cast<std::uint32_t>(n));
+}
+
+void
+BM_ValueStoreHit(benchmark::State &state)
+{
+    FpcCompressor fpc;
+    ValueStore store(fpc);
+    fillValueStore(store);
+    Random rng(11);
+    for (auto _ : state) {
+        const Addr line = (rng.below(kValueLines) * 2) << kLineShift;
+        benchmark::DoNotOptimize(store.hasLine(line));
+    }
+}
+BENCHMARK(BM_ValueStoreHit);
+
+void
+BM_ValueStoreMiss(benchmark::State &state)
+{
+    FpcCompressor fpc;
+    ValueStore store(fpc);
+    fillValueStore(store);
+    Random rng(13);
+    for (auto _ : state) {
+        const Addr line = (rng.below(kValueLines) * 2 + 1) << kLineShift;
+        benchmark::DoNotOptimize(store.hasLine(line));
+    }
+}
+BENCHMARK(BM_ValueStoreMiss);
+
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     EventQueue eq;
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        eq.schedule(eq.now() + 5, [&sink] { ++sink; });
-        eq.schedule(eq.now() + 3, [&sink] { ++sink; });
+        eq.schedule(eq.now() + 5, [&sink](Cycle) { ++sink; });
+        eq.schedule(eq.now() + 3, [&sink](Cycle) { ++sink; });
         eq.drain();
     }
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The copy-on-pop/move-on-pop/intrusive-heap progression on the same
-// schedule-then-drain workload (16 fat-capture events per iteration).
+// The copy-on-pop/move-on-pop/key-heap progression on the same
+// schedule-then-drain workload (16 fat-capture events per iteration):
+// EventQueue sifts 24-byte keys and leaves callbacks in their slots.
 void
 BM_EventKernelLegacyCopyPop(benchmark::State &state)
 {
@@ -213,9 +322,9 @@ BM_EventKernelLegacyCascade(benchmark::State &state)
     LegacyEventQueue<true> eq;
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        eq.schedule(eq.now() + 1, [&] {
+        eq.schedule(eq.now() + 1, [&](Cycle) {
             for (int i = 0; i < 8; ++i)
-                eq.schedule(eq.now(), [&sink] { ++sink; });
+                eq.schedule(eq.now(), [&sink](Cycle) { ++sink; });
         });
         eq.drain();
     }
@@ -229,9 +338,9 @@ BM_EventQueueSameCycleCascade(benchmark::State &state)
     EventQueue eq;
     std::uint64_t sink = 0;
     for (auto _ : state) {
-        eq.schedule(eq.now() + 1, [&] {
+        eq.schedule(eq.now() + 1, [&](Cycle) {
             for (int i = 0; i < 8; ++i)
-                eq.schedule(eq.now(), [&sink] { ++sink; });
+                eq.schedule(eq.now(), [&sink](Cycle) { ++sink; });
         });
         eq.drain();
     }
@@ -252,7 +361,7 @@ BM_EventQueueBurstNoReserve(benchmark::State &state)
         EventQueue eq;
         for (int i = 0; i < 512; ++i)
             eq.schedule(static_cast<Cycle>(1 + (i % 7)),
-                        [&sink] { ++sink; });
+                        [&sink](Cycle) { ++sink; });
         eq.drain();
     }
     benchmark::DoNotOptimize(sink);
@@ -268,7 +377,7 @@ BM_EventQueueBurstWithReserve(benchmark::State &state)
         eq.reserve(512);
         for (int i = 0; i < 512; ++i)
             eq.schedule(static_cast<Cycle>(1 + (i % 7)),
-                        [&sink] { ++sink; });
+                        [&sink](Cycle) { ++sink; });
         eq.drain();
     }
     benchmark::DoNotOptimize(sink);

@@ -4,9 +4,11 @@
 
 namespace cmpsim {
 
-DecoupledSet::DecoupledSet(unsigned tags, unsigned segment_budget)
-    : entries_(tags), segment_budget_(segment_budget)
+DecoupledSet::DecoupledSet(TagEntry *storage, unsigned tags,
+                           unsigned segment_budget)
+    : entries_(storage), tags_(tags), segment_budget_(segment_budget)
 {
+    cmpsim_assert(storage != nullptr);
     cmpsim_assert(tags > 0);
     cmpsim_assert(segment_budget >= kSegmentsPerLine);
 }
@@ -14,9 +16,9 @@ DecoupledSet::DecoupledSet(unsigned tags, unsigned segment_budget)
 TagEntry *
 DecoupledSet::find(Addr line)
 {
-    for (auto &e : entries_) {
-        if (e.valid && e.line == line)
-            return &e;
+    for (TagEntry *e = entries_; e != end(); ++e) {
+        if (e->line == line && e->valid)
+            return e;
     }
     return nullptr;
 }
@@ -27,21 +29,17 @@ DecoupledSet::find(Addr line) const
     return const_cast<DecoupledSet *>(this)->find(line);
 }
 
-void
-DecoupledSet::touch(Addr line)
+TagEntry *
+DecoupledSet::touch(TagEntry *entry)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->valid && it->line == line) {
-            std::rotate(entries_.begin(), it, it + 1);
-            return;
-        }
-    }
-    cmpsim_panic("touch of absent line %#lx",
-                 static_cast<unsigned long>(line));
+    cmpsim_assert(entry >= entries_ && entry < end() && entry->valid,
+                  "touch of an entry outside this set's valid tags");
+    std::rotate(entries_, entry, entry + 1);
+    return entries_;
 }
 
 void
-DecoupledSet::retireTag(std::vector<TagEntry>::iterator it)
+DecoupledSet::retireTag(TagEntry *it)
 {
     used_segments_ -= it->segments;
     // Leave a victim tag: address only, all other state cleared.
@@ -57,8 +55,8 @@ DecoupledSet::retireTag(std::vector<TagEntry>::iterator it)
     // valids remain a contiguous MRU prefix and the newest victim
     // heads the victim region (insert() reuses the backmost invalid
     // tag, so older victims are recycled first).
-    auto end_valid = it + 1;
-    while (end_valid != entries_.end() && end_valid->valid)
+    TagEntry *end_valid = it + 1;
+    while (end_valid != end() && end_valid->valid)
         ++end_valid;
     std::rotate(it, it + 1, end_valid);
 }
@@ -66,10 +64,10 @@ DecoupledSet::retireTag(std::vector<TagEntry>::iterator it)
 TagEntry
 DecoupledSet::evictLruValid()
 {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    for (TagEntry *it = end(); it-- != entries_;) {
         if (it->valid) {
             TagEntry victim = *it;
-            retireTag(it.base() - 1);
+            retireTag(it);
             return victim;
         }
     }
@@ -92,28 +90,23 @@ DecoupledSet::insert(const TagEntry &entry)
         evicted.push_back(evictLruValid());
 
     // Free a tag: reuse the backmost invalid slot.
-    auto slot = entries_.rend();
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-        if (!it->valid) {
-            slot = it;
-            break;
+    auto backmostInvalid = [this]() -> TagEntry * {
+        for (TagEntry *it = end(); it-- != entries_;) {
+            if (!it->valid)
+                return it;
         }
-    }
-    if (slot == entries_.rend()) {
+        return nullptr;
+    };
+    TagEntry *slot = backmostInvalid();
+    if (slot == nullptr) {
         evicted.push_back(evictLruValid());
-        for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-            if (!it->valid) {
-                slot = it;
-                break;
-            }
-        }
+        slot = backmostInvalid();
     }
-    cmpsim_assert(slot != entries_.rend());
+    cmpsim_assert(slot != nullptr);
 
     // Move the chosen slot to the MRU position and fill it.
-    auto fwd = slot.base() - 1; // reverse->forward iterator
-    std::rotate(entries_.begin(), fwd, fwd + 1);
-    entries_.front() = entry;
+    std::rotate(entries_, slot, slot + 1);
+    entries_[0] = entry;
     used_segments_ += entry.segments;
     return evicted;
 }
@@ -140,10 +133,10 @@ DecoupledSet::resize(Addr line, unsigned segments)
         cmpsim_assert(validCount() > 1);
         // Temporarily skip `line` by evicting the LRU valid that is
         // not `line`.
-        for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+        for (TagEntry *it = end(); it-- != entries_;) {
             if (it->valid && it->line != line) {
                 TagEntry victim = *it;
-                retireTag(it.base() - 1);
+                retireTag(it);
                 evicted.push_back(victim);
                 break;
             }
@@ -158,20 +151,18 @@ DecoupledSet::resize(Addr line, unsigned segments)
 TagEntry
 DecoupledSet::invalidate(Addr line)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->valid && it->line == line) {
-            TagEntry prior = *it;
-            retireTag(it);
-            return prior;
-        }
-    }
-    return TagEntry{};
+    TagEntry *it = find(line);
+    if (it == nullptr)
+        return TagEntry{};
+    TagEntry prior = *it;
+    retireTag(it);
+    return prior;
 }
 
 bool
 DecoupledSet::victimTagMatch(Addr line) const
 {
-    for (const auto &e : entries_) {
+    for (const TagEntry &e : entries()) {
         if (e.isVictimTag() && e.line == line)
             return true;
     }
@@ -181,7 +172,7 @@ DecoupledSet::victimTagMatch(Addr line) const
 bool
 DecoupledSet::anyValidPrefetch() const
 {
-    for (const auto &e : entries_) {
+    for (const TagEntry &e : entries()) {
         if (e.valid && e.prefetch)
             return true;
     }
@@ -198,7 +189,7 @@ unsigned
 DecoupledSet::validCount() const
 {
     unsigned n = 0;
-    for (const auto &e : entries_)
+    for (const TagEntry &e : entries())
         n += e.valid;
     return n;
 }
@@ -207,7 +198,7 @@ unsigned
 DecoupledSet::victimTagCount() const
 {
     unsigned n = 0;
-    for (const auto &e : entries_)
+    for (const TagEntry &e : entries())
         n += e.isVictimTag();
     return n;
 }
@@ -216,7 +207,7 @@ int
 DecoupledSet::validStackDepth(Addr line) const
 {
     int depth = 0;
-    for (const auto &e : entries_) {
+    for (const TagEntry &e : entries()) {
         if (!e.valid)
             continue;
         if (e.line == line)

@@ -15,11 +15,19 @@
  * Tags whose data has been evicted retain the line address as *victim
  * tags* in LRU-stack order; the adaptive prefetcher (Section 3) scans
  * them on misses to detect harmful prefetches.
+ *
+ * Storage. A DecoupledSet owns no tags: it is a view over `tags`
+ * consecutive TagEntry slots of one contiguous array that the cache
+ * allocates for all of its sets (set i views slots
+ * [i * tags, (i + 1) * tags)). The view itself holds only the
+ * pointer, the geometry and the set's segment total, so one lookup
+ * walks one run of 16-byte tags with no per-set heap block.
  */
 
 #ifndef CMPSIM_CACHE_DECOUPLED_SET_H
 #define CMPSIM_CACHE_DECOUPLED_SET_H
 
+#include <span>
 #include <vector>
 
 #include "src/cache/tag_entry.h"
@@ -42,19 +50,23 @@ class DecoupledSet
 {
   public:
     /**
+     * @param storage the set's @p tags slots, owned by the caller and
+     *        outliving the view; they must be default (empty) tags
      * @param tags number of address tags (valid + victim)
      * @param segment_budget data space in 8-byte segments
      */
-    DecoupledSet(unsigned tags, unsigned segment_budget);
+    DecoupledSet(TagEntry *storage, unsigned tags, unsigned segment_budget);
 
     /** Find the valid entry for @p line, or nullptr. Does not touch LRU. */
     TagEntry *find(Addr line);
     const TagEntry *find(Addr line) const;
 
-    /** Move @p line's valid entry to the MRU position.
-     *  @warning invalidates every TagEntry pointer into this set
+    /** Move @p entry, a valid entry find() returned from this set, to
+     *  the MRU position.
+     *  @return the entry at its new (MRU) position.
+     *  @warning invalidates every other TagEntry pointer into this set
      *  (the LRU stack is reordered in place); re-find() after. */
-    void touch(Addr line);
+    TagEntry *touch(TagEntry *entry);
 
     /**
      * Insert @p entry (valid, with a segment count), evicting LRU
@@ -98,18 +110,23 @@ class DecoupledSet
     /** Number of victim tags currently held. */
     unsigned victimTagCount() const;
 
-    unsigned tagCount() const { return static_cast<unsigned>(entries_.size()); }
+    unsigned tagCount() const { return tags_; }
     unsigned segmentBudget() const { return segment_budget_; }
 
     /** MRU-to-LRU entry view (tests, stats, compression ratio). */
-    const std::vector<TagEntry> &entries() const { return entries_; }
+    std::span<const TagEntry> entries() const { return {entries_, tags_}; }
 
     /**
      * Mutable entry access for audit-test fault injection ONLY:
      * bypasses all segment accounting, so any real caller corrupts
      * the set. Production code must use insert()/resize()/invalidate().
      */
-    TagEntry &entryForTest(unsigned i) { return entries_.at(i); }
+    TagEntry &
+    entryForTest(unsigned i)
+    {
+        cmpsim_assert(i < tags_);
+        return entries_[i];
+    }
 
     /** The LRU-stack depth (0 = MRU) of @p line among valid entries. */
     int validStackDepth(Addr line) const;
@@ -126,9 +143,12 @@ class DecoupledSet
      * rotate it just behind the remaining valid entries so valids stay
      * a contiguous MRU prefix (the audited stack-order invariant).
      */
-    void retireTag(std::vector<TagEntry>::iterator it);
+    void retireTag(TagEntry *it);
 
-    std::vector<TagEntry> entries_; // front = MRU, back = LRU
+    TagEntry *end() { return entries_ + tags_; }
+
+    TagEntry *entries_; // [0] = MRU, [tags_ - 1] = LRU
+    unsigned tags_;
     unsigned segment_budget_;
     unsigned used_segments_ = 0;
 };

@@ -11,12 +11,20 @@ namespace cmpsim {
 L1Cache::L1Cache(EventQueue &eq, L2Cache &l2, unsigned cpu,
                  const L1Params &params)
     : eq_(eq), l2_(l2), cpu_(cpu), params_(params),
-      sets_(params.sets,
-            DecoupledSet(params.ways + params.victim_tags,
-                         params.ways * kSegmentsPerLine))
+      set_mask_(params.sets - 1),
+      tags_(std::size_t{params.sets} * (params.ways + params.victim_tags)),
+      mshr_file_(params.mshrs)
 {
     cmpsim_assert(params.sets > 0 && params.ways > 0);
+    cmpsim_assert((params.sets & (params.sets - 1)) == 0,
+                  "L1 set count %u is not a power of two", params.sets);
     cmpsim_assert(params.mshrs > params.prefetch_headroom);
+    const unsigned tags = params.ways + params.victim_tags;
+    sets_.reserve(params.sets);
+    for (unsigned i = 0; i < params.sets; ++i) {
+        sets_.emplace_back(&tags_[std::size_t{i} * tags], tags,
+                           params.ways * kSegmentsPerLine);
+    }
 }
 
 unsigned
@@ -31,8 +39,21 @@ L1Cache::allowedStartup() const
 bool
 L1Cache::canAccept(Addr addr) const
 {
-    const Addr line = lineAddr(addr);
-    return mshrs_.count(line) != 0 || mshrs_.size() < params_.mshrs;
+    return mshrs_used_ < params_.mshrs ||
+           findMshr(lineAddr(addr)) != nullptr;
+}
+
+L1Cache::Mshr &
+L1Cache::allocMshr(Addr line)
+{
+    for (Mshr &m : mshr_file_) {
+        if (m.line == kAddrInvalid) {
+            m.line = line;
+            ++mshrs_used_;
+            return m;
+        }
+    }
+    cmpsim_panic("L1 MSHR file full (%u entries)", params_.mshrs);
 }
 
 void
@@ -64,8 +85,7 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
     if (e != nullptr) {
         if (e->prefetch)
             onPrefetchBitHit(*e, when);
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = set.touch(e);
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
@@ -105,23 +125,20 @@ L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
                     Done done, ckpt::Tag tag)
 {
     (void)upgrade;
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
-        Mshr &m = it->second;
-        if (m.prefetch_only)
+    if (Mshr *m = findMshr(line)) {
+        if (m->prefetch_only)
             ++partial_hits_;
-        m.prefetch_only = false;
-        m.waiters.push_back(
+        m->prefetch_only = false;
+        m->waiters.push_back(
             Waiter{is_write, std::move(done), std::move(tag)});
         return;
     }
 
-    Mshr m;
+    Mshr &m = allocMshr(line);
     m.prefetch_only = false;
     m.requested_exclusive = is_write;
     m.waiters.push_back(
         Waiter{is_write, std::move(done), std::move(tag)});
-    mshrs_.emplace(line, std::move(m));
 
     requestFromL2(line, is_write, ReqType::Demand, when);
 }
@@ -131,39 +148,38 @@ L1Cache::prefetchLine(Addr line, Cycle when)
 {
     cmpsim_assert(line == lineAddr(line));
     if (sets_[setIndex(line)].find(line) != nullptr ||
-        mshrs_.count(line) != 0) {
+        findMshr(line) != nullptr) {
         ++pf_squashed_;
         return;
     }
-    if (mshrs_.size() + params_.prefetch_headroom >= params_.mshrs) {
+    if (mshrs_used_ + params_.prefetch_headroom >= params_.mshrs) {
         ++pf_dropped_;
         return;
     }
     ++pf_issued_;
-    Mshr m;
+    Mshr &m = allocMshr(line);
     m.prefetch_only = true;
-    mshrs_.emplace(line, std::move(m));
+    m.requested_exclusive = false;
     requestFromL2(line, false, ReqType::L1Prefetch, when);
 }
 
 void
 L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
 {
+    // The queue hands the event its own cycle, which is exactly the
+    // completion cycle Done expects: schedule it as is.
+    ckpt::Tag ev_tag =
+        ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag));
     if (LaneMailbox *lane = laneContext()) {
         // Parallel lane tick: seq numbers are assigned from the shared
         // counter at the barrier, in canonical core order.
         lane->defer([this, at, done = std::move(done),
-                     tag = std::move(tag)]() mutable {
-            eq_.schedule(at, [done = std::move(done), at] { done(at); },
-                         ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0,
-                                   std::move(tag)));
+                     ev_tag = std::move(ev_tag)]() mutable {
+            eq_.schedule(at, std::move(done), std::move(ev_tag));
         });
         return;
     }
-    ckpt::Tag ev_tag =
-        ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag));
-    eq_.schedule(at, [done = std::move(done), at] { done(at); },
-                 std::move(ev_tag));
+    eq_.schedule(at, std::move(done), std::move(ev_tag));
 }
 
 void
@@ -192,10 +208,12 @@ L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
 void
 L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
 {
-    auto it = mshrs_.find(line);
-    cmpsim_assert(it != mshrs_.end());
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    Mshr *slot = findMshr(line);
+    cmpsim_assert(slot != nullptr);
+    Mshr m = std::move(*slot);
+    slot->line = kAddrInvalid;
+    slot->waiters.clear();
+    --mshrs_used_;
 
     DecoupledSet &set = sets_[setIndex(line)];
     TagEntry *e = set.find(line);
@@ -295,8 +313,7 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
             // so a mid-run fast-forward never schedules into the past.
             onPrefetchBitHit(*e, eq_.now());
         }
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = set.touch(e);
         if (is_write && !e->dirty) {
             ++upgrades_;
             l2_.accessFunctional(cpu_, line, true, ReqType::Demand);
@@ -413,9 +430,12 @@ L1Cache::registerAudits(InvariantRegistry &reg, const std::string &name)
     });
 
     reg.add(name + ".mshr_limit", [this](std::string &why) {
-        if (mshrs_.size() > params_.mshrs) {
-            why = auditFormat("%zu MSHRs allocated, limit %u",
-                              mshrs_.size(), params_.mshrs);
+        unsigned busy = 0;
+        for (const Mshr &m : mshr_file_)
+            busy += m.line != kAddrInvalid;
+        if (busy != mshrs_used_ || busy > params_.mshrs) {
+            why = auditFormat("%u MSHRs allocated (counter %u), limit %u",
+                              busy, mshrs_used_, params_.mshrs);
             return false;
         }
         return true;

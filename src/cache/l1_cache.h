@@ -22,7 +22,7 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cache/decoupled_set.h"
@@ -118,10 +118,7 @@ class L1Cache
     std::uint64_t prefetchesIssued() const { return pf_issued_.value(); }
     std::uint64_t prefetchHits() const { return pf_hits_.value(); }
     std::uint64_t decompAvoided() const { return decomp_avoided_.value(); }
-    std::uint64_t outstanding() const
-    {
-        return static_cast<std::uint64_t>(mshrs_.size());
-    }
+    std::uint64_t outstanding() const { return mshrs_used_; }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
     void resetStats();
@@ -141,7 +138,7 @@ class L1Cache
     void setCkptId(std::uint64_t id) { ckpt_id_ = id; }
 
   private:
-    friend class CheckpointCodec; // serializes sets_/mshrs_/counters
+    friend class CheckpointCodec; // serializes sets_/MSHRs/counters
 
     struct Waiter
     {
@@ -150,8 +147,10 @@ class L1Cache
         ckpt::Tag tag; ///< serializable description of done
     };
 
+    /** One miss status holding register; free when line is invalid. */
     struct Mshr
     {
+        Addr line = kAddrInvalid;
         std::vector<Waiter> waiters;
         bool prefetch_only = true;
         bool requested_exclusive = false;
@@ -160,8 +159,28 @@ class L1Cache
     unsigned
     setIndex(Addr line) const
     {
-        return static_cast<unsigned>(lineNumber(line) % params_.sets);
+        return static_cast<unsigned>(lineNumber(line) & set_mask_);
     }
+
+    /** The MSHR tracking @p line, or nullptr. */
+    const Mshr *
+    findMshr(Addr line) const
+    {
+        for (const Mshr &m : mshr_file_) {
+            if (m.line == line)
+                return &m;
+        }
+        return nullptr;
+    }
+
+    Mshr *
+    findMshr(Addr line)
+    {
+        return const_cast<Mshr *>(std::as_const(*this).findMshr(line));
+    }
+
+    /** Claim a free MSHR for @p line. @pre outstanding() < mshrs. */
+    Mshr &allocMshr(Addr line);
 
     /** Miss/upgrade path for a demand access. */
     void demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
@@ -194,8 +213,11 @@ class L1Cache
     unsigned cpu_;
     L1Params params_;
     std::uint64_t ckpt_id_ = 0; ///< see setCkptId()
-    std::vector<DecoupledSet> sets_;
-    std::unordered_map<Addr, Mshr> mshrs_;
+    Addr set_mask_;                  ///< sets - 1 (a power of two)
+    std::vector<TagEntry> tags_;     ///< every set's tags, set-major
+    std::vector<DecoupledSet> sets_; ///< views into tags_
+    std::vector<Mshr> mshr_file_;    ///< params.mshrs entries, unordered
+    unsigned mshrs_used_ = 0;        ///< busy entries in mshr_file_
 
     StridePrefetcher *prefetcher_ = nullptr;
     AdaptivePrefetchController *adaptive_ = nullptr;

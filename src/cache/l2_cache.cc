@@ -22,15 +22,25 @@ constexpr unsigned kDataBytes = kMessageHeaderBytes + kLineBytes;
 L2Cache::L2Cache(EventQueue &eq, ValueStore &values, MainMemory &memory,
                  const L2Params &params)
     : eq_(eq), values_(values), memory_(memory), params_(params),
-      sets_(params.sets,
-            DecoupledSet(params.tags_per_set, params.segment_budget)),
+      set_mask_(params.sets - 1), bank_mask_(params.banks - 1),
+      tags_(std::size_t{params.sets} * params.tags_per_set),
       bank_free_(params.banks, 0),
       onchip_(params.onchip_bytes_per_cycle),
       pf_outstanding_(params.cores, 0),
       prefetchers_(params.cores, nullptr)
 {
+    cmpsim_assert(params.sets > 0 && (params.sets & (params.sets - 1)) == 0,
+                  "L2 set count %u is not a power of two", params.sets);
+    cmpsim_assert(params.banks > 0 &&
+                      (params.banks & (params.banks - 1)) == 0,
+                  "L2 bank count %u is not a power of two", params.banks);
     cmpsim_assert(params.sets % params.banks == 0);
     cmpsim_assert(params.cores <= kMaxCores);
+    sets_.reserve(params.sets);
+    for (unsigned i = 0; i < params.sets; ++i) {
+        sets_.emplace_back(&tags_[std::size_t{i} * params.tags_per_set],
+                           params.tags_per_set, params.segment_budget);
+    }
 }
 
 void
@@ -108,10 +118,9 @@ L2Cache::request(unsigned cpu, Addr line, bool exclusive, ReqType type,
                       (static_cast<std::uint64_t>(type) << 1),
                   done_tag);
     eq_.schedule(start,
-                 [this, cpu, line, exclusive, type, start,
-                  done = std::move(done),
-                  done_tag = std::move(done_tag)]() mutable {
-                     lookup(cpu, line, exclusive, type, start,
+                 [this, cpu, line, exclusive, type, done = std::move(done),
+                  done_tag = std::move(done_tag)](Cycle at) mutable {
+                     lookup(cpu, line, exclusive, type, at,
                             std::move(done), std::move(done_tag));
                  },
                  std::move(ev_tag));
@@ -202,7 +211,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
         if (e->prefetch && type == ReqType::Demand)
             onPrefetchBitHit(cpu, *e, when);
 
-        set.touch(line);
+        set.touch(e);
         Cycle ready = when + params_.lookup_latency +
                       (penalized ? params_.decompression_latency : 0);
         if (journal_ != nullptr) {
@@ -595,8 +604,7 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
             if (e->prefetch)
                 onPrefetchBitHit(cpu, *e, eq_.now());
         }
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = set.touch(e);
         if (exclusive) {
             for (unsigned c = 0; c < params_.cores; ++c) {
                 if (c != cpu && e->hasSharer(c) && l1_invalidate_)

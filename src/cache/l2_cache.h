@@ -265,7 +265,7 @@ class L2Cache
     unsigned
     setIndex(Addr line) const
     {
-        return static_cast<unsigned>(lineNumber(line) % params_.sets);
+        return static_cast<unsigned>(lineNumber(line) & set_mask_);
     }
 
     unsigned
@@ -273,7 +273,7 @@ class L2Cache
     {
         // Banks interleave on the least-significant block address bits
         // (Section 2).
-        return static_cast<unsigned>(lineNumber(line) % params_.banks);
+        return static_cast<unsigned>(lineNumber(line) & bank_mask_);
     }
 
     /** Line segment charge under this config. */
@@ -313,7 +313,10 @@ class L2Cache
     MainMemory &memory_;
     L2Params params_;
 
-    std::vector<DecoupledSet> sets_;
+    Addr set_mask_;  ///< sets - 1 (sets is a power of two)
+    Addr bank_mask_; ///< banks - 1 (banks is a power of two)
+    std::vector<TagEntry> tags_;     ///< every set's tags, set-major
+    std::vector<DecoupledSet> sets_; ///< views into tags_
     std::vector<Cycle> bank_free_;
     BandwidthResource onchip_;
 

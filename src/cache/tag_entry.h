@@ -26,39 +26,44 @@ inline constexpr unsigned kMaxCores = 16;
 /** Sentinel for "no owner" in the L2 directory state. */
 inline constexpr std::int8_t kNoOwner = -1;
 
-/** Tag + state for one (possibly compressed) cache line. */
+/**
+ * Tag + state for one (possibly compressed) cache line, packed into
+ * 16 bytes: the line address, then the directory and compression
+ * fields, then the four flags as 1-bit fields. Four tags share a
+ * 64-byte host cache line, so an 8-tag set scan touches two.
+ */
 struct TagEntry
 {
     /** Line-aligned address; kAddrInvalid when the tag is empty. */
     Addr line = kAddrInvalid;
 
-    /** Data present for this tag. */
-    bool valid = false;
+    /** L2 directory: bitmask of L1 caches holding a shared copy. */
+    std::uint16_t sharers = 0;
 
-    /** Data differs from the next level. */
-    bool dirty = false;
+    /** Compression tag: allocated 8-byte segments (1..8). */
+    std::uint8_t segments = kSegmentsPerLine;
 
-    /** Set by a prefetch fill, cleared by the first demand access. */
-    bool prefetch = false;
+    /** L2 directory: L1 cache holding a modified copy, or kNoOwner. */
+    std::int8_t owner = kNoOwner;
 
     /** Which engine prefetched this line (valid while prefetch set). */
     PfSource pf_source = PfSource::None;
+
+    /** Data present for this tag. */
+    bool valid : 1 = false;
+
+    /** Data differs from the next level. */
+    bool dirty : 1 = false;
+
+    /** Set by a prefetch fill, cleared by the first demand access. */
+    bool prefetch : 1 = false;
 
     /**
      * In an L1: the line was compressed in the L2 when it was filled,
      * so a hit here avoided a decompression penalty (Section 5.3
      * bookkeeping). Unused in the L2.
      */
-    bool was_compressed = false;
-
-    /** Compression tag: allocated 8-byte segments (1..8). */
-    std::uint8_t segments = kSegmentsPerLine;
-
-    /** L2 directory: bitmask of L1 caches holding a shared copy. */
-    std::uint16_t sharers = 0;
-
-    /** L2 directory: L1 cache holding a modified copy, or kNoOwner. */
-    std::int8_t owner = kNoOwner;
+    bool was_compressed : 1 = false;
 
     bool isVictimTag() const { return !valid && line != kAddrInvalid; }
 
@@ -72,6 +77,8 @@ struct TagEntry
     void removeSharer(unsigned cpu) { sharers &= ~(1u << cpu); }
     bool anySharer() const { return sharers != 0; }
 };
+
+static_assert(sizeof(TagEntry) == 16, "TagEntry must stay 16 bytes");
 
 } // namespace cmpsim
 

@@ -281,55 +281,55 @@ CheckpointCodec::l2DoneFromTag(const ckpt::Tag &t)
     };
 }
 
-std::function<void()>
+std::function<void(Cycle)>
 CheckpointCodec::eventFromTag(const ckpt::Tag &t)
 {
     if (t == nullptr)
         throw ckpt::CorruptCheckpoint("event with empty tag chain");
     switch (t->kind) {
     case ckpt::kDoneAt: {
-        const Cycle at = t->a;
-        return [done = doneFromTag(t->inner), at] {
-            if (done)
-                done(at);
-        };
+        // The event runs at its scheduled cycle (the frame's a), which
+        // the queue passes to the completion directly.
+        std::function<void(Cycle)> done = doneFromTag(t->inner);
+        if (done == nullptr)
+            return [](Cycle) {};
+        return done;
     }
     case ckpt::kL2Lookup: {
         L2Cache *l2 = sys_.l2_.get();
         const auto cpu = static_cast<unsigned>(t->a);
         const Addr line = t->b;
-        const Cycle start = t->c;
+        // t->c is the lookup's start cycle: the event's own cycle.
         const bool exclusive = (t->d & 1) != 0;
         const auto type = static_cast<ReqType>(t->d >> 1);
-        return [l2, cpu, line, exclusive, type, start,
+        return [l2, cpu, line, exclusive, type,
                 done = l2DoneFromTag(t->inner),
-                done_tag = t->inner]() mutable {
-            l2->lookup(cpu, line, exclusive, type, start,
-                       std::move(done), std::move(done_tag));
+                done_tag = t->inner](Cycle at) mutable {
+            l2->lookup(cpu, line, exclusive, type, at, std::move(done),
+                       std::move(done_tag));
         };
     }
     case ckpt::kLinkPump: {
         PriorityLink *link = &sys_.memory_->link();
-        return [link] { link->pump(); };
+        return [link](Cycle) { link->pump(); };
     }
     case ckpt::kLinkInflight: {
         PriorityLink *link = &sys_.memory_->link();
         const auto bytes = static_cast<unsigned>(t->a);
-        const Cycle done_at = t->b;
-        return [link, deliver = doneFromTag(t->inner), done_at,
-                bytes]() mutable {
-            link->completeTransfer(std::move(deliver), done_at, bytes);
+        return [link, deliver = doneFromTag(t->inner),
+                bytes](Cycle at) mutable {
+            link->completeTransfer(std::move(deliver), at, bytes);
         };
     }
     case ckpt::kDramPump: {
         DramBackend *dram = sys_.memory_->dram();
         const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] { dram->pump(ci); };
+        return [dram, ci](Cycle) { dram->pump(ci); };
     }
     case ckpt::kDramWriteDone: {
         DramBackend *dram = sys_.memory_->dram();
         const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] {
+        return [dram, ci](Cycle) {
             ++dram->writes_serviced_;
             ++dram->conserv_writes_out_;
             --dram->inflight_writes_;
@@ -339,7 +339,7 @@ CheckpointCodec::eventFromTag(const ckpt::Tag &t)
     case ckpt::kDramReadSvc: {
         DramBackend *dram = sys_.memory_->dram();
         const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] {
+        return [dram, ci](Cycle) {
             ++dram->reads_serviced_;
             ++dram->conserv_reads_out_;
             --dram->inflight_reads_;
@@ -359,8 +359,8 @@ CheckpointCodec::eventFromTag(const ckpt::Tag &t)
 void
 CheckpointCodec::encodeSet(ckpt::Encoder &e, const DecoupledSet &set)
 {
-    e.u16(static_cast<std::uint16_t>(set.entries_.size()));
-    for (const TagEntry &t : set.entries_) {
+    e.u16(static_cast<std::uint16_t>(set.tagCount()));
+    for (const TagEntry &t : set.entries()) {
         e.u64(t.line);
         e.boolean(t.valid);
         e.boolean(t.dirty);
@@ -378,21 +378,21 @@ void
 CheckpointCodec::decodeSet(ckpt::Decoder &d, DecoupledSet &set)
 {
     const std::uint16_t n = d.u16();
-    if (n != set.entries_.size()) {
+    if (n != set.tagCount()) {
         throw ckpt::CorruptCheckpoint(
             "cache set tag count mismatch: file " + std::to_string(n) +
-            ", config " + std::to_string(set.entries_.size()));
+            ", config " + std::to_string(set.tagCount()));
     }
-    for (TagEntry &t : set.entries_) {
-        t.line = d.u64();
-        t.valid = d.boolean();
-        t.dirty = d.boolean();
-        t.prefetch = d.boolean();
-        t.pf_source = static_cast<PfSource>(d.u8());
-        t.was_compressed = d.boolean();
-        t.segments = d.u8();
-        t.sharers = d.u16();
-        t.owner = static_cast<std::int8_t>(d.u8());
+    for (TagEntry *t = set.entries_; t != set.end(); ++t) {
+        t->line = d.u64();
+        t->valid = d.boolean();
+        t->dirty = d.boolean();
+        t->prefetch = d.boolean();
+        t->pf_source = static_cast<PfSource>(d.u8());
+        t->was_compressed = d.boolean();
+        t->segments = d.u8();
+        t->sharers = d.u16();
+        t->owner = static_cast<std::int8_t>(d.u8());
     }
     set.used_segments_ = d.u32();
 }
@@ -534,28 +534,34 @@ CheckpointCodec::saveEvents()
     // the merged drain executes events in (when, seq) order wherever
     // they sit, so a single sorted list restores correctly at any
     // lane count — and the bytes are lane-count independent.
-    std::vector<const EventQueue::Event *> events;
+    struct Held
+    {
+        EventQueue::Key key;
+        const EventQueue *queue;
+    };
+    std::vector<Held> events;
     auto gather = [&events](const EventQueue &q) {
-        for (const auto &ev : q.heap_)
-            events.push_back(&ev);
+        for (const auto &k : q.heap_)
+            events.push_back({k, &q});
         for (std::size_t i = q.same_head_; i < q.same_cycle_.size(); ++i)
-            events.push_back(&q.same_cycle_[i]);
+            events.push_back({q.same_cycle_[i], &q});
     };
     gather(sys_.eq_);
     for (const auto &q : sys_.lane_eqs_)
         gather(*q);
     std::sort(events.begin(), events.end(),
-              [](const EventQueue::Event *a, const EventQueue::Event *b) {
-                  return a->before(*b);
+              [](const Held &a, const Held &b) {
+                  return a.key.before(b.key);
               });
     ckpt::Encoder e;
     e.u64(events.size());
-    for (const EventQueue::Event *ev : events) {
-        if (ev->tag == nullptr)
+    for (const Held &ev : events) {
+        const ckpt::Tag &tag = ev.queue->pending(ev.key.slot).tag;
+        if (tag == nullptr)
             untagged("event");
-        e.u64(ev->when);
-        e.u64(ev->seq);
-        e.tagChain(ev->tag);
+        e.u64(ev.key.when);
+        e.u64(ev.key.seq);
+        e.tagChain(tag);
     }
     return e.take();
 }
@@ -568,20 +574,18 @@ CheckpointCodec::loadEvents(ckpt::Decoder &d)
     // queues, so placement is semantically irrelevant, and a
     // (when, seq)-sorted array is already a valid binary min-heap.
     EventQueue &eq = sys_.eq_;
-    eq.heap_.clear();
-    eq.same_cycle_.clear();
-    eq.same_head_ = 0;
+    eq.clearPending();
     const std::uint64_t n = d.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
-        EventQueue::Event ev;
-        ev.when = d.u64();
-        ev.seq = d.u64();
-        ev.tag = d.tagChain();
-        ev.cb = eventFromTag(ev.tag);
-        eq.heap_.push_back(std::move(ev));
+        const Cycle when = d.u64();
+        const std::uint64_t seq = d.u64();
+        ckpt::Tag tag = d.tagChain();
+        std::function<void(Cycle)> cb = eventFromTag(tag);
+        eq.heap_.push_back(EventQueue::Key{
+            {when, seq}, eq.acquireSlot(std::move(cb), std::move(tag))});
     }
     std::sort(eq.heap_.begin(), eq.heap_.end(),
-              [](const EventQueue::Event &a, const EventQueue::Event &b) {
+              [](const EventQueue::Key &a, const EventQueue::Key &b) {
                   return a.before(b);
               });
 }
@@ -749,16 +753,20 @@ CheckpointCodec::saveL1s()
         e.u32(static_cast<std::uint32_t>(l1.sets_.size()));
         for (const auto &set : l1.sets_)
             encodeSet(e, set);
-        std::vector<Addr> keys;
-        keys.reserve(l1.mshrs_.size());
-        // analyze-ok: unordered-iter keys are sorted before encoding
-        for (const auto &[addr, mshr] : l1.mshrs_)
-            keys.push_back(addr);
-        std::sort(keys.begin(), keys.end());
-        e.u32(static_cast<std::uint32_t>(keys.size()));
-        for (Addr addr : keys) {
-            const auto &mshr = l1.mshrs_.at(addr);
-            e.u64(addr);
+        // The MSHR file is unordered: encode busy entries by line.
+        std::vector<const L1Cache::Mshr *> busy;
+        for (const auto &mshr : l1.mshr_file_) {
+            if (mshr.line != kAddrInvalid)
+                busy.push_back(&mshr);
+        }
+        std::sort(busy.begin(), busy.end(),
+                  [](const L1Cache::Mshr *a, const L1Cache::Mshr *b) {
+                      return a->line < b->line;
+                  });
+        e.u32(static_cast<std::uint32_t>(busy.size()));
+        for (const L1Cache::Mshr *m : busy) {
+            const auto &mshr = *m;
+            e.u64(mshr.line);
             e.boolean(mshr.prefetch_only);
             e.boolean(mshr.requested_exclusive);
             e.u32(static_cast<std::uint32_t>(mshr.waiters.size()));
@@ -786,11 +794,17 @@ CheckpointCodec::loadL1s(ckpt::Decoder &d)
             throw ckpt::CorruptCheckpoint("L1 set count mismatch");
         for (auto &set : l1.sets_)
             decodeSet(d, set);
-        l1.mshrs_.clear();
+        for (auto &mshr : l1.mshr_file_)
+            mshr = L1Cache::Mshr{};
+        l1.mshrs_used_ = 0;
         const std::uint32_t nmshr = d.u32();
+        if (nmshr > l1.mshr_file_.size())
+            throw ckpt::CorruptCheckpoint("L1 MSHR count over capacity");
         for (std::uint32_t i = 0; i < nmshr; ++i) {
             const Addr addr = d.u64();
-            L1Cache::Mshr &mshr = l1.mshrs_[addr];
+            if (addr == kAddrInvalid || l1.findMshr(addr) != nullptr)
+                throw ckpt::CorruptCheckpoint("bad L1 MSHR line");
+            L1Cache::Mshr &mshr = l1.allocMshr(addr);
             mshr.prefetch_only = d.boolean();
             mshr.requested_exclusive = d.boolean();
             const std::uint32_t nwait = d.u32();
@@ -1071,20 +1085,25 @@ std::string
 CheckpointCodec::saveValues()
 {
     const ValueStore &vs = *sys_.values_;
-    std::vector<Addr> keys;
-    keys.reserve(vs.lines_.size());
-    // analyze-ok: unordered-iter keys are sorted before encoding
-    for (const auto &[addr, entry] : vs.lines_)
-        keys.push_back(addr);
-    std::sort(keys.begin(), keys.end());
+    // Index order depends on insertion history: encode by address.
+    std::vector<ValueStore::Slot> lines;
+    lines.reserve(vs.lineCount());
+    for (const ValueStore::Slot &s : vs.slots_) {
+        if (s.line != ValueStore::kNoLine)
+            lines.push_back(s);
+    }
+    std::sort(lines.begin(), lines.end(),
+              [](const ValueStore::Slot &a, const ValueStore::Slot &b) {
+                  return a.line < b.line;
+              });
     ckpt::Encoder e;
-    e.u64(keys.size());
-    for (Addr addr : keys) {
-        e.u64(addr);
+    e.u64(lines.size());
+    for (const ValueStore::Slot &s : lines) {
+        e.u64(s.line);
         // Only the bytes: the segment-count memo is a deterministic
         // pure function of the data and recomputes identically, and
         // skipping it keeps save -> load -> save byte-stable.
-        e.raw(vs.lines_.at(addr).data.data(), kLineBytes);
+        e.raw(vs.data(s.entry).data(), kLineBytes);
     }
     return e.take();
 }
@@ -1093,14 +1112,13 @@ void
 CheckpointCodec::loadValues(ckpt::Decoder &d)
 {
     ValueStore &vs = *sys_.values_;
-    vs.lines_.clear();
-    vs.dropFilter(); // cached node pointers die with the cleared map
+    vs.clear();
     const std::uint64_t n = d.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr addr = d.u64();
-        ValueStore::Entry &entry = vs.lines_[addr];
-        d.raw(entry.data.data(), kLineBytes);
-        entry.segments_valid = false;
+        if (addr != lineAddr(addr) || vs.hasLine(addr))
+            throw ckpt::CorruptCheckpoint("bad value-store line address");
+        d.raw(vs.data(vs.ensure(addr)).data(), kLineBytes);
     }
 }
 

@@ -102,7 +102,7 @@ class CheckpointCodec
     // ---- continuation factory: rebuild closures from tag chains ----
 
     /** Event-queue callback for an event-kind frame. */
-    std::function<void()> eventFromTag(const ckpt::Tag &t);
+    std::function<void(Cycle)> eventFromTag(const ckpt::Tag &t);
 
     /** void(Cycle) completion (core / memory-pipeline / link-deliver
      *  kinds); null tag -> null function. */

@@ -6,34 +6,18 @@ namespace cmpsim::ckpt {
 
 namespace {
 
-// Process-wide arming flag. Re-evaluated from the env at every
-// CmpSystem construction; the env knobs are process-global, so
-// concurrent runner threads always store the same value and relaxed
-// ordering suffices.
-std::atomic<bool> g_armed{false};
-
 thread_local bool t_restored = false;
 
 } // namespace
 
-bool
-armed()
-{
-    return g_armed.load(std::memory_order_relaxed);
-}
+namespace detail {
 
-void
-setArmed(bool on)
-{
-    g_armed.store(on, std::memory_order_relaxed);
-}
+std::atomic<bool> g_armed{false};
 
 Tag
-tag(std::uint16_t kind, std::uint64_t a, std::uint64_t b,
-    std::uint64_t c, std::uint64_t d, Tag inner)
+makeTag(std::uint16_t kind, std::uint64_t a, std::uint64_t b,
+        std::uint64_t c, std::uint64_t d, Tag inner)
 {
-    if (!armed())
-        return {};
     auto f = std::make_shared<Frame>();
     f->kind = kind;
     f->a = a;
@@ -42,6 +26,14 @@ tag(std::uint16_t kind, std::uint64_t a, std::uint64_t b,
     f->d = d;
     f->inner = std::move(inner);
     return f;
+}
+
+} // namespace detail
+
+void
+setArmed(bool on)
+{
+    detail::g_armed.store(on, std::memory_order_relaxed);
 }
 
 void

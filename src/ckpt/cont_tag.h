@@ -14,15 +14,18 @@
  *
  * Tags are passive metadata: they are consulted only by the codec, so
  * arming them cannot change simulated behaviour. When checkpointing
- * is not armed (no CMPSIM_CKPT / CMPSIM_RESTORE), tag() returns an
- * empty Tag and the hot path pays only a null shared_ptr pass.
+ * is not armed (no CMPSIM_CKPT / CMPSIM_RESTORE), the inline tag()
+ * returns an empty Tag after one relaxed load, so the hot path pays no
+ * call and only a null shared_ptr pass.
  */
 
 #ifndef CMPSIM_CKPT_CONT_TAG_H
 #define CMPSIM_CKPT_CONT_TAG_H
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 namespace cmpsim::ckpt {
 
@@ -72,8 +75,26 @@ struct Frame
     Tag inner;
 };
 
+namespace detail {
+
+/** Process-wide arming flag. Re-evaluated from the env at every
+ *  CmpSystem construction; the env knobs are process-global, so
+ *  concurrent runner threads always store the same value and relaxed
+ *  ordering suffices. */
+extern std::atomic<bool> g_armed;
+
+/** Allocate a frame (the armed half of tag()). */
+Tag makeTag(std::uint16_t kind, std::uint64_t a, std::uint64_t b,
+            std::uint64_t c, std::uint64_t d, Tag inner);
+
+} // namespace detail
+
 /** True while checkpoint tagging is armed for this process. */
-bool armed();
+inline bool
+armed()
+{
+    return detail::g_armed.load(std::memory_order_relaxed);
+}
 
 /** Arm/disarm tagging (CmpSystem construction, from the env knobs). */
 void setArmed(bool on);
@@ -82,8 +103,14 @@ void setArmed(bool on);
  * Build a tag when armed; empty tag otherwise. The null return on the
  * unarmed path keeps tag creation out of normal runs entirely.
  */
-Tag tag(std::uint16_t kind, std::uint64_t a = 0, std::uint64_t b = 0,
-        std::uint64_t c = 0, std::uint64_t d = 0, Tag inner = {});
+inline Tag
+tag(std::uint16_t kind, std::uint64_t a = 0, std::uint64_t b = 0,
+    std::uint64_t c = 0, std::uint64_t d = 0, Tag inner = {})
+{
+    if (!armed())
+        return {};
+    return detail::makeTag(kind, a, b, c, d, std::move(inner));
+}
 
 /**
  * Record (thread-locally) that a CmpSystem on this thread was restored

@@ -161,7 +161,8 @@ CoreModel::dispatchOne(Cycle now)
 
     e.id = id;
     ++next_rob_id_;
-    rob_tail_ = (rob_tail_ + 1) % params_.rob_entries;
+    if (++rob_tail_ == params_.rob_entries)
+        rob_tail_ = 0;
     ++rob_count_;
     have_pending_ = false;
     return true;
@@ -239,7 +240,8 @@ CoreModel::tick(Cycle now)
         if (!head.completed(now))
             break;
         head.id = ~head.id; // poison stale completion callbacks
-        rob_head_ = (rob_head_ + 1) % params_.rob_entries;
+        if (++rob_head_ == params_.rob_entries)
+            rob_head_ = 0;
         --rob_count_;
         ++retired_;
         progress = true;
@@ -282,15 +284,21 @@ CoreModel::tick(Cycle now)
         cpi_->endTick(now, cause, line);
     }
 
-    // Blocked: compute the earliest self-known wake-up.
+    // Blocked: compute the earliest self-known wake-up over the
+    // occupied ring, which is at most two contiguous spans:
+    // [head, min(head + count, size)) and its wrapped remainder.
     Cycle nw = kCycleNever;
-    unsigned idx = rob_head_;
-    for (unsigned i = 0; i < rob_count_; ++i) {
-        const Cycle d = rob_[idx].done_at;
-        if (d != kCycleNever && d > now)
-            nw = std::min(nw, d);
-        idx = (idx + 1) % params_.rob_entries;
-    }
+    auto scan = [&nw, now](const RobEntry *e, const RobEntry *end) {
+        for (; e != end; ++e) {
+            const Cycle d = e->done_at;
+            if (d != kCycleNever && d > now)
+                nw = std::min(nw, d);
+        }
+    };
+    const unsigned first =
+        std::min(rob_count_, params_.rob_entries - rob_head_);
+    scan(rob_.data() + rob_head_, rob_.data() + rob_head_ + first);
+    scan(rob_.data(), rob_.data() + (rob_count_ - first));
     if (fetch_stall_until_ != kCycleNever && fetch_stall_until_ > now)
         nw = std::min(nw, fetch_stall_until_);
     next_wake_ = nw;

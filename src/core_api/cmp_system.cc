@@ -566,13 +566,19 @@ CmpSystem::run(std::uint64_t instr_per_core)
         ckpt_settings_.autosaveArmed() ? ckpt_settings_.every : 0;
     Cycle next_ckpt = ckpt_every > 0 ? now + ckpt_every : kCycleNever;
 
+    // Earliest core wake-up. Only event callbacks and a core's own
+    // tick move a core's wake-up, and a tick schedules events rather
+    // than running other cores' callbacks, so the minimum taken
+    // during the tick pass is exact until the next advanceTo().
+    Cycle min_wake = kCycleNever;
+    for (auto &core : cores_)
+        min_wake = std::min(min_wake, core->nextWake());
+
     while (retired < target) {
         if ((++iterations & 0x1ff) == 0)
             checkPointDeadline("run");
 
-        Cycle next = eq_.nextEventCycle();
-        for (auto &core : cores_)
-            next = std::min(next, core->nextWake());
+        Cycle next = std::min(eq_.nextEventCycle(), min_wake);
         if (next == kCycleNever) {
             cmpsim_panic("simulation deadlock: no events, no core "
                          "work\n%s",
@@ -585,10 +591,12 @@ CmpSystem::run(std::uint64_t instr_per_core)
         now = next;
 
         retired = 0;
+        min_wake = kCycleNever;
         for (auto &core : cores_) {
             if (core->nextWake() <= now)
                 core->tick(now);
             retired += core->instructionsRetired();
+            min_wake = std::min(min_wake, core->nextWake());
         }
 
         if (retired != last_retired) {

@@ -91,6 +91,7 @@ class CmpSystem
     L2Cache &l2() { return *l2_; }
     const L2Cache &l2() const { return *l2_; }
     MainMemory &memory() { return *memory_; }
+    const ValueStore &values() const { return *values_; }
     L1Cache &l1i(unsigned cpu) { return *l1i_[cpu]; }
     L1Cache &l1d(unsigned cpu) { return *l1d_[cpu]; }
     CoreModel &core(unsigned cpu) { return *cores_[cpu]; }

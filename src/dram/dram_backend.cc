@@ -90,7 +90,7 @@ DramBackend::wake(unsigned ci, Cycle at)
     if (ch.busy)
         return;
     ch.busy = true;
-    eq_.schedule(std::max(at, eq_.now()), [this, ci] { pump(ci); },
+    eq_.schedule(std::max(at, eq_.now()), [this, ci](Cycle) { pump(ci); },
                  ckpt::tag(ckpt::kDramPump, ci));
 }
 
@@ -176,7 +176,7 @@ DramBackend::pump(unsigned ci)
             b.ready = std::max(b.ready, now + params_.refresh_cycles);
         }
         eq_.schedule(now + params_.refresh_cycles,
-                     [this, ci] { pump(ci); },
+                     [this, ci](Cycle) { pump(ci); },
                      ckpt::tag(ckpt::kDramPump, ci));
         return;
     }
@@ -216,7 +216,7 @@ DramBackend::pump(unsigned ci)
             ch.busy = false;
             return;
         }
-        eq_.schedule(earliest, [this, ci] { pump(ci); },
+        eq_.schedule(earliest, [this, ci](Cycle) { pump(ci); },
                      ckpt::tag(ckpt::kDramPump, ci));
         return;
     }
@@ -235,7 +235,7 @@ DramBackend::pump(unsigned ci)
     if (is_write) {
         ++inflight_writes_;
         eq_.schedule(data_end,
-                     [this, ci] {
+                     [this, ci](Cycle) {
                          ++writes_serviced_;
                          ++conserv_writes_out_;
                          --inflight_writes_;
@@ -248,14 +248,11 @@ DramBackend::pump(unsigned ci)
         const Cycle done_at = data_end + params_.ctrl_latency;
         if (read_observer_)
             read_observer_(r.line, now, done_at, row_hit);
-        eq_.schedule(done_at,
-                     [done = std::move(r.done), done_at] {
-                         done(done_at);
-                     },
+        eq_.schedule(done_at, std::move(r.done),
                      ckpt::tag(ckpt::kDoneAt, done_at, 0, 0, 0,
                                std::move(r.tag)));
         eq_.schedule(data_end,
-                     [this, ci] {
+                     [this, ci](Cycle) {
                          ++reads_serviced_;
                          ++conserv_reads_out_;
                          --inflight_reads_;

@@ -39,10 +39,7 @@ PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
         queue_delay_.sample(0.0);
         queue_delay_hist_.sample(0.0);
         if (deliver) {
-            eq_.schedule(done,
-                         [deliver = std::move(deliver), done] {
-                             deliver(done);
-                         },
+            eq_.schedule(done, std::move(deliver),
                          ckpt::tag(ckpt::kDoneAt, done, 0, 0, 0,
                                    std::move(deliver_tag)));
         }
@@ -54,7 +51,7 @@ PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
     if (!busy_) {
         // Kick the pump at the message's ready time (or now).
         const Cycle at = std::max(ready, eq_.now());
-        eq_.schedule(at, [this] { pump(); },
+        eq_.schedule(at, [this](Cycle) { pump(); },
                      ckpt::tag(ckpt::kLinkPump));
     }
 }
@@ -119,7 +116,7 @@ PriorityLink::pump()
 
     if (queue == nullptr) {
         if (earliest_future != kCycleNever)
-            eq_.schedule(earliest_future, [this] { pump(); },
+            eq_.schedule(earliest_future, [this](Cycle) { pump(); },
                          ckpt::tag(ckpt::kLinkPump));
         return;
     }
@@ -140,9 +137,9 @@ PriorityLink::pump()
     ckpt::Tag ev_tag = ckpt::tag(ckpt::kLinkInflight, msg.bytes, done,
                                  0, 0, std::move(msg.tag));
     eq_.schedule(done,
-                 [this, deliver = std::move(msg.deliver), done,
-                  bytes = msg.bytes]() mutable {
-                     completeTransfer(std::move(deliver), done, bytes);
+                 [this, deliver = std::move(msg.deliver),
+                  bytes = msg.bytes](Cycle at) mutable {
+                     completeTransfer(std::move(deliver), at, bytes);
                  },
                  std::move(ev_tag));
 }

@@ -8,13 +8,27 @@
  * convenience, not an architectural statement: stores update values
  * immediately while the timing model still charges write-back traffic,
  * so compressed sizes always reflect current data.
+ *
+ * Layout. Every functionally executed data access probes the store
+ * (touchLine, writeWord, fill-path reads), so lookup is one
+ * open-addressing index over entries that never move:
+ *  - the index is a power-of-two table of (line, entry) slots with a
+ *    multiplicative hash and linear probing, doubled whenever the load
+ *    would exceed 3/4;
+ *  - entries (64 data bytes each, cache-line aligned, plus a one-byte
+ *    segment memo) live in 512-entry chunks, appended in first-touch
+ *    order and never relocated, so a LineData reference stays valid
+ *    while the store grows.
+ * Lines are never erased, except by a checkpoint restore, which
+ * rebuilds the store from scratch.
  */
 
 #ifndef CMPSIM_MEM_VALUE_STORE_H
 #define CMPSIM_MEM_VALUE_STORE_H
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/common/line_data.h"
@@ -30,7 +44,7 @@ class ValueStore
   public:
     /** @param compressor sizing algorithm; must outlive the store. */
     explicit ValueStore(const Compressor &compressor)
-        : compressor_(compressor)
+        : compressor_(compressor), slots_(kInitialSlots)
     {
     }
 
@@ -38,7 +52,7 @@ class ValueStore
     bool
     hasLine(Addr addr) const
     {
-        return findCached(lineAddr(addr)) != nullptr;
+        return find(lineAddr(addr)) != kNoEntry;
     }
 
     /**
@@ -50,8 +64,8 @@ class ValueStore
     line(Addr addr) const
     {
         static const LineData zero{};
-        const Entry *e = findCached(lineAddr(addr));
-        return e == nullptr ? zero : e->data;
+        const std::uint32_t e = find(lineAddr(addr));
+        return e == kNoEntry ? zero : data(e);
     }
 
     /** Replace the whole line containing @p addr. */
@@ -60,9 +74,9 @@ class ValueStore
     {
         if (journaling_)
             journal_.push_back({addr, data, 0, true});
-        Entry &e = ensure(lineAddr(addr));
-        e.data = data;
-        e.segments_valid = false;
+        const std::uint32_t e = ensure(lineAddr(addr));
+        this->data(e) = data;
+        memo(e) = 0;
     }
 
     /** Write one 32-bit word at byte offset @p offset within the line. */
@@ -72,9 +86,9 @@ class ValueStore
         if (journaling_) {
             journal_.push_back({addr, LineData{}, value, false});
         }
-        Entry &e = ensure(lineAddr(addr));
-        setLineWord(e.data, lineOffset(addr) / 4, value);
-        e.segments_valid = false;
+        const std::uint32_t e = ensure(lineAddr(addr));
+        setLineWord(data(e), lineOffset(addr) / 4, value);
+        memo(e) = 0;
     }
 
     /** One recorded mutation (lockstep skip sharing, DESIGN.md §14). */
@@ -125,29 +139,75 @@ class ValueStore
     unsigned
     segments(Addr addr)
     {
-        Entry *e = findCached(lineAddr(addr));
-        if (e == nullptr)
+        const std::uint32_t e = find(lineAddr(addr));
+        if (e == kNoEntry)
             return zero_segments();
-        if (!e->segments_valid) {
-            e->segments = compressor_.compressedSegments(e->data);
-            e->segments_valid = true;
-        }
-        return e->segments;
+        std::uint8_t &m = memo(e);
+        if (m == 0)
+            m = static_cast<std::uint8_t>(
+                compressor_.compressedSegments(data(e)));
+        return m;
     }
 
-    std::size_t lineCount() const { return lines_.size(); }
+    std::size_t lineCount() const { return count_; }
 
     const Compressor &compressor() const { return compressor_; }
 
-  private:
-    friend class CheckpointCodec; // serializes the line map
+    /** Index slots (a power of two; grows with lineCount()). */
+    std::size_t capacity() const { return slots_.size(); }
 
-    struct Entry
+    /** First slot probed for @p line in a table of @p capacity slots
+     *  (a power of two): the top bits of a multiplicative hash. */
+    static std::size_t
+    homeSlot(Addr line, std::size_t capacity)
     {
-        LineData data{};
-        unsigned segments = 0;
-        bool segments_valid = false;
+        return static_cast<std::size_t>((lineNumber(line) * kHashMul) >>
+                                        (64 - std::countr_zero(capacity)));
+    }
+
+  private:
+    friend class CheckpointCodec; // serializes the lines
+
+    /** One index slot: a line and its entry number. */
+    struct Slot
+    {
+        Addr line = kNoLine;
+        std::uint32_t entry = 0;
     };
+
+    static constexpr unsigned kChunkShift = 9;
+    static constexpr std::uint32_t kChunkEntries = 1u << kChunkShift;
+
+    /** kChunkEntries lines; memo 0 = segment count not computed. */
+    struct Chunk
+    {
+        alignas(64) LineData data[kChunkEntries];
+        std::uint8_t memo[kChunkEntries];
+    };
+
+    static constexpr std::size_t kInitialSlots = 1024;
+    static constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
+    static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+    /** Line addresses are 64-byte aligned, so all-ones never occurs. */
+    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
+
+    LineData &
+    data(std::uint32_t e)
+    {
+        return chunks_[e >> kChunkShift]->data[e & (kChunkEntries - 1)];
+    }
+
+    const LineData &
+    data(std::uint32_t e) const
+    {
+        return chunks_[e >> kChunkShift]->data[e & (kChunkEntries - 1)];
+    }
+
+    std::uint8_t &
+    memo(std::uint32_t e)
+    {
+        return chunks_[e >> kChunkShift]->memo[e & (kChunkEntries - 1)];
+    }
 
     unsigned
     zero_segments()
@@ -157,68 +217,72 @@ class ValueStore
         return zero_segments_;
     }
 
-    /**
-     * Look up @p line through a small direct-mapped filter of
-     * known-present lines. Every functionally executed data access
-     * probes the store (touchLine, writeWord, fill-path reads); with
-     * hundreds of thousands of resident lines each probe is a couple
-     * of cache misses in the hash table, while the filter catches the
-     * heavy reuse of record/stream/hot lines. Caching only positives
-     * keeps it exact: lines are never erased outside restore (which
-     * calls dropFilter()), so a cached node pointer — stable in
-     * unordered_map — never goes stale.
-     */
-    Entry *
-    findCached(Addr line) const
+    /** Entry number of @p line, or kNoEntry. */
+    std::uint32_t
+    find(Addr line) const
     {
-        const std::size_t slot = (line >> 6) & (kFilterSlots - 1);
-        if (filter_line_[slot] == line)
-            return filter_entry_[slot];
-        auto it = lines_.find(line);
-        if (it == lines_.end())
-            return nullptr;
-        filter_line_[slot] = line;
-        filter_entry_[slot] =
-            const_cast<Entry *>(&it->second);
-        return filter_entry_[slot];
-    }
-
-    /** Find-or-insert @p line, keeping the filter coherent. */
-    Entry &
-    ensure(Addr line)
-    {
-        if (Entry *e = findCached(line))
-            return *e;
-        Entry &e = lines_[line];
-        const std::size_t slot = (line >> 6) & (kFilterSlots - 1);
-        filter_line_[slot] = line;
-        filter_entry_[slot] = &e;
-        return e;
-    }
-
-    /** Invalidate the filter after lines_ is rebuilt (ckpt restore). */
-    void
-    dropFilter()
-    {
-        for (std::size_t i = 0; i < kFilterSlots; ++i) {
-            filter_line_[i] = kNoLine;
-            filter_entry_[i] = nullptr;
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = homeSlot(line, slots_.size());;
+             i = (i + 1) & mask) {
+            const Slot &s = slots_[i];
+            if (s.line == line)
+                return s.entry;
+            if (s.line == kNoLine)
+                return kNoEntry;
         }
     }
 
-    static constexpr std::size_t kFilterSlots = 8;
-    /** Line addresses are 64-byte aligned, so all-ones never occurs. */
-    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
+    /** The empty slot an absent @p line probes to. */
+    Slot &
+    vacancyFor(Addr line)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = homeSlot(line, slots_.size());
+        while (slots_[i].line != kNoLine)
+            i = (i + 1) & mask;
+        return slots_[i];
+    }
+
+    /** Find-or-insert @p line (a fresh line reads as zero). */
+    std::uint32_t
+    ensure(Addr line)
+    {
+        const std::uint32_t found = find(line);
+        if (found != kNoEntry)
+            return found;
+        if ((count_ + 1) * 4 > slots_.size() * 3) {
+            // Double the index and re-place every slot.
+            std::vector<Slot> old(slots_.size() * 2);
+            old.swap(slots_);
+            for (const Slot &s : old) {
+                if (s.line != kNoLine)
+                    vacancyFor(s.line) = s;
+            }
+        }
+        if (count_ == chunks_.size() * kChunkEntries)
+            chunks_.push_back(std::make_unique<Chunk>());
+        Slot &s = vacancyFor(line);
+        s.line = line;
+        s.entry = static_cast<std::uint32_t>(count_++);
+        return s.entry;
+    }
+
+    /** Drop every line (checkpoint restore refills from scratch). */
+    void
+    clear()
+    {
+        slots_.assign(kInitialSlots, Slot{});
+        chunks_.clear();
+        count_ = 0;
+    }
 
     const Compressor &compressor_;
-    std::unordered_map<Addr, Entry> lines_;
+    std::vector<Slot> slots_;     ///< open-addressing index
+    std::vector<std::unique_ptr<Chunk>> chunks_; ///< entry storage
+    std::size_t count_ = 0;       ///< entries in use
     bool journaling_ = false;
     std::vector<Op> journal_;
     unsigned zero_segments_ = 0;
-    mutable Addr filter_line_[kFilterSlots] = {
-        kNoLine, kNoLine, kNoLine, kNoLine,
-        kNoLine, kNoLine, kNoLine, kNoLine};
-    mutable Entry *filter_entry_[kFilterSlots] = {};
 };
 
 } // namespace cmpsim

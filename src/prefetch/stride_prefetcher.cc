@@ -100,24 +100,35 @@ StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
     return out;
 }
 
-StridePrefetcher::StreamEntry *
-StridePrefetcher::findStream(std::int64_t line)
+bool
+StridePrefetcher::streamCovers(std::int64_t last_demand,
+                               std::int64_t next_pf, std::int64_t stride,
+                               std::int64_t line)
 {
     // A line belongs to a stream only if it lies on the stride
     // lattice between the demand head and the prefetch head — the
     // region the stream has actually prefetched. (An unbounded
     // window would let unrelated hot-region misses "advance" streams
-    // and run them away from the demand stream.)
+    // and run them away from the demand stream.) That is
+    // 1 <= delta / stride <= span / stride with delta a multiple of
+    // stride, i.e. delta lies strictly past the demand head and no
+    // further than the prefetch head, on the stride's side. Those
+    // compares reject almost every stream; only a non-unit stride
+    // still needs the lattice test.
+    const std::int64_t delta = line - last_demand;
+    const std::int64_t span = next_pf - last_demand;
+    if (stride > 0 ? (delta <= 0 || delta > span)
+                   : (delta >= 0 || delta < span))
+        return false;
+    return stride == 1 || stride == -1 || delta % stride == 0;
+}
+
+StridePrefetcher::StreamEntry *
+StridePrefetcher::findStream(std::int64_t line)
+{
     for (auto &s : streams_) {
-        if (!s.valid)
-            continue;
-        const std::int64_t delta = line - s.last_demand;
-        if (delta == 0 || delta % s.stride != 0)
-            continue;
-        const std::int64_t steps = delta / s.stride;
-        const std::int64_t depth =
-            (s.next_pf - s.last_demand) / s.stride;
-        if (steps > 0 && steps <= depth)
+        if (s.valid &&
+            streamCovers(s.last_demand, s.next_pf, s.stride, line))
             return &s;
     }
     return nullptr;

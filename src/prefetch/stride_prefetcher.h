@@ -91,6 +91,16 @@ class StridePrefetcher
     /** Drop all learned state (filter and stream tables). */
     void clear();
 
+    /**
+     * The stream-window test behind every miss and use: true when
+     * @p line lies on the stride lattice strictly past the demand
+     * head @p last_demand and no further than the prefetch head
+     * @p next_pf of a stream with nonzero @p stride.
+     */
+    static bool streamCovers(std::int64_t last_demand,
+                             std::int64_t next_pf, std::int64_t stride,
+                             std::int64_t line);
+
   private:
     friend class CheckpointCodec; // serializes filter/stream tables
 

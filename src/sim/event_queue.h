@@ -6,15 +6,23 @@
  * continuations on one shared EventQueue; the Simulator interleaves
  * event execution with core-model ticks. Events at the same cycle run
  * in scheduling order (stable), which keeps runs bit-reproducible.
+ * A callback receives the cycle it was scheduled for, so a component's
+ * completion callback (`void(Cycle)`) is scheduled as is, without a
+ * wrapper closure that only re-supplies the cycle.
  *
  * Implementation notes (hot path — this queue executes every timed
  * cache/link/memory transaction in the simulator):
  *
- *  - The pending set is an intrusive binary min-heap over a
- *    std::vector<Event>, ordered by (when, seq). Unlike
- *    std::priority_queue, popping *moves* the Event (and its
- *    heap-allocated std::function) out of the root, and the sift-down
- *    uses moves throughout — no callback is ever copied.
+ *  - Ordering state and payload are split. The binary min-heap and the
+ *    same-cycle FIFO hold 24-byte trivially copyable keys
+ *    (when, seq, slot); sift-up/sift-down copy only those. The
+ *    callback and its checkpoint tag sit in a slab slot that never
+ *    moves while the event is pending: the slab grows in fixed-size
+ *    chunks, and freed slots are recycled through a free list.
+ *
+ *  - A callback runs in place in its slot and is destroyed after it
+ *    returns, so a callback that schedules more events (and grows the
+ *    slab) never invalidates itself.
  *
  *  - Same-cycle fast path: while an event at cycle T executes,
  *    continuations it schedules back at cycle T are appended to a
@@ -30,6 +38,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,7 +54,8 @@ namespace cmpsim {
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** An event body; receives the cycle it was scheduled for. */
+    using Callback = std::function<void(Cycle)>;
 
     /**
      * Exact (when, seq) identity of a pending event. When several
@@ -70,14 +81,18 @@ class EventQueue
 
     /**
      * Pre-size the pending-event storage for @p events outstanding
-     * events so the heap never reallocates mid-run (the caller bounds
-     * in-flight continuations, e.g. cores x ROB entries).
+     * events so neither the heap nor the slab grows mid-run (the
+     * caller bounds in-flight continuations, e.g. cores x ROB
+     * entries).
      */
     void
     reserve(std::size_t events)
     {
         heap_.reserve(events);
         same_cycle_.reserve(events);
+        free_.reserve(events);
+        while (chunks_.size() * kChunkSlots < events)
+            addChunk();
     }
 
     /**
@@ -92,10 +107,11 @@ class EventQueue
     void setSequenceSource(std::uint64_t *seq) { seq_src_ = seq; }
 
     /**
-     * Schedule @p cb at @p when. @pre when >= now(). The optional
-     * @p tag is the callback's serializable description for
-     * checkpointing (src/ckpt/cont_tag.h); it is empty except when a
-     * checkpoint knob armed tagging, and never affects execution.
+     * Schedule @p cb to run at @p when; it is called with @p when.
+     * @pre when >= now(). The optional @p tag is the callback's
+     * serializable description for checkpointing
+     * (src/ckpt/cont_tag.h); it is empty except when a checkpoint
+     * knob armed tagging, and never affects execution.
      */
     void
     schedule(Cycle when, Callback cb, ckpt::Tag tag = {})
@@ -104,15 +120,15 @@ class EventQueue
                       "schedule into the past: when=%llu now=%llu",
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
+        const Key key{{when, nextSeq()},
+                      acquireSlot(std::move(cb), std::move(tag))};
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
-            same_cycle_.push_back(
-                Event{when, (*seq_src_)++, std::move(cb), std::move(tag)});
+            same_cycle_.push_back(key);
             return;
         }
-        heap_.push_back(
-            Event{when, (*seq_src_)++, std::move(cb), std::move(tag)});
+        heap_.push_back(key);
         siftUp(heap_.size() - 1);
     }
 
@@ -148,16 +164,9 @@ class EventQueue
     bool
     nextKey(EventKey &out) const
     {
-        const bool fifo = same_head_ < same_cycle_.size();
-        if (!fifo && heap_.empty())
+        if (empty())
             return false;
-        if (fifo && (heap_.empty() ||
-                     same_cycle_[same_head_].before(heap_.front()))) {
-            out = EventKey{same_cycle_[same_head_].when,
-                           same_cycle_[same_head_].seq};
-        } else {
-            out = EventKey{heap_.front().when, heap_.front().seq};
-        }
+        out = fifoFirst() ? same_cycle_[same_head_] : heap_.front();
         return true;
     }
 
@@ -171,21 +180,9 @@ class EventQueue
     runOneEarliest()
     {
         cmpsim_assert(!empty(), "runOneEarliest on an empty queue");
-        const bool fifo = same_head_ < same_cycle_.size();
-        if (fifo && (heap_.empty() ||
-                     same_cycle_[same_head_].before(heap_.front()))) {
-            Event ev = std::move(same_cycle_[same_head_++]);
-            if (same_head_ == same_cycle_.size()) {
-                same_cycle_.clear();
-                same_head_ = 0;
-            }
-            now_ = ev.when;
-            ev.cb();
-            return;
-        }
-        Event ev = popHeap();
-        now_ = ev.when;
-        ev.cb();
+        const Key k = fifoFirst() ? popFifo() : popHeap();
+        now_ = k.when;
+        fire(k);
     }
 
     /**
@@ -235,21 +232,120 @@ class EventQueue
     }
 
   private:
-    friend class CheckpointCodec; // serializes heap_/now_/seq state
+    friend class CheckpointCodec; // serializes pending events/now_/seq
 
-    struct Event
+    /** Heap/FIFO entry: the event's key plus its payload's slab slot. */
+    struct Key : EventKey
     {
-        Cycle when;
-        std::uint64_t seq;
+        std::uint32_t slot = 0;
+    };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
+    /** The shared sequence source when one is set, else the queue's
+     *  own counter (held by value, so assigning a fresh queue over
+     *  this one leaves no pointer into the temporary). */
+    std::uint64_t
+    nextSeq()
+    {
+        return seq_src_ != nullptr ? (*seq_src_)++ : own_seq_++;
+    }
+
+    /** Slab payload of one pending event. */
+    struct Pending
+    {
         Callback cb;
         ckpt::Tag tag; ///< serializable description of cb (may be null)
-
-        bool
-        before(const Event &o) const
-        {
-            return when != o.when ? when < o.when : seq < o.seq;
-        }
     };
+
+    static constexpr unsigned kChunkShift = 8;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+
+    Pending &
+    pending(std::uint32_t slot)
+    {
+        return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+    }
+
+    const Pending &
+    pending(std::uint32_t slot) const
+    {
+        return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+    }
+
+    void
+    addChunk()
+    {
+        const auto base =
+            static_cast<std::uint32_t>(chunks_.size() * kChunkSlots);
+        chunks_.push_back(std::make_unique<Pending[]>(kChunkSlots));
+        // Pushed high to low so the lowest index is handed out first.
+        for (std::uint32_t i = kChunkSlots; i-- > 0;)
+            free_.push_back(base + i);
+    }
+
+    std::uint32_t
+    acquireSlot(Callback cb, ckpt::Tag tag)
+    {
+        if (free_.empty())
+            addChunk();
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        Pending &p = pending(slot);
+        p.cb = std::move(cb);
+        p.tag = std::move(tag);
+        return slot;
+    }
+
+    /** Destroy @p slot's payload and recycle the slot. */
+    void
+    releaseSlot(std::uint32_t slot)
+    {
+        Pending &p = pending(slot);
+        p.cb = nullptr;
+        p.tag.reset();
+        free_.push_back(slot);
+    }
+
+    /** Run @p k's callback in its slot, then recycle the slot. */
+    void
+    fire(const Key &k)
+    {
+        pending(k.slot).cb(k.when);
+        releaseSlot(k.slot);
+    }
+
+    /** Drop every pending event (checkpoint restore). */
+    void
+    clearPending()
+    {
+        for (const Key &k : heap_)
+            releaseSlot(k.slot);
+        for (std::size_t i = same_head_; i < same_cycle_.size(); ++i)
+            releaseSlot(same_cycle_[i].slot);
+        heap_.clear();
+        same_cycle_.clear();
+        same_head_ = 0;
+    }
+
+    /** True when the FIFO head precedes the heap front. */
+    bool
+    fifoFirst() const
+    {
+        return same_head_ < same_cycle_.size() &&
+               (heap_.empty() ||
+                same_cycle_[same_head_].before(heap_.front()));
+    }
+
+    Key
+    popFifo()
+    {
+        const Key k = same_cycle_[same_head_++];
+        if (same_head_ == same_cycle_.size()) {
+            same_cycle_.clear();
+            same_head_ = 0;
+        }
+        return k;
+    }
 
     /**
      * Run every due event: heap entries with when <= @p limit plus
@@ -275,19 +371,13 @@ class EventQueue
                 // Pending heap entry at the current cycle: scheduled
                 // before now() reached it, so older than anything in
                 // the FIFO — must run first.
-                Event ev = popHeap();
-                ev.cb();
+                fire(popHeap());
             } else if (now_due && same_head_ < same_cycle_.size()) {
-                Event ev = std::move(same_cycle_[same_head_++]);
-                if (same_head_ == same_cycle_.size()) {
-                    same_cycle_.clear();
-                    same_head_ = 0;
-                }
-                ev.cb();
+                fire(popFifo());
             } else if (!heap_.empty() && heap_.front().when <= limit) {
-                Event ev = popHeap();
-                now_ = ev.when;
-                ev.cb();
+                const Key k = popHeap();
+                now_ = k.when;
+                fire(k);
             } else {
                 break;
             }
@@ -296,60 +386,59 @@ class EventQueue
         return executed;
     }
 
-    /** Move the root out and restore the heap property with moves. */
-    Event
+    /** Remove the root and restore the heap property. */
+    Key
     popHeap()
     {
-        Event top = std::move(heap_.front());
-        if (heap_.size() > 1) {
-            heap_.front() = std::move(heap_.back());
-            heap_.pop_back();
-            siftDown(0);
-        } else {
-            heap_.pop_back();
-        }
+        const Key top = heap_.front();
+        const Key last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0, last);
         return top;
     }
 
     void
     siftUp(std::size_t i)
     {
-        Event ev = std::move(heap_[i]);
+        const Key k = heap_[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
-            if (!ev.before(heap_[parent]))
+            if (!k.before(heap_[parent]))
                 break;
-            heap_[i] = std::move(heap_[parent]);
+            heap_[i] = heap_[parent];
             i = parent;
         }
-        heap_[i] = std::move(ev);
+        heap_[i] = k;
     }
 
+    /** Place @p k in the hole at @p i, moving smaller children up. */
     void
-    siftDown(std::size_t i)
+    siftDown(std::size_t i, const Key k)
     {
         const std::size_t n = heap_.size();
-        Event ev = std::move(heap_[i]);
         while (true) {
             std::size_t child = 2 * i + 1;
             if (child >= n)
                 break;
             if (child + 1 < n && heap_[child + 1].before(heap_[child]))
                 ++child;
-            if (!heap_[child].before(ev))
+            if (!heap_[child].before(k))
                 break;
-            heap_[i] = std::move(heap_[child]);
+            heap_[i] = heap_[child];
             i = child;
         }
-        heap_[i] = std::move(ev);
+        heap_[i] = k;
     }
 
-    std::vector<Event> heap_;       ///< binary min-heap by (when, seq)
-    std::vector<Event> same_cycle_; ///< FIFO of events at now()
-    std::size_t same_head_ = 0;     ///< first unconsumed FIFO slot
+    std::vector<Key> heap_;       ///< binary min-heap by (when, seq)
+    std::vector<Key> same_cycle_; ///< FIFO of events at now()
+    std::size_t same_head_ = 0;   ///< first unconsumed FIFO slot
+    std::vector<std::unique_ptr<Pending[]>> chunks_; ///< payload slab
+    std::vector<std::uint32_t> free_; ///< recycled slab slots
     Cycle now_ = 0;
-    std::uint64_t own_seq_ = 0;     ///< default sequence counter
-    std::uint64_t *seq_src_ = &own_seq_; ///< see setSequenceSource()
+    std::uint64_t own_seq_ = 0;         ///< default sequence counter
+    std::uint64_t *seq_src_ = nullptr;  ///< see setSequenceSource()
 };
 
 } // namespace cmpsim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/common/sim_error.h"
 
@@ -85,7 +86,8 @@ TEST(InvariantRegistryTest, NamesPreserveRegistrationOrder)
 
 TEST(AuditDecoupledSetTest, CleanSetPasses)
 {
-    DecoupledSet set(8, 32);
+    std::vector<TagEntry> set_tags(8);
+    DecoupledSet set(set_tags.data(), 8, 32);
     set.insert(makeEntry(0x100, 4));
     set.insert(makeEntry(0x200, 8));
     std::string why;
@@ -94,7 +96,8 @@ TEST(AuditDecoupledSetTest, CleanSetPasses)
 
 TEST(AuditDecoupledSetTest, DetectsSegmentAccountingDrift)
 {
-    DecoupledSet set(8, 32);
+    std::vector<TagEntry> set_tags(8);
+    DecoupledSet set(set_tags.data(), 8, 32);
     set.insert(makeEntry(0x100, 4));
     // Corrupt the per-tag charge behind the set's back: the cached
     // used_segments_ total no longer matches the sum over tags.
@@ -107,7 +110,8 @@ TEST(AuditDecoupledSetTest, DetectsSegmentAccountingDrift)
 
 TEST(AuditDecoupledSetTest, DetectsValidEntryBehindVictimTag)
 {
-    DecoupledSet set(4, 32);
+    std::vector<TagEntry> set_tags(4);
+    DecoupledSet set(set_tags.data(), 4, 32);
     set.insert(makeEntry(0x100, 8));
     set.insert(makeEntry(0x200, 8));
     // Invalidate the MRU tag directly, stranding 0x100 behind it.
@@ -120,7 +124,8 @@ TEST(AuditDecoupledSetTest, DetectsValidEntryBehindVictimTag)
 
 TEST(AuditDecoupledSetTest, DetectsDuplicateLineAddress)
 {
-    DecoupledSet set(8, 32);
+    std::vector<TagEntry> set_tags(8);
+    DecoupledSet set(set_tags.data(), 8, 32);
     set.insert(makeEntry(0x100, 4));
     set.insert(makeEntry(0x200, 4));
     set.entryForTest(0).line = 0x100; // now two tags claim 0x100
@@ -132,12 +137,14 @@ TEST(AuditDecoupledSetTest, DetectsDuplicateLineAddress)
 
 TEST(AuditDecoupledSetTest, DetectsPartialChargeWhenFullRequired)
 {
-    DecoupledSet set(8, 64);
+    std::vector<TagEntry> set_tags(8);
+    DecoupledSet set(set_tags.data(), 8, 64);
     set.insert(makeEntry(0x100, 8));
     std::string why;
     EXPECT_TRUE(auditDecoupledSet(set, true, why)) << why;
     // An uncompressed cache must charge every line exactly 8 segments.
-    DecoupledSet partial(8, 64);
+    std::vector<TagEntry> partial_tags(8);
+    DecoupledSet partial(partial_tags.data(), 8, 64);
     partial.insert(makeEntry(0x200, 3));
     EXPECT_FALSE(auditDecoupledSet(partial, true, why));
     EXPECT_NE(why.find("expected exactly"), std::string::npos) << why;
@@ -145,7 +152,8 @@ TEST(AuditDecoupledSetTest, DetectsPartialChargeWhenFullRequired)
 
 TEST(AuditDecoupledSetTest, DetectsLiveStateOnInvalidTag)
 {
-    DecoupledSet set(4, 32);
+    std::vector<TagEntry> set_tags(4);
+    DecoupledSet set(set_tags.data(), 4, 32);
     set.insert(makeEntry(0x100, 8));
     set.invalidate(0x100);
     // A victim tag that still claims dirty data is a leak waiting to
@@ -215,7 +223,7 @@ TEST(AuditEventQueueTest, CleanQueuePassesAndAdvancesTrack)
     EventQueue eq;
     InvariantRegistry reg;
     registerEventQueueAudits(reg, eq, "eq");
-    eq.schedule(10, [] {});
+    eq.schedule(10, [](Cycle) {});
     EXPECT_TRUE(reg.check().empty());
     eq.advanceTo(5);
     EXPECT_TRUE(reg.check().empty());

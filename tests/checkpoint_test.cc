@@ -27,6 +27,7 @@
 #include "src/ckpt/controller.h"
 #include "src/common/fingerprint.h"
 #include "src/common/sim_error.h"
+#include "src/compression/fpc.h"
 #include "src/core_api/cmp_system.h"
 #include "src/sim/fault_injection.h"
 #include "src/workload/workload_params.h"
@@ -145,6 +146,27 @@ TEST(CheckpointTest, SaveRestoreSaveIsByteIdentical)
     CmpSystem second(cfg, benchmarkParams("zeus"));
     second.restoreCheckpoint(bytes);
     EXPECT_TRUE(second.restoredFromCheckpoint());
+    EXPECT_EQ(second.checkpointBytes(), bytes);
+    EXPECT_EQ(statsHash(second), statsHash(first));
+}
+
+TEST(CheckpointTest, ValueStoreRoundTripAfterGrowthIsByteIdentical)
+{
+    ArmGuard arm;
+    const SystemConfig cfg = smallConfig();
+    const FpcCompressor fpc;
+    const std::size_t initial = ValueStore(fpc).capacity();
+
+    CmpSystem first(cfg, benchmarkParams("zeus"));
+    first.warmup(50 * kWarmup);
+    first.run(kMeasure);
+    // The line index has doubled at least three times.
+    ASSERT_GE(first.values().capacity(), 8 * initial);
+    const std::string bytes = first.checkpointBytes();
+
+    CmpSystem second(cfg, benchmarkParams("zeus"));
+    second.restoreCheckpoint(bytes);
+    EXPECT_EQ(second.values().lineCount(), first.values().lineCount());
     EXPECT_EQ(second.checkpointBytes(), bytes);
     EXPECT_EQ(statsHash(second), statsHash(first));
 }

@@ -19,9 +19,9 @@ TEST(EventQueueTest, RunsEventsInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    eq.schedule(30, [&](Cycle) { order.push_back(3); });
+    eq.schedule(10, [&](Cycle) { order.push_back(1); });
+    eq.schedule(20, [&](Cycle) { order.push_back(2); });
     eq.drain();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -32,7 +32,7 @@ TEST(EventQueueTest, SameCycleEventsRunInScheduleOrder)
     EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
-        eq.schedule(7, [&order, i] { order.push_back(i); });
+        eq.schedule(7, [&order, i](Cycle) { order.push_back(i); });
     eq.drain();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -41,11 +41,11 @@ TEST(EventQueueTest, EventsMayScheduleMoreEvents)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(1, [&] {
+    eq.schedule(1, [&](Cycle) {
         ++fired;
-        eq.schedule(2, [&] {
+        eq.schedule(2, [&](Cycle) {
             ++fired;
-            eq.schedule(5, [&] { ++fired; });
+            eq.schedule(5, [&](Cycle) { ++fired; });
         });
     });
     eq.drain();
@@ -57,8 +57,8 @@ TEST(EventQueueTest, AdvanceToRunsOnlyDueEvents)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.schedule(15, [&] { ++fired; });
+    eq.schedule(5, [&](Cycle) { ++fired; });
+    eq.schedule(15, [&](Cycle) { ++fired; });
     eq.advanceTo(10);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 10u);
@@ -71,7 +71,7 @@ TEST(EventQueueTest, NowTracksEventBeingRun)
 {
     EventQueue eq;
     Cycle seen = 0;
-    eq.schedule(42, [&] { seen = eq.now(); });
+    eq.schedule(42, [&](Cycle) { seen = eq.now(); });
     eq.drain();
     EXPECT_EQ(seen, 42u);
 }
@@ -80,8 +80,8 @@ TEST(EventQueueTest, DrainWithLimitLeavesFutureEvents)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(100, [&] { ++fired; });
+    eq.schedule(1, [&](Cycle) { ++fired; });
+    eq.schedule(100, [&](Cycle) { ++fired; });
     EXPECT_EQ(eq.drain(50), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_FALSE(eq.empty());
@@ -92,7 +92,7 @@ TEST(EventQueueTest, ZeroDelayEventAtCurrentCycleRuns)
     EventQueue eq;
     eq.advanceTo(10);
     bool ran = false;
-    eq.schedule(10, [&] { ran = true; });
+    eq.schedule(10, [&](Cycle) { ran = true; });
     eq.advanceTo(10);
     EXPECT_TRUE(ran);
 }
@@ -103,13 +103,13 @@ TEST(EventQueueTest, SameCycleContinuationsRunAfterOlderPeers)
     // scheduled back at T while T executes — strict (when, seq) order.
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(5, [&] {
+    eq.schedule(5, [&](Cycle) {
         order.push_back(0);
-        eq.schedule(5, [&] { order.push_back(2); });
-        eq.schedule(5, [&] { order.push_back(3); });
+        eq.schedule(5, [&](Cycle) { order.push_back(2); });
+        eq.schedule(5, [&](Cycle) { order.push_back(3); });
     });
-    eq.schedule(5, [&] { order.push_back(1); });
-    eq.schedule(6, [&] { order.push_back(4); });
+    eq.schedule(5, [&](Cycle) { order.push_back(1); });
+    eq.schedule(6, [&](Cycle) { order.push_back(4); });
     eq.drain();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -118,7 +118,7 @@ TEST(EventQueueTest, NestedSameCycleCascadeRunsToCompletion)
 {
     EventQueue eq;
     int depth = 0;
-    std::function<void()> chain = [&] {
+    std::function<void(Cycle)> chain = [&](Cycle) {
         if (++depth < 10)
             eq.schedule(eq.now(), chain);
     };
@@ -132,8 +132,8 @@ TEST(EventQueueTest, SizeAndNextCycleSeeSameCyclePendings)
 {
     EventQueue eq;
     eq.advanceTo(4);
-    eq.schedule(4, [] {});
-    eq.schedule(9, [] {});
+    eq.schedule(4, [](Cycle) {});
+    eq.schedule(9, [](Cycle) {});
     EXPECT_EQ(eq.size(), 2u);
     EXPECT_FALSE(eq.empty());
     EXPECT_EQ(eq.nextEventCycle(), 4u);
@@ -148,7 +148,7 @@ TEST(EventQueueTest, ReservePreservesOrderAndContents)
     eq.reserve(64);
     std::vector<int> order;
     for (int i = 0; i < 32; ++i)
-        eq.schedule(static_cast<Cycle>(100 - i), [&order, i] {
+        eq.schedule(static_cast<Cycle>(100 - i), [&order, i](Cycle) {
             order.push_back(i);
         });
     eq.drain();
@@ -169,11 +169,11 @@ TEST(EventQueueTest, SharedSequenceSourceMergesAcrossQueues)
     b.setSequenceSource(&seq);
 
     std::vector<int> order;
-    a.schedule(10, [&] { order.push_back(0); });
-    b.schedule(10, [&] { order.push_back(1); });
-    a.schedule(5, [&] { order.push_back(2); });
-    b.schedule(10, [&] { order.push_back(3); });
-    a.schedule(10, [&] { order.push_back(4); });
+    a.schedule(10, [&](Cycle) { order.push_back(0); });
+    b.schedule(10, [&](Cycle) { order.push_back(1); });
+    a.schedule(5, [&](Cycle) { order.push_back(2); });
+    b.schedule(10, [&](Cycle) { order.push_back(3); });
+    a.schedule(10, [&](Cycle) { order.push_back(4); });
 
     while (true) {
         EventQueue::EventKey ka, kb;
@@ -203,10 +203,10 @@ TEST(EventQueueTest, NextKeySeesSameCycleCrossQueueScheduling)
     b.setSequenceSource(&seq);
 
     std::vector<int> order;
-    a.schedule(7, [&] {
+    a.schedule(7, [&](Cycle) {
         order.push_back(0);
-        a.schedule(7, [&] { order.push_back(1); }); // FIFO, seq younger
-        b.schedule(7, [&] { order.push_back(2); }); // heap, youngest
+        a.schedule(7, [&](Cycle) { order.push_back(1); }); // FIFO, seq younger
+        b.schedule(7, [&](Cycle) { order.push_back(2); }); // heap, youngest
     });
     while (true) {
         EventQueue::EventKey ka, kb;
@@ -223,7 +223,7 @@ TEST(EventQueueTest, SyncNowAdvancesWithoutRunning)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(20, [&] { ++fired; });
+    eq.schedule(20, [&](Cycle) { ++fired; });
     eq.syncNow(10);
     EXPECT_EQ(eq.now(), 10u);
     EXPECT_EQ(fired, 0);
@@ -242,8 +242,8 @@ TEST(EventQueueTest, RunOneEarliestAdvancesNowPerEvent)
 {
     EventQueue eq;
     std::vector<Cycle> seen;
-    eq.schedule(3, [&] { seen.push_back(eq.now()); });
-    eq.schedule(8, [&] { seen.push_back(eq.now()); });
+    eq.schedule(3, [&](Cycle) { seen.push_back(eq.now()); });
+    eq.schedule(8, [&](Cycle) { seen.push_back(eq.now()); });
     eq.runOneEarliest();
     eq.runOneEarliest();
     EXPECT_EQ(seen, (std::vector<Cycle>{3, 8}));
@@ -252,14 +252,14 @@ TEST(EventQueueTest, RunOneEarliestAdvancesNowPerEvent)
 
 TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)
 {
-    // Stress the intrusive heap: many events at duplicated cycles
+    // Stress the key heap: many events at duplicated cycles
     // must still pop in exact (when, seq) order.
     EventQueue eq;
     std::vector<std::pair<Cycle, int>> order;
     int n = 0;
     for (Cycle when : {30u, 10u, 20u, 10u, 30u, 20u, 10u, 40u, 10u}) {
         const int id = n++;
-        eq.schedule(when, [&, when, id] { order.emplace_back(when, id); });
+        eq.schedule(when, [&, when, id](Cycle) { order.emplace_back(when, id); });
     }
     eq.drain();
     const std::vector<std::pair<Cycle, int>> expect = {

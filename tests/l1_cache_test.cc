@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/compression/fpc.h"
 
@@ -211,6 +212,89 @@ TEST_F(L1CacheTest, CanAcceptHonorsMshrLimit)
     EXPECT_TRUE(l1s[0]->canAccept(la(0)));
     eq.drain();
     EXPECT_TRUE(l1s[0]->canAccept(la(999)));
+}
+
+TEST_F(L1CacheTest, FullMshrFileCoalescesAndRefillsMiddleEntry)
+{
+    build();
+    // Core 1 brings line 28 into the L2, so core 0's miss on it is an
+    // L2 hit that returns long before the fifteen memory misses issued
+    // around it: the entry that frees first sits mid-file.
+    run(1, la(7 * 4), false, 0);
+    const Cycle t0 = 100000;
+    std::vector<Cycle> done(16, 0);
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        ASSERT_TRUE(l1s[0]->canAccept(la(i * 4)));
+        l1s[0]->access(la(i * 4), false, t0,
+                       [&done, i](Cycle c) { done[i] = c; });
+    }
+    EXPECT_EQ(l1s[0]->outstanding(), 16u);
+    EXPECT_FALSE(l1s[0]->canAccept(la(999)));
+
+    // At the limit, another word of a busy line still coalesces.
+    ASSERT_TRUE(l1s[0]->canAccept(la(9 * 4) + 8));
+    Cycle coalesced = 0;
+    l1s[0]->access(la(9 * 4) + 8, false, t0 + 1,
+                   [&](Cycle c) { coalesced = c; });
+    EXPECT_EQ(l1s[0]->outstanding(), 16u);
+
+    eq.drain(t0 + 200);
+    for (std::uint64_t i = 0; i < 16; ++i) {
+        if (i == 7)
+            EXPECT_GT(done[i], t0);
+        else
+            EXPECT_EQ(done[i], 0u) << i;
+    }
+    EXPECT_EQ(l1s[0]->outstanding(), 15u);
+
+    // The freed middle entry takes a new line; the rest are untouched.
+    ASSERT_TRUE(l1s[0]->canAccept(la(999)));
+    Cycle late = 0;
+    l1s[0]->access(la(999), false, eq.now(), [&](Cycle c) { late = c; });
+    EXPECT_EQ(l1s[0]->outstanding(), 16u);
+    EXPECT_FALSE(l1s[0]->canAccept(la(1003)));
+
+    eq.drain();
+    for (std::uint64_t i = 0; i < 16; ++i)
+        EXPECT_GT(done[i], t0 + (i == 7 ? 0 : 200)) << i;
+    EXPECT_EQ(coalesced, done[9]);
+    EXPECT_GT(late, t0);
+    EXPECT_EQ(l1s[0]->outstanding(), 0u);
+    EXPECT_EQ(l1s[0]->misses(), 18u);
+}
+
+TEST_F(L1CacheTest, PrefetchHeadroomAtMshrLimit)
+{
+    build();
+    for (std::uint64_t i = 0; i < 13; ++i)
+        l1s[0]->access(la(i * 4), false, 0, [](Cycle) {});
+    // 13 busy + 2 reserved for demand < 16: the prefetch is issued.
+    l1s[0]->prefetchLine(la(101), 0);
+    EXPECT_EQ(l1s[0]->prefetchesIssued(), 1u);
+    EXPECT_EQ(l1s[0]->outstanding(), 14u);
+    // 14 busy: the next prefetch would eat the demand reserve.
+    l1s[0]->prefetchLine(la(104), 0);
+    EXPECT_EQ(l1s[0]->prefetchesIssued(), 1u);
+    EXPECT_EQ(l1s[0]->outstanding(), 14u);
+    // Demand misses may use the reserve up to the full 16.
+    for (std::uint64_t i = 50; i < 52; ++i) {
+        ASSERT_TRUE(l1s[0]->canAccept(la(i * 4)));
+        l1s[0]->access(la(i * 4), false, 0, [](Cycle) {});
+    }
+    EXPECT_EQ(l1s[0]->outstanding(), 16u);
+    EXPECT_FALSE(l1s[0]->canAccept(la(300)));
+    // A demand access to the prefetched line joins its entry.
+    ASSERT_TRUE(l1s[0]->canAccept(la(101)));
+    Cycle at = 0;
+    l1s[0]->access(la(101), false, 1, [&](Cycle c) { at = c; });
+    EXPECT_EQ(l1s[0]->outstanding(), 16u);
+    eq.drain();
+    EXPECT_GT(at, 0u);
+    EXPECT_EQ(l1s[0]->outstanding(), 0u);
+    // Demand-joined, the fill is not a prefetch: no prefetch bit.
+    const TagEntry *e = l1s[0]->setAt(1).find(la(101));
+    ASSERT_NE(e, nullptr);
+    EXPECT_FALSE(e->prefetch);
 }
 
 TEST_F(L1CacheTest, PrefetchFillSetsBitAndFirstUseClears)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "src/common/random.h"
 #include "src/prefetch/adaptive_controller.h"
 
 namespace cmpsim {
@@ -255,6 +258,57 @@ TEST(AdaptiveControllerTest, ThrottledPrefetcherEndToEnd)
     for (std::uint64_t l = 100; l < 103; ++l)
         pf.observeMiss(la(l), ctl.allowedStartup());
     EXPECT_EQ(pf.observeMiss(la(103), ctl.allowedStartup()).size(), 2u);
+}
+
+/**
+ * The stream-window rule in its direct form: @p line is on the stride
+ * lattice, a positive number of steps past the demand head, and no
+ * more steps out than the prefetch head (truncating division).
+ */
+bool
+referenceCovers(std::int64_t last_demand, std::int64_t next_pf,
+                std::int64_t stride, std::int64_t line)
+{
+    const std::int64_t delta = line - last_demand;
+    if (delta == 0 || delta % stride != 0)
+        return false;
+    const std::int64_t steps = delta / stride;
+    const std::int64_t depth = (next_pf - last_demand) / stride;
+    return steps > 0 && steps <= depth;
+}
+
+TEST(StridePrefetcherTest, StreamWindowMatchesDivisionReference)
+{
+    constexpr std::int64_t kStrides[] = {1,  -1, 2,  -2, 3,  -3,
+                                         5,  -7, 31, -32, 32, -31};
+    Random rng(77);
+    unsigned covered = 0;
+    for (unsigned i = 0; i < 200000; ++i) {
+        const std::int64_t stride =
+            kStrides[rng.below(sizeof kStrides / sizeof kStrides[0])];
+        const std::int64_t mag = std::llabs(stride);
+        const std::int64_t last_demand =
+            static_cast<std::int64_t>(rng.below(1u << 20)) + (1 << 20);
+        // Prefetch heads behind, at and ahead of the demand head, on
+        // and off the lattice (a head past a page edge stops early).
+        const std::int64_t next_pf =
+            last_demand +
+            stride * (static_cast<std::int64_t>(rng.below(34)) - 4) +
+            static_cast<std::int64_t>(rng.below(2 * mag - 1)) - (mag - 1);
+        const std::int64_t line =
+            last_demand + static_cast<std::int64_t>(rng.below(80 * mag)) -
+            40 * mag;
+        const bool want = referenceCovers(last_demand, next_pf, stride, line);
+        covered += want;
+        ASSERT_EQ(StridePrefetcher::streamCovers(last_demand, next_pf,
+                                                 stride, line),
+                  want)
+            << "last_demand=" << last_demand << " next_pf=" << next_pf
+            << " stride=" << stride << " line=" << line;
+    }
+    // Both outcomes are well represented.
+    EXPECT_GT(covered, 10000u);
+    EXPECT_LT(covered, 190000u);
 }
 
 } // namespace
