@@ -348,8 +348,8 @@ BM_EventQueueSameCycleCascade(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSameCycleCascade);
 
-// Burst scheduling with and without pre-sized storage: the sharded
-// kernel reserves cores x ROB entries up front (see CmpSystem::
+// Burst scheduling with and without pre-sized storage: CmpSystem
+// reserves cores x ROB entries up front (see CmpSystem::
 // buildSystem), so the heap never reallocates mid-run. The batch is
 // drained outside the reserve so growth cost recurs every iteration
 // in the no-reserve variant.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/audit/audits.h"
-#include "src/sim/lane.h"
 
 namespace cmpsim {
 
@@ -168,36 +167,13 @@ L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
 {
     // The queue hands the event its own cycle, which is exactly the
     // completion cycle Done expects: schedule it as is.
-    ckpt::Tag ev_tag =
-        ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag));
-    if (LaneMailbox *lane = laneContext()) {
-        // Parallel lane tick: seq numbers are assigned from the shared
-        // counter at the barrier, in canonical core order.
-        lane->defer([this, at, done = std::move(done),
-                     ev_tag = std::move(ev_tag)]() mutable {
-            eq_.schedule(at, std::move(done), std::move(ev_tag));
-        });
-        return;
-    }
-    eq_.schedule(at, std::move(done), std::move(ev_tag));
+    eq_.schedule(at, std::move(done),
+                 ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag)));
 }
 
 void
 L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
 {
-    if (LaneMailbox *lane = laneContext()) {
-        // The MSHR entry is already booked (lane-local, safe); only the
-        // L2 side — bank queues, link bandwidth, the fill callback's
-        // event — is shared state and must wait for the barrier.
-        lane->defer([this, line, is_write, type, when] {
-            l2_.request(cpu_, line, is_write, type, when,
-                        [this, line](Cycle at, bool excl, bool comp) {
-                            fill(line, at, excl, comp);
-                        },
-                        ckpt::tag(ckpt::kL1Fill, ckpt_id_, line));
-        });
-        return;
-    }
     l2_.request(cpu_, line, is_write, type, when,
                 [this, line](Cycle at, bool excl, bool comp) {
                     fill(line, at, excl, comp);
@@ -247,9 +223,7 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
 
     for (Waiter &w : m.waiters) {
         // Completion happens at data arrival; schedule rather than
-        // call so the core sees a consistent event time. Fills only
-        // run during the serial merged drain, so scheduleDone here is
-        // always the direct path.
+        // call so the core sees a consistent event time.
         scheduleDone(at, std::move(w.done), std::move(w.tag));
     }
 }

@@ -186,14 +186,10 @@ class L1Cache
     void demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
                     Done done, ckpt::Tag tag);
 
-    /** Schedule @p done at @p at — directly, or deferred through the
-     *  lane mailbox during a parallel lane tick (seq assignment must
-     *  happen in canonical core order at the barrier). */
+    /** Schedule @p done at @p at, tagged for checkpointing. */
     void scheduleDone(Cycle at, Done done, ckpt::Tag tag);
 
-    /** Issue the L2 request for @p line — directly, or deferred
-     *  through the lane mailbox (L2 reserves bank/bandwidth state
-     *  synchronously inside request()). */
+    /** Issue the L2 request for @p line; the response fills it. */
     void requestFromL2(Addr line, bool is_write, ReqType type,
                        Cycle when);
 

@@ -59,13 +59,12 @@ std::uint64_t
 checkpointFingerprint(const SystemConfig &c, const WorkloadParams &w)
 {
     std::string s;
-    // Behavioural SystemConfig knobs only: lanes and watchdog_cycles
-    // never change simulated results (the sharded kernel is
-    // byte-identical at any lane count and the watchdog only bounds
-    // livelock), so a checkpoint moves freely across them. The audit
-    // and sample intervals are *included*: they do not perturb
-    // results today, but they gate periodic work inside the run loop
-    // and a resumed run must replay the same cursor arithmetic.
+    // Behavioural SystemConfig knobs only: watchdog_cycles never
+    // changes simulated results (the watchdog only bounds livelock),
+    // so a checkpoint moves freely across it. The audit and sample
+    // intervals are *included*: they do not perturb results today,
+    // but they gate periodic work inside the run loop and a resumed
+    // run must replay the same cursor arithmetic.
     fpInt(s, "cores", c.cores);
     fpInt(s, "scale", c.scale);
     fpInt(s, "cache_compression", c.cache_compression);
@@ -476,7 +475,7 @@ CheckpointCodec::saveSystem()
 {
     ckpt::Encoder e;
     e.u64(sys_.eq_.now());
-    e.u64(sys_.lane_eqs_.empty() ? sys_.eq_.own_seq_ : sys_.lane_seq_);
+    e.u64(sys_.eq_.seq_);
     const CmpSystem::RunState &rs = sys_.run_state_;
     e.boolean(rs.active);
     e.u64(rs.start);
@@ -498,15 +497,8 @@ CheckpointCodec::saveSystem()
 void
 CheckpointCodec::loadSystem(ckpt::Decoder &d)
 {
-    const Cycle now = d.u64();
-    const std::uint64_t seq = d.u64();
-    sys_.eq_.now_ = now;
-    for (auto &q : sys_.lane_eqs_)
-        q->now_ = now;
-    if (sys_.lane_eqs_.empty())
-        sys_.eq_.own_seq_ = seq;
-    else
-        sys_.lane_seq_ = seq;
+    sys_.eq_.now_ = d.u64();
+    sys_.eq_.seq_ = d.u64();
     CmpSystem::RunState &rs = sys_.run_state_;
     rs.active = d.boolean();
     rs.start = d.u64();
@@ -528,39 +520,27 @@ CheckpointCodec::loadSystem(ckpt::Decoder &d)
 std::string
 CheckpointCodec::saveEvents()
 {
-    // Gather pending events from the uncore queue plus every lane
-    // queue (heap and same-cycle FIFO both) and emit them in global
-    // (when, seq) order. Which queue held an event is *not* recorded:
-    // the merged drain executes events in (when, seq) order wherever
-    // they sit, so a single sorted list restores correctly at any
-    // lane count — and the bytes are lane-count independent.
-    struct Held
-    {
-        EventQueue::Key key;
-        const EventQueue *queue;
-    };
-    std::vector<Held> events;
-    auto gather = [&events](const EventQueue &q) {
-        for (const auto &k : q.heap_)
-            events.push_back({k, &q});
-        for (std::size_t i = q.same_head_; i < q.same_cycle_.size(); ++i)
-            events.push_back({q.same_cycle_[i], &q});
-    };
-    gather(sys_.eq_);
-    for (const auto &q : sys_.lane_eqs_)
-        gather(*q);
+    // Pending events (heap and same-cycle FIFO both) in (when, seq)
+    // order: the sort is the file format, independent of the heap's
+    // internal layout, and a sorted array restores as a valid heap.
+    const EventQueue &q = sys_.eq_;
+    std::vector<EventQueue::Key> events(q.heap_.begin(), q.heap_.end());
+    events.insert(events.end(),
+                  q.same_cycle_.begin() +
+                      static_cast<std::ptrdiff_t>(q.same_head_),
+                  q.same_cycle_.end());
     std::sort(events.begin(), events.end(),
-              [](const Held &a, const Held &b) {
-                  return a.key.before(b.key);
+              [](const EventQueue::Key &a, const EventQueue::Key &b) {
+                  return a.before(b);
               });
     ckpt::Encoder e;
     e.u64(events.size());
-    for (const Held &ev : events) {
-        const ckpt::Tag &tag = ev.queue->pending(ev.key.slot).tag;
+    for (const EventQueue::Key &k : events) {
+        const ckpt::Tag &tag = q.pending(k.slot).tag;
         if (tag == nullptr)
             untagged("event");
-        e.u64(ev.key.when);
-        e.u64(ev.key.seq);
+        e.u64(k.when);
+        e.u64(k.seq);
         e.tagChain(tag);
     }
     return e.take();
@@ -569,10 +549,9 @@ CheckpointCodec::saveEvents()
 void
 CheckpointCodec::loadEvents(ckpt::Decoder &d)
 {
-    // All events restore into the uncore queue regardless of lane
-    // count: the merged drain replays global (when, seq) order across
-    // queues, so placement is semantically irrelevant, and a
-    // (when, seq)-sorted array is already a valid binary min-heap.
+    // Every event restores into the heap: a (when, seq)-sorted array
+    // is already a valid binary min-heap, and heap entries at now()
+    // run before any same-cycle FIFO entry scheduled after restore.
     EventQueue &eq = sys_.eq_;
     eq.clearPending();
     const std::uint64_t n = d.u64();
@@ -582,7 +561,7 @@ CheckpointCodec::loadEvents(ckpt::Decoder &d)
         ckpt::Tag tag = d.tagChain();
         std::function<void(Cycle)> cb = eventFromTag(tag);
         eq.heap_.push_back(EventQueue::Key{
-            {when, seq}, eq.acquireSlot(std::move(cb), std::move(tag))});
+            when, seq, eq.acquireSlot(std::move(cb), std::move(tag))});
     }
     std::sort(eq.heap_.begin(), eq.heap_.end(),
               [](const EventQueue::Key &a, const EventQueue::Key &b) {

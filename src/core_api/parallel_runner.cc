@@ -784,10 +784,7 @@ pointSpecBytes(const PointSpec &spec)
     // / audit_fill_roundtrip / watchdog_cycles (observability only —
     // they abort bad runs, never change good ones), sample_interval
     // (pure observation: the sampler only reads counters, so a
-    // sampled and an unsampled run are byte-identical), and lanes
-    // (the sharded kernel replays the sequential event order exactly,
-    // so results are byte-identical at any lane count — enforced by
-    // determinism_check's lanes leg and LaneKernelTest).
+    // sampled and an unsampled run are byte-identical).
     kv("cores", c.cores);
     kv("scale", c.scale);
     kv("cache_compression", c.cache_compression);

@@ -54,23 +54,6 @@ struct SystemConfig
     /** RNG seed (vary across runs for confidence intervals). */
     std::uint64_t seed = 1;
 
-    // ---- sharded event kernel (DESIGN.md Section 12) ----
-
-    /**
-     * Event-kernel lanes: 1 (the default) runs the single-threaded
-     * kernel unchanged; >1 partitions the cores (with their private
-     * L1s, prefetchers and instruction streams) into that many
-     * contiguous lane clusters ticked in parallel each quantum, with
-     * every shared-state emission deferred through per-lane mailboxes
-     * and replayed in canonical core order at the barrier — results
-     * are byte-identical at any lane count. Clamped to the core
-     * count at construction. The CMPSIM_LANES environment variable
-     * overrides this at CmpSystem construction. Like CMPSIM_JOBS,
-     * lanes change wall-clock but never results, so the knob is
-     * excluded from pointSpecBytes().
-     */
-    unsigned lanes = 1;
-
     // ---- CPI-stack attribution (DESIGN.md Section 9) ----
 
     /**
@@ -79,7 +62,7 @@ struct SystemConfig
      * per-request journey records with per-segment latency histograms.
      * Pure observation — simulated results are byte-identical armed or
      * not — and its stats land in a *separate* registry
-     * (CmpSystem::cpiStats(), mirroring laneStats()) so default stat
+     * (CmpSystem::cpiStats()) so default stat
      * dumps and determinism fingerprints never change. The
      * CMPSIM_CPISTACK environment variable overrides this at
      * CmpSystem construction ("0" or empty leaves it off). Refused in
@@ -139,7 +122,7 @@ struct SystemConfig
      * spec ("<ff>:<detail>:<n>[:ci<pct>]", see SamplingPlan::parse)
      * so batch fingerprints and journal keys see the plan — sampling
      * changes the measurement protocol, hence the measured numbers,
-     * so unlike lanes/audit knobs it IS part of pointSpecBytes()
+     * so unlike the audit knobs it IS part of pointSpecBytes()
      * (appended only when armed, keeping unsampled fingerprints
      * byte-identical to older journals). Refused in combination with
      * the CPI-stack layer (attribution windows do not span the

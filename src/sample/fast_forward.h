@@ -11,7 +11,7 @@
  * The engine must only run from a *quiesced* system (no pending
  * events): functional accesses evict cache lines, and a pending fill
  * completion holding a tag reference across an eviction would corrupt
- * the set. CmpSystem::fastForward() drains all event queues to
+ * the set. CmpSystem::fastForward() drains the event queue to
  * quiescence before delegating here.
  */
 

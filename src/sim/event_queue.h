@@ -57,25 +57,6 @@ class EventQueue
     /** An event body; receives the cycle it was scheduled for. */
     using Callback = std::function<void(Cycle)>;
 
-    /**
-     * Exact (when, seq) identity of a pending event. When several
-     * queues share one sequence source (setSequenceSource), these keys
-     * form a single global total order across all of them — the
-     * sharded kernel's merged drain compares keys to replay exactly
-     * the order a single queue would have produced.
-     */
-    struct EventKey
-    {
-        Cycle when = 0;
-        std::uint64_t seq = 0;
-
-        bool
-        before(const EventKey &o) const
-        {
-            return when != o.when ? when < o.when : seq < o.seq;
-        }
-    };
-
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
 
@@ -96,17 +77,6 @@ class EventQueue
     }
 
     /**
-     * Draw sequence numbers from @p seq instead of the queue's own
-     * counter. The sharded kernel points every lane queue and the
-     * uncore queue at one shared counter, so (when, seq) stays a
-     * total order across queues. All scheduling must happen on one
-     * thread (the coordinator) — the counter is not atomic, by
-     * design: parallel lane ticks defer emissions into mailboxes
-     * precisely so that seq assignment stays deterministic.
-     */
-    void setSequenceSource(std::uint64_t *seq) { seq_src_ = seq; }
-
-    /**
      * Schedule @p cb to run at @p when; it is called with @p when.
      * @pre when >= now(). The optional @p tag is the callback's
      * serializable description for checkpointing
@@ -120,7 +90,7 @@ class EventQueue
                       "schedule into the past: when=%llu now=%llu",
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
-        const Key key{{when, nextSeq()},
+        const Key key{when, seq_++,
                       acquireSlot(std::move(cb), std::move(tag))};
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
@@ -154,58 +124,6 @@ class EventQueue
     }
 
     /**
-     * Exact key of the earliest pending event. @return false when the
-     * queue is empty. Unlike nextEventCycle() this compares the heap
-     * front against the FIFO head by full (when, seq) — during a
-     * merged drain another queue's event may have scheduled into this
-     * queue's heap *at* the current cycle, with a seq younger than the
-     * FIFO's entries.
-     */
-    bool
-    nextKey(EventKey &out) const
-    {
-        if (empty())
-            return false;
-        out = fifoFirst() ? same_cycle_[same_head_] : heap_.front();
-        return true;
-    }
-
-    /**
-     * Pop and run the single earliest event (exact (when, seq) order
-     * across the heap and the FIFO), advancing now() to its cycle.
-     * The sharded kernel's merged drain calls this on whichever queue
-     * currently holds the global minimum. @pre !empty().
-     */
-    void
-    runOneEarliest()
-    {
-        cmpsim_assert(!empty(), "runOneEarliest on an empty queue");
-        const Key k = fifoFirst() ? popFifo() : popHeap();
-        now_ = k.when;
-        fire(k);
-    }
-
-    /**
-     * Jump now() forward to @p when without running anything: the
-     * merged drain has already executed every event at or before it
-     * (possibly out of this queue's runDue() order, hence a separate
-     * entry point). @pre nothing due at or before @p when remains.
-     */
-    void
-    syncNow(Cycle when)
-    {
-        cmpsim_assert(when >= now_,
-                      "syncNow into the past: when=%llu now=%llu",
-                      static_cast<unsigned long long>(when),
-                      static_cast<unsigned long long>(now_));
-        cmpsim_assert(same_head_ == same_cycle_.size() &&
-                          (heap_.empty() || heap_.front().when > when),
-                      "syncNow(%llu) would skip a due event",
-                      static_cast<unsigned long long>(when));
-        now_ = when;
-    }
-
-    /**
      * Advance now() to @p when and run every event scheduled at or
      * before it, in time order. @pre when >= now().
      */
@@ -234,21 +152,24 @@ class EventQueue
   private:
     friend class CheckpointCodec; // serializes pending events/now_/seq
 
-    /** Heap/FIFO entry: the event's key plus its payload's slab slot. */
-    struct Key : EventKey
+    /**
+     * Heap/FIFO entry: the event's exact (when, seq) identity plus its
+     * payload's slab slot. seq is the scheduling order, so (when, seq)
+     * is a total order and same-cycle events run in schedule order.
+     */
+    struct Key
     {
+        Cycle when = 0;
+        std::uint64_t seq = 0;
         std::uint32_t slot = 0;
+
+        bool
+        before(const Key &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
     };
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
-
-    /** The shared sequence source when one is set, else the queue's
-     *  own counter (held by value, so assigning a fresh queue over
-     *  this one leaves no pointer into the temporary). */
-    std::uint64_t
-    nextSeq()
-    {
-        return seq_src_ != nullptr ? (*seq_src_)++ : own_seq_++;
-    }
 
     /** Slab payload of one pending event. */
     struct Pending
@@ -325,15 +246,6 @@ class EventQueue
         heap_.clear();
         same_cycle_.clear();
         same_head_ = 0;
-    }
-
-    /** True when the FIFO head precedes the heap front. */
-    bool
-    fifoFirst() const
-    {
-        return same_head_ < same_cycle_.size() &&
-               (heap_.empty() ||
-                same_cycle_[same_head_].before(heap_.front()));
     }
 
     Key
@@ -437,8 +349,7 @@ class EventQueue
     std::vector<std::unique_ptr<Pending[]>> chunks_; ///< payload slab
     std::vector<std::uint32_t> free_; ///< recycled slab slots
     Cycle now_ = 0;
-    std::uint64_t own_seq_ = 0;         ///< default sequence counter
-    std::uint64_t *seq_src_ = nullptr;  ///< see setSequenceSource()
+    std::uint64_t seq_ = 0; ///< next sequence number to hand out
 };
 
 } // namespace cmpsim

@@ -22,9 +22,9 @@ struct ArmedFaults
 };
 
 // analyze-ok: shared-state fault arming is per-worker by design: each harness thread arms its own plan, so thread_local is the isolation, not a leak (DESIGN.md section 8)
-thread_local ArmedFaults *tl_armed = nullptr;
+constinit thread_local ArmedFaults *tl_armed = nullptr;
 // analyze-ok: shared-state per-worker watchdog flag, armed and read only by the owning harness thread
-thread_local bool tl_has_deadline = false;
+constinit thread_local bool tl_has_deadline = false;
 
 namespace {
 

@@ -99,8 +99,10 @@ class FaultPlan
 
 namespace detail {
 struct ArmedFaults;
-extern thread_local ArmedFaults *tl_armed;
-extern thread_local bool tl_has_deadline;
+// constinit: both are constant-initialized, so the inline probes below
+// read them directly instead of through a TLS init wrapper.
+extern constinit thread_local ArmedFaults *tl_armed;
+extern constinit thread_local bool tl_has_deadline;
 void faultSiteSlow(const char *site);
 bool faultStallSlow(const char *site);
 void checkPointDeadlineSlow(const char *where);

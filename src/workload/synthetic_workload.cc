@@ -1,7 +1,6 @@
 #include "src/workload/synthetic_workload.h"
 
 #include "src/sim/fault_injection.h"
-#include "src/sim/lane.h"
 
 namespace cmpsim {
 
@@ -109,29 +108,8 @@ SyntheticWorkload::privateBase() const
 void
 SyntheticWorkload::touchLine(Addr addr)
 {
-    LaneMailbox *lane = laneContext();
-    if (lane == nullptr) {
-        if (!values_.hasLine(addr))
-            values_.setLine(addr, value_gen_.generate(rng_));
-        return;
-    }
-    // Parallel lane tick: the value store is shared, so first touches
-    // use a lane-local overlay. The overlay keeps this lane's RNG
-    // draws identical to the sequential schedule (one generate() per
-    // first touch); only a *cross-lane* same-quantum first touch of
-    // the same line could diverge, which the deferred apply detects
-    // and counts (audited to be zero — see lane.value_overlay).
-    const Addr line = lineAddr(addr);
-    if (values_.hasLine(addr) || lane->createdThisQuantum(line))
-        return;
-    lane->noteCreated(line);
-    lane->defer([&values = values_, line,
-                 data = value_gen_.generate(rng_), lane] {
-        if (values.hasLine(line))
-            lane->noteCollision();
-        else
-            values.setLine(line, data);
-    });
+    if (!values_.hasLine(addr))
+        values_.setLine(addr, value_gen_.generate(rng_));
 }
 
 void

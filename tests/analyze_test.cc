@@ -418,6 +418,7 @@ TEST(SharedStateTest, QuietOnConstAtomicAndFunctionDecls)
           "constexpr int kLimit = 8;\n"
           "const char *const kName = \"x\";\n"
           "static std::atomic<int> live_count{0};\n"
+          "constexpr static int kLeading = 1;\n" // specifier before static
           "static int helper(int);\n" // declaration, not state
           "void f() { int local = 0; use(local); }\n"}});
     EXPECT_TRUE(where(r, "shared-state").empty());
@@ -426,10 +427,43 @@ TEST(SharedStateTest, QuietOnConstAtomicAndFunctionDecls)
 TEST(SharedStateTest, ScopedToKernelDirectories)
 {
     // The same mutable static outside src/sim|cache|dram is allowed:
-    // the sharded-kernel refactor only touches those directories.
+    // the check guards the simulation-kernel directories only.
     const auto r = analyze(
         {{"src/core_api/ok.cc", "static int call_count = 0;\n"}});
     EXPECT_TRUE(where(r, "shared-state").empty());
+}
+
+TEST(SharedStateTest, ConstinitDoesNotExemptMutableState)
+{
+    // constinit fixes how a variable is initialized, not whether it is
+    // written later: each of these is flagged exactly once.
+    const auto r = analyze(
+        {{"src/sim/probe.cc",
+          "static constinit int hidden_counter = 0;\n"
+          "constinit int global_hits = 0;\n"
+          "static constinit thread_local int per_thread = 0;\n"
+          "void bump() { ++hidden_counter; ++global_hits; }\n"}});
+    EXPECT_EQ(where(r, "shared-state"),
+              (std::vector<std::string>{"src/sim/probe.cc:1",
+                                        "src/sim/probe.cc:2",
+                                        "src/sim/probe.cc:3"}));
+}
+
+TEST(SharedStateTest, ExternAnywhereInSpecifiersIsARedeclaration)
+{
+    // The extern declarations are not definitions, however many
+    // specifiers sit between `extern` and `thread_local`; only the
+    // definition is flagged.
+    const auto r = analyze(
+        {{"src/sim/probe.h",
+          "namespace detail {\n"
+          "extern constinit thread_local bool armed;\n"
+          "extern thread_local int *slot;\n"
+          "}\n"},
+         {"src/sim/probe.cc",
+          "constinit thread_local bool armed = false;\n"}});
+    EXPECT_EQ(where(r, "shared-state"),
+              (std::vector<std::string>{"src/sim/probe.cc:1"}));
 }
 
 TEST(SharedStateTest, ClassMembersAreNotGlobals)

@@ -156,29 +156,6 @@ TEST(FaultProbeTest, DeadlineGuardThrowsWatchdogTimeout)
     }
 }
 
-TEST(FaultProbeTest, LaneSyncFiresOnlyInShardedKernel)
-{
-    // The lane.sync site is probed by the sharded kernel's coordinator
-    // once per quantum, just before releasing the lanes.
-    const FaultPlan plan = FaultPlan::parse("lane.sync:5");
-    {
-        // lanes=1 dispatches to the single-threaded kernel, which has
-        // no barrier: the armed plan must be inert.
-        SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
-        cfg.lanes = 1;
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        FaultArmGuard arm(plan, /*attempt=*/1);
-        EXPECT_NO_THROW(sys.run(500));
-    }
-    {
-        SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
-        cfg.lanes = 2;
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        FaultArmGuard arm(plan, /*attempt=*/1);
-        EXPECT_THROW(sys.run(500), InjectedFault);
-    }
-}
-
 TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
 {
     // The sampling engine exposes two sites: sample.ff (once per

@@ -3,9 +3,9 @@
  * Statistical sampling engine contract (DESIGN.md §14): the
  * CMPSIM_SAMPLING plan grammar and validation, fast-forward
  * instruction conservation, detail-interval stat isolation, the CI
- * stopping rule, sampled-run determinism across repeats and lane
- * counts, mid-plan checkpoint/restore to a byte-identical final
- * report, and the MatrixSampler's leader-equivalence guarantee.
+ * stopping rule, sampled-run determinism across repeats, mid-plan
+ * checkpoint/restore to a byte-identical final report, and the
+ * MatrixSampler's leader-equivalence guarantee.
  */
 
 #include "src/sample/sampling_controller.h"
@@ -22,7 +22,6 @@
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
 #include "src/core_api/experiment.h"
-#include "src/core_api/parallel_runner.h"
 #include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
 
@@ -253,27 +252,6 @@ TEST(SamplingDeterminismTest, RepeatRunsAreByteIdentical)
     }
     EXPECT_EQ(stats[0], stats[1]);
     EXPECT_EQ(samples[0], samples[1]);
-}
-
-TEST(SamplingDeterminismTest, LaneCountDoesNotChangeTheReport)
-{
-    // The sampled path composes with the sharded event kernel: the
-    // published summary must be identical at any lane count.
-    PointSpec spec;
-    spec.config = smallConfig();
-    spec.config.sampling = SamplingPlan::parse("6000:2000:3:warm2000");
-    spec.benchmark = "zeus";
-    spec.lengths.warmup_per_core = 2000;
-    spec.lengths.measure_per_core = 0; // sampled runs ignore it
-    spec.seeds = 2;
-
-    PointSpec wide = spec;
-    wide.config.lanes = 4;
-
-    const auto narrow_res = runPoints({spec});
-    const auto wide_res = runPoints({wide});
-    EXPECT_EQ(fnv1a(summaryBytes(narrow_res.front())),
-              fnv1a(summaryBytes(wide_res.front())));
 }
 
 // ------------------------------------------- checkpoint mid-plan

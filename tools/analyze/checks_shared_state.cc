@@ -4,17 +4,22 @@
  * statics in the simulation-kernel directories (src/sim, src/cache,
  * src/dram). The determinism guarantee rests on DESIGN.md section
  * 7's ownership model — one CmpSystem owns all of its state — and
- * the planned sharded event kernel will run lanes of one simulation
- * concurrently, so hidden cross-lane state in these directories is
- * the first thing that refactor would trip over. Every such variable
+ * the parallel runner's workers simulate several CmpSystems at once
+ * in one process, so state hidden outside the object graph would
+ * leak between concurrently running points. Every such variable
  * must be const/constexpr, std::atomic, or carry an explicit
  * suppression arguing why it is safe (e.g. thread_local fault-probe
- * arming, which is scoped per worker by design).
+ * arming, which is scoped per worker by design). `constinit` only
+ * fixes how a variable is initialized, not whether it is written
+ * later, so it does not exempt anything.
  *
  * Two scans:
  *  - declaration-keyword scan: `static` / `thread_local` declarations
  *    anywhere in the file that declare a mutable object (function
- *    declarations and const/constexpr/atomic objects pass);
+ *    declarations, const/constexpr/atomic objects and `extern`
+ *    redeclarations pass; the whole declaration-specifier run before
+ *    the keyword counts, so `extern constinit thread_local` is a
+ *    redeclaration);
  *  - namespace-scope scan: plain variable definitions at namespace
  *    scope (tracked with a brace-scope classifier), which share state
  *    without any keyword at all.
@@ -45,8 +50,26 @@ immutableMarker(const Token &t)
 {
     return t.kind == TokKind::Ident &&
            (t.text == "const" || t.text == "constexpr" ||
-            t.text == "constinit" || t.text == "atomic" ||
-            t.text == "atomic_flag");
+            t.text == "atomic" || t.text == "atomic_flag");
+}
+
+/** A keyword that can lead a variable's declaration-specifier run. */
+bool
+declSpecifier(const Token &t)
+{
+    return t.kind == TokKind::Ident &&
+           (t.text == "extern" || t.text == "static" ||
+            t.text == "thread_local" || t.text == "constinit" ||
+            t.text == "constexpr" || t.text == "const" ||
+            t.text == "inline" || t.text == "volatile");
+}
+
+/** static / thread_local / extern: the keyword scan's territory. */
+bool
+storageKeyword(const Token &t)
+{
+    return t.text == "static" || t.text == "thread_local" ||
+           t.text == "extern";
 }
 
 enum class Scope
@@ -88,17 +111,20 @@ class SharedStateChecker final : public Checker
             const bool is_tls = isIdent(t, i, "thread_local");
             if (!is_static && !is_tls)
                 continue;
-            // `static thread_local` / `thread_local static`: let the
-            // first keyword drive, skip the second.
-            if (i > 0 && (isIdent(t, i - 1, "static") ||
-                          isIdent(t, i - 1, "thread_local")))
-                continue;
-            // Redeclarations of externally-defined state are flagged
-            // at their definition, not at every extern mention.
-            if (i > 0 && isIdent(t, i - 1, "extern"))
+            // Walk back over the specifiers before the keyword:
+            // `static thread_local` / `thread_local static` let the
+            // first keyword drive; extern redeclarations are flagged
+            // at their definition, not at every extern mention; and a
+            // leading const/constexpr makes the object immutable.
+            bool skip = false;
+            bool immutable = false;
+            for (std::size_t k = i; k > 0 && declSpecifier(t[k - 1]); --k) {
+                skip |= storageKeyword(t[k - 1]);
+                immutable |= immutableMarker(t[k - 1]);
+            }
+            if (skip || immutable)
                 continue;
 
-            bool immutable = false;
             bool function_like = false;
             std::string name;
             for (std::size_t k = i + 1; k < t.size(); ++k) {
@@ -124,7 +150,7 @@ class SharedStateChecker final : public Checker
                 {id(), f.path, t[i].line,
                  std::string(is_tls ? "thread_local" : "static") +
                      " mutable state '" + (name.empty() ? "?" : name) +
-                     "' in a sharded-kernel directory: must be "
+                     "' in a simulation-kernel directory: must be "
                      "const, std::atomic, or suppressed with a "
                      "sharing-safety argument"});
         }
@@ -178,15 +204,22 @@ class SharedStateChecker final : public Checker
             if (!atNamespaceScope() || stmt.empty())
                 return;
             const Token &head = stmt.front();
+            // static / thread_local / extern anywhere in the leading
+            // specifier run: the keyword scan owns the statement.
+            for (const Token &tok : stmt) {
+                if (!declSpecifier(tok))
+                    break;
+                if (storageKeyword(tok))
+                    return;
+            }
             if (head.kind == TokKind::Ident &&
                 (head.text == "using" || head.text == "typedef" ||
-                 head.text == "template" || head.text == "extern" ||
-                 head.text == "friend" || head.text == "namespace" ||
-                 head.text == "static_assert" || head.text == "static" ||
-                 head.text == "thread_local" || head.text == "class" ||
-                 head.text == "struct" || head.text == "union" ||
-                 head.text == "enum" || head.text == "public" ||
-                 head.text == "private" || head.text == "protected"))
+                 head.text == "template" || head.text == "friend" ||
+                 head.text == "namespace" || head.text == "static_assert" ||
+                 head.text == "class" || head.text == "struct" ||
+                 head.text == "union" || head.text == "enum" ||
+                 head.text == "public" || head.text == "private" ||
+                 head.text == "protected"))
                 return;
             bool has_eq = false, has_paren = false;
             std::size_t idents = 0;
@@ -219,7 +252,7 @@ class SharedStateChecker final : public Checker
                 {id(), f.path, head.line,
                  "namespace-scope mutable variable '" +
                      (name.empty() ? "?" : name) +
-                     "' in a sharded-kernel directory: must be "
+                     "' in a simulation-kernel directory: must be "
                      "const, std::atomic, or suppressed with a "
                      "sharing-safety argument"});
         };
