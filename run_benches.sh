@@ -7,8 +7,9 @@
 # binary writes to its own temp file; sections are concatenated in
 # name order afterwards, so the combined output is identical at any
 # -j. A machine-readable BENCH_results.json (bench name, wall-clock
-# seconds, peak RSS, exit status) lands next to the text output so
-# later runs have a perf trajectory to compare against.
+# seconds, peak RSS, exit status, plus the commit, core count and
+# every CMPSIM_* knob set for the run) lands next to the text output
+# so later runs have a perf trajectory to compare against.
 #
 # The binaries themselves also parallelize internally across
 # CMPSIM_JOBS simulation workers; with -j > 1 you may want to set
@@ -141,20 +142,27 @@ case "$host_nproc" in
   ''|*[!0-9]*) host_nproc=0 ;;
 esac
 
+# Every CMPSIM_* variable in the environment, sorted by name, as JSON
+# members with backslashes and quotes escaped. Wall-clock numbers and
+# bench output are only comparable across runs with the same knobs
+# (CMPSIM_JOBS, CMPSIM_MEASURE, CMPSIM_DRAM, ...).
+knobs_json() {
+  local sep="" name value
+  while IFS= read -r name; do
+    value=${!name}
+    value=${value//\\/\\\\}
+    value=${value//\"/\\\"}
+    printf '%s"%s": "%s"' "$sep" "$name" "$value"
+    sep=", "
+  done < <(compgen -e | grep '^CMPSIM_' | LC_ALL=C sort)
+}
+
 {
   echo "{"
   echo "  \"git_sha\": \"$git_sha\","
   echo "  \"nproc\": $host_nproc,"
   echo "  \"jobs\": $jobs,"
-  # Wall-clock numbers are only comparable across runs that used the
-  # same simulation-worker count, so record the knob next to the
-  # timings ("" = unset, i.e. the default).
-  echo "  \"cmpsim_jobs\": \"${CMPSIM_JOBS:-}\","
-  # Checkpoint knobs change what a run does at startup (restore) and
-  # add periodic autosave I/O to its wall clock, so a perf trajectory
-  # needs them recorded too.
-  echo "  \"cmpsim_ckpt\": \"${CMPSIM_CKPT:-}\","
-  echo "  \"cmpsim_restore\": \"${CMPSIM_RESTORE:-}\","
+  echo "  \"knobs\": {$(knobs_json)},"
   echo "  \"overall_wall_seconds\": $overall_secs,"
   if [ "$overall" -eq 0 ]; then
     echo "  \"status\": \"ok\","

@@ -68,8 +68,6 @@ class InvariantRegistry
     std::uint64_t passesRun() const { return passes_; }
 
   private:
-    friend class CheckpointCodec; // restores the audit-pass count
-
     std::vector<std::pair<std::string, Check>> checks_;
     mutable std::uint64_t passes_ = 0;
 };

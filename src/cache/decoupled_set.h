@@ -110,7 +110,6 @@ class DecoupledSet
     /** Number of victim tags currently held. */
     unsigned victimTagCount() const;
 
-    unsigned tagCount() const { return tags_; }
     unsigned segmentBudget() const { return segment_budget_; }
 
     /** MRU-to-LRU entry view (tests, stats, compression ratio). */
@@ -132,8 +131,6 @@ class DecoupledSet
     int validStackDepth(Addr line) const;
 
   private:
-    friend class CheckpointCodec; // restores the tag stack wholesale
-
     /** Evict the LRU-most valid entry; returns it and leaves a victim
      *  tag at the LRU end of the stack. */
     TagEntry evictLruValid();

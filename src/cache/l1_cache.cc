@@ -72,8 +72,7 @@ L1Cache::onPrefetchBitHit(TagEntry &e, Cycle when)
 }
 
 void
-L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
-                ckpt::Tag tag)
+L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
 {
     cmpsim_assert(canAccept(addr));
     const Addr line = lineAddr(addr);
@@ -88,15 +87,13 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
-            scheduleDone(when + params_.hit_latency, std::move(done),
-                         std::move(tag));
+            eq_.schedule(when + params_.hit_latency, std::move(done));
             return;
         }
         // Write to an S line: upgrade through the directory.
         ++upgrades_;
         demandMiss(line, true, /*upgrade=*/true,
-                   when + params_.hit_latency, std::move(done),
-                   std::move(tag));
+                   when + params_.hit_latency, std::move(done));
         return;
     }
 
@@ -115,29 +112,26 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
     }
 
     demandMiss(line, is_write, /*upgrade=*/false,
-               when + params_.hit_latency, std::move(done),
-               std::move(tag));
+               when + params_.hit_latency, std::move(done));
 }
 
 void
 L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done, ckpt::Tag tag)
+                    Done done)
 {
     (void)upgrade;
     if (Mshr *m = findMshr(line)) {
         if (m->prefetch_only)
             ++partial_hits_;
         m->prefetch_only = false;
-        m->waiters.push_back(
-            Waiter{is_write, std::move(done), std::move(tag)});
+        m->waiters.push_back(Waiter{is_write, std::move(done)});
         return;
     }
 
     Mshr &m = allocMshr(line);
     m.prefetch_only = false;
     m.requested_exclusive = is_write;
-    m.waiters.push_back(
-        Waiter{is_write, std::move(done), std::move(tag)});
+    m.waiters.push_back(Waiter{is_write, std::move(done)});
 
     requestFromL2(line, is_write, ReqType::Demand, when);
 }
@@ -163,22 +157,12 @@ L1Cache::prefetchLine(Addr line, Cycle when)
 }
 
 void
-L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
-{
-    // The queue hands the event its own cycle, which is exactly the
-    // completion cycle Done expects: schedule it as is.
-    eq_.schedule(at, std::move(done),
-                 ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag)));
-}
-
-void
 L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
 {
     l2_.request(cpu_, line, is_write, type, when,
                 [this, line](Cycle at, bool excl, bool comp) {
                     fill(line, at, excl, comp);
-                },
-                ckpt::tag(ckpt::kL1Fill, ckpt_id_, line));
+                });
 }
 
 void
@@ -224,7 +208,7 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
     for (Waiter &w : m.waiters) {
         // Completion happens at data arrival; schedule rather than
         // call so the core sees a consistent event time.
-        scheduleDone(at, std::move(w.done), std::move(w.tag));
+        eq_.schedule(at, std::move(w.done));
     }
 }
 

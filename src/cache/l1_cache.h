@@ -28,7 +28,6 @@
 #include "src/cache/decoupled_set.h"
 #include "src/cache/l2_cache.h"
 #include "src/cache/request_types.h"
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/prefetch/adaptive_controller.h"
 #include "src/prefetch/stride_prefetcher.h"
@@ -84,13 +83,10 @@ class L1Cache
     }
 
     /**
-     * Timed demand access (load, store, or instruction fetch). The
-     * optional @p tag is @p done's serializable description for
-     * checkpointing (empty unless a checkpoint knob armed tagging).
+     * Timed demand access (load, store, or instruction fetch).
      * @pre canAccept(addr).
      */
-    void access(Addr addr, bool is_write, Cycle when, Done done,
-                ckpt::Tag tag = {});
+    void access(Addr addr, bool is_write, Cycle when, Done done);
 
     /** Timed prefetch into this L1 (from its stride prefetcher). */
     void prefetchLine(Addr line, Cycle when);
@@ -133,18 +129,11 @@ class L1Cache
     /** Test hook. */
     const DecoupledSet &setAt(unsigned index) const { return sets_[index]; }
 
-    /** Stable identity used in checkpoint continuation tags
-     *  (2*cpu + data side); assigned by CmpSystem::buildSystem. */
-    void setCkptId(std::uint64_t id) { ckpt_id_ = id; }
-
   private:
-    friend class CheckpointCodec; // serializes sets_/MSHRs/counters
-
     struct Waiter
     {
         bool is_write;
         Done done;
-        ckpt::Tag tag; ///< serializable description of done
     };
 
     /** One miss status holding register; free when line is invalid. */
@@ -184,10 +173,7 @@ class L1Cache
 
     /** Miss/upgrade path for a demand access. */
     void demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done, ckpt::Tag tag);
-
-    /** Schedule @p done at @p at, tagged for checkpointing. */
-    void scheduleDone(Cycle at, Done done, ckpt::Tag tag);
+                    Done done);
 
     /** Issue the L2 request for @p line; the response fills it. */
     void requestFromL2(Addr line, bool is_write, ReqType type,
@@ -208,7 +194,6 @@ class L1Cache
     L2Cache &l2_;
     unsigned cpu_;
     L1Params params_;
-    std::uint64_t ckpt_id_ = 0; ///< see setCkptId()
     Addr set_mask_;                  ///< sets - 1 (a power of two)
     std::vector<TagEntry> tags_;     ///< every set's tags, set-major
     std::vector<DecoupledSet> sets_; ///< views into tags_

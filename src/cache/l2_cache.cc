@@ -90,7 +90,7 @@ L2Cache::allowedStartup(const StridePrefetcher &pf) const
 
 void
 L2Cache::request(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                 Cycle when, Done done, ckpt::Tag done_tag)
+                 Cycle when, Done done)
 {
     cmpsim_assert(line == lineAddr(line));
 
@@ -112,18 +112,12 @@ L2Cache::request(unsigned cpu, Addr line, bool exclusive, ReqType type,
     const Cycle start = std::max(arrival, bank_free_[bank]);
     bank_free_[bank] = start + params_.bank_occupancy;
 
-    ckpt::Tag ev_tag =
-        ckpt::tag(ckpt::kL2Lookup, cpu, line, start,
-                  (exclusive ? 1u : 0u) |
-                      (static_cast<std::uint64_t>(type) << 1),
-                  done_tag);
     eq_.schedule(start,
-                 [this, cpu, line, exclusive, type, done = std::move(done),
-                  done_tag = std::move(done_tag)](Cycle at) mutable {
+                 [this, cpu, line, exclusive, type,
+                  done = std::move(done)](Cycle at) mutable {
                      lookup(cpu, line, exclusive, type, at,
-                            std::move(done), std::move(done_tag));
-                 },
-                 std::move(ev_tag));
+                            std::move(done));
+                 });
 }
 
 void
@@ -177,7 +171,7 @@ L2Cache::onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when)
 
 void
 L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                Cycle when, Done done, ckpt::Tag done_tag)
+                Cycle when, Done done)
 {
     CMPSIM_PROF_SCOPE("l2.lookup");
     DecoupledSet &set = sets_[setIndex(line)];
@@ -254,9 +248,8 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
             ++partial_hits_;
         if (type == ReqType::Demand)
             m.prefetch_only = false;
-        m.waiters.push_back(Waiter{cpu, exclusive, type,
-                                   std::move(done),
-                                   std::move(done_tag)});
+        m.waiters.push_back(
+            Waiter{cpu, exclusive, type, std::move(done)});
         return;
     }
 
@@ -281,15 +274,13 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
                                                 : PfSource::None;
     m.pf_cpu = cpu;
     if (done)
-        m.waiters.push_back(Waiter{cpu, exclusive, type,
-                                   std::move(done),
-                                   std::move(done_tag)});
+        m.waiters.push_back(
+            Waiter{cpu, exclusive, type, std::move(done)});
     mshrs_.emplace(line, std::move(m));
 
     memory_.fetchLine(line, when + params_.lookup_latency,
                       type != ReqType::Demand,
-                      [this, line](Cycle arrival) { fill(line, arrival); },
-                      ckpt::tag(ckpt::kL2Fill, line));
+                      [this, line](Cycle arrival) { fill(line, arrival); });
 }
 
 void

@@ -42,7 +42,6 @@
 
 #include "src/cache/decoupled_set.h"
 #include "src/cache/request_types.h"
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/mem/main_memory.h"
 #include "src/mem/value_store.h"
@@ -163,11 +162,9 @@ class L2Cache
      * @param type demand / L1 prefetch / L2 prefetch
      * @param when cycle the request leaves the L1
      * @param done response callback (empty for L2 prefetches)
-     * @param done_tag serializable description of @p done for
-     *        checkpointing (empty unless checkpoint tagging is armed)
      */
     void request(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                 Cycle when, Done done, ckpt::Tag done_tag = {});
+                 Cycle when, Done done);
 
     /** L1 dirty eviction: merge data, charge on-chip traffic. Atomic. */
     void writeback(unsigned cpu, Addr line, Cycle when);
@@ -243,15 +240,12 @@ class L2Cache
     unsigned setIndexOf(Addr line) const { return setIndex(line); }
 
   private:
-    friend class CheckpointCodec; // serializes sets_/mshrs_/bank state
-
     struct Waiter
     {
         unsigned cpu;
         bool exclusive;
         ReqType type;
         Done done;
-        ckpt::Tag tag; ///< serializable description of done
     };
 
     struct Mshr
@@ -281,7 +275,7 @@ class L2Cache
 
     /** The lookup stage of a timed request (runs at bank time). */
     void lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                Cycle when, Done done, ckpt::Tag done_tag);
+                Cycle when, Done done);
 
     /** Coherence actions + data response for a present line. */
     void grant(unsigned cpu, Addr line, bool exclusive, ReqType type,

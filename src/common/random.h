@@ -86,8 +86,6 @@ class Random
     zipf(std::uint64_t n, double s);
 
   private:
-    friend class CheckpointCodec; // serializes the raw generator state
-
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

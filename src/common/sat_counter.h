@@ -49,8 +49,6 @@ class SatCounter
     void reset() { value_ = max_; }
 
   private:
-    friend class CheckpointCodec; // restores the counter value
-
     unsigned value_;
     unsigned max_;
 };

@@ -93,59 +93,6 @@ StatRegistry::counterNames() const
     return names;
 }
 
-std::vector<std::string>
-StatRegistry::averageNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(averages_.size());
-    for (const auto &[name, stat] : averages_) {
-        (void)stat;
-        names.push_back(name);
-    }
-    return names;
-}
-
-const Average &
-StatRegistry::averageStat(const std::string &name) const
-{
-    auto it = averages_.find(name);
-    if (it == averages_.end())
-        cmpsim_fatal("unknown average: %s", name.c_str());
-    return *it->second;
-}
-
-void
-StatRegistry::restoreCounter(const std::string &name, std::uint64_t v)
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        cmpsim_fatal("unknown counter: %s", name.c_str());
-    const_cast<Counter *>(it->second)->restore(v);
-}
-
-void
-StatRegistry::restoreAverage(const std::string &name, double sum,
-                             std::uint64_t count)
-{
-    auto it = averages_.find(name);
-    if (it == averages_.end())
-        cmpsim_fatal("unknown average: %s", name.c_str());
-    const_cast<Average *>(it->second)->restore(sum, count);
-}
-
-void
-StatRegistry::restoreHistogram(const std::string &name,
-                               const std::vector<std::uint64_t> &counts,
-                               std::uint64_t underflow, double sum,
-                               std::uint64_t total)
-{
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        cmpsim_fatal("unknown histogram: %s", name.c_str());
-    const_cast<Histogram *>(it->second)
-        ->restore(counts, underflow, sum, total);
-}
-
 void
 StatRegistry::dump(std::ostream &os) const
 {

@@ -43,7 +43,8 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    /** Overwrite the count (checkpoint restore). */
+    /** Overwrite the count (a follower adopting its leader's skip
+     *  totals, CoreModel::adoptSkip()). */
     void restore(std::uint64_t v) { value_ = v; }
 
   private:
@@ -75,14 +76,6 @@ class Average
     {
         sum_ = 0.0;
         count_ = 0;
-    }
-
-    /** Overwrite sum and count (checkpoint restore). */
-    void
-    restore(double sum, std::uint64_t count)
-    {
-        sum_ = sum;
-        count_ = count;
     }
 
   private:
@@ -151,22 +144,6 @@ class Histogram
         total_ = 0;
     }
 
-    /**
-     * Overwrite the full sample record (checkpoint restore). The
-     * bucket layout (width, count) is configuration, not state, so
-     * @p counts must match the constructed size.
-     */
-    void
-    restore(const std::vector<std::uint64_t> &counts,
-            std::uint64_t underflow, double sum, std::uint64_t total)
-    {
-        cmpsim_assert(counts.size() == counts_.size());
-        counts_ = counts;
-        underflow_ = underflow;
-        sum_ = sum;
-        total_ = total;
-    }
-
   private:
     double width_;
     std::vector<std::uint64_t> counts_;
@@ -180,8 +157,7 @@ class Histogram
  * name (DESIGN.md §14). The statistical sampling engine captures one
  * at each detailed-interval boundary and differences consecutive
  * snapshots to get per-interval metric deltas; histograms are
- * excluded (interval metrics are means and rates, and bucket arrays
- * would bloat every interval-boundary checkpoint).
+ * excluded (interval metrics are means and rates).
  */
 struct StatSnapshot
 {
@@ -235,29 +211,6 @@ class StatRegistry
 
     /** All registered counter names, sorted. */
     std::vector<std::string> counterNames() const;
-
-    /** All registered average names, sorted. */
-    std::vector<std::string> averageNames() const;
-
-    /** Sum/count of a registered average (checkpoint save). */
-    const Average &averageStat(const std::string &name) const;
-
-    // ---- checkpoint restore (same const_cast idiom as resetAll:
-    // the registry holds const views of stats its owner mutates) ----
-
-    /** Overwrite a registered counter. Fatal if absent. */
-    void restoreCounter(const std::string &name, std::uint64_t v);
-
-    /** Overwrite a registered average. Fatal if absent. */
-    void restoreAverage(const std::string &name, double sum,
-                        std::uint64_t count);
-
-    /** Overwrite a registered histogram. Fatal if absent (the bucket
-     *  layout must match; see Histogram::restore). */
-    void restoreHistogram(const std::string &name,
-                          const std::vector<std::uint64_t> &counts,
-                          std::uint64_t underflow, double sum,
-                          std::uint64_t total);
 
     /** Dump "name value" lines, sorted by name. */
     void dump(std::ostream &os) const;

@@ -30,8 +30,7 @@ CoreModel::fetchAvailable(Addr pc, Cycle now)
         // prefetch bits and the I-prefetcher.
         ++ifetch_lines_;
         last_fetch_line_ = line;
-        icache_.access(line, false, now, [](Cycle) {},
-                       ckpt::tag(ckpt::kNoop));
+        icache_.access(line, false, now, [](Cycle) {});
         return true;
     }
 
@@ -50,8 +49,7 @@ CoreModel::fetchAvailable(Addr pc, Cycle now)
                    [this](Cycle c) {
                        fetch_stall_until_ = c;
                        wake(c);
-                   },
-                   ckpt::tag(ckpt::kCoreIFetch, cpu_));
+                   });
     return false;
 }
 
@@ -95,8 +93,7 @@ CoreModel::dispatchOne(Cycle now)
             dcache_.access(in.addr, false, now,
                            [this, slot, id](Cycle c) {
                                finishLoad(slot, id, c, false);
-                           },
-                           ckpt::tag(ckpt::kCoreLoad, cpu_, slot, id));
+                           });
         }
         break;
       }
@@ -122,8 +119,7 @@ CoreModel::dispatchOne(Cycle now)
             issueChainHead(now);
         } else {
             dcache_.access(in.addr, true, now,
-                           [this](Cycle c) { wake(c); },
-                           ckpt::tag(ckpt::kCoreStoreWake, cpu_));
+                           [this](Cycle c) { wake(c); });
         }
         break;
       }
@@ -189,15 +185,12 @@ CoreModel::issueChainHead(Cycle now)
                            chain_outstanding_ = false;
                            wake(c);
                            issueChainHead(c);
-                       },
-                       ckpt::tag(ckpt::kCoreChainStore, cpu_));
+                       });
     } else {
         dcache_.access(a.addr, false, now,
                        [this, slot = a.slot, id = a.id](Cycle c) {
                            finishLoad(slot, id, c, true);
-                       },
-                       ckpt::tag(ckpt::kCoreChainLoad, cpu_, a.slot,
-                                 a.id));
+                       });
     }
 }
 

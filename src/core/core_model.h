@@ -110,8 +110,6 @@ class CoreModel
     void resetStats();
 
   private:
-    friend class CheckpointCodec; // serializes ROB/chain/fetch state
-
     struct RobEntry
     {
         InstrType type = InstrType::Alu;

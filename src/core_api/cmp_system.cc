@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/audit/audits.h"
-#include "src/ckpt/checkpoint.h"
 #include "src/common/sim_error.h"
 #include "src/dram/dram_backend.h"
 #include "src/obs/cpi_stack.h"
@@ -56,27 +55,7 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         config_.cpi_stack =
             *env != '\0' && std::strcmp(env, "0") != 0;
     }
-    // Checkpoint/restore knobs (DESIGN.md §13). Tagging must be armed
-    // before any component can create a continuation, so every pending
-    // closure a later save() walks carries its serializable tag.
-    ckpt_settings_ = ckpt::Settings::fromEnv();
-    if (ckpt_settings_.armed())
-        ckpt::setArmed(true);
     config_.validate();
-    if (ckpt_settings_.armed() && config_.sample_interval > 0) {
-        throw ConfigError(
-            "config.ckpt",
-            "checkpointing cannot be combined with interval sampling "
-            "(CMPSIM_SAMPLE_CYCLES): sampler rows are not checkpointed");
-    }
-    if (ckpt_settings_.armed() && config_.cpi_stack) {
-        throw ConfigError(
-            "config.cpistack",
-            "CPI-stack accounting cannot be combined with "
-            "checkpoint/restore (CMPSIM_CKPT/CMPSIM_RESTORE): "
-            "genealogy records and attribution windows are not "
-            "checkpointed");
-    }
     buildSystem();
 
     if (Tracer *tracer = Tracer::armed()) {
@@ -119,28 +98,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         }
         sampler_->begin(eq_.now());
     }
-
-    if (ckpt_settings_.armed()) {
-        // Serialize, re-parse, re-serialize: any non-canonical byte
-        // (unsorted map walk, uninitialised padding, stale memo) shows
-        // up as a self-comparison mismatch long before a restore leg
-        // would catch it.
-        audits_.add("ckpt.roundtrip", [this](std::string &why) {
-            CheckpointCodec codec(*this);
-            const std::string once = codec.save();
-            if (ckpt::transcode(once) != once) {
-                why = "checkpoint re-encode is not byte-identical";
-                return false;
-            }
-            return true;
-        });
-    }
-
-    if (!ckpt_settings_.restore_path.empty()) {
-        restoreCheckpoint(
-            ckpt::loadWithFallback(ckpt_settings_.restore_path));
-        ckpt::noteRestored();
-    }
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -169,10 +126,6 @@ CmpSystem::buildSystem()
     for (unsigned c = 0; c < config_.cores; ++c) {
         l1i_.push_back(std::make_unique<L1Cache>(eq_, *l2_, c, l1i_params));
         l1d_.push_back(std::make_unique<L1Cache>(eq_, *l2_, c, l1d_params));
-        // Checkpoint identity (2*cpu + data side): lets an L2 response
-        // tag name which L1 to fill on restore.
-        l1i_.back()->setCkptId(2 * c);
-        l1d_.back()->setCkptId(2 * c + 1);
     }
 
     l2_->setL1Invalidator([this](unsigned cpu, Addr line) {
@@ -368,12 +321,6 @@ CmpSystem::cpiFlush(Cycle now)
 void
 CmpSystem::warmup(std::uint64_t instr_per_core)
 {
-    if (restored_) {
-        // A restored system is already mid-measurement: the warmed
-        // caches, reset-adjusted stats and run cursors all came from
-        // the checkpoint. Re-warming would corrupt them.
-        return;
-    }
     Tracer *tracer = Tracer::armed();
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
@@ -423,40 +370,31 @@ CmpSystem::run(std::uint64_t instr_per_core)
     const std::uint64_t wall0 =
         tracer != nullptr ? tracer->nowWallUs() : 0;
 
-    // Loop cursors live in run_state_ so a mid-run checkpoint carries
-    // them; on a fresh run initRunState() fills them, on a resume the
-    // restored values already point mid-measurement.
-    initRunState(instr_per_core);
-    const Cycle start = run_state_.start;
-    const std::uint64_t start_retired = run_state_.start_retired;
-    const std::uint64_t target = run_state_.target;
+    const Cycle start = eq_.now();
+    std::uint64_t start_retired = 0;
+    for (auto &core : cores_)
+        start_retired += core->instructionsRetired();
+    const std::uint64_t target =
+        start_retired + instr_per_core * config_.cores;
 
-    Cycle now = eq_.now();
-    Cycle next_sample = run_state_.next_sample;
+    Cycle now = start;
+    Cycle next_sample = start + kRatioSampleInterval;
     const Cycle audit_interval = config_.audit_interval;
-    Cycle next_audit = run_state_.next_audit;
+    Cycle next_audit =
+        audit_interval > 0 ? start + audit_interval : kCycleNever;
     const Cycle obs_interval =
         sampler_ != nullptr ? sampler_->interval() : 0;
-    Cycle next_obs = run_state_.next_obs;
-    std::uint64_t retired = 0;
-    for (auto &core : cores_)
-        retired += core->instructionsRetired();
+    Cycle next_obs = obs_interval > 0 ? start + obs_interval : kCycleNever;
+    std::uint64_t retired = start_retired;
 
     // Forward-progress watchdog: if no core retires an instruction for
     // watchdog_cycles simulated cycles, the run is livelocked (events
     // keep flowing but nothing completes) and we bail out with a
     // diagnosable WatchdogTimeout instead of spinning forever.
     const Cycle watchdog = config_.watchdog_cycles;
-    Cycle last_progress = run_state_.last_progress;
-    std::uint64_t last_retired = run_state_.last_retired;
+    Cycle last_progress = start;
+    std::uint64_t last_retired = start_retired;
     std::uint64_t iterations = 0;
-
-    // Autosave cadence restarts from "now" on every run() entry (it is
-    // wall-progress insurance, not simulated state, so it is not a
-    // serialized cursor).
-    const std::uint64_t ckpt_every =
-        ckpt_settings_.autosaveArmed() ? ckpt_settings_.every : 0;
-    Cycle next_ckpt = ckpt_every > 0 ? now + ckpt_every : kCycleNever;
 
     // Earliest core wake-up. Only event callbacks and a core's own
     // tick move a core's wake-up, and a tick schedules events rather
@@ -518,15 +456,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
                 traceSampleRow(*sampler_, sampler_->rows().back());
             next_obs = now + obs_interval;
         }
-        if (now >= next_ckpt) {
-            run_state_.next_sample = next_sample;
-            run_state_.next_audit = next_audit;
-            run_state_.next_obs = next_obs;
-            run_state_.last_progress = last_progress;
-            run_state_.last_retired = last_retired;
-            saveCheckpointNow();
-            next_ckpt = now + ckpt_every;
-        }
     }
 
     ratio_samples_.sample(l2_->compressionRatio());
@@ -544,7 +473,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
     }
     if (audit_interval > 0)
         audits_.enforce(); // end-of-simulation audit
-    run_state_.active = false;
     measured_cycles_ = now - start;
     measured_instructions_ = retired - start_retired;
 
@@ -553,30 +481,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
                              {{"instr_per_core", instr_per_core},
                               {"cycles", measured_cycles_}});
     }
-}
-
-void
-CmpSystem::initRunState(std::uint64_t instr_per_core)
-{
-    if (run_state_.active)
-        return;
-    RunState rs;
-    rs.active = true;
-    rs.start = eq_.now();
-    for (auto &core : cores_)
-        rs.start_retired += core->instructionsRetired();
-    rs.target = rs.start_retired + instr_per_core * config_.cores;
-    rs.next_sample = rs.start + kRatioSampleInterval;
-    rs.next_audit = config_.audit_interval > 0
-                        ? rs.start + config_.audit_interval
-                        : kCycleNever;
-    const Cycle obs_interval =
-        sampler_ != nullptr ? sampler_->interval() : 0;
-    rs.next_obs =
-        obs_interval > 0 ? rs.start + obs_interval : kCycleNever;
-    rs.last_progress = rs.start;
-    rs.last_retired = rs.start_retired;
-    run_state_ = rs;
 }
 
 void
@@ -643,27 +547,6 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
         instr_per_core * static_cast<std::uint64_t>(config_.cores);
     ff_engine_->noteAdopted(budget);
     sample_state_.ff_instructions += budget;
-}
-
-std::string
-CmpSystem::checkpointBytes()
-{
-    CheckpointCodec codec(*this);
-    return codec.save();
-}
-
-void
-CmpSystem::restoreCheckpoint(std::string_view bytes)
-{
-    CheckpointCodec codec(*this);
-    codec.restore(bytes);
-    restored_ = true;
-}
-
-void
-CmpSystem::saveCheckpointNow()
-{
-    ckpt::atomicSave(ckpt_settings_.save_path, checkpointBytes());
 }
 
 std::string

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/audit/invariant_registry.h"
-#include "src/ckpt/controller.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/system_config.h"
 #include "src/obs/interval_sampler.h"
@@ -165,11 +164,10 @@ class CmpSystem
 
     /**
      * Sampling-plan progress (interval cursor, per-interval metric
-     * samples, accumulated stat deltas). Lives here rather than in
-     * the SamplingController so CheckpointCodec serializes it: a
-     * mid-plan autosave restores to the exact interval boundary or
-     * mid-interval point and the finished run's report is
-     * byte-identical to the uninterrupted one.
+     * samples, accumulated stat deltas, skipped-instruction total).
+     * Lives here rather than in the SamplingController because
+     * fastForward() and adoptSkip() charge the skipped instructions
+     * to it directly.
      */
     SampleState &sampleState() { return sample_state_; }
     const SampleState &sampleState() const { return sample_state_; }
@@ -199,58 +197,7 @@ class CmpSystem
     /** The miss-genealogy journal, or nullptr when the layer is off. */
     const MissJournal *missJournal() const { return miss_journal_.get(); }
 
-    // ---- checkpoint/restore (DESIGN.md §13) ----
-
-    /**
-     * Serialize the complete simulator state (event queue, cache
-     * tags, MSHRs, link/DRAM in-flight work, prefetcher tables, RNG
-     * cursors, every stat) as one versioned, CRC-protected container.
-     * A system built from the same (config, workload) restored from
-     * these bytes finishes the run with byte-identical stat dumps.
-     */
-    std::string checkpointBytes();
-
-    /**
-     * Restore the full state captured by checkpointBytes() into this
-     * freshly constructed system. Throws ckpt::CorruptCheckpoint on
-     * structural damage and ConfigError("config.restore") when the
-     * checkpoint's fingerprint or format version does not match.
-     */
-    void restoreCheckpoint(std::string_view bytes);
-
-    /** True when this system resumed from a checkpoint (warmup is a
-     *  no-op then: the restored state is already mid-measurement). */
-    bool restoredFromCheckpoint() const { return restored_; }
-
   private:
-    friend class CheckpointCodec;
-
-    /**
-     * Mid-run loop state, promoted from run() locals so
-     * a checkpoint taken between iterations carries the retirement
-     * target and periodic-task cursors, letting a restored system
-     * resume toward the *original* target.
-     */
-    struct RunState
-    {
-        bool active = false; ///< a timed run is in progress
-        Cycle start = 0;
-        std::uint64_t start_retired = 0;
-        std::uint64_t target = 0;
-        Cycle next_sample = 0;
-        Cycle next_audit = kCycleNever;
-        Cycle next_obs = kCycleNever;
-        Cycle last_progress = 0;
-        std::uint64_t last_retired = 0;
-    };
-
-    /** Serialize + atomically write one autosave snapshot. */
-    void saveCheckpointNow();
-
-    /** Fill run_state_ for a fresh run; no-op when resuming (the
-     *  restored cursors already point mid-run). */
-    void initRunState(std::uint64_t instr_per_core);
-
     void buildSystem();
     void resetAllStats();
     /** One-line-per-item progress diagnostic for watchdog/deadlock
@@ -291,10 +238,6 @@ class CmpSystem
 
     std::unique_ptr<FastForwardEngine> ff_engine_; ///< see fastForward()
     SampleState sample_state_;                     ///< see sampleState()
-
-    ckpt::Settings ckpt_settings_;
-    RunState run_state_;
-    bool restored_ = false;
 
     Cycle measured_cycles_ = 0;
     std::uint64_t measured_instructions_ = 0;

@@ -12,8 +12,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "src/ckpt/cont_tag.h"
-#include "src/ckpt/crc32.h"
+#include "src/common/crc32.h"
 #include "src/common/fingerprint.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/run_report.h"
@@ -173,7 +172,7 @@ class Journal
         std::snprintf(head, sizeof(head), "point %016llx %zu %08lx\n",
                       static_cast<unsigned long long>(fp), bytes.size(),
                       static_cast<unsigned long>(
-                          ckpt::crc32(bytes.data(), bytes.size())));
+                          crc32(bytes.data(), bytes.size())));
         return head;
     }
 
@@ -232,7 +231,7 @@ class Journal
                 if (content.compare(body + len, 4, "end\n") != 0)
                     break;
                 std::string bytes = content.substr(body, len);
-                if (v2 && ckpt::crc32(bytes.data(), bytes.size()) !=
+                if (v2 && crc32(bytes.data(), bytes.size()) !=
                               static_cast<std::uint32_t>(crc)) {
                     break; // interior corruption: keep the prefix
                 }
@@ -428,7 +427,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     struct TaskFailure
     {
         bool failed = false;
-        bool restored = false; ///< resumed from a CMPSIM_RESTORE ckpt
         ErrorKind kind = ErrorKind::Internal;
         std::string what;
     };
@@ -489,10 +487,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
                     slot.kind = ErrorKind::Internal;
                     slot.what = "non-standard exception";
                 }
-                // Consume unconditionally so a failed attempt cannot
-                // leak this thread's flag into its next task.
-                slot.restored =
-                    ckpt::consumeRestoredFlag() && !slot.failed;
                 if (!slot.failed &&
                     pending[task.point].fetch_sub(1) == 1) {
                     aggregatePoint(batch.summaries[task.point]);
@@ -533,14 +527,8 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
             PointOutcome &outcome = batch.outcomes[task.point];
             outcome.attempts = std::max(outcome.attempts, attempt);
             const TaskFailure &slot = failures[t];
-            if (!slot.failed) {
-                // A run that resumed from a checkpoint completed, but
-                // was not simulated from scratch — report it as
-                // Restored (same status journal hits use).
-                if (slot.restored && outcome.status == PointStatus::Ok)
-                    outcome.status = PointStatus::Restored;
+            if (!slot.failed)
                 continue;
-            }
             if (errorKindTransient(slot.kind) && attempt < max_attempts) {
                 retry.push_back(t);
                 continue;

@@ -64,9 +64,8 @@ struct PointSpec
 enum class PointStatus
 {
     Ok,       ///< simulated this run; all seeds succeeded
-    /** Not simulated from scratch: either loaded byte-identically
-     *  from the journal (attempts == 0), or resumed mid-measurement
-     *  from a CMPSIM_RESTORE checkpoint (attempts > 0). */
+    /** Not simulated: loaded byte-identically from the journal
+     *  (attempts == 0). */
     Restored,
     Failed,   ///< at least one seed failed on its final attempt
 };

@@ -65,10 +65,8 @@ struct SystemConfig
      * (CmpSystem::cpiStats()) so default stat
      * dumps and determinism fingerprints never change. The
      * CMPSIM_CPISTACK environment variable overrides this at
-     * CmpSystem construction ("0" or empty leaves it off). Refused in
-     * combination with checkpoint/restore (attribution windows and
-     * genealogy records are not checkpointed). Excluded from
-     * pointSpecBytes() like the other observation knobs.
+     * CmpSystem construction ("0" or empty leaves it off). Excluded
+     * from pointSpecBytes() like the other observation knobs.
      */
     bool cpi_stack = false;
 

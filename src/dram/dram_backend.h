@@ -55,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/dram/dram_params.h"
@@ -84,12 +83,11 @@ class DramBackend
     /**
      * Service a line read of @p segments stored segments arriving at
      * the controller at @p when; @p done runs at the cycle the last
-     * data beat leaves the device (plus ctrl_latency). @p done_tag is
-     * @p done's serializable description for checkpointing.
+     * data beat leaves the device (plus ctrl_latency).
      * Fault-injection site: "dram.access".
      */
     void read(Addr line_addr, unsigned segments, bool prefetch,
-              Cycle when, Done done, ckpt::Tag done_tag = {});
+              Cycle when, Done done);
 
     /** Queue a line write of @p segments segments arriving at @p when
      *  (no response; drained by watermark or opportunistically). */
@@ -141,8 +139,6 @@ class DramBackend
     void resetStats();
 
   private:
-    friend class CheckpointCodec; // serializes channel/bank/queue state
-
     struct Request
     {
         Addr line;
@@ -153,7 +149,6 @@ class DramBackend
         Cycle ready;        ///< arrival at the controller
         std::uint64_t seq;  ///< global arrival order
         Done done;          ///< null for writes
-        ckpt::Tag tag;      ///< serializable description of done
     };
 
     struct Bank

@@ -25,7 +25,7 @@ MainMemory::dataSegments(Addr line_addr)
 
 void
 MainMemory::fetchLine(Addr line_addr, Cycle when, bool prefetch,
-                      FetchCallback done, ckpt::Tag done_tag)
+                      FetchCallback done)
 {
     ++reads_;
     ++header_flits_;
@@ -38,41 +38,28 @@ MainMemory::fetchLine(Addr line_addr, Cycle when, bool prefetch,
     // Lines are stored in memory in the form the chip sent them (ECC
     // meta-bit trick), so the banked backend's burst count follows the
     // stored segment count.
-    ckpt::Tag deliver_tag =
-        ckpt::tag(ckpt::kMemReqArrived, line_addr, when,
-                  static_cast<std::uint64_t>(cls), 0, done_tag);
     link_.send(kMessageHeaderBytes, cls, when,
-               [this, line_addr, when, cls, done = std::move(done),
-                done_tag =
-                    std::move(done_tag)](Cycle req_arrives) mutable {
+               [this, line_addr, when, cls,
+                done = std::move(done)](Cycle req_arrives) mutable {
                    fetchStage2(line_addr, when, cls, std::move(done),
-                               std::move(done_tag), req_arrives);
-               },
-               std::move(deliver_tag));
+                               req_arrives);
+               });
 }
 
 void
 MainMemory::fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
-                        FetchCallback done, ckpt::Tag done_tag,
-                        Cycle req_arrives)
+                        FetchCallback done, Cycle req_arrives)
 {
     const unsigned segments = dataSegments(line_addr);
     if (journal_ != nullptr)
         journal_->onMemRequestSent(line_addr, when, req_arrives, segments);
-    ckpt::Tag send_tag =
-        ckpt::tag(ckpt::kMemSendData, when,
-                  static_cast<std::uint64_t>(cls), segments, 0,
-                  done_tag);
-    auto send_data = [this, when, cls, segments, done = std::move(done),
-                      done_tag =
-                          std::move(done_tag)](Cycle dram_done) mutable {
-        fetchSendData(when, cls, segments, std::move(done),
-                      std::move(done_tag), dram_done);
+    auto send_data = [this, when, cls, segments,
+                      done = std::move(done)](Cycle dram_done) mutable {
+        fetchSendData(when, cls, segments, std::move(done), dram_done);
     };
     if (dram_) {
         dram_->read(line_addr, segments, cls == LinkClass::Prefetch,
-                    req_arrives, std::move(send_data),
-                    std::move(send_tag));
+                    req_arrives, std::move(send_data));
     } else {
         if (journal_ != nullptr) {
             journal_->onDramFixed(line_addr, req_arrives,
@@ -84,19 +71,15 @@ MainMemory::fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
 
 void
 MainMemory::fetchSendData(Cycle when, LinkClass cls, unsigned segments,
-                          FetchCallback done, ckpt::Tag done_tag,
-                          Cycle dram_done)
+                          FetchCallback done, Cycle dram_done)
 {
     ++header_flits_;
     data_flits_ += segments;
     const unsigned bytes = kMessageHeaderBytes + segments * kSegmentBytes;
-    ckpt::Tag deliver_tag = ckpt::tag(ckpt::kMemDataDelivered, when, 0,
-                                      0, 0, std::move(done_tag));
     link_.send(bytes, cls, dram_done,
                [this, when, done = std::move(done)](Cycle at) {
                    fetchDeliver(when, done, at);
-               },
-               std::move(deliver_tag));
+               });
 }
 
 void
@@ -120,15 +103,12 @@ MainMemory::writebackLine(Addr line_addr, Cycle when)
     // they enter the controller's write queue on arrival and occupy
     // bank/bus time when drained.
     PriorityLink::Deliver deliver = nullptr;
-    ckpt::Tag deliver_tag;
     if (dram_) {
         deliver = [this, line_addr, segments](Cycle at) {
             dram_->write(line_addr, segments, at);
         };
-        deliver_tag = ckpt::tag(ckpt::kMemDramWrite, line_addr, segments);
     }
-    link_.send(bytes, LinkClass::Writeback, when, std::move(deliver),
-               std::move(deliver_tag));
+    link_.send(bytes, LinkClass::Writeback, when, std::move(deliver));
 }
 
 void

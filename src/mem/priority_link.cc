@@ -16,7 +16,7 @@ PriorityLink::PriorityLink(EventQueue &eq, double bytes_per_cycle,
 
 void
 PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
-                   Deliver deliver, ckpt::Tag deliver_tag)
+                   Deliver deliver)
 {
     faultSite("link.transfer");
     // Stamp with the current cycle, not `ready` (which may lie in the
@@ -38,21 +38,17 @@ PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
             endOfTransfer(static_cast<double>(ready), bytes);
         queue_delay_.sample(0.0);
         queue_delay_hist_.sample(0.0);
-        if (deliver) {
-            eq_.schedule(done, std::move(deliver),
-                         ckpt::tag(ckpt::kDoneAt, done, 0, 0, 0,
-                                   std::move(deliver_tag)));
-        }
+        if (deliver)
+            eq_.schedule(done, std::move(deliver));
         return;
     }
 
-    queues_[static_cast<unsigned>(cls)].push_back(Message{
-        bytes, ready, std::move(deliver), std::move(deliver_tag)});
+    queues_[static_cast<unsigned>(cls)].push_back(
+        Message{bytes, ready, std::move(deliver)});
     if (!busy_) {
         // Kick the pump at the message's ready time (or now).
         const Cycle at = std::max(ready, eq_.now());
-        eq_.schedule(at, [this](Cycle) { pump(); },
-                     ckpt::tag(ckpt::kLinkPump));
+        eq_.schedule(at, [this](Cycle) { pump(); });
     }
 }
 
@@ -116,8 +112,7 @@ PriorityLink::pump()
 
     if (queue == nullptr) {
         if (earliest_future != kCycleNever)
-            eq_.schedule(earliest_future, [this](Cycle) { pump(); },
-                         ckpt::tag(ckpt::kLinkPump));
+            eq_.schedule(earliest_future, [this](Cycle) { pump(); });
         return;
     }
 
@@ -134,14 +129,10 @@ PriorityLink::pump()
 
     busy_ = true;
     inflight_bytes_ = msg.bytes;
-    ckpt::Tag ev_tag = ckpt::tag(ckpt::kLinkInflight, msg.bytes, done,
-                                 0, 0, std::move(msg.tag));
-    eq_.schedule(done,
-                 [this, deliver = std::move(msg.deliver),
-                  bytes = msg.bytes](Cycle at) mutable {
-                     completeTransfer(std::move(deliver), at, bytes);
-                 },
-                 std::move(ev_tag));
+    eq_.schedule(done, [this, deliver = std::move(msg.deliver),
+                        bytes = msg.bytes](Cycle at) mutable {
+        completeTransfer(std::move(deliver), at, bytes);
+    });
 }
 
 void

@@ -23,7 +23,6 @@
 #include <functional>
 #include <string>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/sim/event_queue.h"
@@ -55,11 +54,9 @@ class PriorityLink
     /**
      * Queue a message of @p bytes, ready to transmit at @p ready.
      * @p deliver runs at the cycle the last byte lands (may be empty).
-     * @p deliver_tag is @p deliver's serializable description for
-     * checkpointing (empty unless checkpoint tagging is armed).
      */
     void send(unsigned bytes, LinkClass cls, Cycle ready,
-              Deliver deliver, ckpt::Tag deliver_tag = {});
+              Deliver deliver);
 
     std::uint64_t totalBytes() const { return total_bytes_.value(); }
     std::uint64_t classBytes(LinkClass c) const
@@ -95,21 +92,18 @@ class PriorityLink
     void resetStats();
 
   private:
-    friend class CheckpointCodec; // serializes queues_/in-flight state
-
     struct Message
     {
         unsigned bytes;
         Cycle ready;
         Deliver deliver;
-        ckpt::Tag tag; ///< serializable description of deliver
     };
 
     /** Start the next transmission if the channel is idle. */
     void pump();
 
     /** End-of-transfer bookkeeping + delivery (the completion event's
-     *  body, named so a restored checkpoint can rebuild the event). */
+     *  body). */
     void completeTransfer(Deliver deliver, Cycle done, unsigned bytes);
 
     /** Serialization time for @p bytes starting at @p start. */

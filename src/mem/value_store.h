@@ -19,8 +19,7 @@
  *    segment memo) live in 512-entry chunks, appended in first-touch
  *    order and never relocated, so a LineData reference stays valid
  *    while the store grows.
- * Lines are never erased, except by a checkpoint restore, which
- * rebuilds the store from scratch.
+ * Lines are never erased.
  */
 
 #ifndef CMPSIM_MEM_VALUE_STORE_H
@@ -166,8 +165,6 @@ class ValueStore
     }
 
   private:
-    friend class CheckpointCodec; // serializes the lines
-
     /** One index slot: a line and its entry number. */
     struct Slot
     {
@@ -265,15 +262,6 @@ class ValueStore
         s.line = line;
         s.entry = static_cast<std::uint32_t>(count_++);
         return s.entry;
-    }
-
-    /** Drop every line (checkpoint restore refills from scratch). */
-    void
-    clear()
-    {
-        slots_.assign(kInitialSlots, Slot{});
-        chunks_.clear();
-        count_ = 0;
     }
 
     const Compressor &compressor_;

@@ -101,8 +101,6 @@ class AdaptivePrefetchController
     }
 
   private:
-    friend class CheckpointCodec; // serializes the throttle counter
-
     SatCounter counter_;
     bool enabled_;
     Counter useful_;

@@ -102,8 +102,6 @@ class StridePrefetcher
                              std::int64_t line);
 
   private:
-    friend class CheckpointCodec; // serializes filter/stream tables
-
     struct FilterEntry
     {
         std::int64_t last_line = 0;

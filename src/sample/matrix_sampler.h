@@ -28,8 +28,8 @@
  * the leader's value, the standard trace-driven-study semantics.
  *
  * The CI stopping rule is ignored (a fixed interval count keeps the
- * systems in lockstep), and mid-plan checkpointing is not supported —
- * both remain features of the single-system SamplingController path.
+ * systems in lockstep); it remains a feature of the single-system
+ * SamplingController path.
  */
 
 #ifndef CMPSIM_SAMPLE_MATRIX_SAMPLER_H

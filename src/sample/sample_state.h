@@ -1,12 +1,10 @@
 /**
  * @file
  * Mutable progress state of one statistical-sampling plan (DESIGN.md
- * §14), owned by CmpSystem so CheckpointCodec can serialize it: a
- * mid-plan autosave must carry the interval cursor, the in-progress
- * interval's stat baseline and every closed interval's metric sample,
- * or a restored run could not resume to a byte-identical final
- * report. The SamplingController in src/sample/ holds the *logic*;
- * all of its *state* lives here.
+ * §14), owned by CmpSystem because fastForward() and adoptSkip()
+ * charge the skipped instructions to it directly. The
+ * SamplingController in src/sample/ holds the *logic*; all of its
+ * *state* lives here.
  */
 
 #ifndef CMPSIM_SAMPLE_SAMPLE_STATE_H
@@ -31,19 +29,15 @@ struct IntervalSample
     double compression_ratio = 0;
 };
 
-/** Progress of one sampling plan (checkpointed when armed). */
+/** Progress of one sampling plan. */
 struct SampleState
 {
     /** Closed (fully measured) intervals so far. */
     std::uint32_t intervals_done = 0;
 
-    /** A detailed interval is in progress (between beginInterval()
-     *  and closeInterval()) — where every mid-plan autosave lands,
-     *  since only detailed intervals advance simulated time. */
-    bool in_detail = false;
-
-    /** Stat baseline at the open interval's start (valid only while
-     *  in_detail); differenced against the interval-end snapshot. */
+    /** Stat baseline at the open interval's start (valid only between
+     *  beginInterval() and closeInterval()); differenced against the
+     *  interval-end snapshot. */
     StatSnapshot baseline;
 
     /** Accumulated per-interval stat deltas over closed intervals —

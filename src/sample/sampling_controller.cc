@@ -17,7 +17,6 @@ void
 SamplingController::beginInterval()
 {
     state_.baseline = sys_.stats().snapshot();
-    state_.in_detail = true;
 }
 
 void
@@ -27,10 +26,6 @@ SamplingController::closeInterval()
         StatRegistry::delta(sys_.stats().snapshot(), state_.baseline);
 
     IntervalSample s;
-    // run() measures from interval start even across a mid-interval
-    // checkpoint restore: the start cursor is part of the serialized
-    // RunState, so cycles()/instructions() always cover the full
-    // interval.
     s.cycles = static_cast<double>(sys_.cycles());
     s.instructions = static_cast<double>(sys_.instructions());
     s.ipc = sys_.ipc();
@@ -50,7 +45,6 @@ SamplingController::closeInterval()
     state_.samples.push_back(s);
     state_.detail_totals.accumulate(delta);
     state_.baseline = StatSnapshot{};
-    state_.in_detail = false;
     ++state_.intervals_done;
 }
 
@@ -80,25 +74,14 @@ SamplingController::measureInterval()
 SamplingResult
 SamplingController::run()
 {
-    // A restore can land mid-interval (in_detail: finish the open
-    // interval's remaining instructions first) or exactly on a
-    // boundary; either way intervals_done tells us where the plan
-    // cursor is.
-    if (state_.in_detail) {
-        sys_.run(plan_.detail_per_core); // resumes the restored target
-        closeInterval();
-    }
     while (state_.intervals_done < plan_.max_intervals) {
         if (ciTargetMet()) {
             state_.stopped_early = true;
             break;
         }
-        faultSite("sample.interval");
         if (plan_.ff_per_core > 0)
             sys_.fastForward(plan_.ff_per_core, plan_.warmPerCore());
-        beginInterval();
-        sys_.run(plan_.detail_per_core);
-        closeInterval();
+        measureInterval();
     }
     return reduce();
 }

@@ -7,11 +7,7 @@
  * via the Student-t summarize() the multi-seed path already uses.
  *
  * All progress state lives in CmpSystem::sampleState() (see
- * sample_state.h) so mid-plan CMPSIM_CKPT autosaves — which always
- * land inside a detailed interval, the only phase that advances
- * simulated time — checkpoint the plan cursor alongside the machine,
- * and a CMPSIM_RESTORE'd system resumes the open interval and the
- * remaining plan to a byte-identical final report.
+ * sample_state.h); the controller holds only the plan and the logic.
  */
 
 #ifndef CMPSIM_SAMPLE_SAMPLING_CONTROLLER_H
@@ -65,12 +61,9 @@ class SamplingController
     explicit SamplingController(CmpSystem &sys);
 
     /**
-     * Execute (or, after a mid-plan restore, finish) the plan:
-     * for each interval, fast-forward ff_per_core instructions per
-     * core, snapshot stats, run detail_per_core timed instructions
-     * per core, and close the interval with the stat delta. Stops
-     * early when the optional CI target is met. Probes
-     * faultSite("sample.interval") once per interval.
+     * Execute the plan: for each interval, fast-forward ff_per_core
+     * instructions per core, then measureInterval(). Stops early when
+     * the optional CI target is met.
      */
     SamplingResult run();
 

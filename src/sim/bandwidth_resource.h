@@ -102,8 +102,6 @@ class BandwidthResource
     }
 
   private:
-    friend class CheckpointCodec; // serializes channel occupancy
-
     double rate_;
     bool infinite_;
     double next_free_ = 0.0;

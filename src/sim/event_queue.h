@@ -16,9 +16,9 @@
  *  - Ordering state and payload are split. The binary min-heap and the
  *    same-cycle FIFO hold 24-byte trivially copyable keys
  *    (when, seq, slot); sift-up/sift-down copy only those. The
- *    callback and its checkpoint tag sit in a slab slot that never
- *    moves while the event is pending: the slab grows in fixed-size
- *    chunks, and freed slots are recycled through a free list.
+ *    callback sits in a slab slot that never moves while the event is
+ *    pending: the slab grows in fixed-size chunks, and freed slots are
+ *    recycled through a free list.
  *
  *  - A callback runs in place in its slot and is destroyed after it
  *    returns, so a callback that schedules more events (and grows the
@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/log.h"
 #include "src/common/types.h"
 #include "src/obs/profiler.h"
@@ -78,20 +77,16 @@ class EventQueue
 
     /**
      * Schedule @p cb to run at @p when; it is called with @p when.
-     * @pre when >= now(). The optional @p tag is the callback's
-     * serializable description for checkpointing
-     * (src/ckpt/cont_tag.h); it is empty except when a checkpoint
-     * knob armed tagging, and never affects execution.
+     * @pre when >= now().
      */
     void
-    schedule(Cycle when, Callback cb, ckpt::Tag tag = {})
+    schedule(Cycle when, Callback cb)
     {
         cmpsim_assert(when >= now_,
                       "schedule into the past: when=%llu now=%llu",
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
-        const Key key{when, seq_++,
-                      acquireSlot(std::move(cb), std::move(tag))};
+        const Key key{when, seq_++, acquireSlot(std::move(cb))};
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
@@ -150,8 +145,6 @@ class EventQueue
     }
 
   private:
-    friend class CheckpointCodec; // serializes pending events/now_/seq
-
     /**
      * Heap/FIFO entry: the event's exact (when, seq) identity plus its
      * payload's slab slot. seq is the scheduling order, so (when, seq)
@@ -171,24 +164,11 @@ class EventQueue
     };
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
-    /** Slab payload of one pending event. */
-    struct Pending
-    {
-        Callback cb;
-        ckpt::Tag tag; ///< serializable description of cb (may be null)
-    };
-
     static constexpr unsigned kChunkShift = 8;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
-    Pending &
+    Callback &
     pending(std::uint32_t slot)
-    {
-        return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
-    }
-
-    const Pending &
-    pending(std::uint32_t slot) const
     {
         return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
     }
@@ -198,54 +178,32 @@ class EventQueue
     {
         const auto base =
             static_cast<std::uint32_t>(chunks_.size() * kChunkSlots);
-        chunks_.push_back(std::make_unique<Pending[]>(kChunkSlots));
+        chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
         // Pushed high to low so the lowest index is handed out first.
         for (std::uint32_t i = kChunkSlots; i-- > 0;)
             free_.push_back(base + i);
     }
 
     std::uint32_t
-    acquireSlot(Callback cb, ckpt::Tag tag)
+    acquireSlot(Callback cb)
     {
         if (free_.empty())
             addChunk();
         const std::uint32_t slot = free_.back();
         free_.pop_back();
-        Pending &p = pending(slot);
-        p.cb = std::move(cb);
-        p.tag = std::move(tag);
+        pending(slot) = std::move(cb);
         return slot;
     }
 
-    /** Destroy @p slot's payload and recycle the slot. */
-    void
-    releaseSlot(std::uint32_t slot)
-    {
-        Pending &p = pending(slot);
-        p.cb = nullptr;
-        p.tag.reset();
-        free_.push_back(slot);
-    }
-
-    /** Run @p k's callback in its slot, then recycle the slot. */
+    /** Run @p k's callback in its slot, then destroy it and recycle
+     *  the slot. */
     void
     fire(const Key &k)
     {
-        pending(k.slot).cb(k.when);
-        releaseSlot(k.slot);
-    }
-
-    /** Drop every pending event (checkpoint restore). */
-    void
-    clearPending()
-    {
-        for (const Key &k : heap_)
-            releaseSlot(k.slot);
-        for (std::size_t i = same_head_; i < same_cycle_.size(); ++i)
-            releaseSlot(same_cycle_[i].slot);
-        heap_.clear();
-        same_cycle_.clear();
-        same_head_ = 0;
+        Callback &cb = pending(k.slot);
+        cb(k.when);
+        cb = nullptr;
+        free_.push_back(k.slot);
     }
 
     Key
@@ -346,7 +304,7 @@ class EventQueue
     std::vector<Key> heap_;       ///< binary min-heap by (when, seq)
     std::vector<Key> same_cycle_; ///< FIFO of events at now()
     std::size_t same_head_ = 0;   ///< first unconsumed FIFO slot
-    std::vector<std::unique_ptr<Pending[]>> chunks_; ///< payload slab
+    std::vector<std::unique_ptr<Callback[]>> chunks_; ///< payload slab
     std::vector<std::uint32_t> free_; ///< recycled slab slots
     Cycle now_ = 0;
     std::uint64_t seq_ = 0; ///< next sequence number to hand out

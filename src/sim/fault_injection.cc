@@ -1,12 +1,27 @@
 #include "src/sim/fault_injection.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
+#include <string_view>
 
 #include "src/common/log.h"
 #include "src/common/sim_error.h"
 
 namespace cmpsim {
+
+namespace {
+
+/** Every site a faultSite()/faultStallActive() probe in src/ names.
+ *  parse() rejects any other, so a misspelt or retired site fails
+ *  loudly instead of arming a rule that can never fire. */
+constexpr std::array<std::string_view, 7> kKnownSites = {
+    "l2.fill",     "link.transfer", "workload.gen",    "dram.access",
+    "core.stall",  "sample.ff",     "sample.interval",
+};
+
+} // namespace
 
 namespace detail {
 
@@ -143,6 +158,13 @@ FaultPlan::parse(const std::string &spec)
             }
             return v;
         };
+
+        if (std::find(kKnownSites.begin(), kKnownSites.end(),
+                      fields[0]) == kKnownSites.end()) {
+            throw ConfigError("fault.spec",
+                              "unknown site \"" + fields[0] + "\" in \"" +
+                                  entry + "\"");
+        }
 
         FaultSpec fault;
         fault.site = fields[0];

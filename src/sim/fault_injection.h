@@ -27,13 +27,13 @@
  * zero. Probes are free when nothing is armed (one thread-local
  * pointer test).
  *
- * Known sites: l2.fill (L2Cache::fill), link.transfer
+ * Known sites (kKnownSites in fault_injection.cc; parse() rejects any
+ * other site with ConfigError): l2.fill (L2Cache::fill), link.transfer
  * (PriorityLink::send), workload.gen (SyntheticWorkload construction),
  * core.stall (CoreModel::tick, stall kind only), dram.access
  * (DramBackend::read — hit only when the banked backend is armed via
- * CMPSIM_DRAM; contains/retries like l2.fill), ckpt.save
- * (ckpt::atomicSave — fails an autosave mid-run) and ckpt.load
- * (ckpt::loadWithFallback — fails a CMPSIM_RESTORE resume).
+ * CMPSIM_DRAM; contains/retries like l2.fill), sample.ff (once per
+ * fast-forward chunk) and sample.interval (once per sampled interval).
  *
  * The same file hosts the per-point wall-clock deadline
  * (CMPSIM_POINT_TIMEOUT): DeadlineGuard arms a thread-local deadline
@@ -84,7 +84,8 @@ class FaultPlan
     FaultPlan() = default;
 
     /** Parse @p spec (see grammar above); throws ConfigError on
-     *  malformed input. Empty string yields an empty plan. */
+     *  malformed input or an unknown site. Empty string yields an
+     *  empty plan. */
     static FaultPlan parse(const std::string &spec);
 
     /** Plan from CMPSIM_FAULT (empty plan when unset/empty). */

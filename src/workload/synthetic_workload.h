@@ -88,8 +88,6 @@ class SyntheticWorkload : public InstructionStream
     void copyStateFrom(const SyntheticWorkload &other);
 
   private:
-    friend class CheckpointCodec; // serializes RNG + generator cursor
-
     struct Stream
     {
         Addr cur = 0;

@@ -1,10 +1,9 @@
 /**
  * @file
  * CPI-stack / miss-genealogy layer (DESIGN.md Section 9): cycle
- * conservation, default-hash invariance when armed, the checkpoint
- * refusal, journey histograms, trace-span emission, and the run
- * report's cpi_stack section — from an armed run and after a
- * checkpoint restore.
+ * conservation, default-hash invariance when armed, journey
+ * histograms, trace-span emission, and the run report's cpi_stack
+ * section from an armed run.
  */
 
 #include "src/obs/cpi_stack.h"
@@ -17,7 +16,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
@@ -179,15 +177,6 @@ TEST(CpiStackTest, EnvKnobArmsAndDisarms)
     }
 }
 
-TEST(CpiStackTest, RefusesCheckpointCombination)
-{
-    EnvGuard ckpt("CMPSIM_CKPT", "cpi_refusal.ckpt:every5000");
-    SystemConfig cfg = fullConfig(true);
-    EXPECT_THROW(CmpSystem(cfg, benchmarkParams("apsi")), ConfigError);
-    std::remove("cpi_refusal.ckpt");
-    std::remove("cpi_refusal.ckpt.prev");
-}
-
 TEST(CpiStackTest, TracedArmedRunEmitsJourneySpans)
 {
     const std::string path =
@@ -240,50 +229,6 @@ TEST(CpiStackTest, ReportAndTraceFromArmedRun)
     EXPECT_NE(text.find("\"mem.journey\""), std::string::npos);
     EXPECT_NE(text.find("core 1 journeys"), std::string::npos);
     std::remove(path.c_str());
-}
-
-TEST(CpiStackTest, ReportAndTraceUnderRestoredCheckpoint)
-{
-    // The CPI layer itself refuses checkpointing, so the restored leg
-    // runs unarmed — what must keep working under a restore is the
-    // tracer and the run report.
-    const std::string ckpt = "cpi_restore_leg.ckpt";
-    SystemConfig cfg = fullConfig(false);
-    std::string baseline;
-    {
-        EnvGuard save("CMPSIM_CKPT", ckpt + ":every2000");
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        sys.warmup(kWarmup);
-        sys.run(kMeasure);
-        baseline = mainFingerprint(sys);
-    }
-    const std::string path =
-        ::testing::TempDir() + "cmpsim_cpi_restore_trace.json";
-    RunReport report;
-    std::string resumed;
-    {
-        EnvGuard restore("CMPSIM_RESTORE", ckpt);
-        TraceSession session(path);
-        ASSERT_TRUE(session.active());
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        EXPECT_TRUE(sys.restoredFromCheckpoint());
-        sys.warmup(kWarmup); // no-op on a restored system
-        sys.run(kMeasure);
-        resumed = mainFingerprint(sys);
-        captureStats(sys.stats(), report);
-        report.cycles = sys.cycles();
-    }
-    EXPECT_EQ(baseline, resumed);
-    EXPECT_FALSE(report.counters.empty());
-    std::ostringstream os;
-    writeRunReport(os, report);
-    EXPECT_NE(os.str().find("\"counters\""), std::string::npos);
-
-    const std::string text = slurp(path);
-    EXPECT_NE(text.find("\"phase.measure\""), std::string::npos);
-    std::remove(path.c_str());
-    std::remove(ckpt.c_str());
-    std::remove((ckpt + ".prev").c_str());
 }
 
 TEST(CpiStackTest, BankedDramRecordsRowHitOutcomes)

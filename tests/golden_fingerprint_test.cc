@@ -6,29 +6,19 @@
  * stream match) were last rewritten. Those rewrites are perf-only, so
  * any change in a hash here means simulated behaviour moved.
  *
- * One more golden pins the checkpoint bytes of a short mid-measurement
- * run: a change to how pending events or run-loop state are written
- * would make older snapshots unreadable, so the on-disk format is held
- * to fixed history the same way.
- *
  * determinism_check compares two runs of one build against each
  * other; this suite compares a build against fixed history. A failure
  * prints the new hash. Update a constant only with a change that
- * intentionally alters simulated results (or the checkpoint format),
- * and say so in CHANGES.md.
+ * intentionally alters simulated results, and say so in CHANGES.md.
  */
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/fingerprint.h"
 #include "src/core_api/cmp_system.h"
 
@@ -91,62 +81,6 @@ TEST(GoldenFingerprintTest, JbbBankedDram)
     cfg.dram.backend = DramBackendKind::Banked;
     const std::string got = fingerprint(cfg, "jbb", 30000, 20000);
     EXPECT_EQ(got, "82c9dcabed710ab3") << "new hash: " << got;
-}
-
-/**
- * Unsets the knobs CmpSystem's constructor reads from the environment
- * (a CI leg's CMPSIM_AUDIT would change the checkpoint header and run
- * cursors) and restores them on destruction.
- */
-class ConstructorEnvCleared
-{
-  public:
-    ConstructorEnvCleared()
-    {
-        for (const char *name : {"CMPSIM_AUDIT", "CMPSIM_WATCHDOG",
-                                 "CMPSIM_SAMPLE_CYCLES", "CMPSIM_CPISTACK",
-                                 "CMPSIM_CKPT", "CMPSIM_RESTORE"}) {
-            if (const char *value = std::getenv(name))
-                saved_.emplace_back(name, value);
-            unsetenv(name);
-        }
-    }
-    ~ConstructorEnvCleared()
-    {
-        for (const auto &[name, value] : saved_)
-            setenv(name, value.c_str(), 1);
-    }
-
-    ConstructorEnvCleared(const ConstructorEnvCleared &) = delete;
-    ConstructorEnvCleared &operator=(const ConstructorEnvCleared &) = delete;
-
-  private:
-    std::vector<std::pair<const char *, std::string>> saved_;
-};
-
-TEST(GoldenFingerprintTest, CheckpointBytesZeusTwoCores)
-{
-    // checkpoint_test's small zeus point: 2 cores at scale 8, every
-    // feature on, audits every 5000 cycles.
-    const ConstructorEnvCleared env;
-    SystemConfig cfg = makeConfig(2, 8, true, true, true, true);
-    cfg.dram = DramTimingParams{};
-    cfg.sampling = SamplingPlan{};
-    cfg.seed = 4242;
-    cfg.audit_interval = 5000;
-
-    ckpt::setArmed(true);
-    std::string bytes;
-    {
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        sys.warmup(5000);
-        sys.run(3000);
-        bytes = sys.checkpointBytes();
-    }
-    ckpt::setArmed(false);
-    const std::string got = hex(fnv1a(bytes));
-    EXPECT_EQ(got, "6d88265e55e8f5e4")
-        << "new hash: " << got << " (" << bytes.size() << " bytes)";
 }
 
 } // namespace

@@ -3,8 +3,7 @@
  * Statistical sampling engine contract (DESIGN.md §14): the
  * CMPSIM_SAMPLING plan grammar and validation, fast-forward
  * instruction conservation, detail-interval stat isolation, the CI
- * stopping rule, sampled-run determinism across repeats, mid-plan
- * checkpoint/restore to a byte-identical final report, and the
+ * stopping rule, sampled-run determinism across repeats, and the
  * MatrixSampler's leader-equivalence guarantee.
  */
 
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -252,55 +250,6 @@ TEST(SamplingDeterminismTest, RepeatRunsAreByteIdentical)
     }
     EXPECT_EQ(stats[0], stats[1]);
     EXPECT_EQ(samples[0], samples[1]);
-}
-
-// ------------------------------------------- checkpoint mid-plan
-
-TEST(SamplingCheckpointTest, MidPlanRestoreFinishesByteIdentical)
-{
-    SystemConfig cfg = smallConfig();
-    cfg.sampling = SamplingPlan::parse("4000:2000:4:warm1000");
-    const std::string path =
-        ::testing::TempDir() + "cmpsim_sampling_midplan.ckpt";
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
-
-    // Uninterrupted reference.
-    std::uint64_t want_stats = 0;
-    std::uint64_t want_samples = 0;
-    {
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        const SamplingResult res = SamplingController(sys).run();
-        want_stats = statsHash(sys);
-        want_samples = samplesHash(res);
-    }
-
-    // Autosave every 1000 timed cycles: the last snapshot lands
-    // inside a detailed interval, mid-plan.
-    {
-        EnvGuard ckpt("CMPSIM_CKPT", path + ":every1000");
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        SamplingController(sys).run();
-    }
-
-    // Resume from the mid-plan snapshot and finish the plan.
-    {
-        EnvGuard restore("CMPSIM_RESTORE", path);
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        const SamplingResult res = SamplingController(sys).run();
-        // The restored cursor sits mid-plan, so the resumed half
-        // measures fewer intervals than the full plan...
-        EXPECT_EQ(res.intervals, 4u);
-        EXPECT_EQ(res.samples.size(), 4u);
-        // ...but the final report is byte-identical to the
-        // uninterrupted run: the serialized SampleState carries the
-        // closed intervals and the open interval's baseline.
-        EXPECT_EQ(statsHash(sys), want_stats);
-        EXPECT_EQ(samplesHash(res), want_samples);
-    }
-
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
 }
 
 // ------------------------------------------------- matrix sampler

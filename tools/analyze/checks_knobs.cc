@@ -45,9 +45,7 @@ configCoverage()
 {
     static const std::map<std::string, std::string> m = {
         {"CMPSIM_DRAM", "config.dram"},
-        {"CMPSIM_CPISTACK", "config.cpistack"},
-        {"CMPSIM_CKPT", "config.ckpt"},
-        {"CMPSIM_RESTORE", "config.restore"},
+        {"CMPSIM_CPISTACK", "config.sampling"}, // cpi_stack x sampling
         {"CMPSIM_SAMPLING", "config.sampling"},
     };
     return m;

@@ -20,16 +20,9 @@
  * 4 must produce byte-identical metric summaries (the CMPSIM_JOBS
  * invariance every bench table now depends on).
  *
- * A third leg checks checkpoint/restore (DESIGN.md Section 13): a
- * run with periodic CMPSIM_CKPT autosaves must hash identically to
- * the plain baseline (saving is a pure observer), and a fresh system
- * resumed from the last mid-run snapshot with CMPSIM_RESTORE must
- * finish with that same hash.
- *
- * A fourth leg checks the statistical sampling engine (DESIGN.md
- * Section 14): a sampled run must reproduce across a mid-plan
- * checkpoint/restore and across runner worker counts (jobs 1 vs 4 on
- * the published summaries).
+ * A third leg checks the statistical sampling engine (DESIGN.md
+ * Section 14): a sampled batch must reproduce across runner worker
+ * counts (jobs 1 vs 4 on the published summaries).
  *
  *   determinism_check [workload ...]      # default: zeus apsi
  *
@@ -48,7 +41,6 @@
 #include "src/core_api/cmp_system.h"
 #include "src/core_api/parallel_runner.h"
 #include "src/obs/trace.h"
-#include "src/sample/sampling_controller.h"
 #include "src/workload/workload_params.h"
 
 namespace {
@@ -131,81 +123,10 @@ checkParallelRunner(const std::vector<std::string> &workloads)
 }
 
 /**
- * Checkpoint-resume leg: autosave every few thousand cycles while
- * running to completion (hash must equal @p baseline — a save never
- * perturbs simulation), then resume a fresh system from the last
- * mid-run snapshot (it must finish with the baseline hash). Returns 0
- * on success, 1 on any divergence.
- */
-int
-checkCheckpointResume(const std::vector<std::string> &workloads,
-                      const std::vector<std::uint64_t> &baseline)
-{
-    int status = 0;
-    const std::string path = "determinism_check_ckpt.bin";
-    const std::string spec = path + ":every3000";
-
-    // Checkpointing refuses to combine with interval sampling (the
-    // sampler's already-emitted rows are not replayable), and CI's
-    // traced gate arms CMPSIM_SAMPLE_CYCLES for the other legs — so
-    // this leg runs with sampling off, restoring the knob afterwards.
-    const char *sample_env = getenv("CMPSIM_SAMPLE_CYCLES");
-    const std::string saved_sample = sample_env != nullptr ? sample_env : "";
-    if (sample_env != nullptr)
-        unsetenv("CMPSIM_SAMPLE_CYCLES");
-    // Same for the CPI-stack layer (CI's armed gate sets
-    // CMPSIM_CPISTACK for the other legs): genealogy records are not
-    // checkpointed, so this leg runs unarmed. The hashes still prove
-    // what the gate needs — stats() never depends on the layer.
-    const char *cpi_env = getenv("CMPSIM_CPISTACK");
-    const std::string saved_cpi = cpi_env != nullptr ? cpi_env : "";
-    if (cpi_env != nullptr)
-        unsetenv("CMPSIM_CPISTACK");
-
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        std::remove(path.c_str());
-        std::remove((path + ".prev").c_str());
-
-        setenv("CMPSIM_CKPT", spec.c_str(), 1);
-        const std::uint64_t save = runOnce(workloads[i]);
-        unsetenv("CMPSIM_CKPT");
-
-        setenv("CMPSIM_RESTORE", path.c_str(), 1);
-        const std::uint64_t resume = runOnce(workloads[i]);
-        unsetenv("CMPSIM_RESTORE");
-
-        if (save == baseline[i] && resume == baseline[i]) {
-            std::printf("determinism_check: %-8s ok    %016llx "
-                        "(ckpt save == resume)\n",
-                        workloads[i].c_str(),
-                        static_cast<unsigned long long>(baseline[i]));
-        } else {
-            std::printf("determinism_check: %-8s FAIL  baseline "
-                        "%016llx vs %016llx (ckpt save) vs %016llx "
-                        "(resume)\n",
-                        workloads[i].c_str(),
-                        static_cast<unsigned long long>(baseline[i]),
-                        static_cast<unsigned long long>(save),
-                        static_cast<unsigned long long>(resume));
-            status = 1;
-        }
-        std::remove(path.c_str());
-        std::remove((path + ".prev").c_str());
-    }
-    if (sample_env != nullptr)
-        setenv("CMPSIM_SAMPLE_CYCLES", saved_sample.c_str(), 1);
-    if (cpi_env != nullptr)
-        setenv("CMPSIM_CPISTACK", saved_cpi.c_str(), 1);
-    return status;
-}
-
-/**
  * Statistical-sampling leg (DESIGN.md Section 14): a sampled run must
- * be as reproducible as a full-detail one. Checks, per workload: a
- * direct sampled run with autosaves and a fresh system resumed from
- * its mid-plan snapshot both finishing with the straight-run stats
- * hash, and jobs 1 == 4 on the published summary of a sampled batch.
- * Returns 0 on success, 1 on any divergence.
+ * be as reproducible as a full-detail one — jobs 1 == 4 on the
+ * published summary of a sampled batch. Returns 0 on success, 1 on
+ * any divergence.
  */
 int
 checkSampledRuns(const std::vector<std::string> &workloads)
@@ -214,76 +135,14 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     const char *kPlan = "12000:4000:4:warm4000";
 
     // The CPI-stack layer refuses to combine with statistical
-    // sampling (validate()), and checkpoints refuse interval
-    // time-series sampling — run this leg with both knobs unarmed,
-    // restoring them afterwards (same dance as the checkpoint leg).
+    // sampling (validate()), and CI's armed gate sets CMPSIM_CPISTACK
+    // for the other legs — run this leg with it unarmed, restoring it
+    // afterwards.
     const char *cpi_env = getenv("CMPSIM_CPISTACK");
     const std::string saved_cpi = cpi_env != nullptr ? cpi_env : "";
     if (cpi_env != nullptr)
         unsetenv("CMPSIM_CPISTACK");
-    const char *sample_env = getenv("CMPSIM_SAMPLE_CYCLES");
-    const std::string saved_sample =
-        sample_env != nullptr ? sample_env : "";
-    if (sample_env != nullptr)
-        unsetenv("CMPSIM_SAMPLE_CYCLES");
 
-    // Direct sampled run -> stats hash.
-    const auto sampledOnce = [&](const std::string &workload) {
-        SystemConfig cfg = makeConfig(/*cores=*/4, /*scale=*/4,
-                                      /*cache_compression=*/true,
-                                      /*link_compression=*/true,
-                                      /*prefetching=*/true,
-                                      /*adaptive=*/true);
-        cfg.seed = 12345;
-        cfg.audit_interval = 10000;
-        cfg.sampling = SamplingPlan::parse(kPlan);
-        CmpSystem sys(cfg, benchmarkParams(workload));
-        sys.warmup(20000);
-        SamplingController(sys).run();
-        std::ostringstream out;
-        sys.stats().dump(out);
-        out << "cycles " << sys.cycles() << "\n";
-        out << "instructions " << sys.instructions() << "\n";
-        return fnv1a(out.str());
-    };
-
-    int status = 0;
-    const std::string path = "determinism_check_sampled_ckpt.bin";
-    for (const std::string &w : workloads) {
-        const std::uint64_t h1 = sampledOnce(w);
-
-        // Mid-plan checkpoint: autosave while running to completion,
-        // then resume a fresh system from the last (mid-plan)
-        // snapshot; both must land on the straight-run hash.
-        std::remove(path.c_str());
-        std::remove((path + ".prev").c_str());
-        setenv("CMPSIM_CKPT", (path + ":every3000").c_str(), 1);
-        const std::uint64_t save = sampledOnce(w);
-        unsetenv("CMPSIM_CKPT");
-        setenv("CMPSIM_RESTORE", path.c_str(), 1);
-        const std::uint64_t resume = sampledOnce(w);
-        unsetenv("CMPSIM_RESTORE");
-        std::remove(path.c_str());
-        std::remove((path + ".prev").c_str());
-
-        if (save == h1 && resume == h1) {
-            std::printf("determinism_check: %-8s ok    %016llx "
-                        "(sampled: midplan resume)\n",
-                        w.c_str(),
-                        static_cast<unsigned long long>(h1));
-        } else {
-            std::printf("determinism_check: %-8s FAIL  sampled "
-                        "%016llx vs %016llx (ckpt save) vs %016llx "
-                        "(midplan resume)\n",
-                        w.c_str(),
-                        static_cast<unsigned long long>(h1),
-                        static_cast<unsigned long long>(save),
-                        static_cast<unsigned long long>(resume));
-            status = 1;
-        }
-    }
-
-    // Sampled batch through the parallel runner: jobs 1 vs 4.
     std::vector<PointSpec> specs;
     for (const std::string &w : workloads) {
         PointSpec spec;
@@ -301,6 +160,7 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     }
     const auto serial = runPoints(specs, /*jobs=*/1);
     const auto parallel = runPoints(specs, /*jobs=*/4);
+    int status = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::uint64_t j1 = fnv1a(summaryBytes(serial[i]));
         const std::uint64_t j4 = fnv1a(summaryBytes(parallel[i]));
@@ -321,8 +181,6 @@ checkSampledRuns(const std::vector<std::string> &workloads)
 
     if (cpi_env != nullptr)
         setenv("CMPSIM_CPISTACK", saved_cpi.c_str(), 1);
-    if (sample_env != nullptr)
-        setenv("CMPSIM_SAMPLE_CYCLES", saved_sample.c_str(), 1);
     return status;
 }
 
@@ -330,11 +188,9 @@ int
 run(const std::vector<std::string> &workloads)
 {
     int status = 0;
-    std::vector<std::uint64_t> baseline;
     for (const std::string &w : workloads) {
         const std::uint64_t first = runOnce(w);
         const std::uint64_t second = runOnce(w);
-        baseline.push_back(first);
         if (first == second) {
             std::printf("determinism_check: %-8s ok    %016llx\n",
                         w.c_str(),
@@ -349,7 +205,6 @@ run(const std::vector<std::string> &workloads)
         }
     }
     status |= checkParallelRunner(workloads);
-    status |= checkCheckpointResume(workloads, baseline);
     status |= checkSampledRuns(workloads);
     return status;
 }
