@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the compression substrate:
- * FPC and BDI compress/decompress throughput over data of varying
+ * FPC compress/decompress throughput over data of varying
  * compressibility, plus word classification. These measure the
  * simulator's own hot paths (compressed-size queries dominate the
  * ValueStore memo misses).
@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/compression/bdi.h"
 #include "src/compression/fpc.h"
 #include "src/workload/value_profile.h"
 
@@ -53,20 +52,6 @@ BM_FpcRoundTrip(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * kLineBytes);
 }
 BENCHMARK(BM_FpcRoundTrip);
-
-void
-BM_BdiCompress(benchmark::State &state)
-{
-    BdiCompressor bdi;
-    const LineData line =
-        lineFor(static_cast<double>(state.range(0)) / 100.0, 44);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(bdi.compress(line).segments);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kLineBytes);
-}
-BENCHMARK(BM_BdiCompress)->Arg(0)->Arg(30)->Arg(80);
 
 void
 BM_FpcClassify(benchmark::State &state)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Scenario: explore how FPC and BDI compress real bytes. Feed the
+ * Scenario: explore how FPC compresses real bytes. Feed the
  * tool a file (it is chunked into 64-byte cache lines) or let it
  * sweep the built-in workload value profiles, and it reports the
  * segment-size histograms, compression ratios, and what that would
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/compression/bdi.h"
 #include "src/compression/fpc.h"
 #include "src/workload/workload_params.h"
 
@@ -47,7 +46,7 @@ struct Stats
 };
 
 void
-report(const char *title, const Stats &fpc, const Stats &bdi)
+report(const char *title, const Stats &fpc)
 {
     std::printf("--- %s (%llu lines) ---\n", title,
                 static_cast<unsigned long long>(fpc.lines));
@@ -57,8 +56,7 @@ report(const char *title, const Stats &fpc, const Stats &bdi)
                     100.0 * static_cast<double>(fpc.hist[s]) /
                         static_cast<double>(fpc.lines));
     std::printf("  (FPC)\n");
-    std::printf("  FPC ratio %.2fx | BDI ratio %.2fx\n", fpc.ratio(),
-                bdi.ratio());
+    std::printf("  FPC ratio %.2fx\n", fpc.ratio());
     std::printf("  -> compressed L2 effective capacity ~%.1f MB of 4; "
                 "link data flits/line %.1f of 8\n\n",
                 std::min(8.0, 4.0 * fpc.ratio()),
@@ -71,7 +69,6 @@ int
 main(int argc, char **argv)
 {
     FpcCompressor fpc;
-    BdiCompressor bdi;
 
     if (argc > 1) {
         std::ifstream in(argv[1], std::ios::binary);
@@ -79,18 +76,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot open %s\n", argv[1]);
             return 1;
         }
-        Stats sf, sb;
+        Stats sf;
         LineData line{};
         while (in.read(reinterpret_cast<char *>(line.data()),
                        kLineBytes)) {
             sf.add(fpc.compress(line).segments);
-            sb.add(bdi.compress(line).segments);
         }
         if (sf.lines == 0) {
             std::fprintf(stderr, "file shorter than one line\n");
             return 1;
         }
-        report(argv[1], sf, sb);
+        report(argv[1], sf);
         return 0;
     }
 
@@ -101,13 +97,12 @@ main(int argc, char **argv)
         const auto params = benchmarkParams(name);
         ValueGenerator gen(params.values);
         Random rng(11);
-        Stats sf, sb;
+        Stats sf;
         for (int i = 0; i < 4000; ++i) {
             const LineData line = gen.generate(rng);
             sf.add(fpc.compress(line).segments);
-            sb.add(bdi.compress(line).segments);
         }
-        report(name.c_str(), sf, sb);
+        report(name.c_str(), sf);
     }
     return 0;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/audit/audits.h"
-#include "src/compression/bdi.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
@@ -453,20 +452,12 @@ L2Cache::fill(Addr line, Cycle arrival)
 void
 L2Cache::verifyFillRoundTrip(Addr line)
 {
-    // BDI rides along as a second, structurally different codec: a bug
-    // in the shared BitStream plumbing that FPC happens to mask still
-    // gets caught here.
-    static const BdiCompressor bdi;
     const LineData &data = values_.line(line);
     std::string why;
     if (!auditCompressorRoundTrip(values_.compressor(), data, why)) {
         cmpsim_panic("fill of line %#llx failed %s round-trip: %s",
                      static_cast<unsigned long long>(line),
                      values_.compressor().name().c_str(), why.c_str());
-    }
-    if (!auditCompressorRoundTrip(bdi, data, why)) {
-        cmpsim_panic("fill of line %#llx failed bdi round-trip: %s",
-                     static_cast<unsigned long long>(line), why.c_str());
     }
 }
 

@@ -100,8 +100,8 @@ struct L2Params
     /** Saturation bound for the predictor. */
     std::int64_t gcp_max = 1 << 20;
 
-    /** Audit builds: verify an FPC and a BDI compress -> decompress
-     *  round-trip of the line's current value on every L2 fill. */
+    /** Audit builds: verify an FPC compress -> decompress round-trip
+     *  of the line's current value on every L2 fill. */
     bool verify_fill_roundtrip = false;
 };
 
@@ -284,7 +284,7 @@ class L2Cache
     /** Fill from memory: insert, evict, respond to waiters. */
     void fill(Addr line, Cycle arrival);
 
-    /** Debug-mode FPC + BDI round-trip of the line being filled. */
+    /** Debug-mode FPC round-trip of the line being filled. */
     void verifyFillRoundTrip(Addr line);
 
     /** Handle one evicted L2 line (inclusion + writeback + stats). */

@@ -46,13 +46,6 @@ SimError::SimError(ErrorKind kind, std::string context,
 {
 }
 
-bool
-errorKindTransient(ErrorKind kind)
-{
-    return kind == ErrorKind::Injected || kind == ErrorKind::Watchdog ||
-           kind == ErrorKind::Internal;
-}
-
 ConfigError::ConfigError(std::string context, const std::string &message)
     : SimError(ErrorKind::Config, std::move(context), message)
 {
@@ -76,11 +69,9 @@ WatchdogTimeout::WatchdogTimeout(std::string context,
 {
 }
 
-InjectedFault::InjectedFault(std::string site, std::uint64_t nth,
-                             unsigned attempt)
+InjectedFault::InjectedFault(std::string site, std::uint64_t nth)
     : SimError(ErrorKind::Injected, std::move(site),
-               "injected fault at occurrence " + std::to_string(nth) +
-                   " (attempt " + std::to_string(attempt) + ")")
+               "injected fault at occurrence " + std::to_string(nth))
 {
 }
 

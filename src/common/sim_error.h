@@ -6,9 +6,8 @@
  * Every failure the simulator can raise carries a kind (what class of
  * thing went wrong), a context (the site that detected it, e.g.
  * "l2.fill" or "config.cores") and a message. The experiment layer
- * uses the kind to decide containment policy: configuration and
- * invariant errors are deterministic and never retried, while
- * injected faults and watchdog timeouts are treated as transient.
+ * contains every kind to the (point, seed) task that raised it and
+ * reports the kind in the point's outcome.
  *
  * The legacy cmpsim_fatal()/cmpsim_panic() reporters throw
  * ConfigError/InvariantError respectively (src/common/log.cc), so a
@@ -30,7 +29,7 @@ namespace cmpsim {
 enum class ErrorKind
 {
     Config,    ///< the user asked for an impossible system
-    Workload,  ///< benchmark/trace input missing or malformed
+    Workload,  ///< benchmark input missing or malformed
     Invariant, ///< a simulator invariant was violated (a cmpsim bug)
     Watchdog,  ///< no forward progress (livelock) or deadline missed
     Injected,  ///< deliberately injected by the fault harness
@@ -39,12 +38,6 @@ enum class ErrorKind
 
 /** Stable lower-case name of @p kind ("config", "watchdog", ...). */
 const char *errorKindName(ErrorKind kind);
-
-/** Whether a retry of a failure of @p kind could plausibly succeed
- *  (DESIGN.md §8): injected faults, watchdog expiries and wrapped
- *  foreign exceptions are transient; config/workload/invariant
- *  failures are deterministic and are not retried. */
-bool errorKindTransient(ErrorKind kind);
 
 /** Base of the simulator's exception hierarchy. */
 class SimError : public std::runtime_error
@@ -58,9 +51,6 @@ class SimError : public std::runtime_error
     /** The site that raised the error, e.g. "l2.fill". */
     const std::string &context() const { return context_; }
 
-    /** errorKindTransient(kind()). */
-    bool transient() const { return errorKindTransient(kind_); }
-
   private:
     ErrorKind kind_;
     std::string context_;
@@ -73,7 +63,7 @@ class ConfigError : public SimError
     ConfigError(std::string context, const std::string &message);
 };
 
-/** A workload input (benchmark name, trace file) is unusable. */
+/** A workload input (benchmark name) is unusable. */
 class WorkloadError : public SimError
 {
   public:
@@ -100,7 +90,7 @@ class WatchdogTimeout : public SimError
 class InjectedFault : public SimError
 {
   public:
-    InjectedFault(std::string site, std::uint64_t nth, unsigned attempt);
+    InjectedFault(std::string site, std::uint64_t nth);
 };
 
 } // namespace cmpsim

@@ -7,12 +7,12 @@
 
 namespace cmpsim {
 
-std::uint64_t
-envUint64Or(const char *name, std::uint64_t fallback)
+std::optional<std::uint64_t>
+envUint64(const char *name)
 {
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
-        return fallback;
+        return std::nullopt;
     char *end = nullptr;
     const auto parsed = std::strtoull(v, &end, 10);
     // Reject only genuine parse failures (no digits, trailing junk):
@@ -21,6 +21,12 @@ envUint64Or(const char *name, std::uint64_t fallback)
     if (end == v || *end != '\0')
         cmpsim_fatal("bad value for %s: %s", name, v);
     return parsed;
+}
+
+std::uint64_t
+envUint64Or(const char *name, std::uint64_t fallback)
+{
+    return envUint64(name).value_or(fallback);
 }
 
 namespace {

@@ -9,6 +9,7 @@
 #ifndef CMPSIM_CORE_API_EXPERIMENT_H
 #define CMPSIM_CORE_API_EXPERIMENT_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,11 +98,14 @@ RunLengths defaultRunLengths();
 unsigned defaultSeeds();
 
 /**
- * Parse environment variable @p name as an unsigned integer,
- * returning @p fallback when unset or empty. An explicit 0 is a
- * valid value (e.g. CMPSIM_WARMUP=0, CMPSIM_JOBS=0 = auto); only a
- * string with no digits or trailing garbage is fatal.
+ * Parse environment variable @p name as an unsigned integer, or
+ * std::nullopt when unset or empty. An explicit 0 is a valid value
+ * (e.g. CMPSIM_WARMUP=0, CMPSIM_JOBS=0 = auto); only a string with no
+ * digits or trailing garbage is fatal (ConfigError).
  */
+std::optional<std::uint64_t> envUint64(const char *name);
+
+/** envUint64(@p name), or @p fallback when unset or empty. */
 std::uint64_t envUint64Or(const char *name, std::uint64_t fallback);
 
 /**

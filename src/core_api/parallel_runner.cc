@@ -35,8 +35,6 @@ RunPolicy
 defaultRunPolicy()
 {
     RunPolicy policy;
-    policy.max_attempts =
-        1 + static_cast<unsigned>(envUint64Or("CMPSIM_RETRIES", 1));
     if (const char *env = std::getenv("CMPSIM_JOURNAL")) {
         if (*env != '\0')
             policy.journal_path = env;
@@ -95,13 +93,7 @@ BatchResult::failureSummary() const
         const PointOutcome &o = outcomes[i];
         if (o.status != PointStatus::Failed)
             continue;
-        out += "\n  point " + std::to_string(i) + " after " +
-               std::to_string(o.attempts) + " attempt(s): " + o.error;
-    }
-    if (!retry_delays_ms.empty()) {
-        out += "\n  retry backoff:";
-        for (const std::uint64_t ms : retry_delays_ms)
-            out += " " + std::to_string(ms) + "ms";
+        out += "\n  point " + std::to_string(i) + ": " + o.error;
     }
     return out;
 }
@@ -119,9 +111,7 @@ namespace {
  * <crc> is the CRC-32 of the record body, so a corrupted *interior*
  * record (bit rot, partial overwrite) is detected — the journal is
  * truncated at the first bad record, keeping the valid prefix, rather
- * than trusting a body whose framing happens to still line up. v1
- * files (no CRC field) are still read; loading one rewrites it in v2
- * so every on-disk journal converges to the checked format.
+ * than trusting a body whose framing happens to still line up.
  *
  * Loading tolerates a crash mid-append: the valid prefix is kept and
  * the partial tail truncated away, so a journal is usable after any
@@ -163,7 +153,6 @@ class Journal
 
   private:
     static constexpr const char *kHeader = "cmpsim-journal v2\n";
-    static constexpr const char *kHeaderV1 = "cmpsim-journal v1\n";
 
     static std::string
     recordHead(std::uint64_t fp, const std::string &bytes)
@@ -189,17 +178,9 @@ class Journal
         }
 
         const std::string header = kHeader;
-        const std::string header_v1 = kHeaderV1;
-        const bool v2 = content.compare(0, header.size(), header) == 0;
-        const bool v1 =
-            !v2 && content.compare(0, header_v1.size(), header_v1) == 0;
-
-        // Parse-order record list: the map serves lookups, the vector
-        // preserves append order for the v1 -> v2 rewrite.
-        std::vector<std::pair<std::uint64_t, std::string>> ordered;
         std::size_t good = 0;
-        if (v2 || v1) {
-            std::size_t pos = header.size(); // both headers same length
+        if (content.compare(0, header.size(), header) == 0) {
+            std::size_t pos = header.size();
             good = pos;
             while (pos < content.size()) {
                 if (content.compare(pos, 6, "point ") != 0)
@@ -214,15 +195,10 @@ class Journal
                     break;
                 p = end + 1;
                 const std::uint64_t len = std::strtoull(p, &end, 10);
-                if (end == p)
+                if (end == p || *end != ' ')
                     break;
-                std::uint64_t crc = 0;
-                if (v2) {
-                    if (*end != ' ')
-                        break;
-                    p = end + 1;
-                    crc = std::strtoull(p, &end, 16);
-                }
+                p = end + 1;
+                const std::uint64_t crc = std::strtoull(p, &end, 16);
                 if (end != content.c_str() + nl)
                     break;
                 const std::size_t body = nl + 1;
@@ -231,12 +207,11 @@ class Journal
                 if (content.compare(body + len, 4, "end\n") != 0)
                     break;
                 std::string bytes = content.substr(body, len);
-                if (v2 && crc32(bytes.data(), bytes.size()) !=
-                              static_cast<std::uint32_t>(crc)) {
+                if (crc32(bytes.data(), bytes.size()) !=
+                    static_cast<std::uint32_t>(crc)) {
                     break; // interior corruption: keep the prefix
                 }
-                records_[fp] = bytes;
-                ordered.emplace_back(fp, std::move(bytes));
+                records_[fp] = std::move(bytes);
                 pos = body + len + 4;
                 good = pos;
             }
@@ -248,16 +223,6 @@ class Journal
                                 std::ios::binary | std::ios::trunc);
             if (fresh.is_open())
                 fresh << header;
-        } else if (v1) {
-            // Upgrade in place: rewrite the valid prefix with CRCs so
-            // subsequent appends and reloads are all one format.
-            std::ofstream fresh(path_,
-                                std::ios::binary | std::ios::trunc);
-            if (fresh.is_open()) {
-                fresh << header;
-                for (const auto &[fp, bytes] : ordered)
-                    fresh << recordHead(fp, bytes) << bytes << "end\n";
-            }
         } else if (good < content.size()) {
             // Drop the corrupt/partial tail.
             std::filesystem::resize_file(path_, good);
@@ -280,7 +245,7 @@ appendHex(std::string &out, const char *name, double v)
 
 /** Aggregate a point's per-seed cycles exactly as the serial runSeeds
  *  loop does, so summaries are bit-identical however they were
- *  produced (simulated, retried, or journal-restored). */
+ *  produced (simulated or journal-restored). */
 void
 aggregatePoint(MetricSummary &summary)
 {
@@ -436,128 +401,84 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     for (std::size_t i = 0; i < points.size(); ++i)
         pending[i].store(points[i].seeds, std::memory_order_relaxed);
 
-    const unsigned max_attempts = std::max(policy.max_attempts, 1u);
-    std::vector<std::size_t> round(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t)
-        round[t] = t;
-
     const std::size_t total_tasks = tasks.size();
     std::atomic<std::size_t> tasks_done{0};
 
     // Scope the pool so its destructor joins the workers even if
     // wait() rethrows (it shouldn't: tasks catch internally).
     ThreadPool pool(jobs);
-    for (unsigned attempt = 1;
-         attempt <= max_attempts && !round.empty(); ++attempt) {
-        for (const std::size_t t : round) {
-            pool.submit([&points, &policy, &batch, &failures, &tasks,
-                         &fps, &pending, &journal, &tasks_done,
-                         total_tasks, t, attempt] {
-                const Task &task = tasks[t];
-                TaskFailure &slot = failures[t];
-                slot.failed = false;
-                // Each concurrent task traces onto its own (pid, tid)
-                // track so parallel points don't interleave.
-                TraceThreadScope trace_scope(
-                    kTraceSimPid, static_cast<unsigned>(t) + 1);
-                Tracer *tracer = Tracer::armed();
-                const std::uint64_t wall0 =
-                    tracer != nullptr ? tracer->nowWallUs() : 0;
-                try {
-                    // Arm injection/deadline for exactly this attempt
-                    // of this (point, seed) task.
-                    FaultArmGuard arm(policy.faults, attempt,
-                                      task.point, task.seed_idx + 1);
-                    DeadlineGuard deadline(policy.point_timeout_sec);
-                    SystemConfig config = points[task.point].config;
-                    config.seed = task.seed_idx + 1;
-                    batch.summaries[task.point].runs[task.seed_idx] =
-                        runOnce(config, points[task.point].benchmark,
-                                points[task.point].lengths);
-                } catch (const SimError &e) {
-                    slot.failed = true;
-                    slot.kind = e.kind();
-                    slot.what = e.what();
-                } catch (const std::exception &e) {
-                    slot.failed = true;
-                    slot.kind = ErrorKind::Internal;
-                    slot.what = e.what();
-                } catch (...) {
-                    slot.failed = true;
-                    slot.kind = ErrorKind::Internal;
-                    slot.what = "non-standard exception";
-                }
-                if (!slot.failed &&
-                    pending[task.point].fetch_sub(1) == 1) {
-                    aggregatePoint(batch.summaries[task.point]);
-                    if (journal) {
-                        journal->append(
-                            fps[task.point],
-                            summaryBytes(batch.summaries[task.point]));
-                    }
-                }
-                const char *result = slot.failed ? "failed" : "ok";
-                if (tracer != nullptr) {
-                    tracer->completeWall(
-                        "point.task", wall0, tracer->nowWallUs(),
-                        {{"point", std::uint64_t{task.point}},
-                         {"seed", std::uint64_t{task.seed_idx + 1}},
-                         {"attempt", std::uint64_t{attempt}},
-                         {"status", result}});
-                }
-                const std::size_t done =
-                    tasks_done.fetch_add(1) + 1;
-                if (policy.progress) {
-                    std::fprintf(
-                        stderr,
-                        "[cmpsim] %zu/%zu point %zu seed %u "
-                        "attempt %u: %s\n",
-                        done, total_tasks, task.point,
-                        task.seed_idx + 1, attempt, result);
-                }
-            });
-        }
-        pool.wait();
-
-        // Classify this round serially, in task order, so retry order
-        // (and therefore every outcome) is deterministic.
-        std::vector<std::size_t> retry;
-        for (const std::size_t t : round) {
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        pool.submit([&points, &policy, &batch, &failures, &tasks, &fps,
+                     &pending, &journal, &tasks_done, total_tasks, t] {
             const Task &task = tasks[t];
-            PointOutcome &outcome = batch.outcomes[task.point];
-            outcome.attempts = std::max(outcome.attempts, attempt);
-            const TaskFailure &slot = failures[t];
-            if (!slot.failed)
-                continue;
-            if (errorKindTransient(slot.kind) && attempt < max_attempts) {
-                retry.push_back(t);
-                continue;
+            TaskFailure &slot = failures[t];
+            // Each concurrent task traces onto its own (pid, tid)
+            // track so parallel points don't interleave.
+            TraceThreadScope trace_scope(kTraceSimPid,
+                                         static_cast<unsigned>(t) + 1);
+            Tracer *tracer = Tracer::armed();
+            const std::uint64_t wall0 =
+                tracer != nullptr ? tracer->nowWallUs() : 0;
+            try {
+                // Arm injection and the deadline for this task only.
+                FaultArmGuard arm(policy.faults, task.point,
+                                  task.seed_idx + 1);
+                DeadlineGuard deadline(policy.point_timeout_sec);
+                SystemConfig config = points[task.point].config;
+                config.seed = task.seed_idx + 1;
+                batch.summaries[task.point].runs[task.seed_idx] =
+                    runOnce(config, points[task.point].benchmark,
+                            points[task.point].lengths);
+            } catch (const SimError &e) {
+                slot.failed = true;
+                slot.kind = e.kind();
+                slot.what = e.what();
+            } catch (const std::exception &e) {
+                slot.failed = true;
+                slot.kind = ErrorKind::Internal;
+                slot.what = e.what();
+            } catch (...) {
+                slot.failed = true;
+                slot.kind = ErrorKind::Internal;
+                slot.what = "non-standard exception";
             }
-            if (outcome.status != PointStatus::Failed) {
-                outcome.status = PointStatus::Failed;
-                outcome.error_kind = slot.kind;
-                outcome.error = slot.what;
+            if (!slot.failed && pending[task.point].fetch_sub(1) == 1) {
+                aggregatePoint(batch.summaries[task.point]);
+                if (journal) {
+                    journal->append(
+                        fps[task.point],
+                        summaryBytes(batch.summaries[task.point]));
+                }
             }
-        }
-        round = std::move(retry);
+            const char *result = slot.failed ? "failed" : "ok";
+            if (tracer != nullptr) {
+                tracer->completeWall(
+                    "point.task", wall0, tracer->nowWallUs(),
+                    {{"point", std::uint64_t{task.point}},
+                     {"seed", std::uint64_t{task.seed_idx + 1}},
+                     {"status", result}});
+            }
+            const std::size_t done = tasks_done.fetch_add(1) + 1;
+            if (policy.progress) {
+                std::fprintf(stderr,
+                             "[cmpsim] %zu/%zu point %zu seed %u: %s\n",
+                             done, total_tasks, task.point,
+                             task.seed_idx + 1, result);
+            }
+        });
+    }
+    pool.wait();
 
-        if (!round.empty() && attempt < max_attempts) {
-            // Bounded backoff before the next retry round, so a
-            // transiently overloaded host (the usual cause of watchdog
-            // trips) gets breathing room. Deterministic by design: the
-            // delay is keyed on the retrying points' spec fingerprints
-            // and the attempt number — simulation-derived quantities —
-            // never on wall-clock or randomness, so rerunning the same
-            // batch sleeps the same schedule.
-            std::uint64_t key = 0x9e3779b97f4a7c15ULL ^ attempt;
-            for (const std::size_t t : round)
-                key = (key ^ fps[tasks[t].point]) * 0x100000001b3ULL;
-            const std::uint64_t delay_ms =
-                std::min<std::uint64_t>(500, 10ULL << (attempt - 1)) +
-                key % 10;
-            batch.retry_delays_ms.push_back(delay_ms);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay_ms));
+    // Record outcomes serially, in task order, so the failure a point
+    // reports (and therefore every outcome) is deterministic.
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        PointOutcome &outcome = batch.outcomes[tasks[t].point];
+        outcome.attempts = 1;
+        const TaskFailure &slot = failures[t];
+        if (slot.failed && outcome.status != PointStatus::Failed) {
+            outcome.status = PointStatus::Failed;
+            outcome.error_kind = slot.kind;
+            outcome.error = slot.what;
         }
     }
 

@@ -2,8 +2,7 @@
  * @file
  * Parallel experiment execution: fan a batch of independent
  * (config, workload, seed) simulation points across a worker pool,
- * with crash containment, bounded retry, and journaled resume
- * (DESIGN.md §8).
+ * with crash containment and journaled resume (DESIGN.md §8).
  *
  * Every point is a pure function of (SystemConfig, workload name,
  * RunLengths, seed) — each run owns its CmpSystem, EventQueue and
@@ -13,12 +12,11 @@
  * it) byte-identical regardless of the worker count.
  *
  * Failure model: runPointsChecked() never lets one broken point sink
- * the batch. Each task's exception is caught and recorded as a
- * PointOutcome; transient failures (injected faults, watchdogs) are
- * retried up to RunPolicy::max_attempts in deterministic attempt
- * order; deterministic failures (bad config, bad workload, tripped
- * invariants) are reported once and never retried. The legacy
- * runPoints() wrapper keeps the old all-or-nothing contract by
+ * the batch. Each (point, seed) task runs once; its exception is
+ * caught and recorded as a PointOutcome. A point is a pure function
+ * of its spec, so rerunning a failure would fail the same way; a
+ * rerun under the journal re-simulates only the failed points. The
+ * legacy runPoints() wrapper keeps the old all-or-nothing contract by
  * throwing a SimError summarising any failures.
  *
  * Journaled resume: with RunPolicy::journal_path set, every completed
@@ -29,7 +27,6 @@
  *
  * Environment (read by defaultRunPolicy(), which runPoints() uses):
  *   CMPSIM_JOBS          worker threads (0/unset = hardware)
- *   CMPSIM_RETRIES       extra attempts for transient failures (def 1)
  *   CMPSIM_JOURNAL       journal file path (unset = no journal)
  *   CMPSIM_POINT_TIMEOUT per-point wall-clock deadline, seconds
  *   CMPSIM_FAULT         fault-injection plan (src/sim/fault_injection.h)
@@ -41,7 +38,6 @@
 #define CMPSIM_CORE_API_PARALLEL_RUNNER_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -67,7 +63,7 @@ enum class PointStatus
     /** Not simulated: loaded byte-identically from the journal
      *  (attempts == 0). */
     Restored,
-    Failed,   ///< at least one seed failed on its final attempt
+    Failed,   ///< at least one seed failed
 };
 
 /** Per-point execution record from runPointsChecked(). */
@@ -78,8 +74,8 @@ struct PointOutcome
     ErrorKind error_kind = ErrorKind::Internal;
     /** what() of the first recorded failure ("" when not Failed). */
     std::string error;
-    /** Highest attempt number any of the point's seeds used
-     *  (0 for journal-restored points — nothing was executed). */
+    /** 1 for a simulated point, 0 for a journal-restored one
+     *  (nothing was executed). */
     unsigned attempts = 0;
 };
 
@@ -92,28 +88,18 @@ struct BatchResult
     std::vector<MetricSummary> summaries;
     std::vector<PointOutcome> outcomes; ///< parallel to summaries
 
-    /** Backoff slept before each retry round, in ms. Deterministic:
-     *  keyed on the retrying points' spec fingerprints and the attempt
-     *  number, never on wall-clock or randomness, so reruns of the
-     *  same batch sleep the same schedule. */
-    std::vector<std::uint64_t> retry_delays_ms;
-
     std::size_t failed() const;   ///< points with status Failed
     std::size_t restored() const; ///< points with status Restored
 
-    /** Multi-line human-readable digest of every failure (including
-     *  the retry backoff schedule, when any round was retried), or ""
+    /** Multi-line human-readable digest of every failure, or ""
      *  when the batch is clean. */
     std::string failureSummary() const;
 };
 
 /** Fault-tolerance policy for one batch. The default-constructed
- *  policy is inert: one attempt, no journal, no deadline, no faults. */
+ *  policy is inert: no journal, no deadline, no faults. */
 struct RunPolicy
 {
-    /** Total attempts per (point, seed) task; transient failures are
-     *  retried until this bound, deterministic ones never. */
-    unsigned max_attempts = 1;
     /** Journal file for completed points ("" = no journal). */
     std::string journal_path;
     /** Per-point wall-clock deadline in seconds (0 = none). */
@@ -129,8 +115,7 @@ struct RunPolicy
     bool progress = false;
 };
 
-/** Policy from the environment: CMPSIM_RETRIES / CMPSIM_JOURNAL /
- *  CMPSIM_POINT_TIMEOUT / CMPSIM_FAULT as documented above. */
+/** Policy from the environment knobs documented above. */
 RunPolicy defaultRunPolicy();
 
 /**

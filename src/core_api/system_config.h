@@ -139,8 +139,8 @@ struct SystemConfig
      */
     Cycle audit_interval = 0;
 
-    /** Verify an FPC and a BDI compress -> decompress round-trip of
-     *  the line's value on every L2 fill (debug/audit builds). */
+    /** Verify an FPC compress -> decompress round-trip of the line's
+     *  value on every L2 fill (debug/audit builds). */
     bool audit_fill_roundtrip = false;
 
     /**

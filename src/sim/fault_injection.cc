@@ -25,11 +25,10 @@ constexpr std::array<std::string_view, 7> kKnownSites = {
 
 namespace detail {
 
-/** Per-thread armed state: the plan plus this attempt's hit counts. */
+/** Per-thread armed state: the plan plus this task's hit counts. */
 struct ArmedFaults
 {
     const FaultPlan *plan = nullptr;
-    unsigned attempt = 1;
     std::size_t point = kFaultAnyPoint;
     unsigned seed = kFaultAnySeed;
     std::vector<std::uint64_t> hits; ///< parallel to plan->specs()
@@ -55,8 +54,6 @@ applies(const FaultSpec &spec, const ArmedFaults &armed,
 {
     if (spec.site != site)
         return false;
-    if (armed.attempt > spec.fail_attempts)
-        return false;
     if (spec.point != kFaultAnyPoint && spec.point != armed.point)
         return false;
     if (spec.seed != kFaultAnySeed && spec.seed != armed.seed)
@@ -77,10 +74,10 @@ faultSiteSlow(const char *site)
             continue;
         // Hits are counted whenever the site matches so "the nth
         // occurrence" is a property of the simulation, not of the
-        // attempt/point selectors.
+        // point/seed selectors.
         const std::uint64_t hit = ++armed.hits[i];
         if (hit == spec.nth && applies(spec, armed, site))
-            throw InjectedFault(site, spec.nth, armed.attempt);
+            throw InjectedFault(site, spec.nth);
     }
 }
 
@@ -178,9 +175,7 @@ FaultPlan::parse(const std::string &spec)
             const std::string &field = fields[f];
             if (field.empty())
                 continue;
-            if (field == "all") {
-                fault.fail_attempts = kFaultAllAttempts;
-            } else if (field == "throw") {
+            if (field == "throw") {
                 fault.kind = FaultKind::Throw;
             } else if (field == "stall") {
                 fault.kind = FaultKind::Stall;
@@ -190,15 +185,6 @@ FaultPlan::parse(const std::string &spec)
             } else if (field[0] == 's' && field.size() > 1) {
                 fault.seed = static_cast<unsigned>(
                     parseUint(field.substr(1), "seed selector"));
-            } else if (field[0] >= '0' && field[0] <= '9') {
-                const std::uint64_t n =
-                    parseUint(field, "attempt count");
-                if (n == 0) {
-                    throw ConfigError("fault.spec",
-                                      "attempt count must be >= 1 in \"" +
-                                          entry + "\"");
-                }
-                fault.fail_attempts = static_cast<unsigned>(n);
             } else {
                 throw ConfigError("fault.spec",
                                   "unknown field \"" + field + "\" in \"" +
@@ -219,8 +205,8 @@ FaultPlan::fromEnv()
     return parse(env);
 }
 
-FaultArmGuard::FaultArmGuard(const FaultPlan &plan, unsigned attempt,
-                             std::size_t point, unsigned seed)
+FaultArmGuard::FaultArmGuard(const FaultPlan &plan, std::size_t point,
+                             unsigned seed)
 {
     cmpsim_assert(detail::tl_armed == nullptr,
                   "nested fault arming on one thread");
@@ -228,7 +214,6 @@ FaultArmGuard::FaultArmGuard(const FaultPlan &plan, unsigned attempt,
         return;
     detail::ArmedFaults &armed = detail::tl_armed_storage;
     armed.plan = &plan;
-    armed.attempt = attempt;
     armed.point = point;
     armed.seed = seed;
     armed.hits.assign(plan.specs().size(), 0);

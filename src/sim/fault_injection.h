@@ -5,34 +5,29 @@
  * A FaultPlan names simulator sites that should misbehave and when:
  *
  *     CMPSIM_FAULT=l2.fill:100            100th L2 fill throws
- *                                         (first attempt only)
- *     CMPSIM_FAULT=l2.fill:100:all:p1     ... on every attempt, but
- *                                         only for batch point 1
- *     CMPSIM_FAULT=core.stall:1:all:stall cores livelock instead of
+ *     CMPSIM_FAULT=l2.fill:100:p1         ... only for batch point 1
+ *     CMPSIM_FAULT=core.stall:1:stall     cores livelock instead of
  *                                         retiring (watchdog food)
  *     CMPSIM_FAULT=link.transfer:5,workload.gen:1   several at once
  *
  * Spec grammar, per comma-separated entry:
  *     site:nth[:field]...
  * where each optional field is one of
- *     <integer>  fail this many attempts (default 1 — transient;
- *                a retry succeeds), "all" = fail every attempt
  *     throw | stall   fault kind (default throw)
  *     p<N>       only batch point index N
  *     s<N>       only seed number N (1-based, as in config.seed)
  *
- * Plans are armed per thread and per task attempt (FaultArmGuard), so
- * hit counting is deterministic regardless of worker count: every
- * (point, seed, attempt) execution counts its own site hits from
- * zero. Probes are free when nothing is armed (one thread-local
- * pointer test).
+ * Plans are armed per thread and per task (FaultArmGuard), so hit
+ * counting is deterministic regardless of worker count: every
+ * (point, seed) execution counts its own site hits from zero. Probes
+ * are free when nothing is armed (one thread-local pointer test).
  *
  * Known sites (kKnownSites in fault_injection.cc; parse() rejects any
  * other site with ConfigError): l2.fill (L2Cache::fill), link.transfer
  * (PriorityLink::send), workload.gen (SyntheticWorkload construction),
  * core.stall (CoreModel::tick, stall kind only), dram.access
  * (DramBackend::read — hit only when the banked backend is armed via
- * CMPSIM_DRAM; contains/retries like l2.fill), sample.ff (once per
+ * CMPSIM_DRAM; contained like l2.fill), sample.ff (once per
  * fast-forward chunk) and sample.interval (once per sampled interval).
  *
  * The same file hosts the per-point wall-clock deadline
@@ -59,8 +54,6 @@ enum class FaultKind
     Stall, ///< latch a per-thread stall flag (cores stop retiring)
 };
 
-inline constexpr unsigned kFaultAllAttempts =
-    std::numeric_limits<unsigned>::max();
 inline constexpr std::size_t kFaultAnyPoint =
     std::numeric_limits<std::size_t>::max();
 inline constexpr unsigned kFaultAnySeed =
@@ -71,7 +64,6 @@ struct FaultSpec
 {
     std::string site;
     std::uint64_t nth = 1;       ///< 1-based hit that triggers
-    unsigned fail_attempts = 1;  ///< attempts 1..k fire; kFaultAllAttempts
     FaultKind kind = FaultKind::Throw;
     std::size_t point = kFaultAnyPoint; ///< restrict to one batch point
     unsigned seed = kFaultAnySeed;      ///< restrict to one seed number
@@ -110,16 +102,16 @@ void checkPointDeadlineSlow(const char *where);
 } // namespace detail
 
 /**
- * Arm @p plan on the current thread for one task attempt; disarms on
- * destruction. @p attempt is 1-based; @p point / @p seed identify the
- * executing task for p<N>/s<N> selectors (defaults match any).
+ * Arm @p plan on the current thread for one task; disarms on
+ * destruction. @p point / @p seed identify the executing task for
+ * p<N>/s<N> selectors (defaults match any).
  */
 class FaultArmGuard
 {
   public:
-    FaultArmGuard(const FaultPlan &plan, unsigned attempt,
-                  std::size_t point = kFaultAnyPoint,
-                  unsigned seed = kFaultAnySeed);
+    explicit FaultArmGuard(const FaultPlan &plan,
+                           std::size_t point = kFaultAnyPoint,
+                           unsigned seed = kFaultAnySeed);
     ~FaultArmGuard();
 
     FaultArmGuard(const FaultArmGuard &) = delete;
@@ -137,7 +129,7 @@ faultSite(const char *site)
 
 /** Stall-kind probe: count a hit of @p site and report whether a
  *  stall is latched on this thread (sticky for the rest of the
- *  attempt). Always false when nothing is armed. */
+ *  task). Always false when nothing is armed. */
 inline bool
 faultStallActive(const char *site)
 {

@@ -348,6 +348,15 @@ TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
           "void v() { reject(\"config.dram.banks\", \"...\"); }\n"}},
         ctx);
     EXPECT_TRUE(where(good, "knob-registry").empty());
+
+    // The checker's own knob->domain map spells "config.dram" under
+    // tools/; that literal is not validate() coverage.
+    const auto map_only = analyze(
+        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_DRAM\"); }\n"},
+         {"tools/analyze/checks_knobs.cc",
+          "auto m = {\"CMPSIM_DRAM\", \"config.dram\"};\n"}},
+        ctx);
+    EXPECT_EQ(where(map_only, "knob-registry").size(), 1u);
 }
 
 TEST(KnobRegistryTest, SkipsEntirelyWithoutAReadme)
@@ -375,7 +384,7 @@ TEST(FaultSiteTest, PlanStringsAndSection8EntriesSatisfyCoverage)
 {
     AnalysisContext ctx;
     // A plan string with trailing fields counts as injection.
-    ctx.tests_blob = "FaultPlan::parse(\"dram.access:2:all\");\n";
+    ctx.tests_blob = "FaultPlan::parse(\"dram.access:2:p1\");\n";
     ctx.design = "## 8. Failure model\nsites: `dram.access`\n";
     const auto r = analyze(
         {{"src/dram/d.cc", "void f() { faultSite(\"dram.access\"); }\n"}},

@@ -7,7 +7,6 @@
 
 #include "src/common/sim_error.h"
 
-#include "src/compression/bdi.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/cmp_system.h"
 #include "src/workload/workload_params.h"
@@ -166,16 +165,14 @@ TEST(AuditDecoupledSetTest, DetectsLiveStateOnInvalidTag)
 
 // ------------------------------------------------- round-trip audit
 
-TEST(AuditRoundTripTest, FpcAndBdiSurviveStructuredData)
+TEST(AuditRoundTripTest, FpcSurvivesStructuredData)
 {
     FpcCompressor fpc;
-    BdiCompressor bdi;
     LineData line{};
     for (unsigned i = 0; i < kLineBytes; ++i)
         line[i] = static_cast<std::uint8_t>(i * 7 + 3);
     std::string why;
     EXPECT_TRUE(auditCompressorRoundTrip(fpc, line, why)) << why;
-    EXPECT_TRUE(auditCompressorRoundTrip(bdi, line, why)) << why;
 }
 
 namespace {

@@ -2,8 +2,8 @@
  * @file
  * Fault-injection harness + crash-containment contract (DESIGN.md §8):
  * the CMPSIM_FAULT grammar, deterministic triggering at named sites,
- * batch containment and retry in runPointsChecked(), the livelock
- * watchdog, and the wall-clock point deadline.
+ * batch containment in runPointsChecked(), the livelock watchdog, and
+ * the wall-clock point deadline.
  */
 
 #include "src/sim/fault_injection.h"
@@ -43,40 +43,28 @@ smallPoints()
     return specs;
 }
 
-std::vector<std::uint64_t>
-fingerprints(const BatchResult &batch)
-{
-    std::vector<std::uint64_t> hashes;
-    for (const auto &s : batch.summaries)
-        hashes.push_back(fnv1a(summaryBytes(s)));
-    return hashes;
-}
-
 // ------------------------------------------------------ plan grammar
 
 TEST(FaultPlanTest, ParsesFullGrammar)
 {
     const FaultPlan plan = FaultPlan::parse(
-        "l2.fill:100,link.transfer:5:all:p1:s2,core.stall:1:stall:3");
+        "l2.fill:100,link.transfer:5:p1:s2,core.stall:1:stall");
     ASSERT_EQ(plan.specs().size(), 3u);
 
     const FaultSpec &a = plan.specs()[0];
     EXPECT_EQ(a.site, "l2.fill");
     EXPECT_EQ(a.nth, 100u);
-    EXPECT_EQ(a.fail_attempts, 1u);
     EXPECT_EQ(a.kind, FaultKind::Throw);
     EXPECT_EQ(a.point, kFaultAnyPoint);
     EXPECT_EQ(a.seed, kFaultAnySeed);
 
     const FaultSpec &b = plan.specs()[1];
     EXPECT_EQ(b.site, "link.transfer");
-    EXPECT_EQ(b.fail_attempts, kFaultAllAttempts);
     EXPECT_EQ(b.point, 1u);
     EXPECT_EQ(b.seed, 2u);
 
     const FaultSpec &c = plan.specs()[2];
     EXPECT_EQ(c.kind, FaultKind::Stall);
-    EXPECT_EQ(c.fail_attempts, 3u);
 }
 
 TEST(FaultPlanTest, EmptySpecYieldsEmptyPlan)
@@ -93,6 +81,9 @@ TEST(FaultPlanTest, MalformedSpecsThrowConfigError)
     EXPECT_THROW(FaultPlan::parse("l2.fill:1:bogus"), ConfigError);
     EXPECT_THROW(FaultPlan::parse("l2.fill:1:p"), ConfigError);
     EXPECT_THROW(FaultPlan::parse(":5"), ConfigError);
+    // Retired per-attempt fields: every task runs once.
+    EXPECT_THROW(FaultPlan::parse("l2.fill:1:all"), ConfigError);
+    EXPECT_THROW(FaultPlan::parse("l2.fill:1:2"), ConfigError);
     // Sites no probe uses: a misspelling and two retired names.
     EXPECT_THROW(FaultPlan::parse("l2.fil:1"), ConfigError);
     EXPECT_THROW(FaultPlan::parse("lane.sync:1"), ConfigError);
@@ -111,7 +102,7 @@ TEST(FaultProbeTest, UnarmedProbesAreInert)
 TEST(FaultProbeTest, ThrowsOnExactlyTheNthHit)
 {
     const FaultPlan plan = FaultPlan::parse("l2.fill:3");
-    FaultArmGuard arm(plan, /*attempt=*/1);
+    FaultArmGuard arm(plan);
     EXPECT_NO_THROW(faultSite("l2.fill"));
     EXPECT_NO_THROW(faultSite("other.site"));
     EXPECT_NO_THROW(faultSite("l2.fill"));
@@ -125,23 +116,10 @@ TEST(FaultProbeTest, ThrowsOnExactlyTheNthHit)
     EXPECT_NO_THROW(faultSite("l2.fill"));
 }
 
-TEST(FaultProbeTest, TransientFaultSkipsLaterAttempts)
-{
-    const FaultPlan plan = FaultPlan::parse("l2.fill:1");
-    {
-        FaultArmGuard arm(plan, /*attempt=*/1);
-        EXPECT_THROW(faultSite("l2.fill"), InjectedFault);
-    }
-    {
-        FaultArmGuard arm(plan, /*attempt=*/2);
-        EXPECT_NO_THROW(faultSite("l2.fill"));
-    }
-}
-
 TEST(FaultProbeTest, StallLatchesAndSticks)
 {
-    const FaultPlan plan = FaultPlan::parse("core.stall:2:stall:all");
-    FaultArmGuard arm(plan, 1);
+    const FaultPlan plan = FaultPlan::parse("core.stall:2:stall");
+    FaultArmGuard arm(plan);
     EXPECT_FALSE(faultStallActive("core.stall"));
     EXPECT_TRUE(faultStallActive("core.stall")); // second hit latches
     EXPECT_TRUE(faultStallActive("core.stall")); // sticky
@@ -170,7 +148,7 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
         const FaultPlan plan = FaultPlan::parse("sample.ff:2");
         CmpSystem sys(cfg, benchmarkParams("zeus"));
         SamplingController ctl(sys);
-        FaultArmGuard arm(plan, /*attempt=*/1);
+        FaultArmGuard arm(plan);
         try {
             ctl.run();
             FAIL() << "sample.ff fault did not fire";
@@ -182,7 +160,7 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
         const FaultPlan plan = FaultPlan::parse("sample.interval:3");
         CmpSystem sys(cfg, benchmarkParams("zeus"));
         SamplingController ctl(sys);
-        FaultArmGuard arm(plan, /*attempt=*/1);
+        FaultArmGuard arm(plan);
         try {
             ctl.run();
             FAIL() << "sample.interval fault did not fire";
@@ -197,7 +175,7 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
         SystemConfig plain = makeConfig(2, 8, false, false, false,
                                         false);
         CmpSystem sys(plain, benchmarkParams("zeus"));
-        FaultArmGuard arm(plan, /*attempt=*/1);
+        FaultArmGuard arm(plan);
         sys.warmup(2000);
         EXPECT_NO_THROW(sys.run(1000));
     }
@@ -205,55 +183,27 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
 
 TEST(FaultContainmentTest, SampledPointFaultIsContainedAndRetried)
 {
-    // A transient fast-forward fault inside a sampled point must be
-    // contained by the batch runner and retried to a clean result,
-    // exactly like any other site.
+    // A fast-forward fault inside a sampled point is contained by the
+    // batch runner like any other site: the point fails [injected]
+    // and its neighbour still completes.
     auto specs = smallPoints();
-    specs.resize(1);
     specs[0].config.sampling = SamplingPlan::parse("4000:1000:3");
     specs[0].lengths.measure_per_core = 0; // sampled runs ignore it
 
-    RunPolicy clean;
-    const BatchResult expected = runPointsChecked(specs, 2, clean);
-    ASSERT_EQ(expected.failed(), 0u);
-
     RunPolicy faulty;
-    faulty.max_attempts = 2;
     faulty.faults = FaultPlan::parse("sample.ff:5:p0");
     const BatchResult batch = runPointsChecked(specs, 2, faulty);
 
-    EXPECT_EQ(batch.failed(), 0u);
-    EXPECT_EQ(batch.outcomes[0].attempts, 2u);
-    EXPECT_EQ(fingerprints(batch), fingerprints(expected));
+    EXPECT_EQ(batch.failed(), 1u);
+    EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
+    EXPECT_EQ(batch.outcomes[0].error_kind, ErrorKind::Injected);
+    EXPECT_NE(batch.outcomes[0].error.find("[injected] sample.ff"),
+              std::string::npos)
+        << batch.outcomes[0].error;
+    EXPECT_EQ(batch.outcomes[1].status, PointStatus::Ok);
 }
 
 // ----------------------------------------------- batch containment
-
-TEST(FaultContainmentTest, TransientL2FillFaultIsRetriedToSuccess)
-{
-    const auto specs = smallPoints();
-
-    RunPolicy clean;
-    const BatchResult expected = runPointsChecked(specs, 2, clean);
-    ASSERT_EQ(expected.failed(), 0u);
-
-    // First attempt of point 0 throws at its 50th L2 fill; the retry
-    // (attempt 2) runs fault-free and must reproduce the clean batch
-    // byte-for-byte.
-    RunPolicy faulty;
-    faulty.max_attempts = 2;
-    faulty.faults = FaultPlan::parse("l2.fill:50:p0");
-    const BatchResult batch = runPointsChecked(specs, 2, faulty);
-
-    EXPECT_EQ(batch.failed(), 0u);
-    ASSERT_EQ(batch.outcomes.size(), 2u);
-    EXPECT_EQ(batch.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(batch.outcomes[0].attempts, 2u);
-    EXPECT_EQ(batch.outcomes[1].status, PointStatus::Ok);
-    EXPECT_EQ(batch.outcomes[1].attempts, 1u);
-    EXPECT_EQ(fingerprints(batch), fingerprints(expected));
-    EXPECT_EQ(batch.failureSummary(), "");
-}
 
 TEST(FaultContainmentTest, PermanentFaultFailsOnePointNotTheBatch)
 {
@@ -263,14 +213,13 @@ TEST(FaultContainmentTest, PermanentFaultFailsOnePointNotTheBatch)
     const BatchResult expected = runPointsChecked(specs, 2, clean);
 
     RunPolicy faulty;
-    faulty.max_attempts = 2;
-    faulty.faults = FaultPlan::parse("l2.fill:50:all:p0");
+    faulty.faults = FaultPlan::parse("l2.fill:50:p0");
     const BatchResult batch = runPointsChecked(specs, 2, faulty);
 
     EXPECT_EQ(batch.failed(), 1u);
     EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(batch.outcomes[0].error_kind, ErrorKind::Injected);
-    EXPECT_EQ(batch.outcomes[0].attempts, 2u);
+    EXPECT_EQ(batch.outcomes[0].attempts, 1u);
     EXPECT_NE(batch.outcomes[0].error.find("l2.fill"),
               std::string::npos)
         << batch.outcomes[0].error;
@@ -288,20 +237,16 @@ TEST(FaultContainmentTest, PermanentFaultFailsOnePointNotTheBatch)
 
 TEST(FaultContainmentTest, DeterministicErrorsAreNotRetried)
 {
-    // workload.gen faults on every attempt would be retried if the
-    // runner honoured only the attempt bound; a WorkloadError must
-    // instead fail fast. Use an unknown benchmark for a genuinely
-    // deterministic failure.
+    // An unknown benchmark is a WorkloadError: it fails its own point
+    // and the rest of the batch still completes.
     auto specs = smallPoints();
     specs[0].benchmark = "no-such-benchmark";
 
-    RunPolicy policy;
-    policy.max_attempts = 3;
-    const BatchResult batch = runPointsChecked(specs, 2, policy);
+    const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
 
     EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(batch.outcomes[0].error_kind, ErrorKind::Workload);
-    EXPECT_EQ(batch.outcomes[0].attempts, 1u); // no retry burned
+    EXPECT_EQ(batch.outcomes[0].attempts, 1u);
     EXPECT_EQ(batch.outcomes[1].status, PointStatus::Ok);
 }
 
@@ -311,8 +256,7 @@ TEST(FaultContainmentTest, SeedSelectorHitsOnlyThatSeed)
     specs.resize(1);
 
     RunPolicy faulty;
-    faulty.max_attempts = 1;
-    faulty.faults = FaultPlan::parse("workload.gen:1:all:s2");
+    faulty.faults = FaultPlan::parse("workload.gen:1:s2");
     const BatchResult batch = runPointsChecked(specs, 2, faulty);
 
     // Seed 1 ran clean; seed 2 failed, sinking the point.
@@ -349,8 +293,7 @@ TEST(WatchdogTest, InjectedLivelockTerminatesViaWatchdog)
     specs[0].config.watchdog_cycles = 50000;
 
     RunPolicy policy;
-    policy.max_attempts = 1;
-    policy.faults = FaultPlan::parse("core.stall:1:all:stall");
+    policy.faults = FaultPlan::parse("core.stall:1:stall");
     const BatchResult batch = runPointsChecked(specs, 1, policy);
 
     ASSERT_EQ(batch.outcomes.size(), 1u);
@@ -364,25 +307,6 @@ TEST(WatchdogTest, InjectedLivelockTerminatesViaWatchdog)
         << batch.outcomes[0].error;
     EXPECT_NE(batch.outcomes[0].error.find("eq.size"), std::string::npos)
         << batch.outcomes[0].error;
-}
-
-TEST(WatchdogTest, WatchdogIsTransientSoRetryRunsClean)
-{
-    // A livelock injected only on attempt 1 trips the watchdog, which
-    // is classified transient; attempt 2 must complete the point.
-    auto specs = smallPoints();
-    specs.resize(1);
-    specs[0].seeds = 1;
-    specs[0].config.watchdog_cycles = 50000;
-
-    RunPolicy policy;
-    policy.max_attempts = 2;
-    policy.faults = FaultPlan::parse("core.stall:1:1:stall");
-    const BatchResult batch = runPointsChecked(specs, 1, policy);
-
-    EXPECT_EQ(batch.outcomes[0].status, PointStatus::Ok);
-    EXPECT_EQ(batch.outcomes[0].attempts, 2u);
-    EXPECT_GT(batch.summaries[0].cycles.mean, 0.0);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -171,7 +172,7 @@ TEST(JournalResumeTest, FailedPointIsNotJournaledAndRerunsClean)
     // and is journaled.
     RunPolicy faulty;
     faulty.journal_path = path;
-    faulty.faults = FaultPlan::parse("l2.fill:50:all:p0");
+    faulty.faults = FaultPlan::parse("l2.fill:50:p0");
     const BatchResult interrupted = runPointsChecked(specs, 2, faulty);
     EXPECT_EQ(interrupted.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(interrupted.outcomes[1].status, PointStatus::Ok);
@@ -238,18 +239,36 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
     const auto specs = smallPoints();
     const std::string path =
         journalPath("UnrecognisableJournalIsStartedFresh");
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "not a journal at all\n";
+
+    // A v1 journal (records without a CRC field) holding every point
+    // of this very batch: only v2 is read, so none of it is restored.
+    const BatchResult clean = runPointsChecked(specs, 2, RunPolicy{});
+    std::string v1 = "cmpsim-journal v1\n";
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string body = summaryBytes(clean.summaries[i]);
+        char head[64];
+        std::snprintf(head, sizeof(head), "point %016llx %zu\n",
+                      static_cast<unsigned long long>(
+                          fnv1a(pointSpecBytes(specs[i]))),
+                      body.size());
+        v1 += head + body + "end\n";
     }
-    RunPolicy policy;
-    policy.journal_path = path;
-    const BatchResult batch = runPointsChecked(specs, 2, policy);
-    EXPECT_EQ(batch.failed(), 0u);
-    EXPECT_EQ(batch.restored(), 0u);
-    const std::string content = readFile(path);
-    EXPECT_EQ(content.compare(0, 18, "cmpsim-journal v2\n"), 0)
-        << content.substr(0, 40);
+
+    for (const std::string &garbage :
+         {std::string("not a journal at all\n"), v1}) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << garbage;
+        }
+        RunPolicy policy;
+        policy.journal_path = path;
+        const BatchResult batch = runPointsChecked(specs, 2, policy);
+        EXPECT_EQ(batch.failed(), 0u);
+        EXPECT_EQ(batch.restored(), 0u) << garbage.substr(0, 18);
+        const std::string content = readFile(path);
+        EXPECT_EQ(content.compare(0, 18, "cmpsim-journal v2\n"), 0)
+            << content.substr(0, 40);
+    }
     std::remove(path.c_str());
 }
 
@@ -292,59 +311,6 @@ TEST(JournalResumeTest, InteriorCorruptionTruncatesAtFirstBadRecord)
                   summaryBytes(first.summaries[i]))
             << "point " << i;
     }
-    std::remove(path.c_str());
-}
-
-TEST(JournalResumeTest, V1JournalIsReadAndUpgradedToV2)
-{
-    const auto specs = smallPoints();
-    const std::string path =
-        journalPath("V1JournalIsReadAndUpgradedToV2");
-    std::remove(path.c_str());
-
-    RunPolicy policy;
-    policy.journal_path = path;
-    const BatchResult first = runPointsChecked(specs, 1, policy);
-    ASSERT_EQ(first.failed(), 0u);
-
-    // Downgrade the file to the v1 format (no per-record CRC field)
-    // by rewriting each record head, exactly what a journal written
-    // before the CRC existed looks like.
-    const std::string v2 = readFile(path);
-    ASSERT_EQ(v2.compare(0, 18, "cmpsim-journal v2\n"), 0);
-    std::string v1 = "cmpsim-journal v1\n";
-    std::size_t pos = 18;
-    while (pos < v2.size()) {
-        ASSERT_EQ(v2.compare(pos, 6, "point "), 0);
-        const std::size_t nl = v2.find('\n', pos);
-        ASSERT_NE(nl, std::string::npos);
-        const std::string head = v2.substr(pos, nl - pos);
-        // "point <fp> <len> <crc>" -> "point <fp> <len>"
-        const std::size_t crc_sp = head.rfind(' ');
-        ASSERT_NE(crc_sp, std::string::npos);
-        const std::string fp_len = head.substr(0, crc_sp);
-        const std::size_t len =
-            std::stoul(fp_len.substr(fp_len.rfind(' ') + 1));
-        v1 += fp_len + "\n";
-        v1 += v2.substr(nl + 1, len + 4); // body + "end\n"
-        pos = nl + 1 + len + 4;
-    }
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << v1;
-    }
-
-    // Loading the v1 file restores every point and rewrites the
-    // journal in place as v2, CRCs and all.
-    const BatchResult second = runPointsChecked(specs, 2, policy);
-    ASSERT_EQ(second.failed(), 0u);
-    EXPECT_EQ(second.restored(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(summaryBytes(second.summaries[i]),
-                  summaryBytes(first.summaries[i]))
-            << "point " << i;
-    }
-    EXPECT_EQ(readFile(path), v2) << "v1 journal was not upgraded";
     std::remove(path.c_str());
 }
 

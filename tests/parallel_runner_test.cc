@@ -86,42 +86,6 @@ TEST(ParallelRunnerTest, RepeatedParallelRunsReproduce)
               fingerprints(runPoints(specs, 4)));
 }
 
-TEST(ParallelRunnerTest, RetryBackoffIsBoundedAndDeterministic)
-{
-    auto specs = standardPoints();
-    specs.resize(1);
-
-    // Transient fault on the first two attempts: rounds 1 and 2 fail,
-    // a backoff is slept before each retry round, round 3 succeeds.
-    RunPolicy policy;
-    policy.max_attempts = 3;
-    policy.faults = FaultPlan::parse("l2.fill:50:2");
-
-    const BatchResult first = runPointsChecked(specs, 2, policy);
-    ASSERT_EQ(first.failed(), 0u);
-    EXPECT_EQ(first.outcomes[0].attempts, 3u);
-    ASSERT_EQ(first.retry_delays_ms.size(), 2u);
-    for (const std::uint64_t ms : first.retry_delays_ms) {
-        EXPECT_GT(ms, 0u);
-        EXPECT_LE(ms, 510u); // 500ms cap + <10ms deterministic jitter
-    }
-
-    // Keyed on (attempt, spec fingerprints), never wall-clock: an
-    // identical batch sleeps the identical schedule.
-    const BatchResult second = runPointsChecked(specs, 2, policy);
-    EXPECT_EQ(second.retry_delays_ms, first.retry_delays_ms);
-
-    // A permanently failing batch reports the schedule in its digest.
-    RunPolicy broken;
-    broken.max_attempts = 2;
-    broken.faults = FaultPlan::parse("l2.fill:50:all");
-    const BatchResult failed = runPointsChecked(specs, 2, broken);
-    ASSERT_EQ(failed.failed(), 1u);
-    EXPECT_NE(failed.failureSummary().find("retry backoff:"),
-              std::string::npos)
-        << failed.failureSummary();
-}
-
 TEST(ParallelRunnerTest, RunSeedsMatchesRunPointsSlotForSlot)
 {
     auto specs = standardPoints();

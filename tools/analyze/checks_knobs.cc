@@ -4,9 +4,9 @@
  * be documented, and every documented knob must still exist — knob
  * drift fails the scan instead of rotting silently.
  *
- * Forward check: each `getenv("CMPSIM_*")` / `envUint64Or("CMPSIM_*")`
- * site in src/ or tools/ needs a matching `| `CMPSIM_*` |` row in
- * README.md's knob tables.
+ * Forward check: each `getenv("CMPSIM_*")` / `envUint64("CMPSIM_*")` /
+ * `envUint64Or("CMPSIM_*")` site in src/ or tools/ needs a matching
+ * `| `CMPSIM_*` |` row in README.md's knob tables.
  *
  * Reverse check: each documented CMPSIM_* row must be read somewhere
  * in the analyzed src//tools/ files, or appear in the top-level
@@ -15,9 +15,11 @@
  *
  * Config-coverage check: knobs that land inside SystemConfig must be
  * guarded by SystemConfig::validate(), evidenced by a "config.<domain>"
- * ConfigError context string somewhere in the corpus. The knob->domain
- * map below is the one piece of checker-maintained knowledge: extend
- * it when a new env knob starts populating SystemConfig fields.
+ * ConfigError context string in a src/ file (where validate() lives;
+ * the map below would otherwise count as its own evidence). The
+ * knob->domain map is the one piece of checker-maintained knowledge:
+ * extend it when a new env knob starts populating SystemConfig
+ * fields.
  */
 
 #include <map>
@@ -76,16 +78,18 @@ class KnobRegistryChecker final : public Checker
         // Code side: knob string literals fed to the env accessors.
         std::vector<KnobSite> sites;
         std::set<std::string> read_knobs;
-        std::set<std::string> string_pool; // every literal in corpus
+        std::set<std::string> string_pool; // every literal in src/
         for (const SourceFile &f : corpus.files) {
-            const bool scoped = f.under("src") || f.under("tools");
+            const bool in_src = f.under("src");
+            const bool scoped = in_src || f.under("tools");
             const auto &t = f.tokens;
             for (std::size_t i = 0; i < t.size(); ++i) {
-                if (t[i].kind == TokKind::String)
+                if (in_src && t[i].kind == TokKind::String)
                     string_pool.insert(t[i].text);
                 if (!scoped)
                     continue;
                 if ((isIdent(t, i, "getenv") ||
+                     isIdent(t, i, "envUint64") ||
                      isIdent(t, i, "envUint64Or")) &&
                     isPunct(t, i + 1, "(") && i + 2 < t.size() &&
                     t[i + 2].kind == TokKind::String &&

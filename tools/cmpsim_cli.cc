@@ -6,7 +6,6 @@
  *
  *   cmpsim --workload zeus --compression --prefetch --adaptive
  *   cmpsim --workload jbb --cores 16 --bandwidth 10 --stats
- *   cmpsim --workload apache --record trace.bin --record-count 100000
  *
  * Run with --help for the full flag list.
  */
@@ -29,7 +28,6 @@
 #include "src/obs/trace.h"
 #include "src/sample/sampling_controller.h"
 #include "src/sim/fault_injection.h"
-#include "src/workload/trace.h"
 
 using namespace cmpsim;
 
@@ -47,8 +45,6 @@ die(const char *context, const std::string &message)
 struct CliOptions
 {
     std::string workload = "zeus";
-    std::string record_path;
-    std::uint64_t record_count = 100000;
     unsigned cores = 8;
     unsigned scale = 4;
     bool cache_compression = false;
@@ -79,10 +75,6 @@ usage(int code)
         "usage: cmpsim [flags]\n\n"
         "  --workload NAME     apache zeus oltp jbb art apsi fma3d "
         "mgrid (default zeus)\n"
-        "  --record FILE       record the workload's instruction "
-        "stream to FILE and exit\n"
-        "  --record-count N    instructions to record (default "
-        "100000)\n"
         "  --cores N           1..16 (default 8)\n"
         "  --scale N           capacity divisor; 1 = paper-size 4 MB "
         "L2 (default 4)\n"
@@ -152,10 +144,6 @@ parse(int argc, char **argv)
             usage(0);
         } else if (a == "--workload") {
             o.workload = need_value(i++);
-        } else if (a == "--record") {
-            o.record_path = need_value(i++);
-        } else if (a == "--record-count") {
-            o.record_count = parse_uint(i++);
         } else if (a == "--cores") {
             o.cores = static_cast<unsigned>(parse_uint(i++));
         } else if (a == "--scale") {
@@ -210,25 +198,11 @@ int
 run(const CliOptions &o)
 {
     // Honour the environment failure-model knobs for single runs too:
-    // CMPSIM_FAULT arms attempt 1 and CMPSIM_POINT_TIMEOUT bounds the
+    // CMPSIM_FAULT arms this run and CMPSIM_POINT_TIMEOUT bounds the
     // whole warmup+run step, exactly as one parallel-runner task.
     const RunPolicy policy = defaultRunPolicy();
-    FaultArmGuard arm(policy.faults, 1);
+    FaultArmGuard arm(policy.faults);
     DeadlineGuard deadline(policy.point_timeout_sec);
-
-    if (!o.record_path.empty()) {
-        // Trace-capture mode: no simulation, just the stream.
-        FpcCompressor fpc;
-        ValueStore values(fpc);
-        const auto params =
-            benchmarkParams(o.workload).scaled(o.scale);
-        SyntheticWorkload stream(params, values, 0, o.seed);
-        TraceWriter::record(stream, o.record_count, o.record_path);
-        std::printf("recorded %llu instructions of %s to %s\n",
-                    static_cast<unsigned long long>(o.record_count),
-                    o.workload.c_str(), o.record_path.c_str());
-        return 0;
-    }
 
     SystemConfig cfg =
         makeConfig(o.cores, o.scale, o.cache_compression,
@@ -241,9 +215,10 @@ run(const CliOptions &o)
     cfg.sample_interval = o.sample_cycles;
     if (!o.sampling_spec.empty())
         cfg.sampling = SamplingPlan::parse(o.sampling_spec);
-    if (!o.samples_path.empty() && cfg.sample_interval == 0 &&
-        std::getenv("CMPSIM_SAMPLE_CYCLES") == nullptr)
-        cfg.sample_interval = 100000; // --samples implies sampling
+    // --samples implies sampling; CMPSIM_SAMPLE_CYCLES, when set,
+    // overrides the period at CmpSystem construction anyway.
+    if (!o.samples_path.empty() && cfg.sample_interval == 0)
+        cfg.sample_interval = envUint64Or("CMPSIM_SAMPLE_CYCLES", 100000);
     // Validate before the banner: "--scale 0" must die with a
     // ConfigError, not divide the L2-size estimate by zero.
     cfg.validate();
