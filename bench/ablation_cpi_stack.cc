@@ -53,7 +53,7 @@ runArmed(Cfg c, const std::string &wl)
 {
     SystemConfig cfg = configFor(c);
     cfg.cpi_stack = true;
-    const auto len = defaultRunLengths();
+    const auto len = readEnvKnobs().lengths;
 
     CmpSystem sys(cfg, benchmarkParams(wl));
     sys.warmup(len.warmup_per_core);

@@ -21,7 +21,7 @@ namespace {
 double
 cyclesFor(SystemConfig cfg, const std::string &wl)
 {
-    return meanCycles(runSeeds(cfg, wl, defaultRunLengths(), 1));
+    return meanCycles(runSeeds(cfg, wl, readEnvKnobs().lengths, 1));
 }
 
 } // namespace

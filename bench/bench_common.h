@@ -5,10 +5,10 @@
  * fixed-width table printing, and the paper's published numbers for
  * side-by-side comparison.
  *
- * Environment knobs (see src/core_api/experiment.h):
+ * Environment knobs (see src/core_api/env_knobs.h):
  *   CMPSIM_SCALE   capacity divisor (default 4; 1 = paper full size)
  *   CMPSIM_WARMUP  functional warmup instructions per core (400k)
- *   CMPSIM_MEASURE timed instructions per core (60k)
+ *   CMPSIM_MEASURE timed instructions per core (50k)
  *   CMPSIM_SEEDS   seeds per point (2)
  */
 
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core_api/env_knobs.h"
 #include "src/core_api/experiment.h"
 #include "src/core_api/miss_classify.h"
 #include "src/core_api/parallel_runner.h"
@@ -41,7 +42,7 @@ enum class Cfg
 inline SystemConfig
 configFor(Cfg c, unsigned cores = 8, double bw_gbps = 20.0)
 {
-    const unsigned scale = defaultScale();
+    const unsigned scale = readEnvKnobs().scale;
     switch (c) {
       case Cfg::Base:
         return makeConfig(cores, scale, false, false, false, false,
@@ -82,15 +83,16 @@ pct(double base_cycles, double enhanced_cycles)
 inline void
 banner(const char *title, const char *paper_ref)
 {
-    const auto len = defaultRunLengths();
+    const EnvKnobs env = readEnvKnobs();
+    const RunLengths &len = env.lengths;
     std::printf("=== %s ===\n", title);
     std::printf("paper: %s\n", paper_ref);
     std::printf("setup: scale=%u (L2 %u KB), warmup=%llu, "
                 "measure=%llu instr/core, seeds=%u\n\n",
-                defaultScale(), 4096 / defaultScale(),
+                env.scale, 4096 / env.scale,
                 static_cast<unsigned long long>(len.warmup_per_core),
                 static_cast<unsigned long long>(len.measure_per_core),
-                defaultSeeds());
+                env.seeds);
 }
 
 /** Paper's Table 5 rows (speedup %, 8-core CMP, 20 GB/s). */
@@ -197,12 +199,13 @@ inline PointSpec
 pointSpec(Cfg cfg, const std::string &wl, unsigned cores = 8,
           double bw = 20.0, bool infinite_bw = false, unsigned seeds = 0)
 {
+    const EnvKnobs env = readEnvKnobs();
     PointSpec spec;
     spec.config = configFor(cfg, cores, bw);
     spec.config.infinite_bandwidth = infinite_bw;
     spec.benchmark = wl;
-    spec.lengths = defaultRunLengths();
-    spec.seeds = seeds == 0 ? defaultSeeds() : seeds;
+    spec.lengths = env.lengths;
+    spec.seeds = seeds == 0 ? env.seeds : seeds;
     return spec;
 }
 

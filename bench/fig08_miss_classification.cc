@@ -30,7 +30,7 @@ profileOf(Cfg cfg, const std::string &wl)
     MissProfile profile;
     sys.l2().setMissObserver(
         [&](ReqType t, Addr line) { profile.record(t, line); });
-    const auto len = defaultRunLengths();
+    const auto len = readEnvKnobs().lengths;
     sys.warmup(len.warmup_per_core);
     sys.run(len.measure_per_core);
     return profile;

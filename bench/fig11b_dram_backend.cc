@@ -48,7 +48,7 @@ runBanked(Cfg cfg, const WorkloadParams &wl, DramSched sched)
     c.dram.backend = DramBackendKind::Banked;
     c.dram.sched = sched;
     CmpSystem sys(c, wl);
-    const RunLengths len = defaultRunLengths();
+    const RunLengths len = readEnvKnobs().lengths;
     sys.warmup(len.warmup_per_core);
     sys.run(len.measure_per_core);
     StatRegistry &reg = sys.stats();

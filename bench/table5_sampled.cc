@@ -33,7 +33,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 
 #include "bench/bench_common.h"
@@ -85,12 +84,6 @@ sampledMatrix(const Cfg (&cfgs)[N], const std::string &wl,
 int
 main()
 {
-    // The wall-clock gate compares this process's sampled matrix
-    // against its own full-detail reference; pin the runner to one
-    // worker so the comparison is compute-for-compute regardless of
-    // the host's core count.
-    setenv("CMPSIM_JOBS", "1", 1);
-
     banner("Table 5 (sampled): interaction sign on 100x longer runs "
            "with paired per-interval 95% CIs",
            "interaction positive for mgrid (+21.5) and zeus (+13.2); "
@@ -125,9 +118,12 @@ main()
             ref_specs.push_back(std::move(spec));
         }
     }
+    // The wall-clock gate compares the sampled matrix against this
+    // full-detail reference; one runner worker keeps the comparison
+    // compute-for-compute on any host.
     std::vector<MetricSummary> ref_results;
     const double detail_wall =
-        wallOf([&] { ref_results = runPoints(ref_specs); });
+        wallOf([&] { ref_results = runPoints(ref_specs, /*jobs=*/1); });
 
     std::printf("%-8s | %10s %12s %8s | %8s\n", "bench", "interact",
                 "ci95 (+/-)", "excl 0", "paper");
@@ -164,7 +160,8 @@ main()
     full.lengths.measure_per_core = 200000;
     PointSpec samp = pointSpec(Cfg::Base, "zeus", 8, 20.0, false, 1);
     samp.config.sampling = SamplingPlan::parse("15000:5000:10");
-    const auto val = runPoints({std::move(full), std::move(samp)});
+    const auto val =
+        runPoints({std::move(full), std::move(samp)}, /*jobs=*/1);
     const double ipc_full = val[0].runs.front().ipc;
     const double ipc_samp = val[1].runs.front().ipc;
     const double err_pct =

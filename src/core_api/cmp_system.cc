@@ -1,13 +1,10 @@
 #include "src/core_api/cmp_system.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/audit/audits.h"
 #include "src/common/sim_error.h"
-#include "src/core_api/experiment.h"
 #include "src/dram/dram_backend.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/trace.h"
@@ -29,29 +26,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
                      const WorkloadParams &workload)
     : config_(config), workload_(workload.scaled(config.scale))
 {
-    // CI's audit leg turns audits on for unmodified binaries:
-    // CMPSIM_AUDIT=<cycles> sets the periodic-audit interval (and the
-    // per-fill round-trip check); CMPSIM_AUDIT=0 forces audits off.
-    // Unset or empty leaves the config alone; garbage is a ConfigError.
-    if (const auto audit = envUint64("CMPSIM_AUDIT")) {
-        config_.audit_interval = *audit;
-        config_.audit_fill_roundtrip = *audit != 0;
-    }
-    // Same pattern for the forward-progress watchdog: CMPSIM_WATCHDOG
-    // overrides the cycle budget (0 disables it).
-    config_.watchdog_cycles =
-        envUint64Or("CMPSIM_WATCHDOG", config_.watchdog_cycles);
-    // And for interval time-series sampling: CMPSIM_SAMPLE_CYCLES
-    // sets the period (0 disables).
-    config_.sample_interval =
-        envUint64Or("CMPSIM_SAMPLE_CYCLES", config_.sample_interval);
-    // Opt-in CPI-stack / miss-genealogy layer (DESIGN.md §9):
-    // CMPSIM_CPISTACK arms it ("0" or empty leaves it off). Pure
-    // observation — stats land in cpiStats(), never in stats().
-    if (const char *env = std::getenv("CMPSIM_CPISTACK")) {
-        config_.cpi_stack =
-            *env != '\0' && std::strcmp(env, "0") != 0;
-    }
     config_.validate();
     buildSystem();
 

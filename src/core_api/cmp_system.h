@@ -108,9 +108,8 @@ class CmpSystem
     /**
      * The interval time-series sampler, or nullptr when
      * config.sample_interval is 0 (the default). Created at
-     * construction when sampling is enabled (CMPSIM_SAMPLE_CYCLES
-     * overrides the config knob); run() feeds it every interval and
-     * flushes a final partial interval at end-of-run.
+     * construction when sampling is enabled; run() feeds it every
+     * interval and flushes a final partial interval at end-of-run.
      */
     IntervalSampler *sampler() { return sampler_.get(); }
     const IntervalSampler *sampler() const { return sampler_.get(); }

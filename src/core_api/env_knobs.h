@@ -1,0 +1,60 @@
+/**
+ * @file
+ * The one place configuration enters from the environment: every
+ * CMPSIM_* knob is read and parsed by readEnvKnobs(), and nothing else
+ * under src/ or tools/ calls getenv (enforced by the analyzer's
+ * knob-registry check, DESIGN.md §11). One parse rule per value type,
+ * each ConfigError naming the knob:
+ *   unsigned  empty = unset; 0 is a value; else a decimal integer
+ *   boolean   empty = unset; else "0" or "1"
+ *   path      empty = unset
+ *   seconds   empty = unset; else finite and >= 0
+ *   spec      the component's own parser and error context
+ *
+ * Precedence: SystemConfig defaults, then the environment (applied by
+ * makeConfig()), then whatever code or a CLI flag sets afterwards.
+ * Parsed afresh on every call: tests change variables between calls,
+ * and no timed path reads it.
+ */
+
+#ifndef CMPSIM_CORE_API_ENV_KNOBS_H
+#define CMPSIM_CORE_API_ENV_KNOBS_H
+
+#include <optional>
+#include <string>
+
+#include "src/core_api/parallel_runner.h"
+
+namespace cmpsim {
+
+/** Every CMPSIM_* environment knob, parsed. */
+struct EnvKnobs
+{
+    unsigned scale = 4;  ///< CMPSIM_SCALE: bench capacity divisor
+    RunLengths lengths;  ///< CMPSIM_WARMUP / CMPSIM_MEASURE
+    unsigned seeds = 2;  ///< CMPSIM_SEEDS: seeds per bench point
+    /** CMPSIM_JOBS: runner workers (0 = one per hardware thread). */
+    unsigned jobs = 0;
+    /** What runPoints() applies: CMPSIM_JOURNAL, CMPSIM_POINT_TIMEOUT,
+     *  CMPSIM_FAULT, CMPSIM_REPORT and CMPSIM_PROGRESS. */
+    RunPolicy policy;
+
+    // Applied by makeConfig(); unset leaves the SystemConfig default.
+    std::optional<Cycle> audit;            ///< CMPSIM_AUDIT
+    std::optional<Cycle> watchdog;         ///< CMPSIM_WATCHDOG
+    std::optional<Cycle> sample_cycles;    ///< CMPSIM_SAMPLE_CYCLES
+    std::optional<bool> cpi_stack;         ///< CMPSIM_CPISTACK
+    std::optional<DramTimingParams> dram;  ///< CMPSIM_DRAM
+    std::optional<SamplingPlan> sampling;  ///< CMPSIM_SAMPLING
+
+    std::string trace;  ///< CMPSIM_TRACE: Chrome trace file
+    bool prof = false;  ///< CMPSIM_PROF: arm the scoped profiler
+};
+
+/** Parse every CMPSIM_* knob; throws ConfigError on the first
+ *  malformed one, whichever it is. */
+EnvKnobs readEnvKnobs();
+
+} // namespace cmpsim
+
+#endif // CMPSIM_CORE_API_ENV_KNOBS_H

@@ -1,33 +1,9 @@
 #include "src/core_api/experiment.h"
 
-#include <cstdlib>
-
 #include "src/core_api/parallel_runner.h"
 #include "src/sample/sampling_controller.h"
 
 namespace cmpsim {
-
-std::optional<std::uint64_t>
-envUint64(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return std::nullopt;
-    char *end = nullptr;
-    const auto parsed = std::strtoull(v, &end, 10);
-    // Reject only genuine parse failures (no digits, trailing junk):
-    // an explicit 0 is a legitimate value (CMPSIM_JOBS=0 means "auto",
-    // CMPSIM_WARMUP=0 means "no warmup").
-    if (end == v || *end != '\0')
-        cmpsim_fatal("bad value for %s: %s", name, v);
-    return parsed;
-}
-
-std::uint64_t
-envUint64Or(const char *name, std::uint64_t fallback)
-{
-    return envUint64(name).value_or(fallback);
-}
 
 namespace {
 
@@ -42,31 +18,6 @@ pfMetrics(double issued, double hits, double demand_misses,
     m.accuracy_pct = issued > 0 ? 100.0 * hits / issued : 0;
     return m;
 }
-
-} // namespace
-
-unsigned
-defaultScale()
-{
-    return static_cast<unsigned>(envUint64Or("CMPSIM_SCALE", 4));
-}
-
-RunLengths
-defaultRunLengths()
-{
-    RunLengths l;
-    l.warmup_per_core = envUint64Or("CMPSIM_WARMUP", 400000);
-    l.measure_per_core = envUint64Or("CMPSIM_MEASURE", 50000);
-    return l;
-}
-
-unsigned
-defaultSeeds()
-{
-    return static_cast<unsigned>(envUint64Or("CMPSIM_SEEDS", 2));
-}
-
-namespace {
 
 /** Sum a per-core counter family out of a stat-delta snapshot. */
 double

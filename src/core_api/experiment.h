@@ -9,7 +9,6 @@
 #ifndef CMPSIM_CORE_API_EXPERIMENT_H
 #define CMPSIM_CORE_API_EXPERIMENT_H
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,35 +77,14 @@ struct RunResult
     SampledMetrics sampled;
 };
 
-/** Run-length policy (overridable via environment; see options.cc). */
+/** Per-core run lengths. The defaults are the bench suite's; the
+ *  CMPSIM_WARMUP / CMPSIM_MEASURE knobs override them
+ *  (src/core_api/env_knobs.h). */
 struct RunLengths
 {
-    std::uint64_t warmup_per_core = 200000;
-    std::uint64_t measure_per_core = 60000;
+    std::uint64_t warmup_per_core = 400000;
+    std::uint64_t measure_per_core = 50000;
 };
-
-/**
- * Environment-configured defaults:
- *   CMPSIM_SCALE   capacity divisor (default 4; 1 = paper full size)
- *   CMPSIM_WARMUP  functional warmup instructions per core
- *   CMPSIM_MEASURE timed instructions per core
- *   CMPSIM_SEEDS   seeds per experiment point (default 2)
- *   CMPSIM_JOBS    experiment worker threads (0/unset = hardware)
- */
-unsigned defaultScale();
-RunLengths defaultRunLengths();
-unsigned defaultSeeds();
-
-/**
- * Parse environment variable @p name as an unsigned integer, or
- * std::nullopt when unset or empty. An explicit 0 is a valid value
- * (e.g. CMPSIM_WARMUP=0, CMPSIM_JOBS=0 = auto); only a string with no
- * digits or trailing garbage is fatal (ConfigError).
- */
-std::optional<std::uint64_t> envUint64(const char *name);
-
-/** envUint64(@p name), or @p fallback when unset or empty. */
-std::uint64_t envUint64Or(const char *name, std::uint64_t fallback);
 
 /**
  * Build a system, warm it up, run it, and extract metrics. When

@@ -14,51 +14,13 @@
 
 #include "src/common/crc32.h"
 #include "src/common/fingerprint.h"
+#include "src/core_api/env_knobs.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 #include "src/sim/thread_pool.h"
 
 namespace cmpsim {
-
-unsigned
-defaultJobs()
-{
-    const auto jobs = envUint64Or("CMPSIM_JOBS", 0);
-    if (jobs != 0)
-        return static_cast<unsigned>(jobs);
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-RunPolicy
-defaultRunPolicy()
-{
-    RunPolicy policy;
-    if (const char *env = std::getenv("CMPSIM_JOURNAL")) {
-        if (*env != '\0')
-            policy.journal_path = env;
-    }
-    if (const char *env = std::getenv("CMPSIM_POINT_TIMEOUT")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end == env || *end != '\0') {
-            throw ConfigError("CMPSIM_POINT_TIMEOUT",
-                              std::string("bad value \"") + env + "\"");
-        }
-        policy.point_timeout_sec = v;
-    }
-    policy.faults = FaultPlan::fromEnv();
-    if (const char *env = std::getenv("CMPSIM_REPORT")) {
-        if (*env != '\0')
-            policy.report_path = env;
-    }
-    if (const char *env = std::getenv("CMPSIM_PROGRESS")) {
-        policy.progress = *env != '\0' &&
-                          !(env[0] == '0' && env[1] == '\0');
-    }
-    return policy;
-}
 
 std::size_t
 BatchResult::failed() const
@@ -382,7 +344,9 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     }
 
     if (jobs == 0)
-        jobs = defaultJobs();
+        jobs = readEnvKnobs().jobs;
+    if (jobs == 0)
+        jobs = std::max(1u, std::thread::hardware_concurrency());
     jobs = static_cast<unsigned>(std::min<std::size_t>(jobs, tasks.size()));
 
     // Per-task failure slots (race-free: unique per task) and per-point
@@ -489,7 +453,8 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
 std::vector<MetricSummary>
 runPoints(const std::vector<PointSpec> &points, unsigned jobs)
 {
-    BatchResult batch = runPointsChecked(points, jobs, defaultRunPolicy());
+    BatchResult batch =
+        runPointsChecked(points, jobs, readEnvKnobs().policy);
     if (batch.failed() != 0) {
         ErrorKind kind = ErrorKind::Internal;
         for (const PointOutcome &o : batch.outcomes) {

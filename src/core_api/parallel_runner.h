@@ -25,13 +25,8 @@
  * journal restores those points byte-identically (asserted by
  * tests/journal_resume_test.cc) and only simulates the rest.
  *
- * Environment (read by defaultRunPolicy(), which runPoints() uses):
- *   CMPSIM_JOBS          worker threads (0/unset = hardware)
- *   CMPSIM_JOURNAL       journal file path (unset = no journal)
- *   CMPSIM_POINT_TIMEOUT per-point wall-clock deadline, seconds
- *   CMPSIM_FAULT         fault-injection plan (src/sim/fault_injection.h)
- *   CMPSIM_REPORT        batch JSON report path (unset = no report)
- *   CMPSIM_PROGRESS      "1" = per-task stderr progress lines
+ * runPoints() takes its policy, and a zero worker count its jobs,
+ * from the environment knobs (src/core_api/env_knobs.h).
  */
 
 #ifndef CMPSIM_CORE_API_PARALLEL_RUNNER_H
@@ -115,35 +110,26 @@ struct RunPolicy
     bool progress = false;
 };
 
-/** Policy from the environment knobs documented above. */
-RunPolicy defaultRunPolicy();
-
 /**
- * Worker count policy: CMPSIM_JOBS if set and non-zero, else
- * std::thread::hardware_concurrency() (at least 1). CMPSIM_JOBS=0
- * explicitly requests the hardware default.
- */
-unsigned defaultJobs();
-
-/**
- * Run every (point, seed) task across @p jobs workers (0 = use
- * defaultJobs()) under @p policy. One point's failure is contained:
- * the rest of the batch still runs to completion and the failure is
- * recorded in the returned outcomes. Deterministic: the summaries
- * are a pure function of @p points (and the journal contents),
- * independent of jobs. Throws only on batch-level misuse (bad
- * journal path, malformed fault plan, zero seeds).
+ * Run every (point, seed) task across @p jobs workers (0 = CMPSIM_JOBS
+ * if that is non-zero, else one per hardware thread) under @p policy.
+ * One point's failure is contained: the rest of the batch still runs
+ * to completion and the failure is recorded in the returned outcomes.
+ * Deterministic: the summaries are a pure function of @p points (and
+ * the journal contents), independent of jobs. Throws only on
+ * batch-level misuse (bad journal path, malformed fault plan, zero
+ * seeds).
  */
 BatchResult runPointsChecked(const std::vector<PointSpec> &points,
                              unsigned jobs = 0,
                              const RunPolicy &policy = RunPolicy{});
 
 /**
- * Legacy strict wrapper: runPointsChecked() under defaultRunPolicy(),
- * returning just the summaries. Any point failure throws a SimError
- * of the first failure's kind whose message is the batch's
- * failureSummary(). runs[s] within each summary is seed s+1, exactly
- * as the serial runSeeds loop produced.
+ * Legacy strict wrapper: runPointsChecked() under the environment's
+ * RunPolicy (EnvKnobs::policy), returning just the summaries. Any
+ * point failure throws a SimError of the first failure's kind whose
+ * message is the batch's failureSummary(). runs[s] within each
+ * summary is seed s+1, exactly as the serial runSeeds loop produced.
  */
 std::vector<MetricSummary> runPoints(const std::vector<PointSpec> &points,
                                      unsigned jobs = 0);

@@ -5,6 +5,7 @@
 
 #include "src/common/log.h"
 #include "src/common/sim_error.h"
+#include "src/core_api/env_knobs.h"
 
 namespace cmpsim {
 
@@ -201,13 +202,19 @@ makeConfig(unsigned cores, unsigned scale, bool cache_compression,
     c.prefetching = prefetching;
     c.adaptive_prefetch = adaptive;
     c.pin_bandwidth_gbps = pin_bandwidth_gbps;
-    // The CMPSIM_DRAM spec lands in the config itself (not applied at
-    // some later layer) so batch fingerprints and journal keys see
-    // the armed backend.
-    applyDramEnv(c.dram);
-    // Same contract for CMPSIM_SAMPLING: the plan changes measured
-    // numbers, so it must land in the config that feeds fingerprints.
-    applySamplingEnv(c.sampling);
+    // The environment lands in the config itself, never at some later
+    // layer: batch fingerprints and journal keys see the DRAM backend
+    // and sampling plan, and a field the caller sets afterwards wins.
+    const EnvKnobs env = readEnvKnobs();
+    if (env.audit) {
+        c.audit_interval = *env.audit;
+        c.audit_fill_roundtrip = *env.audit != 0;
+    }
+    c.watchdog_cycles = env.watchdog.value_or(c.watchdog_cycles);
+    c.sample_interval = env.sample_cycles.value_or(c.sample_interval);
+    c.cpi_stack = env.cpi_stack.value_or(c.cpi_stack);
+    c.dram = env.dram.value_or(c.dram);
+    c.sampling = env.sampling.value_or(c.sampling);
     return c;
 }
 

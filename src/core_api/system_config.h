@@ -20,7 +20,12 @@
 
 namespace cmpsim {
 
-/** One experimental configuration (a bar in the paper's figures). */
+/**
+ * One experimental configuration (a bar in the paper's figures).
+ * makeConfig() applies the CMPSIM_* environment knobs
+ * (src/core_api/env_knobs.h) to the fields they name; a field set
+ * after makeConfig() wins.
+ */
 struct SystemConfig
 {
     /** Number of single-threaded cores (paper default: 8). */
@@ -63,9 +68,7 @@ struct SystemConfig
      * Pure observation — simulated results are byte-identical armed or
      * not — and its stats land in a *separate* registry
      * (CmpSystem::cpiStats()) so default stat
-     * dumps and determinism fingerprints never change. The
-     * CMPSIM_CPISTACK environment variable overrides this at
-     * CmpSystem construction ("0" or empty leaves it off). Excluded
+     * dumps and determinism fingerprints never change. Excluded
      * from pointSpecBytes() like the other observation knobs.
      */
     bool cpi_stack = false;
@@ -103,9 +106,7 @@ struct SystemConfig
      * Memory backend behind the pin link: the paper-validated fixed
      * 400-cycle latency (default — seed hashes depend on it) or the
      * banked timing model with FR-FCFS scheduling, row-buffer state
-     * and compression-shortened bursts. makeConfig() applies the
-     * CMPSIM_DRAM environment spec ("banked:banks=16,sched=fcfs",
-     * see parseDramSpec) so every entry point can arm it.
+     * and compression-shortened bursts.
      */
     DramTimingParams dram;
 
@@ -116,15 +117,12 @@ struct SystemConfig
      * run alternates functional fast-forward and detailed measurement
      * intervals per the plan instead of one contiguous timed run, and
      * every metric carries a 95% confidence interval over the
-     * intervals. makeConfig() applies the CMPSIM_SAMPLING environment
-     * spec ("<ff>:<detail>:<n>[:ci<pct>]", see SamplingPlan::parse)
-     * so batch fingerprints and journal keys see the plan — sampling
-     * changes the measurement protocol, hence the measured numbers,
-     * so unlike the audit knobs it IS part of pointSpecBytes()
-     * (appended only when armed, keeping unsampled fingerprints
-     * byte-identical to older journals). Refused in combination with
-     * the CPI-stack layer (attribution windows do not span the
-     * fast-forward gaps between intervals).
+     * intervals. Sampling changes the measurement protocol, hence
+     * the measured numbers, so unlike the audit knobs it IS part of
+     * pointSpecBytes() (appended only when armed, keeping unsampled
+     * fingerprints byte-identical to older journals). Refused in
+     * combination with the CPI-stack layer (attribution windows do
+     * not span the fast-forward gaps between intervals).
      */
     SamplingPlan sampling;
 
@@ -133,9 +131,7 @@ struct SystemConfig
     /**
      * Run the full invariant audit every this many cycles of timed
      * simulation (plus once at end-of-run). 0 disables periodic audits
-     * — the Release default; tests and CI audit legs turn it on. The
-     * CMPSIM_AUDIT environment variable overrides this at CmpSystem
-     * construction ("0" disables, any other integer sets the period).
+     * — the Release default; tests and CI audit legs turn it on.
      */
     Cycle audit_interval = 0;
 
@@ -149,8 +145,7 @@ struct SystemConfig
      * every registered counter as a delta plus instantaneous gauges
      * (compression ratio, adaptive-counter state). 0 disables — the
      * default; sampling is pure observation and cannot change
-     * simulated results. The CMPSIM_SAMPLE_CYCLES environment
-     * variable overrides this at CmpSystem construction.
+     * simulated results.
      */
     Cycle sample_interval = 0;
 
@@ -162,8 +157,7 @@ struct SystemConfig
      * throws WatchdogTimeout with an event-queue/core diagnostic
      * instead of spinning forever. 0 disables. The default is far
      * above any legitimate stall (DRAM latency is 400 cycles; link
-     * backlogs reach thousands). The CMPSIM_WATCHDOG environment
-     * variable overrides this at CmpSystem construction.
+     * backlogs reach thousands).
      */
     Cycle watchdog_cycles = 2'000'000;
 
@@ -194,7 +188,9 @@ struct SystemConfig
     }
 };
 
-/** Convenience factory covering the paper's standard config matrix. */
+/** Convenience factory covering the paper's standard config matrix,
+ *  and the only place a SystemConfig takes values from the
+ *  environment. */
 SystemConfig makeConfig(unsigned cores, unsigned scale,
                         bool cache_compression, bool link_compression,
                         bool prefetching, bool adaptive,

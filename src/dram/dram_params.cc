@@ -124,13 +124,6 @@ parseDramSpec(const std::string &spec, DramTimingParams &p)
 }
 
 void
-applyDramEnv(DramTimingParams &p)
-{
-    if (const char *env = std::getenv("CMPSIM_DRAM"))
-        parseDramSpec(env, p);
-}
-
-void
 validateDramParams(const DramTimingParams &p)
 {
     auto reject = [](const char *knob, const std::string &why) {

@@ -120,10 +120,6 @@ struct DramTimingParams
  */
 void parseDramSpec(const std::string &spec, DramTimingParams &p);
 
-/** Apply the CMPSIM_DRAM environment variable to @p p (no-op when
- *  unset or empty). */
-void applyDramEnv(DramTimingParams &p);
-
 /**
  * Reject impossible banked-DRAM geometry/timing with a knob-named
  * ConfigError ("config.dram.<knob>"): zero banks/ranks/channels, a

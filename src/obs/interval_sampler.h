@@ -1,12 +1,12 @@
 /**
  * @file
  * Interval time-series sampler (DESIGN.md §9): driven by the event
- * kernel every SystemConfig::sample_interval cycles (CMPSIM_SAMPLE_CYCLES
- * overrides), it snapshots every counter registered in the system's
- * StatRegistry as a per-interval *delta*, plus a set of instantaneous
- * gauges (compression ratio, adaptive-controller counter, ...), and
- * derives the paper's rate metrics (per-core IPC, L1/L2 miss rates,
- * link bytes/cycle, L2 prefetch accuracy) per interval.
+ * kernel every SystemConfig::sample_interval cycles, it snapshots
+ * every counter registered in the system's StatRegistry as a
+ * per-interval *delta*, plus a set of instantaneous gauges
+ * (compression ratio, adaptive-controller counter, ...), and derives
+ * the paper's rate metrics (per-core IPC, L1/L2 miss rates, link
+ * bytes/cycle, L2 prefetch accuracy) per interval.
  *
  * This is the counter infrastructure runtime-guided prefetch
  * reconfiguration depends on (Prat et al., IPDPS'15) and the raw

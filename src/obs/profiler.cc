@@ -1,6 +1,5 @@
 #include "src/obs/profiler.h"
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
@@ -30,15 +29,6 @@ void
 setProfEnabled(bool on)
 {
     detail::g_prof_enabled.store(on, std::memory_order_relaxed);
-}
-
-void
-profInitFromEnv()
-{
-    const char *env = std::getenv("CMPSIM_PROF");
-    if (env != nullptr && *env != '\0' &&
-        !(env[0] == '0' && env[1] == '\0'))
-        setProfEnabled(true);
 }
 
 std::vector<ProfSample>

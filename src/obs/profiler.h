@@ -66,11 +66,8 @@ profEnabled()
     return detail::g_prof_enabled.load(std::memory_order_relaxed);
 }
 
-/** Turn recording on/off (tests; CLI uses profInitFromEnv()). */
+/** Turn recording on/off (entry points arm it from CMPSIM_PROF). */
 void setProfEnabled(bool on);
-
-/** Enable recording when CMPSIM_PROF is set to a non-"0" value. */
-void profInitFromEnv();
 
 /** Snapshot of one site for reporting. */
 struct ProfSample

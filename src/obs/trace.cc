@@ -1,7 +1,6 @@
 #include "src/obs/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/common/sim_error.h"
 #include "src/obs/json_writer.h"
@@ -201,16 +200,9 @@ TraceThreadScope::~TraceThreadScope()
 
 TraceSession::TraceSession(const std::string &path)
 {
-    std::string target = path;
-    if (target.empty()) {
-        if (const char *env = std::getenv("CMPSIM_TRACE")) {
-            if (*env != '\0')
-                target = env;
-        }
-    }
-    if (target.empty())
+    if (path.empty())
         return;
-    tracer_ = std::make_unique<Tracer>(target);
+    tracer_ = std::make_unique<Tracer>(path);
     Tracer::arm(tracer_.get());
 }
 

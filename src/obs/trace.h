@@ -190,15 +190,13 @@ traceCounter(const char *name, Cycle cycle, TraceArgs args)
 
 /**
  * RAII helper for process entry points (CLI, determinism gate):
- * opens and arms a tracer when CMPSIM_TRACE (or the explicit @p path)
- * names a file, and closes it at scope exit. Inert when neither is
- * set.
+ * opens and arms a tracer writing to @p path, and closes it at scope
+ * exit. Inert when @p path is empty.
  */
 class TraceSession
 {
   public:
-    /** @p path overrides CMPSIM_TRACE when non-empty. */
-    explicit TraceSession(const std::string &path = "");
+    explicit TraceSession(const std::string &path);
     ~TraceSession();
 
     TraceSession(const TraceSession &) = delete;

@@ -71,13 +71,4 @@ SamplingPlan::parse(const std::string &spec)
     return plan;
 }
 
-void
-applySamplingEnv(SamplingPlan &plan)
-{
-    const char *env = std::getenv("CMPSIM_SAMPLING");
-    if (env == nullptr || *env == '\0')
-        return;
-    plan = SamplingPlan::parse(env);
-}
-
 } // namespace cmpsim

@@ -83,10 +83,6 @@ struct SamplingPlan
     static SamplingPlan parse(const std::string &spec);
 };
 
-/** Apply the CMPSIM_SAMPLING environment spec to @p plan (no-op when
- *  the variable is unset or empty). */
-void applySamplingEnv(SamplingPlan &plan);
-
 } // namespace cmpsim
 
 #endif // CMPSIM_SAMPLE_SAMPLING_PLAN_H

@@ -196,15 +196,6 @@ FaultPlan::parse(const std::string &spec)
     return plan;
 }
 
-FaultPlan
-FaultPlan::fromEnv()
-{
-    const char *env = std::getenv("CMPSIM_FAULT");
-    if (env == nullptr || *env == '\0')
-        return FaultPlan{};
-    return parse(env);
-}
-
 FaultArmGuard::FaultArmGuard(const FaultPlan &plan, std::size_t point,
                              unsigned seed)
 {
@@ -228,12 +219,20 @@ FaultArmGuard::~FaultArmGuard()
 
 DeadlineGuard::DeadlineGuard(double seconds)
 {
-    if (seconds <= 0.0)
+    if (!(seconds > 0.0))
+        return;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    // A deadline steady_clock cannot represent is no deadline: the
+    // cast below would overflow. The one-second margin absorbs double
+    // rounding near the clock's limit.
+    const std::chrono::duration<double> room =
+        Clock::time_point::max() - now;
+    if (!(seconds < room.count() - 1.0))
         return;
     detail::tl_deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds));
+        now + std::chrono::duration_cast<Clock::duration>(
+                  std::chrono::duration<double>(seconds));
     detail::tl_has_deadline = true;
 }
 

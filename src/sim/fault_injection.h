@@ -80,9 +80,6 @@ class FaultPlan
      *  empty plan. */
     static FaultPlan parse(const std::string &spec);
 
-    /** Plan from CMPSIM_FAULT (empty plan when unset/empty). */
-    static FaultPlan fromEnv();
-
     bool empty() const { return specs_.empty(); }
     const std::vector<FaultSpec> &specs() const { return specs_; }
 
@@ -138,7 +135,8 @@ faultStallActive(const char *site)
 
 /**
  * Arm a wall-clock deadline for the current thread's task; disarms on
- * destruction. @p seconds <= 0 arms nothing (no deadline).
+ * destruction. @p seconds <= 0, NaN, or too large for steady_clock
+ * arms nothing (no deadline).
  */
 class DeadlineGuard
 {

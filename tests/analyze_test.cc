@@ -293,6 +293,9 @@ TEST(TagEntryTest, ScopeExitKillsBindings)
 
 // ----------------------------------------------------- knob-registry
 
+/** The one file that may read the environment. */
+constexpr const char *kKnobsFile = "src/core_api/env_knobs.cc";
+
 AnalysisContext
 knobCtx()
 {
@@ -309,22 +312,22 @@ knobCtx()
 TEST(KnobRegistryTest, FiresOnUndocumentedAndStaleKnobs)
 {
     const auto r = analyze(
-        {{"src/core_api/k.cc",
-          "void f() {\n"
-          "    getenv(\"CMPSIM_FOO\");\n"
-          "    getenv(\"CMPSIM_BAR\");\n" // undocumented
+        {{kKnobsFile,
+          "EnvKnobs readEnvKnobs() {\n"
+          "    knob(\"CMPSIM_FOO\");\n"
+          "    knob(\"CMPSIM_BAR\");\n" // undocumented
           "}\n"}},
         knobCtx());
     const auto hits = where(r, "knob-registry");
     ASSERT_EQ(hits.size(), 2u);
-    EXPECT_EQ(hits[0], "README.md:4");         // CMPSIM_STALE row
-    EXPECT_EQ(hits[1], "src/core_api/k.cc:3"); // CMPSIM_BAR read
+    EXPECT_EQ(hits[0], "README.md:4"); // CMPSIM_STALE row
+    EXPECT_EQ(hits[1], std::string(kKnobsFile) + ":3"); // CMPSIM_BAR
 }
 
 TEST(KnobRegistryTest, CmakeKnobsSatisfyTheReverseCheck)
 {
     const auto r = analyze(
-        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_FOO\"); }\n"}},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_FOO\"); }\n"}},
         knobCtx());
     // CMPSIM_BUILDKNOB is documented and unread, but appears in the
     // CMake context, so only CMPSIM_STALE fires.
@@ -338,12 +341,11 @@ TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
     AnalysisContext ctx;
     ctx.readme = "| `CMPSIM_DRAM` | `fixed` | backend |\n";
     const auto bad = analyze(
-        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_DRAM\"); }\n"}},
-        ctx);
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"}}, ctx);
     EXPECT_EQ(where(bad, "knob-registry").size(), 1u);
 
     const auto good = analyze(
-        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_DRAM\"); }\n"},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"},
          {"src/dram/v.cc",
           "void v() { reject(\"config.dram.banks\", \"...\"); }\n"}},
         ctx);
@@ -352,7 +354,7 @@ TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
     // The checker's own knob->domain map spells "config.dram" under
     // tools/; that literal is not validate() coverage.
     const auto map_only = analyze(
-        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_DRAM\"); }\n"},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"},
          {"tools/analyze/checks_knobs.cc",
           "auto m = {\"CMPSIM_DRAM\", \"config.dram\"};\n"}},
         ctx);
@@ -362,8 +364,23 @@ TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
 TEST(KnobRegistryTest, SkipsEntirelyWithoutAReadme)
 {
     const auto r = analyze(
-        {{"src/core_api/k.cc", "void f() { getenv(\"CMPSIM_BAR\"); }\n"}});
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_BAR\"); }\n"}});
     EXPECT_TRUE(where(r, "knob-registry").empty());
+}
+
+TEST(KnobRegistryTest, GetenvOutsideTheKnobsFileFires)
+{
+    AnalysisContext ctx;
+    ctx.readme = "| `CMPSIM_FOO` | 1 | documented and read |\n";
+    const auto r = analyze(
+        {{kKnobsFile,
+          "const char *v = std::getenv(\"CMPSIM_FOO\");\n"},
+         {"src/cache/x.cc",
+          "void f() {\n    if (std::getenv(\"CMPSIM_FOO\")) {}\n}\n"}},
+        ctx);
+    const auto hits = where(r, "knob-registry");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0], "src/cache/x.cc:2");
 }
 
 // -------------------------------------------------------- fault-site

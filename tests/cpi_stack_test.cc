@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,30 +19,13 @@
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 #include "src/workload/workload_params.h"
+#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
 
 constexpr std::uint64_t kWarmup = 10000;
 constexpr std::uint64_t kMeasure = 6000;
-
-/** Scoped environment variable (CmpSystem reads the layer's knobs
- *  from the environment at construction). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name_, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-    EnvGuard(const EnvGuard &) = delete;
-    EnvGuard &operator=(const EnvGuard &) = delete;
-
-  private:
-    const char *name_;
-};
 
 SystemConfig
 fullConfig(bool cpi_stack)
@@ -162,18 +144,20 @@ TEST(CpiStackTest, ArmingDoesNotChangeMainStats)
 
 TEST(CpiStackTest, EnvKnobArmsAndDisarms)
 {
+    // makeConfig() applies the knob; a field set afterwards wins.
     {
         EnvGuard arm("CMPSIM_CPISTACK", "1");
+        EXPECT_TRUE(makeConfig(2, 4, true, true, true, true).cpi_stack);
         CmpSystem sys(fullConfig(false), benchmarkParams("zeus"));
-        EXPECT_TRUE(sys.config().cpi_stack);
-        EXPECT_NE(sys.missJournal(), nullptr);
+        EXPECT_FALSE(sys.config().cpi_stack);
+        EXPECT_EQ(sys.missJournal(), nullptr);
     }
     {
         EnvGuard off("CMPSIM_CPISTACK", "0");
-        SystemConfig cfg = fullConfig(true);
-        CmpSystem sys(cfg, benchmarkParams("zeus"));
-        EXPECT_FALSE(sys.config().cpi_stack);
-        EXPECT_EQ(sys.missJournal(), nullptr);
+        EXPECT_FALSE(makeConfig(2, 4, true, true, true, true).cpi_stack);
+        CmpSystem sys(fullConfig(true), benchmarkParams("zeus"));
+        EXPECT_TRUE(sys.config().cpi_stack);
+        EXPECT_NE(sys.missJournal(), nullptr);
     }
 }
 

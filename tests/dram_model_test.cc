@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "src/mem/main_memory.h"
 #include "src/sim/fault_injection.h"
 #include "src/workload/workload_params.h"
+#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
@@ -463,14 +463,16 @@ TEST(DramSpecTest, MalformedSpecsThrowKnobNamedErrors)
 
 TEST(DramSpecTest, EnvSpecLandsInMakeConfig)
 {
-    ::setenv("CMPSIM_DRAM", "banked:channels=1,sched=fcfs", 1);
-    SystemConfig c = makeConfig(2, 8, false, false, false, false);
-    ::unsetenv("CMPSIM_DRAM");
-    EXPECT_EQ(c.dram.backend, DramBackendKind::Banked);
-    EXPECT_EQ(c.dram.channels, 1u);
-    EXPECT_EQ(c.dram.sched, DramSched::Fcfs);
+    {
+        EnvGuard dram("CMPSIM_DRAM", "banked:channels=1,sched=fcfs");
+        const SystemConfig c = makeConfig(2, 8, false, false, false, false);
+        EXPECT_EQ(c.dram.backend, DramBackendKind::Banked);
+        EXPECT_EQ(c.dram.channels, 1u);
+        EXPECT_EQ(c.dram.sched, DramSched::Fcfs);
+    }
     // Unset env leaves the paper-validated fixed backend.
-    c = makeConfig(2, 8, false, false, false, false);
+    EnvGuard unset("CMPSIM_DRAM", nullptr);
+    const SystemConfig c = makeConfig(2, 8, false, false, false, false);
     EXPECT_EQ(c.dram.backend, DramBackendKind::Fixed);
 }
 

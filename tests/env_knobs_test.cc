@@ -1,0 +1,226 @@
+/**
+ * @file
+ * readEnvKnobs(), the one place configuration enters from the
+ * environment: one parse rule per value type (an explicit 0 is a
+ * value, empty is unset, booleans are 0 or 1, seconds are finite and
+ * non-negative), spec knobs keep their parsers' error contexts, and
+ * makeConfig() applies the knobs while a field set afterwards wins.
+ */
+
+#include "src/core_api/env_knobs.h"
+
+#include <gtest/gtest.h>
+
+#include "src/common/sim_error.h"
+#include "tests/env_guard.h"
+
+namespace cmpsim {
+namespace {
+
+/** The context of the ConfigError readEnvKnobs() throws, or "". */
+std::string
+errorContext()
+{
+    try {
+        readEnvKnobs();
+    } catch (const ConfigError &e) {
+        return e.context();
+    }
+    return "";
+}
+
+SystemConfig
+smallConfig()
+{
+    return makeConfig(/*cores=*/2, /*scale=*/8,
+                      /*cache_compression=*/true,
+                      /*link_compression=*/true,
+                      /*prefetching=*/true,
+                      /*adaptive=*/false);
+}
+
+TEST(EnvKnobsTest, UnsetReturnsFallback)
+{
+    EnvGuard warmup("CMPSIM_WARMUP", nullptr);
+    EnvGuard measure("CMPSIM_MEASURE", nullptr);
+    EnvGuard watchdog("CMPSIM_WATCHDOG", nullptr);
+    const EnvKnobs env = readEnvKnobs();
+    // The documented defaults, which live in RunLengths{}.
+    EXPECT_EQ(env.lengths.warmup_per_core, 400000u);
+    EXPECT_EQ(env.lengths.measure_per_core, 50000u);
+    EXPECT_FALSE(env.watchdog.has_value());
+}
+
+TEST(EnvKnobsTest, EmptyReturnsFallback)
+{
+    // Empty means unset for every value type.
+    EnvGuard measure("CMPSIM_MEASURE", "");
+    EnvGuard cpi("CMPSIM_CPISTACK", "");
+    EnvGuard journal("CMPSIM_JOURNAL", "");
+    EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "");
+    EnvGuard dram("CMPSIM_DRAM", "");
+    const EnvKnobs env = readEnvKnobs();
+    EXPECT_EQ(env.lengths.measure_per_core,
+              RunLengths{}.measure_per_core);
+    EXPECT_FALSE(env.cpi_stack.has_value());
+    EXPECT_TRUE(env.policy.journal_path.empty());
+    EXPECT_EQ(env.policy.point_timeout_sec, 0.0);
+    EXPECT_FALSE(env.dram.has_value());
+}
+
+TEST(EnvKnobsTest, ParsesValue)
+{
+    EnvGuard measure("CMPSIM_MEASURE", "400000");
+    EXPECT_EQ(readEnvKnobs().lengths.measure_per_core, 400000u);
+}
+
+TEST(EnvKnobsTest, ExplicitZeroIsAValueNotAnError)
+{
+    EnvGuard warmup("CMPSIM_WARMUP", "0");
+    EnvGuard audit("CMPSIM_AUDIT", "0");
+    const EnvKnobs env = readEnvKnobs();
+    EXPECT_EQ(env.lengths.warmup_per_core, 0u);
+    ASSERT_TRUE(env.audit.has_value());
+    EXPECT_EQ(*env.audit, 0u);
+}
+
+TEST(EnvKnobsTest, NonNumericIsFatal)
+{
+    EnvGuard seeds("CMPSIM_SEEDS", "fast");
+    EXPECT_EQ(errorContext(), "CMPSIM_SEEDS");
+}
+
+TEST(EnvKnobsTest, TrailingGarbageIsFatal)
+{
+    EnvGuard jobs("CMPSIM_JOBS", "8threads");
+    EXPECT_EQ(errorContext(), "CMPSIM_JOBS");
+}
+
+TEST(EnvKnobsTest, JobsZeroMeansHardwareAuto)
+{
+    EnvGuard jobs("CMPSIM_JOBS", "3");
+    EXPECT_EQ(readEnvKnobs().jobs, 3u);
+
+    // 0 (like unset) leaves the worker count to the hardware, and a
+    // batch still gets at least one worker.
+    EnvGuard zero("CMPSIM_JOBS", "0");
+    EXPECT_EQ(readEnvKnobs().jobs, 0u);
+    PointSpec spec;
+    spec.config = smallConfig();
+    spec.benchmark = "zeus";
+    spec.lengths.warmup_per_core = 0;
+    spec.lengths.measure_per_core = 500;
+    const BatchResult batch = runPointsChecked({spec});
+    EXPECT_EQ(batch.failed(), 0u);
+}
+
+TEST(EnvKnobsTest, ExplicitZeroWarmupRunsEndToEnd)
+{
+    // CMPSIM_WARMUP=0 must mean "no warmup", not "fall back to the
+    // 400k default" — and a zero-warmup experiment must complete and
+    // publish sane metrics, cold caches and all.
+    RunLengths lengths;
+    {
+        EnvGuard warmup("CMPSIM_WARMUP", "0");
+        EnvGuard measure("CMPSIM_MEASURE", "2000");
+        lengths = readEnvKnobs().lengths;
+    }
+    EXPECT_EQ(lengths.warmup_per_core, 0u);
+    EXPECT_EQ(lengths.measure_per_core, 2000u);
+
+    const SystemConfig cfg = smallConfig();
+    const MetricSummary cold = runSeeds(cfg, "zeus", lengths, 1);
+    EXPECT_GT(cold.runs.front().instructions, 0.0);
+    EXPECT_GT(cold.runs.front().ipc, 0.0);
+
+    // A warmed run of the same point must differ: if the two agree,
+    // the zero was silently replaced by a default somewhere below.
+    RunLengths warmed = lengths;
+    warmed.warmup_per_core = 5000;
+    const MetricSummary warm = runSeeds(cfg, "zeus", warmed, 1);
+    EXPECT_NE(cold.runs.front().cycles, warm.runs.front().cycles);
+}
+
+TEST(EnvKnobsTest, BooleanKnobsAcceptOnlyZeroAndOne)
+{
+    for (const char *knob :
+         {"CMPSIM_CPISTACK", "CMPSIM_PROGRESS", "CMPSIM_PROF"}) {
+        for (const char *bad : {"off", "yes", "2"}) {
+            EnvGuard guard(knob, bad);
+            EXPECT_EQ(errorContext(), knob) << knob << "=" << bad;
+        }
+    }
+    EnvGuard cpi("CMPSIM_CPISTACK", "1");
+    EnvGuard progress("CMPSIM_PROGRESS", "0");
+    EnvGuard prof("CMPSIM_PROF", "1");
+    const EnvKnobs env = readEnvKnobs();
+    EXPECT_EQ(env.cpi_stack, std::optional<bool>(true));
+    EXPECT_FALSE(env.policy.progress);
+    EXPECT_TRUE(env.prof);
+}
+
+TEST(EnvKnobsTest, PointTimeoutIsFiniteNonNegativeSeconds)
+{
+    for (const char *bad : {"nan", "inf", "-1", "1s"}) {
+        EnvGuard timeout("CMPSIM_POINT_TIMEOUT", bad);
+        EXPECT_EQ(errorContext(), "CMPSIM_POINT_TIMEOUT") << bad;
+    }
+    {
+        EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "2.5");
+        EXPECT_EQ(readEnvKnobs().policy.point_timeout_sec, 2.5);
+    }
+    // Too large for the clock is still a valid value; DeadlineGuard
+    // turns it into no deadline.
+    EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "1e30");
+    EXPECT_EQ(readEnvKnobs().policy.point_timeout_sec, 1e30);
+}
+
+TEST(EnvKnobsTest, SpecKnobsKeepTheirParsersErrorContexts)
+{
+    {
+        EnvGuard dram("CMPSIM_DRAM", "banked:banks=abc");
+        EXPECT_EQ(errorContext(), "env.CMPSIM_DRAM");
+    }
+    {
+        EnvGuard sampling("CMPSIM_SAMPLING", "8000:2000");
+        EXPECT_EQ(errorContext(), "config.sampling");
+    }
+    EnvGuard fault("CMPSIM_FAULT", "not-a-plan");
+    EXPECT_EQ(errorContext(), "fault.spec");
+}
+
+TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)
+{
+    {
+        EnvGuard audit("CMPSIM_AUDIT", "5000");
+        EnvGuard watchdog("CMPSIM_WATCHDOG", "0");
+        EnvGuard sample("CMPSIM_SAMPLE_CYCLES", "7000");
+        SystemConfig cfg = smallConfig();
+        EXPECT_EQ(cfg.audit_interval, 5000u);
+        EXPECT_TRUE(cfg.audit_fill_roundtrip);
+        EXPECT_EQ(cfg.watchdog_cycles, 0u);
+        EXPECT_EQ(cfg.sample_interval, 7000u);
+
+        // The system keeps what the caller set after makeConfig().
+        cfg.audit_interval = 10000;
+        cfg.sample_interval = 0;
+        const CmpSystem sys(cfg, benchmarkParams("zeus"));
+        EXPECT_EQ(sys.config().audit_interval, 10000u);
+        EXPECT_EQ(sys.sampler(), nullptr);
+    }
+    EnvGuard off("CMPSIM_AUDIT", "0");
+    const SystemConfig cfg = smallConfig();
+    EXPECT_EQ(cfg.audit_interval, 0u);
+    EXPECT_FALSE(cfg.audit_fill_roundtrip);
+}
+
+TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)
+{
+    // makeConfig() needs none of the runner knobs, but a malformed
+    // one still fails the first read of the environment.
+    EnvGuard progress("CMPSIM_PROGRESS", "yes");
+    EXPECT_THROW(smallConfig(), ConfigError);
+}
+
+} // namespace
+} // namespace cmpsim

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,17 @@ TEST(FaultProbeTest, DeadlineGuardThrowsWatchdogTimeout)
         EXPECT_NE(std::string(e.what()).find("CMPSIM_POINT_TIMEOUT"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(FaultProbeTest, DeadlinePastTheClockRangeIsNoDeadline)
+{
+    // 1e30 s overflows steady_clock::duration; it must arm nothing
+    // rather than wrap into an already-expired deadline.
+    for (const double seconds :
+         {1e30, std::numeric_limits<double>::infinity()}) {
+        DeadlineGuard deadline(seconds);
+        EXPECT_NO_THROW(checkPointDeadline("unit")) << seconds;
     }
 }
 

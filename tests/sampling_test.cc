@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "src/core_api/experiment.h"
 #include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
+#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
@@ -64,22 +64,6 @@ samplesHash(const SamplingResult &r)
     }
     return fnv1a(out.str());
 }
-
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name_, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-    EnvGuard(const EnvGuard &) = delete;
-    EnvGuard &operator=(const EnvGuard &) = delete;
-
-  private:
-    const char *name_;
-};
 
 // ------------------------------------------------------ plan grammar
 

@@ -9,12 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "src/common/log.h"
 #include "src/core_api/cmp_system.h"
 #include "src/workload/workload_params.h"
+#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
@@ -149,12 +149,11 @@ TEST(ConfigValidateTest, BadConfigIsRejectedAtSystemBuild)
 
 TEST(ConfigValidateTest, MalformedEnvKnobIsRejectedAtSystemBuild)
 {
-    // Garbage in a knob CmpSystem reads must not silently parse as 0
-    // (for CMPSIM_WATCHDOG, a disabled livelock watchdog).
-    ::setenv("CMPSIM_WATCHDOG", "abc", 1);
-    const SystemConfig c = makeConfig(2, 8, false, false, false, false);
-    EXPECT_THROW(CmpSystem(c, benchmarkParams("zeus")), ConfigError);
-    ::unsetenv("CMPSIM_WATCHDOG");
+    // Garbage in a knob makeConfig() applies must not silently parse
+    // as 0 (for CMPSIM_WATCHDOG, a disabled livelock watchdog).
+    EnvGuard watchdog("CMPSIM_WATCHDOG", "abc");
+    EXPECT_THROW(makeConfig(2, 8, false, false, false, false),
+                 ConfigError);
 }
 
 } // namespace

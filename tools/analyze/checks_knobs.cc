@@ -1,17 +1,17 @@
 /**
  * @file
- * knob-registry: every CMPSIM_* environment knob the code reads must
- * be documented, and every documented knob must still exist — knob
- * drift fails the scan instead of rotting silently.
+ * knob-registry: configuration enters from the environment in one
+ * file, src/core_api/env_knobs.cc (a getenv call anywhere else in
+ * src/ or tools/ is a finding), and the knobs it reads must match
+ * README's knob tables — knob drift fails the scan instead of
+ * rotting silently.
  *
- * Forward check: each `getenv("CMPSIM_*")` / `envUint64("CMPSIM_*")` /
- * `envUint64Or("CMPSIM_*")` site in src/ or tools/ needs a matching
- * `| `CMPSIM_*` |` row in README.md's knob tables.
+ * Forward check: each "CMPSIM_*" string literal in the knobs file is
+ * a read site and needs a matching `| `CMPSIM_*` |` README row.
  *
- * Reverse check: each documented CMPSIM_* row must be read somewhere
- * in the analyzed src//tools/ files, or appear in the top-level
- * CMakeLists.txt (build-time knobs like CMPSIM_SANITIZE / CMPSIM_PROF
- * are CMake options, not getenv reads).
+ * Reverse check: each documented CMPSIM_* row must be read in the
+ * knobs file, or appear in the top-level CMakeLists.txt (build-time
+ * knobs like CMPSIM_SANITIZE / CMPSIM_PROF are CMake options).
  *
  * Config-coverage check: knobs that land inside SystemConfig must be
  * guarded by SystemConfig::validate(), evidenced by a "config.<domain>"
@@ -40,6 +40,9 @@ struct KnobSite
     int line = 0;
 };
 
+/** The one file that reads the environment. */
+const char *const kKnobsFile = "src/core_api/env_knobs.cc";
+
 /** Env knobs that populate SystemConfig -> the validate() context
  *  prefix that must guard them. */
 const std::map<std::string, std::string> &
@@ -65,41 +68,43 @@ class KnobRegistryChecker final : public Checker
     const char *id() const override { return "knob-registry"; }
     const char *description() const override
     {
-        return "CMPSIM_* env knobs vs README table and "
-               "SystemConfig::validate coverage";
+        return "getenv only in the knobs file; CMPSIM_* env knobs vs "
+               "README table and SystemConfig::validate coverage";
     }
 
     void checkCorpus(const Corpus &corpus, const AnalysisContext &ctx,
                      std::vector<Finding> &out) const override
     {
-        if (ctx.readme.empty())
-            return; // no registry to check against
-
-        // Code side: knob string literals fed to the env accessors.
+        // Code side: the knobs file's CMPSIM_* literals are the read
+        // sites; getenv anywhere else in src/ or tools/ is a finding
+        // (that rule needs no registry, so it runs without a README).
         std::vector<KnobSite> sites;
         std::set<std::string> read_knobs;
         std::set<std::string> string_pool; // every literal in src/
         for (const SourceFile &f : corpus.files) {
             const bool in_src = f.under("src");
+            const bool knobs_file = f.path == kKnobsFile;
             const bool scoped = in_src || f.under("tools");
             const auto &t = f.tokens;
             for (std::size_t i = 0; i < t.size(); ++i) {
                 if (in_src && t[i].kind == TokKind::String)
                     string_pool.insert(t[i].text);
-                if (!scoped)
-                    continue;
-                if ((isIdent(t, i, "getenv") ||
-                     isIdent(t, i, "envUint64") ||
-                     isIdent(t, i, "envUint64Or")) &&
-                    isPunct(t, i + 1, "(") && i + 2 < t.size() &&
-                    t[i + 2].kind == TokKind::String &&
-                    startsWith(t[i + 2].text, "CMPSIM_")) {
-                    sites.push_back(
-                        {t[i + 2].text, f.path, t[i + 2].line});
-                    read_knobs.insert(t[i + 2].text);
+                if (knobs_file && t[i].kind == TokKind::String &&
+                    startsWith(t[i].text, "CMPSIM_")) {
+                    sites.push_back({t[i].text, f.path, t[i].line});
+                    read_knobs.insert(t[i].text);
+                } else if (scoped && !knobs_file &&
+                           isIdent(t, i, "getenv") &&
+                           isPunct(t, i + 1, "(")) {
+                    out.push_back({id(), f.path, t[i].line,
+                                   std::string("getenv outside ") +
+                                       kKnobsFile});
                 }
             }
         }
+
+        if (ctx.readme.empty())
+            return; // no registry to check against
 
         // README side: `| `CMPSIM_X` |` table rows.
         std::map<std::string, int> documented; // knob -> line
@@ -123,10 +128,9 @@ class KnobRegistryChecker final : public Checker
                 continue; // build-time knob (CMake option)
             out.push_back(
                 {id(), "README.md", line,
-                 "documented knob " + knob +
-                     " is read nowhere in the analyzed src//tools/ "
-                     "files and is not a CMake build knob — stale "
-                     "row or missing implementation"});
+                 "documented knob " + knob + " is read nowhere in " +
+                     kKnobsFile + " and is not a CMake build knob — "
+                     "stale row or missing implementation"});
         }
 
         // Config coverage: a validate() context string must exist for

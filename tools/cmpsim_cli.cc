@@ -21,6 +21,7 @@
 #include "src/common/fingerprint.h"
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
+#include "src/core_api/env_knobs.h"
 #include "src/core_api/parallel_runner.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
@@ -54,8 +55,7 @@ struct CliOptions
     bool adaptive_compression = false;
     bool infinite_bw = false;
     double bandwidth = 20.0;
-    std::uint64_t warmup = 400000;
-    std::uint64_t measure = 50000;
+    RunLengths lengths; ///< --warmup / --measure
     std::uint64_t seed = 1;
     bool dump_stats = false;
     bool cpi_stack = false;   ///< --cpi-stack: attribution layer
@@ -73,6 +73,8 @@ usage(int code)
         "cmpsim — CMP compression/prefetching simulator (HPCA'07 "
         "reproduction)\n\n"
         "usage: cmpsim [flags]\n\n"
+        "A flag beats the CMPSIM_* environment variable it shares a\n"
+        "setting with.\n\n"
         "  --workload NAME     apache zeus oltp jbb art apsi fma3d "
         "mgrid (default zeus)\n"
         "  --cores N           1..16 (default 8)\n"
@@ -166,9 +168,9 @@ parse(int argc, char **argv)
         } else if (a == "--infinite-bw") {
             o.infinite_bw = true;
         } else if (a == "--warmup") {
-            o.warmup = parse_uint(i++);
+            o.lengths.warmup_per_core = parse_uint(i++);
         } else if (a == "--measure") {
-            o.measure = parse_uint(i++);
+            o.lengths.measure_per_core = parse_uint(i++);
         } else if (a == "--seed") {
             o.seed = parse_uint(i++);
         } else if (a == "--stats") {
@@ -200,9 +202,9 @@ run(const CliOptions &o)
     // Honour the environment failure-model knobs for single runs too:
     // CMPSIM_FAULT arms this run and CMPSIM_POINT_TIMEOUT bounds the
     // whole warmup+run step, exactly as one parallel-runner task.
-    const RunPolicy policy = defaultRunPolicy();
-    FaultArmGuard arm(policy.faults);
-    DeadlineGuard deadline(policy.point_timeout_sec);
+    const EnvKnobs env = readEnvKnobs();
+    FaultArmGuard arm(env.policy.faults);
+    DeadlineGuard deadline(env.policy.point_timeout_sec);
 
     SystemConfig cfg =
         makeConfig(o.cores, o.scale, o.cache_compression,
@@ -211,23 +213,28 @@ run(const CliOptions &o)
     cfg.infinite_bandwidth = o.infinite_bw;
     cfg.adaptive_compression = o.adaptive_compression;
     cfg.seed = o.seed;
-    cfg.cpi_stack = o.cpi_stack;
-    cfg.sample_interval = o.sample_cycles;
+    // Flags beat the environment makeConfig() applied.
+    if (o.cpi_stack)
+        cfg.cpi_stack = true;
+    if (o.sample_cycles != 0)
+        cfg.sample_interval = o.sample_cycles;
     if (!o.sampling_spec.empty())
         cfg.sampling = SamplingPlan::parse(o.sampling_spec);
-    // --samples implies sampling; CMPSIM_SAMPLE_CYCLES, when set,
-    // overrides the period at CmpSystem construction anyway.
-    if (!o.samples_path.empty() && cfg.sample_interval == 0)
-        cfg.sample_interval = envUint64Or("CMPSIM_SAMPLE_CYCLES", 100000);
+    // --samples implies sampling, every 100000 cycles unless a flag
+    // or CMPSIM_SAMPLE_CYCLES says otherwise.
+    if (!o.samples_path.empty() && cfg.sample_interval == 0 &&
+        !env.sample_cycles)
+        cfg.sample_interval = 100000;
     // Validate before the banner: "--scale 0" must die with a
     // ConfigError, not divide the L2-size estimate by zero.
     cfg.validate();
 
     // Observability session: the tracer arms process-wide probes
-    // (--trace overrides CMPSIM_TRACE); CMPSIM_PROF=1 turns the
-    // scoped timers on, reported in the --report JSON.
-    profInitFromEnv();
-    TraceSession trace_session(o.trace_path);
+    // (--trace beats CMPSIM_TRACE); CMPSIM_PROF=1 turns the scoped
+    // timers on, reported in the --report JSON.
+    setProfEnabled(env.prof);
+    TraceSession trace_session(o.trace_path.empty() ? env.trace
+                                                    : o.trace_path);
 
     std::printf("cmpsim: %s, %u cores, scale %u (L2 %u KB), "
                 "%.0f GB/s%s%s%s%s%s\n",
@@ -242,14 +249,13 @@ run(const CliOptions &o)
     RunReport report;
     report.benchmark = o.workload;
     report.seed = o.seed;
-    report.warmup_per_core = o.warmup;
-    report.measure_per_core = o.measure;
+    report.warmup_per_core = o.lengths.warmup_per_core;
+    report.measure_per_core = o.lengths.measure_per_core;
     {
         PointSpec spec;
         spec.config = cfg;
         spec.benchmark = o.workload;
-        spec.lengths.warmup_per_core = o.warmup;
-        spec.lengths.measure_per_core = o.measure;
+        spec.lengths = o.lengths;
         spec.seeds = 1;
         report.config_fingerprint = fnv1a(pointSpecBytes(spec));
     }
@@ -280,12 +286,12 @@ run(const CliOptions &o)
     SamplingResult sampled;
     const bool sampling_armed = cfg.sampling.armed();
     try {
-        sys.warmup(o.warmup);
+        sys.warmup(o.lengths.warmup_per_core);
         if (sampling_armed) {
             SamplingController ctl(sys);
             sampled = ctl.run();
         } else {
-            sys.run(o.measure);
+            sys.run(o.lengths.measure_per_core);
         }
     } catch (const SimError &e) {
         // A failed run still leaves a report: status, the error, and

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,7 +38,9 @@
 #include "src/common/fingerprint.h"
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
+#include "src/core_api/env_knobs.h"
 #include "src/core_api/parallel_runner.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/workload/workload_params.h"
 
@@ -134,15 +135,6 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     using namespace cmpsim;
     const char *kPlan = "12000:4000:4:warm4000";
 
-    // The CPI-stack layer refuses to combine with statistical
-    // sampling (validate()), and CI's armed gate sets CMPSIM_CPISTACK
-    // for the other legs — run this leg with it unarmed, restoring it
-    // afterwards.
-    const char *cpi_env = getenv("CMPSIM_CPISTACK");
-    const std::string saved_cpi = cpi_env != nullptr ? cpi_env : "";
-    if (cpi_env != nullptr)
-        unsetenv("CMPSIM_CPISTACK");
-
     std::vector<PointSpec> specs;
     for (const std::string &w : workloads) {
         PointSpec spec;
@@ -152,6 +144,10 @@ checkSampledRuns(const std::vector<std::string> &workloads)
                                  /*prefetching=*/true,
                                  /*adaptive=*/true);
         spec.config.sampling = SamplingPlan::parse(kPlan);
+        // The CPI-stack layer refuses to combine with statistical
+        // sampling (validate()), and CI's armed gate sets
+        // CMPSIM_CPISTACK for the other legs: this leg runs unarmed.
+        spec.config.cpi_stack = false;
         spec.benchmark = w;
         spec.lengths.warmup_per_core = 20000;
         spec.lengths.measure_per_core = 0; // sampled runs ignore it
@@ -178,9 +174,6 @@ checkSampledRuns(const std::vector<std::string> &workloads)
             status = 1;
         }
     }
-
-    if (cpi_env != nullptr)
-        setenv("CMPSIM_CPISTACK", saved_cpi.c_str(), 1);
     return status;
 }
 
@@ -221,11 +214,25 @@ main(int argc, char **argv)
         workloads = {"zeus", "apsi"}; // one commercial, one SPEComp
 
     try {
-        // CI's traced gate sets CMPSIM_TRACE (and CMPSIM_SAMPLE_CYCLES):
-        // the hashes must reproduce with the observability probes live,
-        // proving they only read simulator state.
-        cmpsim::TraceSession trace_session;
-        return run(workloads);
+        // CI's traced gate sets CMPSIM_TRACE, CMPSIM_SAMPLE_CYCLES and
+        // CMPSIM_PROF: the hashes must reproduce with the observability
+        // probes live, proving they only read simulator state.
+        const cmpsim::EnvKnobs env = cmpsim::readEnvKnobs();
+        cmpsim::TraceSession trace_session(env.trace);
+        cmpsim::setProfEnabled(env.prof);
+        const int status = run(workloads);
+#if !defined(CMPSIM_PROF_DISABLED)
+        // profSnapshot() lists only sites that recorded calls.
+        bool timed = false;
+        for (const cmpsim::ProfSample &s : cmpsim::profSnapshot())
+            timed |= s.name == "eq.dispatch";
+        if (env.prof && !timed) {
+            std::fprintf(stderr, "determinism_check: CMPSIM_PROF=1 but "
+                                 "no eq.dispatch scope was timed\n");
+            return 1;
+        }
+#endif
+        return status;
     } catch (const cmpsim::SimError &e) {
         std::fprintf(stderr, "determinism_check: error: %s\n", e.what());
         return 1;
