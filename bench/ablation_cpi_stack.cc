@@ -89,7 +89,7 @@ main()
 {
     banner("CPI-stack ablation: Table 5 interaction sign from cycle "
            "attribution",
-           "Table 5 interaction +21.5% (mgrid), +15.0% (apache)");
+           "Table 5 interaction +21.5% (mgrid), +15.0% (apache)", 1);
 
     const Cfg cfgs[] = {Cfg::Base, Cfg::Pref, Cfg::Compr,
                         Cfg::ComprPref};

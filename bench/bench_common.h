@@ -79,9 +79,10 @@ pct(double base_cycles, double enhanced_cycles)
     return (base_cycles / enhanced_cycles - 1.0) * 100.0;
 }
 
-/** Print the standard bench banner. */
+/** Print the standard bench banner; @p seeds is the seed count the
+ *  bench runs per point. */
 inline void
-banner(const char *title, const char *paper_ref)
+banner(const char *title, const char *paper_ref, unsigned seeds)
 {
     const EnvKnobs env = readEnvKnobs();
     const RunLengths &len = env.lengths;
@@ -92,7 +93,7 @@ banner(const char *title, const char *paper_ref)
                 env.scale, 4096 / env.scale,
                 static_cast<unsigned long long>(len.warmup_per_core),
                 static_cast<unsigned long long>(len.measure_per_core),
-                env.seeds);
+                seeds);
 }
 
 /** Paper's Table 5 rows (speedup %, 8-core CMP, 20 GB/s). */
@@ -207,18 +208,6 @@ pointSpec(Cfg cfg, const std::string &wl, unsigned cores = 8,
     spec.lengths = env.lengths;
     spec.seeds = seeds == 0 ? env.seeds : seeds;
     return spec;
-}
-
-/** Run one (cfg, workload) point with the standard lengths/seeds.
- *  Seeds fan out across CMPSIM_JOBS workers; heavy benches should
- *  batch their whole matrix through runPoints() instead. */
-inline MetricSummary
-point(Cfg cfg, const std::string &wl, unsigned cores = 8,
-      double bw = 20.0, bool infinite_bw = false, unsigned seeds = 0)
-{
-    auto res = runPoints({pointSpec(cfg, wl, cores, bw, infinite_bw,
-                                    seeds)});
-    return std::move(res.front());
 }
 
 } // namespace cmpsim::bench

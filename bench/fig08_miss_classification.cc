@@ -45,7 +45,7 @@ main()
            "demand misses)",
            "avoided-by-either intersection small: apache 8%, art 7%, "
            "<=3% elsewhere; compression absorbs many commercial "
-           "prefetches");
+           "prefetches", 1);
 
     std::printf("%-8s %8s %8s %8s %8s | %9s %9s\n", "bench", "unavoid",
                 "only-C", "only-P", "either", "pf-kept", "pf-avoided");

@@ -73,7 +73,7 @@ main()
 {
     banner("Figure 11b (ablation): banked DRAM backend vs fixed",
            "model-robustness check: no paper counterpart; interaction "
-           "signs should match Figure 11 at 20 GB/s");
+           "signs should match Figure 11 at 20 GB/s", 1);
 
     // ---- 1: interaction coefficient under both backends ----------
     const Cfg cfgs[] = {Cfg::Base, Cfg::Pref, Cfg::Compr,

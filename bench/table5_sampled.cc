@@ -88,7 +88,8 @@ main()
            "with paired per-interval 95% CIs",
            "interaction positive for mgrid (+21.5) and zeus (+13.2); "
            "sampling: 10 x 500k instr/core (skip + warm ff + 20k "
-           "detail)");
+           "detail)",
+           2);
 
     const std::vector<std::string> workloads = {"mgrid", "zeus"};
     const std::vector<SamplingPlan> plans = {
@@ -120,10 +121,13 @@ main()
     }
     // The wall-clock gate compares the sampled matrix against this
     // full-detail reference; one runner worker keeps the comparison
-    // compute-for-compute on any host.
-    std::vector<MetricSummary> ref_results;
-    const double detail_wall =
-        wallOf([&] { ref_results = runPoints(ref_specs, /*jobs=*/1); });
+    // compute-for-compute on any host. No journal: a reference
+    // restored from one would time nothing.
+    RunPolicy ref_policy = readEnvKnobs().policy;
+    ref_policy.journal_path.clear();
+    const double detail_wall = wallOf([&] {
+        runPointsChecked(ref_specs, /*jobs=*/1, ref_policy).throwIfFailed();
+    });
 
     std::printf("%-8s | %10s %12s %8s | %8s\n", "bench", "interact",
                 "ci95 (+/-)", "excl 0", "paper");

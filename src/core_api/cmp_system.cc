@@ -470,8 +470,6 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
     eq_.drain();
 
     ff_engine_->advance(instr_per_core, warm_per_core);
-    sample_state_.ff_instructions +=
-        instr_per_core * static_cast<std::uint64_t>(config_.cores);
 
     if (tracer != nullptr) {
         tracer->completeWall("phase.fastforward", t0, tracer->nowWallUs(),
@@ -514,10 +512,8 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
     }
     values_->applyOps(ops);
 
-    const std::uint64_t budget =
-        instr_per_core * static_cast<std::uint64_t>(config_.cores);
-    ff_engine_->noteAdopted(budget);
-    sample_state_.ff_instructions += budget;
+    ff_engine_->noteAdopted(instr_per_core *
+                            static_cast<std::uint64_t>(config_.cores));
 }
 
 std::string
@@ -547,18 +543,6 @@ CmpSystem::bandwidthGBps() const
         static_cast<double>(memory_->link().totalBytes()) /
         static_cast<double>(measured_cycles_);
     return bytes_per_cycle * 5.0; // 5 GHz, GB = 1e9 bytes
-}
-
-std::uint64_t
-CmpSystem::sumL1Counter(const char *side, const char *leaf) const
-{
-    std::uint64_t total = 0;
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        const std::string name = std::string(side) + "." +
-                                 std::to_string(c) + "." + leaf;
-        total += registry_.counter(name);
-    }
-    return total;
 }
 
 } // namespace cmpsim

@@ -27,7 +27,6 @@
 #include "src/core_api/system_config.h"
 #include "src/obs/interval_sampler.h"
 #include "src/sample/fast_forward.h"
-#include "src/sample/sample_state.h"
 #include "src/workload/synthetic_workload.h"
 
 namespace cmpsim {
@@ -114,9 +113,6 @@ class CmpSystem
     IntervalSampler *sampler() { return sampler_.get(); }
     const IntervalSampler *sampler() const { return sampler_.get(); }
 
-    /** Sum a per-core counter family ("l1d.<cpu>.<leaf>"). */
-    std::uint64_t sumL1Counter(const char *side, const char *leaf) const;
-
     // ---- statistical sampling (DESIGN.md §14) ----
 
     /**
@@ -160,16 +156,6 @@ class CmpSystem
     void adoptSkip(const CmpSystem &leader,
                    const std::vector<ValueStore::Op> &ops,
                    std::uint64_t instr_per_core);
-
-    /**
-     * Sampling-plan progress (interval cursor, per-interval metric
-     * samples, accumulated stat deltas, skipped-instruction total).
-     * Lives here rather than in the SamplingController because
-     * fastForward() and adoptSkip() charge the skipped instructions
-     * to it directly.
-     */
-    SampleState &sampleState() { return sample_state_; }
-    const SampleState &sampleState() const { return sample_state_; }
 
     /** The fast-forward engine, or nullptr when config.sampling is
      *  not armed. */
@@ -236,7 +222,6 @@ class CmpSystem
     std::unique_ptr<IntervalSampler> sampler_;
 
     std::unique_ptr<FastForwardEngine> ff_engine_; ///< see fastForward()
-    SampleState sample_state_;                     ///< see sampleState()
 
     Cycle measured_cycles_ = 0;
     std::uint64_t measured_instructions_ = 0;

@@ -108,10 +108,6 @@ struct MetricSummary
     std::vector<RunResult> runs;
 };
 
-/** Run @p seeds seeds of one point. */
-MetricSummary runSeeds(SystemConfig config, const std::string &benchmark,
-                       const RunLengths &lengths, unsigned seeds);
-
 /** Speedup of @p enhanced over @p base (both in cycles). */
 inline double
 speedup(double base_cycles, double enhanced_cycles)
@@ -132,9 +128,8 @@ interaction(double speedup_a, double speedup_b, double speedup_ab)
 /** Mean over seeds of the cycle counts of @p s. */
 double meanCycles(const MetricSummary &s);
 
-/** Mean of an arbitrary RunResult field over seeds. */
-double meanOf(const MetricSummary &s,
-              double (*extract)(const RunResult &));
+/** Mean of one RunResult field over seeds. */
+double meanOf(const MetricSummary &s, double RunResult::*field);
 
 } // namespace cmpsim
 

@@ -60,6 +60,16 @@ BatchResult::failureSummary() const
     return out;
 }
 
+void
+BatchResult::throwIfFailed() const
+{
+    for (const PointOutcome &o : outcomes) {
+        if (o.status == PointStatus::Failed)
+            throw SimError(o.error_kind, "parallel_runner",
+                           failureSummary());
+    }
+}
+
 namespace {
 
 /**
@@ -205,9 +215,9 @@ appendHex(std::string &out, const char *name, double v)
     out += buf;
 }
 
-/** Aggregate a point's per-seed cycles exactly as the serial runSeeds
- *  loop does, so summaries are bit-identical however they were
- *  produced (simulated or journal-restored). */
+/** Aggregate a point's per-seed cycles and IPC, so summaries are
+ *  bit-identical however they were produced (simulated or
+ *  journal-restored). */
 void
 aggregatePoint(MetricSummary &summary)
 {
@@ -455,16 +465,7 @@ runPoints(const std::vector<PointSpec> &points, unsigned jobs)
 {
     BatchResult batch =
         runPointsChecked(points, jobs, readEnvKnobs().policy);
-    if (batch.failed() != 0) {
-        ErrorKind kind = ErrorKind::Internal;
-        for (const PointOutcome &o : batch.outcomes) {
-            if (o.status == PointStatus::Failed) {
-                kind = o.error_kind;
-                break;
-            }
-        }
-        throw SimError(kind, "parallel_runner", batch.failureSummary());
-    }
+    batch.throwIfFailed();
     return std::move(batch.summaries);
 }
 

@@ -16,8 +16,8 @@
  * caught and recorded as a PointOutcome. A point is a pure function
  * of its spec, so rerunning a failure would fail the same way; a
  * rerun under the journal re-simulates only the failed points. The
- * legacy runPoints() wrapper keeps the old all-or-nothing contract by
- * throwing a SimError summarising any failures.
+ * runPoints() wrapper keeps the all-or-nothing contract by throwing a
+ * SimError summarising any failures.
  *
  * Journaled resume: with RunPolicy::journal_path set, every completed
  * point's spec fingerprint and summaryBytes are appended to a journal
@@ -89,6 +89,10 @@ struct BatchResult
     /** Multi-line human-readable digest of every failure, or ""
      *  when the batch is clean. */
     std::string failureSummary() const;
+
+    /** Throw a SimError of the first failure's kind whose message is
+     *  failureSummary(); no-op when the batch is clean. */
+    void throwIfFailed() const;
 };
 
 /** Fault-tolerance policy for one batch. The default-constructed
@@ -125,11 +129,10 @@ BatchResult runPointsChecked(const std::vector<PointSpec> &points,
                              const RunPolicy &policy = RunPolicy{});
 
 /**
- * Legacy strict wrapper: runPointsChecked() under the environment's
- * RunPolicy (EnvKnobs::policy), returning just the summaries. Any
- * point failure throws a SimError of the first failure's kind whose
- * message is the batch's failureSummary(). runs[s] within each
- * summary is seed s+1, exactly as the serial runSeeds loop produced.
+ * Strict wrapper: runPointsChecked() under the environment's
+ * RunPolicy (EnvKnobs::policy), returning just the summaries; any
+ * point failure throws (BatchResult::throwIfFailed()). runs[s] within
+ * each summary is seed s+1.
  */
 std::vector<MetricSummary> runPoints(const std::vector<PointSpec> &points,
                                      unsigned jobs = 0);

@@ -7,23 +7,23 @@
 namespace cmpsim {
 
 SamplingController::SamplingController(CmpSystem &sys)
-    : sys_(sys), plan_(sys.config().sampling),
-      state_(sys.sampleState())
+    : sys_(sys), plan_(sys.config().sampling)
 {
     cmpsim_assert(plan_.armed());
+    ff_start_ = sys.fastForwardEngine()->instructionsAdvanced();
 }
 
 void
 SamplingController::beginInterval()
 {
-    state_.baseline = sys_.stats().snapshot();
+    baseline_ = sys_.stats().snapshot();
 }
 
 void
 SamplingController::closeInterval()
 {
     const StatSnapshot delta =
-        StatRegistry::delta(sys_.stats().snapshot(), state_.baseline);
+        StatRegistry::delta(sys_.stats().snapshot(), baseline_);
 
     IntervalSample s;
     s.cycles = static_cast<double>(sys_.cycles());
@@ -42,20 +42,19 @@ SamplingController::closeInterval()
         s.cycles > 0 ? link_bytes / s.cycles * 5.0 : 0; // 5 GHz clock
     s.compression_ratio = sys_.l2().compressionRatio();
 
-    state_.samples.push_back(s);
-    state_.detail_totals.accumulate(delta);
-    state_.baseline = StatSnapshot{};
-    ++state_.intervals_done;
+    samples_.push_back(s);
+    detail_totals_.accumulate(delta);
+    baseline_ = StatSnapshot{};
 }
 
 bool
 SamplingController::ciTargetMet() const
 {
-    if (plan_.ci_target_pct <= 0 || state_.samples.size() < 2)
+    if (plan_.ci_target_pct <= 0 || samples_.size() < 2)
         return false;
     std::vector<double> ipc;
-    ipc.reserve(state_.samples.size());
-    for (const IntervalSample &s : state_.samples)
+    ipc.reserve(samples_.size());
+    for (const IntervalSample &s : samples_)
         ipc.push_back(s.ipc);
     const SampleSummary sum = summarize(ipc);
     return sum.mean > 0 &&
@@ -74,9 +73,9 @@ SamplingController::measureInterval()
 SamplingResult
 SamplingController::run()
 {
-    while (state_.intervals_done < plan_.max_intervals) {
+    while (samples_.size() < plan_.max_intervals) {
         if (ciTargetMet()) {
-            state_.stopped_early = true;
+            stopped_early_ = true;
             break;
         }
         if (plan_.ff_per_core > 0)
@@ -90,14 +89,15 @@ SamplingResult
 SamplingController::reduce() const
 {
     SamplingResult r;
-    r.intervals = state_.intervals_done;
-    r.stopped_early = state_.stopped_early;
-    r.ff_instructions = state_.ff_instructions;
-    r.totals = state_.detail_totals;
-    r.samples = state_.samples;
+    r.intervals = static_cast<unsigned>(samples_.size());
+    r.stopped_early = stopped_early_;
+    r.ff_instructions =
+        sys_.fastForwardEngine()->instructionsAdvanced() - ff_start_;
+    r.totals = detail_totals_;
+    r.samples = samples_;
 
     std::vector<double> cycles, ipc, miss_rate, mpki, bw, ratio;
-    for (const IntervalSample &s : state_.samples) {
+    for (const IntervalSample &s : samples_) {
         cycles.push_back(s.cycles);
         ipc.push_back(s.ipc);
         miss_rate.push_back(s.l2_miss_rate);

@@ -5,21 +5,32 @@
  * detailed (timed) measurement intervals — and reduces the
  * per-interval metric samples to means with 95% confidence intervals
  * via the Student-t summarize() the multi-seed path already uses.
- *
- * All progress state lives in CmpSystem::sampleState() (see
- * sample_state.h); the controller holds only the plan and the logic.
  */
 
 #ifndef CMPSIM_SAMPLE_SAMPLING_CONTROLLER_H
 #define CMPSIM_SAMPLE_SAMPLING_CONTROLLER_H
 
+#include <cstdint>
+#include <vector>
+
 #include "src/common/stats.h"
-#include "src/sample/sample_state.h"
 #include "src/sample/sampling_plan.h"
 
 namespace cmpsim {
 
 class CmpSystem;
+
+/** Headline metrics of one closed detailed interval. */
+struct IntervalSample
+{
+    double cycles = 0;
+    double instructions = 0;
+    double ipc = 0;
+    double l2_miss_rate = 0;
+    double l2_mpki = 0;
+    double bandwidth_gbps = 0;
+    double compression_ratio = 0;
+};
 
 /** Reduction of one completed sampling plan. */
 struct SamplingResult
@@ -97,7 +108,24 @@ class SamplingController
 
     CmpSystem &sys_;
     SamplingPlan plan_;
-    SampleState &state_;
+
+    /** The engine's instructionsAdvanced() when the controller was
+     *  built; the fast-forward total is the growth since. */
+    std::uint64_t ff_start_ = 0;
+
+    /** Stat baseline at the open interval's start (valid only between
+     *  beginInterval() and closeInterval()). */
+    StatSnapshot baseline_;
+
+    /** Accumulated per-interval stat deltas over closed intervals. */
+    StatSnapshot detail_totals_;
+
+    /** Per-interval metric samples (CI inputs), one per closed
+     *  interval. */
+    std::vector<IntervalSample> samples_;
+
+    /** The CI stopping rule fired before max_intervals. */
+    bool stopped_early_ = false;
 };
 
 } // namespace cmpsim

@@ -4,6 +4,7 @@
 
 #include "src/core_api/experiment.h"
 #include "src/core_api/miss_classify.h"
+#include "src/core_api/parallel_runner.h"
 
 namespace cmpsim {
 namespace {
@@ -107,8 +108,14 @@ TEST(CmpSystemTest, PrefetchingIssuesAndCovers)
                          "zeus", 120000);
     EXPECT_GT(sys->stats().counter("l2.l2pf_issued"), 0u);
     EXPECT_GT(sys->stats().counter("l2.pf_hits_l2"), 0u);
-    EXPECT_GT(sys->sumL1Counter("l1d", "pf_issued"), 0u);
-    EXPECT_GT(sys->sumL1Counter("l1i", "pf_issued"), 0u);
+    std::uint64_t l1d_issued = 0, l1i_issued = 0;
+    for (unsigned c = 0; c < 8; ++c) {
+        const std::string core = std::to_string(c);
+        l1d_issued += sys->stats().counter("l1d." + core + ".pf_issued");
+        l1i_issued += sys->stats().counter("l1i." + core + ".pf_issued");
+    }
+    EXPECT_GT(l1d_issued, 0u);
+    EXPECT_GT(l1i_issued, 0u);
 }
 
 TEST(CmpSystemTest, PrefetchingHurtsJbbAdaptiveRescues)
@@ -198,13 +205,15 @@ TEST(ExperimentTest, RunOnceExtractsMetrics)
     EXPECT_LE(r.l2pf.accuracy_pct, 100.0);
 }
 
-TEST(ExperimentTest, RunSeedsSummarizes)
+TEST(ExperimentTest, RunPointsSummarizes)
 {
-    RunLengths len;
-    len.warmup_per_core = 30000;
-    len.measure_per_core = 8000;
-    const auto s = runSeeds(makeConfig(4, 4, false, false, false, false),
-                            "art", len, 3);
+    PointSpec spec;
+    spec.config = makeConfig(4, 4, false, false, false, false);
+    spec.benchmark = "art";
+    spec.lengths.warmup_per_core = 30000;
+    spec.lengths.measure_per_core = 8000;
+    spec.seeds = 3;
+    const auto s = runPoints({spec}).front();
     EXPECT_EQ(s.runs.size(), 3u);
     EXPECT_EQ(s.cycles.n, 3u);
     EXPECT_GT(s.cycles.mean, 0.0);

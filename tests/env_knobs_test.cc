@@ -128,16 +128,18 @@ TEST(EnvKnobsTest, ExplicitZeroWarmupRunsEndToEnd)
     EXPECT_EQ(lengths.warmup_per_core, 0u);
     EXPECT_EQ(lengths.measure_per_core, 2000u);
 
-    const SystemConfig cfg = smallConfig();
-    const MetricSummary cold = runSeeds(cfg, "zeus", lengths, 1);
+    PointSpec spec;
+    spec.config = smallConfig();
+    spec.benchmark = "zeus";
+    spec.lengths = lengths;
+    const MetricSummary cold = runPoints({spec}).front();
     EXPECT_GT(cold.runs.front().instructions, 0.0);
     EXPECT_GT(cold.runs.front().ipc, 0.0);
 
     // A warmed run of the same point must differ: if the two agree,
     // the zero was silently replaced by a default somewhere below.
-    RunLengths warmed = lengths;
-    warmed.warmup_per_core = 5000;
-    const MetricSummary warm = runSeeds(cfg, "zeus", warmed, 1);
+    spec.lengths.warmup_per_core = 5000;
+    const MetricSummary warm = runPoints({spec}).front();
     EXPECT_NE(cold.runs.front().cycles, warm.runs.front().cycles);
 }
 

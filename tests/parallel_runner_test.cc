@@ -86,17 +86,5 @@ TEST(ParallelRunnerTest, RepeatedParallelRunsReproduce)
               fingerprints(runPoints(specs, 4)));
 }
 
-TEST(ParallelRunnerTest, RunSeedsMatchesRunPointsSlotForSlot)
-{
-    auto specs = standardPoints();
-    specs.resize(1);
-    const auto batch = runPoints(specs, 3);
-    const MetricSummary direct =
-        runSeeds(specs[0].config, specs[0].benchmark, specs[0].lengths,
-                 specs[0].seeds);
-    EXPECT_EQ(fnv1a(summaryBytes(batch.front())),
-              fnv1a(summaryBytes(direct)));
-}
-
 } // namespace
 } // namespace cmpsim
