@@ -9,8 +9,8 @@
  * ends with the matrix size.
  *
  * Benches that build their own systems or time themselves stay
- * separate binaries (fig08_miss_classification, fig11b_dram_backend,
- * table5_sampled, ablation_cpi_stack, micro_*).
+ * separate binaries (fig08_miss_classification, table5_sampled,
+ * ablation_cpi_stack, micro_*).
  */
 
 #include <algorithm>

@@ -145,7 +145,7 @@ esac
 # Every CMPSIM_* variable in the environment, sorted by name, as JSON
 # members with backslashes and quotes escaped. Wall-clock numbers and
 # bench output are only comparable across runs with the same knobs
-# (CMPSIM_JOBS, CMPSIM_MEASURE, CMPSIM_DRAM, ...).
+# (CMPSIM_JOBS, CMPSIM_MEASURE, CMPSIM_SAMPLING, ...).
 knobs_json() {
   local sep="" name value
   while IFS= read -r name; do

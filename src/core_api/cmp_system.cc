@@ -5,7 +5,6 @@
 
 #include "src/audit/audits.h"
 #include "src/common/sim_error.h"
-#include "src/dram/dram_backend.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/trace.h"
 #include "src/sim/fault_injection.h"
@@ -60,13 +59,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
                        : static_cast<double>(
                              l2_adaptive_->counterValue());
         });
-        // Registered only when the banked backend is armed so the
-        // fixed-path sample rows stay byte-identical to older runs.
-        if (memory_->dram() != nullptr) {
-            sampler_->addGauge("dram_row_hit_rate", [this] {
-                return memory_->dram()->rowHitRate();
-            });
-        }
         sampler_->begin(eq_.now());
     }
 }
@@ -163,13 +155,6 @@ CmpSystem::buildSystem()
             mp.link_bytes_per_cycle, mp.infinite_bandwidth);
         l2_->setJournal(miss_journal_.get());
         memory_->setJournal(miss_journal_.get());
-        if (memory_->dram() != nullptr) {
-            memory_->dram()->setReadObserver(
-                [j = miss_journal_.get()](Addr line, Cycle svc_start,
-                                          Cycle done, bool row_hit) {
-                    j->onDramService(line, svc_start, done, row_hit);
-                });
-        }
         for (unsigned c = 0; c < config_.cores; ++c) {
             cpi_.push_back(std::make_unique<CpiAccount>(
                 c, config_.coreParams().rob_entries,
@@ -240,7 +225,6 @@ CmpSystem::buildSystem()
     l2_->registerAudits(audits_, "l2");
     registerBandwidthResourceAudits(audits_, l2_->onchip(), "l2.onchip");
     registerPriorityLinkAudits(audits_, memory_->link(), "mem.link");
-    memory_->registerAudits(audits_, "mem");
     for (unsigned c = 0; c < config_.cores; ++c) {
         const std::string idx = std::to_string(c);
         l1i_[c]->registerAudits(audits_, "l1i." + idx);
@@ -465,8 +449,8 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
     // Drain to quiescence first: functional accesses evict lines, and
     // a pending fill completing into an evicted tag would corrupt the
     // set. The loop terminates because pending events only complete
-    // existing work (DRAM refresh is lazy, cores create new events
-    // only via tick(), which the drain never calls).
+    // existing work (cores create new events only via tick(), which
+    // the drain never calls).
     eq_.drain();
 
     ff_engine_->advance(instr_per_core, warm_per_core);

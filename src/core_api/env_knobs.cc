@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
+#include "src/common/parse_unsigned.h"
 #include "src/common/sim_error.h"
 
 namespace cmpsim {
@@ -18,22 +20,26 @@ envValue(const char *name)
 }
 
 [[noreturn]] void
-badValue(const char *name, const std::string &v, const char *expected)
+badValue(const char *name, const std::string &v,
+         const std::string &expected)
 {
     throw ConfigError(name, "bad value \"" + v + "\" (expected " +
                                 expected + ")");
 }
 
-std::optional<std::uint64_t>
+template <typename T>
+std::optional<T>
 unsignedKnob(const char *name)
 {
     const std::string v = envValue(name);
     if (v.empty())
         return std::nullopt;
-    char *end = nullptr;
-    const std::uint64_t parsed = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0')
-        badValue(name, v, "an unsigned integer");
+    const std::optional<T> parsed = parseUnsigned<T>(v);
+    if (!parsed) {
+        badValue(name, v,
+                 "an unsigned integer <= " +
+                     std::to_string(std::numeric_limits<T>::max()));
+    }
     return parsed;
 }
 
@@ -68,16 +74,15 @@ EnvKnobs
 readEnvKnobs()
 {
     EnvKnobs k;
-    k.scale = static_cast<unsigned>(
-        unsignedKnob("CMPSIM_SCALE").value_or(k.scale));
-    k.lengths.warmup_per_core = unsignedKnob("CMPSIM_WARMUP")
-                                    .value_or(k.lengths.warmup_per_core);
-    k.lengths.measure_per_core = unsignedKnob("CMPSIM_MEASURE")
-                                     .value_or(k.lengths.measure_per_core);
-    k.seeds = static_cast<unsigned>(
-        unsignedKnob("CMPSIM_SEEDS").value_or(k.seeds));
-    k.jobs = static_cast<unsigned>(
-        unsignedKnob("CMPSIM_JOBS").value_or(k.jobs));
+    k.scale = unsignedKnob<unsigned>("CMPSIM_SCALE").value_or(k.scale);
+    k.lengths.warmup_per_core =
+        unsignedKnob<std::uint64_t>("CMPSIM_WARMUP")
+            .value_or(k.lengths.warmup_per_core);
+    k.lengths.measure_per_core =
+        unsignedKnob<std::uint64_t>("CMPSIM_MEASURE")
+            .value_or(k.lengths.measure_per_core);
+    k.seeds = unsignedKnob<unsigned>("CMPSIM_SEEDS").value_or(k.seeds);
+    k.jobs = unsignedKnob<unsigned>("CMPSIM_JOBS").value_or(k.jobs);
 
     // Paths and the fault plan: empty is unset (an empty plan).
     k.policy.journal_path = envValue("CMPSIM_JOURNAL");
@@ -86,12 +91,10 @@ readEnvKnobs()
     k.policy.report_path = envValue("CMPSIM_REPORT");
     k.policy.progress = boolKnob("CMPSIM_PROGRESS").value_or(false);
 
-    k.audit = unsignedKnob("CMPSIM_AUDIT");
-    k.watchdog = unsignedKnob("CMPSIM_WATCHDOG");
-    k.sample_cycles = unsignedKnob("CMPSIM_SAMPLE_CYCLES");
+    k.audit = unsignedKnob<Cycle>("CMPSIM_AUDIT");
+    k.watchdog = unsignedKnob<Cycle>("CMPSIM_WATCHDOG");
+    k.sample_cycles = unsignedKnob<Cycle>("CMPSIM_SAMPLE_CYCLES");
     k.cpi_stack = boolKnob("CMPSIM_CPISTACK");
-    if (const std::string v = envValue("CMPSIM_DRAM"); !v.empty())
-        parseDramSpec(v, k.dram.emplace());
     if (const std::string v = envValue("CMPSIM_SAMPLING"); !v.empty())
         k.sampling = SamplingPlan::parse(v);
 

@@ -5,7 +5,8 @@
  * under src/ or tools/ calls getenv (enforced by the analyzer's
  * knob-registry check, DESIGN.md §11). One parse rule per value type,
  * each ConfigError naming the knob:
- *   unsigned  empty = unset; 0 is a value; else a decimal integer
+ *   unsigned  empty = unset; 0 is a value; else decimal digits that
+ *             fit the field (parseUnsigned)
  *   boolean   empty = unset; else "0" or "1"
  *   path      empty = unset
  *   seconds   empty = unset; else finite and >= 0
@@ -44,7 +45,6 @@ struct EnvKnobs
     std::optional<Cycle> watchdog;         ///< CMPSIM_WATCHDOG
     std::optional<Cycle> sample_cycles;    ///< CMPSIM_SAMPLE_CYCLES
     std::optional<bool> cpi_stack;         ///< CMPSIM_CPISTACK
-    std::optional<DramTimingParams> dram;  ///< CMPSIM_DRAM
     std::optional<SamplingPlan> sampling;  ///< CMPSIM_SAMPLING
 
     std::string trace;  ///< CMPSIM_TRACE: Chrome trace file

@@ -499,8 +499,8 @@ summaryBytes(const MetricSummary &summary)
         appendHex(out, "victim_tags", r.victim_tags_per_set);
         // Sampled-run block, appended only when the run used an armed
         // sampling plan: unsampled journal bodies stay byte-identical
-        // to the pre-sampling format (same gating idea as the DRAM
-        // knobs in pointSpecBytes).
+        // to the pre-sampling format (same gating idea as the
+        // sampling knobs in pointSpecBytes).
         if (r.sampled.armed) {
             const RunResult::SampledMetrics &sm = r.sampled;
             out += "sampling.intervals=" +
@@ -676,35 +676,11 @@ pointSpecBytes(const PointSpec &spec)
     kv("decompression_latency", c.decompression_latency);
     kv("adaptive_compression", c.adaptive_compression);
     kv("wide_compressed_sets", c.wide_compressed_sets);
-    // DRAM knobs are inert while the backend is Fixed, so they are
-    // appended only when armed: fixed-mode fingerprints — and every
-    // journal written before the banked backend existed — stay valid.
-    if (c.dram.backend != DramBackendKind::Fixed) {
-        const DramTimingParams &d = c.dram;
-        kv("dram.backend", static_cast<std::uint64_t>(d.backend));
-        kv("dram.channels", d.channels);
-        kv("dram.ranks", d.ranks);
-        kv("dram.banks", d.banks);
-        kv("dram.row_bytes", d.row_bytes);
-        kv("dram.trcd", d.trcd);
-        kv("dram.tcas", d.tcas);
-        kv("dram.trp", d.trp);
-        kv("dram.tras", d.tras);
-        kv("dram.burst_bytes", d.burst_bytes);
-        kv("dram.burst_cycles", d.burst_cycles);
-        kv("dram.ctrl_latency", d.ctrl_latency);
-        kv("dram.closed_page", d.closed_page);
-        kv("dram.sched", static_cast<std::uint64_t>(d.sched));
-        kv("dram.refresh_interval", d.refresh_interval);
-        kv("dram.refresh_cycles", d.refresh_cycles);
-        kv("dram.wq_high", d.write_high_watermark);
-        kv("dram.wq_low", d.write_low_watermark);
-    }
-    // Sampling-plan knobs use the same gating: the plan changes the
-    // measurement protocol (interval schedule, hence every measured
-    // number), so it is behavioural — but appending it only when
-    // armed keeps every unsampled fingerprint, and every journal
-    // written before the sampling engine existed, valid.
+    // The sampling plan changes the measurement protocol (interval
+    // schedule, hence every measured number), so it is behavioural —
+    // but appending it only when armed keeps every unsampled
+    // fingerprint, and every journal written before the sampling
+    // engine existed, valid.
     if (c.sampling.armed()) {
         kv("sampling.ff", c.sampling.ff_per_core);
         kv("sampling.detail", c.sampling.detail_per_core);

@@ -84,10 +84,6 @@ SystemConfig::validate() const
         }
     }
 
-    // DRAM knobs must always be arm-able, whichever backend is
-    // selected (validateDramParams throws knob-named ConfigErrors).
-    validateDramParams(dram);
-
     if (sampling.armed()) {
         if (sampling.detail_per_core == 0) {
             reject("config.sampling",
@@ -161,7 +157,6 @@ SystemConfig::memoryParams() const
     p.link_bytes_per_cycle = bytesPerCycle(pin_bandwidth_gbps);
     p.infinite_bandwidth = infinite_bandwidth;
     p.link_compression = link_compression;
-    p.dram = dram;
     return p;
 }
 
@@ -203,8 +198,8 @@ makeConfig(unsigned cores, unsigned scale, bool cache_compression,
     c.adaptive_prefetch = adaptive;
     c.pin_bandwidth_gbps = pin_bandwidth_gbps;
     // The environment lands in the config itself, never at some later
-    // layer: batch fingerprints and journal keys see the DRAM backend
-    // and sampling plan, and a field the caller sets afterwards wins.
+    // layer: batch fingerprints and journal keys see the sampling
+    // plan, and a field the caller sets afterwards wins.
     const EnvKnobs env = readEnvKnobs();
     if (env.audit) {
         c.audit_interval = *env.audit;
@@ -213,7 +208,6 @@ makeConfig(unsigned cores, unsigned scale, bool cache_compression,
     c.watchdog_cycles = env.watchdog.value_or(c.watchdog_cycles);
     c.sample_interval = env.sample_cycles.value_or(c.sample_interval);
     c.cpi_stack = env.cpi_stack.value_or(c.cpi_stack);
-    c.dram = env.dram.value_or(c.dram);
     c.sampling = env.sampling.value_or(c.sampling);
     return c;
 }

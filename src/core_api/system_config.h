@@ -100,16 +100,6 @@ struct SystemConfig
      *  paper text's ambiguous alternative geometry; see DESIGN.md). */
     bool wide_compressed_sets = false;
 
-    // ---- DRAM backend (DESIGN.md Section 10) ----
-
-    /**
-     * Memory backend behind the pin link: the paper-validated fixed
-     * 400-cycle latency (default — seed hashes depend on it) or the
-     * banked timing model with FR-FCFS scheduling, row-buffer state
-     * and compression-shortened bursts.
-     */
-    DramTimingParams dram;
-
     // ---- statistical sampling (DESIGN.md Section 14) ----
 
     /**

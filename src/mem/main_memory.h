@@ -17,20 +17,16 @@
 #define CMPSIM_MEM_MAIN_MEMORY_H
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/common/stats.h"
 #include "src/common/types.h"
-#include "src/dram/dram_params.h"
 #include "src/mem/priority_link.h"
 #include "src/mem/value_store.h"
 #include "src/sim/event_queue.h"
 
 namespace cmpsim {
 
-class DramBackend;
-class InvariantRegistry;
 class MissJournal;
 
 /** Configuration of the off-chip memory path. */
@@ -47,10 +43,6 @@ struct MemoryParams
 
     /** Compress data payloads on the link (paper's link compression). */
     bool link_compression = false;
-
-    /** Memory backend behind the link: the paper-validated fixed
-     *  dram_latency (default) or the banked timing model. */
-    DramTimingParams dram;
 };
 
 /** DRAM + controller + pin link. */
@@ -61,7 +53,6 @@ class MainMemory
 
     MainMemory(EventQueue &eq, ValueStore &values,
                const MemoryParams &params);
-    ~MainMemory();
 
     /**
      * Fetch the line at @p line_addr; @p done runs at the cycle the
@@ -80,10 +71,6 @@ class MainMemory
     const PriorityLink &link() const { return link_; }
     PriorityLink &link() { return link_; }
 
-    /** Banked DRAM backend, or nullptr on the fixed-latency path. */
-    DramBackend *dram() { return dram_.get(); }
-    const DramBackend *dram() const { return dram_.get(); }
-
     /** Wire the (opt-in) miss-genealogy journal; nullptr disarms. */
     void setJournal(MissJournal *j) { journal_ = j; }
 
@@ -94,10 +81,6 @@ class MainMemory
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
-    /** Register backend audits (no-op on the fixed path, which has no
-     *  outstanding-request state to conserve). */
-    void registerAudits(InvariantRegistry &reg, const std::string &name);
-
     void resetStats();
 
     const MemoryParams &params() const { return params_; }
@@ -106,23 +89,17 @@ class MainMemory
     /** Payload segments for a data message for @p line_addr. */
     unsigned dataSegments(Addr line_addr);
 
-    /** Request message arrived at the controller: start DRAM (or the
-     *  fixed latency) and arrange the data message back. */
+    /** Request message arrived at the controller: queue the data
+     *  message onto the link once DRAM has produced it. */
     void fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
                      FetchCallback done, Cycle req_arrives);
-
-    /** DRAM produced the data: queue the data message onto the link. */
-    void fetchSendData(Cycle when, LinkClass cls, unsigned segments,
-                       FetchCallback done, Cycle dram_done);
 
     /** Data message landed on-chip: sample latency, complete. */
     void fetchDeliver(Cycle when, const FetchCallback &done, Cycle at);
 
-    EventQueue &eq_;
     ValueStore &values_;
     MemoryParams params_;
     PriorityLink link_;
-    std::unique_ptr<DramBackend> dram_; ///< null when backend == Fixed
     MissJournal *journal_ = nullptr;
 
     Counter reads_;

@@ -49,8 +49,6 @@ cpiLeafName(CpiLeaf leaf)
         return "link_serialize";
     case CpiLeaf::Decompression:
         return "decompression";
-    case CpiLeaf::DramQueue:
-        return "dram_queue";
     case CpiLeaf::DramService:
         return "dram_service";
     case CpiLeaf::PfResidue:
@@ -139,8 +137,8 @@ MissJournal::onL2Hit(Addr line, Cycle lookup_done, Cycle ready,
 }
 
 void
-MissJournal::onMemRequestSent(Addr line, Cycle enq, Cycle arrive,
-                              unsigned data_segments)
+MissJournal::onMemRead(Addr line, Cycle enq, Cycle arrive,
+                       Cycle dram_done, unsigned data_segments)
 {
     auto it = records_.find(line);
     if (it == records_.end() || it->second.complete)
@@ -163,32 +161,7 @@ MissJournal::onMemRequestSent(Addr line, Cycle enq, Cycle arrive,
         ser = span;
     seal(r, CpiLeaf::LinkQueue, arrive - ser);
     seal(r, CpiLeaf::LinkSerialize, arrive);
-    r.frontier = CpiLeaf::DramQueue;
-}
-
-void
-MissJournal::onDramService(Addr line, Cycle svc_start, Cycle done,
-                           bool row_hit)
-{
-    auto it = records_.find(line);
-    if (it == records_.end() || it->second.complete)
-        return;
-    MissRecord &r = it->second;
-    r.row_hit = row_hit ? 1 : 0;
-    seal(r, CpiLeaf::DramQueue, svc_start);
-    seal(r, CpiLeaf::DramService, done);
-    r.frontier = CpiLeaf::LinkQueue;
-}
-
-void
-MissJournal::onDramFixed(Addr line, Cycle begin, Cycle end)
-{
-    auto it = records_.find(line);
-    if (it == records_.end() || it->second.complete)
-        return;
-    MissRecord &r = it->second;
-    seal(r, CpiLeaf::DramQueue, begin);
-    seal(r, CpiLeaf::DramService, end);
+    seal(r, CpiLeaf::DramService, dram_done);
     r.frontier = CpiLeaf::LinkQueue;
 }
 
@@ -256,10 +229,6 @@ MissJournal::finish(MissRecord &r)
     ++completed_;
     if (r.prefetch_origin)
         ++pf_origin_completed_;
-    if (r.row_hit == 1)
-        ++row_hit_fetches_;
-    else if (r.row_hit == 0)
-        ++row_miss_fetches_;
     total_hist_.sample(static_cast<double>(r.end - r.start));
 
     double per_leaf[kJourneyLeafCount] = {};
@@ -285,9 +254,6 @@ MissJournal::finish(MissRecord &r)
                         r.prefetch_origin ? "prefetch" : "demand"},
                        {"size_class",
                         static_cast<std::uint64_t>(r.data_segments)},
-                       {"row_hit",
-                        r.row_hit < 0 ? "n/a"
-                                      : (r.row_hit != 0 ? "hit" : "miss")},
                        {"demand_joins",
                         static_cast<std::uint64_t>(r.demand_join)}});
         for (const MissSegment &s : r.segments) {
@@ -311,8 +277,6 @@ MissJournal::registerStats(StatRegistry &reg, const std::string &prefix)
     reg.registerCounter(prefix + ".completed", &completed_);
     reg.registerCounter(prefix + ".pf_squashed", &pf_squashed_);
     reg.registerCounter(prefix + ".pf_completed", &pf_origin_completed_);
-    reg.registerCounter(prefix + ".row_hits", &row_hit_fetches_);
-    reg.registerCounter(prefix + ".row_misses", &row_miss_fetches_);
     reg.registerHistogram(prefix + ".journey_cycles", &total_hist_);
     for (unsigned i = 0; i < kJourneyLeafCount; ++i) {
         const CpiLeaf leaf =
@@ -328,8 +292,6 @@ MissJournal::resetStats()
     completed_.reset();
     pf_squashed_.reset();
     pf_origin_completed_.reset();
-    row_hit_fetches_.reset();
-    row_miss_fetches_.reset();
     total_hist_.reset();
     for (Histogram &h : leaf_hists_)
         h.reset();

@@ -10,11 +10,11 @@
  *    prefetch), keyed by line address. Every timing layer the request
  *    crosses closes the record's open "frontier" segment and opens the
  *    next one (L2 service -> link queue -> link serialization -> DRAM
- *    queue -> DRAM service -> link back -> decompression -> L2
- *    service), so a completed record is a gap-free timeline of the
- *    journey tagged with demand/prefetch origin, compressed size class
- *    and DRAM row-hit outcome. Completion feeds per-segment latency
- *    histograms and (when a tracer is armed) Chrome-trace async spans.
+ *    service -> link back -> decompression -> L2 service), so a
+ *    completed record is a gap-free timeline of the journey tagged
+ *    with demand/prefetch origin and compressed size class.
+ *    Completion feeds per-segment latency histograms and (when a
+ *    tracer is armed) Chrome-trace async spans.
  *
  *  - CpiAccount — per-core critical-path accounting. Each core tick
  *    closes the window since the previous tick and attributes every
@@ -62,8 +62,7 @@ enum class CpiLeaf : unsigned {
     LinkQueue,      ///< load miss: waiting for the pin link
     LinkSerialize,  ///< load miss: bytes crossing the pin link
     Decompression,  ///< load miss: decompression pipeline latency
-    DramQueue,      ///< load miss: queued at the DRAM controller
-    DramService,    ///< load miss: DRAM bank/burst service
+    DramService,    ///< load miss: the fixed DRAM access latency
     PfResidue,      ///< stall behind an in-flight (partial) prefetch
     Count
 };
@@ -107,7 +106,6 @@ struct MissRecord
     bool penalized = false;       ///< paid the decompression latency
     unsigned demand_join = 0;     ///< demand requests that coalesced
     Cycle demand_join_when = 0;   ///< first demand coalescing time
-    int row_hit = -1;             ///< 1/0 from banked DRAM, -1 unknown
     unsigned data_segments = 0;   ///< compressed size class (link form)
     unsigned cpu = 0;
     /** Span of the *previous* complete prefetch journey for this line
@@ -124,8 +122,8 @@ struct MissRecord
 
 /**
  * Journey journal + per-segment latency histograms. One instance per
- * CmpSystem, fed by L2Cache, MainMemory and DramBackend hooks; read by
- * every CpiAccount. All hooks run in serial event context.
+ * CmpSystem, fed by L2Cache and MainMemory hooks; read by every
+ * CpiAccount. All hooks run in serial event context.
  */
 class MissJournal
 {
@@ -146,17 +144,11 @@ class MissJournal
                  bool penalized);
 
     /** The off-chip request message (enqueued at @p enq) arrived at
-     *  the memory controller at @p arrive; the data reply will carry
-     *  @p data_segments segments (the compressed size class). */
-    void onMemRequestSent(Addr line, Cycle enq, Cycle arrive,
-                          unsigned data_segments);
-
-    /** Banked DRAM serviced the read: service ran [svc_start, done). */
-    void onDramService(Addr line, Cycle svc_start, Cycle done,
-                       bool row_hit);
-
-    /** Fixed-latency DRAM path: service ran [begin, end). */
-    void onDramFixed(Addr line, Cycle begin, Cycle end);
+     *  the memory controller at @p arrive, and DRAM produced the data
+     *  at @p dram_done; the data reply will carry @p data_segments
+     *  segments (the compressed size class). */
+    void onMemRead(Addr line, Cycle enq, Cycle arrive, Cycle dram_done,
+                   unsigned data_segments);
 
     /** The data message landed at the L2 at @p arrival; decompression
      *  (if any) completes at @p decomp_end (== arrival when none). */
@@ -197,10 +189,8 @@ class MissJournal
     Counter completed_;
     Counter pf_squashed_;
     Counter pf_origin_completed_;
-    Counter row_hit_fetches_;
-    Counter row_miss_fetches_;
     Histogram total_hist_{50.0, 64};
-    /** Per-record per-leaf dwell time, for the six journey leaves
+    /** Per-record per-leaf dwell time, for the five journey leaves
      *  (L2Service..DramService in CpiLeaf order). */
     std::vector<Histogram> leaf_hists_;
 };

@@ -2,11 +2,11 @@
  * @file
  * FastForwardEngine (DESIGN.md §14): first-class functional execution
  * — every core advances its instruction stream updating cache,
- * directory, prefetcher-table and DRAM-row state with no event
- * timing. This generalizes CmpSystem::warmup()'s inner loop into a
- * budgeted mode the sampling engine invokes between detailed
- * intervals, with its own fault site (sample.ff), deadline polling,
- * stat counters and an instruction-conservation audit.
+ * directory and prefetcher-table state with no event timing. This
+ * generalizes CmpSystem::warmup()'s inner loop into a budgeted mode
+ * the sampling engine invokes between detailed intervals, with its
+ * own fault site (sample.ff), deadline polling, stat counters and an
+ * instruction-conservation audit.
  *
  * The engine must only run from a *quiesced* system (no pending
  * events): functional accesses evict cache lines, and a pending fill

@@ -1,7 +1,10 @@
 #include "src/sample/sampling_plan.h"
 
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 
+#include "src/common/parse_unsigned.h"
 #include "src/common/sim_error.h"
 
 namespace cmpsim {
@@ -17,15 +20,20 @@ badSpec(const std::string &spec, const std::string &why)
             " (expected <ff>:<detail>:<n>[:ci<pct>][:warm<instr>])");
 }
 
+/** The count from @p p up to the next ':' (or the end); leaves @p p
+ *  there. */
 std::uint64_t
 parseField(const std::string &spec, const char *&p, const char *what)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(p, &end, 10);
-    if (end == p)
-        badSpec(spec, std::string("missing ") + what);
-    p = end;
-    return v;
+    const std::string_view field(p, std::strcspn(p, ":"));
+    const std::optional<std::uint64_t> v =
+        parseUnsigned<std::uint64_t>(field);
+    if (!v) {
+        badSpec(spec, std::string("bad ") + what + " \"" +
+                          std::string(field) + "\"");
+    }
+    p += field.size();
+    return *v;
 }
 
 } // namespace
@@ -61,7 +69,7 @@ SamplingPlan::parse(const std::string &spec)
                    p[3] == 'm') {
             p += 4;
             plan.warm_per_core =
-                parseField(spec, p, "instruction count after \"warm\"");
+                parseField(spec, p, "warm instruction count");
         } else {
             badSpec(spec, "expected ci<pct> or warm<instr> suffix");
         }

@@ -11,11 +11,11 @@
  *
  *     CMPSIM_SAMPLING=<ff>:<detail>:<n>[:ci<pct>][:warm<instr>]
  *
- * is applied by makeConfig() (like CMPSIM_DRAM) so batch fingerprints
- * and journal keys see the plan; the optional ci<pct> suffix arms the
- * stopping rule — stop as soon as the IPC confidence half-width drops
- * below <pct> percent of the mean (n stays the hard ceiling) — and
- * the optional warm<instr> suffix splits each fast-forward phase
+ * is applied by makeConfig() so batch fingerprints and journal keys
+ * see the plan; the optional ci<pct> suffix arms the stopping rule —
+ * stop as soon as the IPC confidence half-width drops below <pct>
+ * percent of the mean (n stays the hard ceiling) — and the optional
+ * warm<instr> suffix splits each fast-forward phase
  * SMARTS-style: only the last <instr> instructions per core run in
  * functional-warming mode (cache/prefetcher state updated), the rest
  * in pure skip mode (workload and value store advance only). Without
@@ -75,7 +75,7 @@ struct SamplingPlan
     bool armed() const { return max_intervals > 0; }
 
     /**
-     * Parse a "<ff>:<detail>:<n>[:ci<pct>]" spec. Throws
+     * Parse a "<ff>:<detail>:<n>[:ci<pct>][:warm<instr>]" spec. Throws
      * ConfigError("config.sampling") on malformed input; range checks
      * live in SystemConfig::validate() so programmatic plans get the
      * same guards.

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
+#include <optional>
 #include <string_view>
 
 #include "src/common/log.h"
+#include "src/common/parse_unsigned.h"
 #include "src/common/sim_error.h"
 
 namespace cmpsim {
@@ -16,9 +17,9 @@ namespace {
 /** Every site a faultSite()/faultStallActive() probe in src/ names.
  *  parse() rejects any other, so a misspelt or retired site fails
  *  loudly instead of arming a rule that can never fire. */
-constexpr std::array<std::string_view, 7> kKnownSites = {
-    "l2.fill",     "link.transfer", "workload.gen",    "dram.access",
-    "core.stall",  "sample.ff",     "sample.interval",
+constexpr std::array<std::string_view, 6> kKnownSites = {
+    "l2.fill",    "link.transfer", "workload.gen",
+    "core.stall", "sample.ff",     "sample.interval",
 };
 
 } // namespace
@@ -144,16 +145,15 @@ FaultPlan::parse(const std::string &spec)
                                   "\"");
         }
 
-        auto parseUint = [&entry](const std::string &s,
-                                  const char *what) -> std::uint64_t {
-            char *end = nullptr;
-            const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-            if (end == s.c_str() || *end != '\0') {
+        auto parseUint = [&entry]<typename T>(const std::string &s,
+                                              const char *what, T &out) {
+            const std::optional<T> v = parseUnsigned<T>(s);
+            if (!v) {
                 throw ConfigError("fault.spec",
                                   std::string("bad ") + what + " \"" + s +
                                       "\" in \"" + entry + "\"");
             }
-            return v;
+            out = *v;
         };
 
         if (std::find(kKnownSites.begin(), kKnownSites.end(),
@@ -165,7 +165,7 @@ FaultPlan::parse(const std::string &spec)
 
         FaultSpec fault;
         fault.site = fields[0];
-        fault.nth = parseUint(fields[1], "occurrence");
+        parseUint(fields[1], "occurrence", fault.nth);
         if (fault.nth == 0) {
             throw ConfigError("fault.spec",
                               "occurrence must be >= 1 in \"" + entry +
@@ -180,11 +180,9 @@ FaultPlan::parse(const std::string &spec)
             } else if (field == "stall") {
                 fault.kind = FaultKind::Stall;
             } else if (field[0] == 'p' && field.size() > 1) {
-                fault.point = static_cast<std::size_t>(
-                    parseUint(field.substr(1), "point selector"));
+                parseUint(field.substr(1), "point selector", fault.point);
             } else if (field[0] == 's' && field.size() > 1) {
-                fault.seed = static_cast<unsigned>(
-                    parseUint(field.substr(1), "seed selector"));
+                parseUint(field.substr(1), "seed selector", fault.seed);
             } else {
                 throw ConfigError("fault.spec",
                                   "unknown field \"" + field + "\" in \"" +

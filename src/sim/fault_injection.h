@@ -25,9 +25,7 @@
  * Known sites (kKnownSites in fault_injection.cc; parse() rejects any
  * other site with ConfigError): l2.fill (L2Cache::fill), link.transfer
  * (PriorityLink::send), workload.gen (SyntheticWorkload construction),
- * core.stall (CoreModel::tick, stall kind only), dram.access
- * (DramBackend::read — hit only when the banked backend is armed via
- * CMPSIM_DRAM; contained like l2.fill), sample.ff (once per
+ * core.stall (CoreModel::tick, stall kind only), sample.ff (once per
  * fast-forward chunk) and sample.interval (once per sampled interval).
  *
  * The same file hosts the per-point wall-clock deadline

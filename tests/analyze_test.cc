@@ -339,24 +339,25 @@ TEST(KnobRegistryTest, CmakeKnobsSatisfyTheReverseCheck)
 TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
 {
     AnalysisContext ctx;
-    ctx.readme = "| `CMPSIM_DRAM` | `fixed` | backend |\n";
+    ctx.readme = "| `CMPSIM_SAMPLING` | — | sampling plan |\n";
     const auto bad = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"}}, ctx);
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"}},
+        ctx);
     EXPECT_EQ(where(bad, "knob-registry").size(), 1u);
 
     const auto good = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"},
-         {"src/dram/v.cc",
-          "void v() { reject(\"config.dram.banks\", \"...\"); }\n"}},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"},
+         {"src/mem/v.cc",
+          "void v() { reject(\"config.sampling\", \"...\"); }\n"}},
         ctx);
     EXPECT_TRUE(where(good, "knob-registry").empty());
 
-    // The checker's own knob->domain map spells "config.dram" under
-    // tools/; that literal is not validate() coverage.
+    // The checker's own knob->domain map spells "config.sampling"
+    // under tools/; that literal is not validate() coverage.
     const auto map_only = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_DRAM\"); }\n"},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"},
          {"tools/analyze/checks_knobs.cc",
-          "auto m = {\"CMPSIM_DRAM\", \"config.dram\"};\n"}},
+          "auto m = {\"CMPSIM_SAMPLING\", \"config.sampling\"};\n"}},
         ctx);
     EXPECT_EQ(where(map_only, "knob-registry").size(), 1u);
 }
@@ -391,7 +392,7 @@ TEST(FaultSiteTest, FiresOnUntestedAndUndocumentedSites)
     ctx.tests_blob = "faultSite(\"l2.fill\");\n";
     ctx.design = "## 8. Failure model\nsites: `l2.fill`\n## 9. Next\n";
     const auto r = analyze(
-        {{"src/dram/d.cc", "void f() { faultSite(\"dram.access\"); }\n"}},
+        {{"src/mem/d.cc", "void f() { faultSite(\"link.transfer\"); }\n"}},
         ctx);
     // Both legs fire for the same probe: untested and undocumented.
     EXPECT_EQ(where(r, "fault-site").size(), 2u);
@@ -401,10 +402,10 @@ TEST(FaultSiteTest, PlanStringsAndSection8EntriesSatisfyCoverage)
 {
     AnalysisContext ctx;
     // A plan string with trailing fields counts as injection.
-    ctx.tests_blob = "FaultPlan::parse(\"dram.access:2:p1\");\n";
-    ctx.design = "## 8. Failure model\nsites: `dram.access`\n";
+    ctx.tests_blob = "FaultPlan::parse(\"link.transfer:2:p1\");\n";
+    ctx.design = "## 8. Failure model\nsites: `link.transfer`\n";
     const auto r = analyze(
-        {{"src/dram/d.cc", "void f() { faultSite(\"dram.access\"); }\n"}},
+        {{"src/mem/d.cc", "void f() { faultSite(\"link.transfer\"); }\n"}},
         ctx);
     EXPECT_TRUE(where(r, "fault-site").empty());
 }
@@ -413,13 +414,12 @@ TEST(FaultSiteTest, OnlySection8IsConsulted)
 {
     AnalysisContext ctx;
     ctx.tests_blob = "faultSite(\"x.y\");\n";
-    // The site is named in §10 but not in §8's failure model: the
-    // doc leg must still fire (this is the dram.access drift the
-    // check was built to catch).
+    // The site is named in §9 but not in §8's failure model: the doc
+    // leg must still fire.
     ctx.design = "## 8. Failure model\nsites: `l2.fill`\n"
-                 "## 10. DRAM\nthe `x.y` probe\n";
+                 "## 9. Observability\nthe `x.y` probe\n";
     const auto r = analyze(
-        {{"src/dram/d.cc", "void f() { faultSite(\"x.y\"); }\n"}}, ctx);
+        {{"src/mem/d.cc", "void f() { faultSite(\"x.y\"); }\n"}}, ctx);
     EXPECT_EQ(where(r, "fault-site").size(), 1u);
 }
 
@@ -452,7 +452,7 @@ TEST(SharedStateTest, QuietOnConstAtomicAndFunctionDecls)
 
 TEST(SharedStateTest, ScopedToKernelDirectories)
 {
-    // The same mutable static outside src/sim|cache|dram is allowed:
+    // The same mutable static outside src/sim|cache is allowed:
     // the check guards the simulation-kernel directories only.
     const auto r = analyze(
         {{"src/core_api/ok.cc", "static int call_count = 0;\n"}});

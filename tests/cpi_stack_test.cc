@@ -215,41 +215,11 @@ TEST(CpiStackTest, ReportAndTraceFromArmedRun)
     std::remove(path.c_str());
 }
 
-TEST(CpiStackTest, BankedDramRecordsRowHitOutcomes)
-{
-    EnvGuard dram("CMPSIM_DRAM", "banked");
-    SystemConfig cfg = makeConfig(/*cores=*/2, /*scale=*/4,
-                                  /*cache_compression=*/true,
-                                  /*link_compression=*/true,
-                                  /*prefetching=*/false,
-                                  /*adaptive=*/false);
-    cfg.seed = 7;
-    cfg.cpi_stack = true;
-    CmpSystem sys(cfg, benchmarkParams("zeus"));
-    sys.warmup(kWarmup);
-    sys.run(kMeasure);
-
-    // Row-buffer outcomes are tagged onto journeys, and queue/service
-    // time is split (the fixed path books everything as service).
-    const StatRegistry &reg = sys.cpiStats();
-    EXPECT_GT(reg.counter("genealogy.row_hits") +
-                  reg.counter("genealogy.row_misses"),
-              0u);
-    std::uint64_t queue = 0;
-    for (unsigned c = 0; c < sys.config().cores; ++c)
-        queue += sys.cpiAccount(c)->leafCycles(CpiLeaf::DramQueue);
-    (void)queue; // may be zero on an idle bus; presence checked above
-    std::string why;
-    for (unsigned c = 0; c < sys.config().cores; ++c)
-        EXPECT_TRUE(sys.cpiAccount(c)->conserved(why)) << why;
-}
-
 TEST(CpiStackTest, LeafNamesAreStable)
 {
     EXPECT_STREQ(cpiLeafName(CpiLeaf::Compute), "compute");
     EXPECT_STREQ(cpiLeafName(CpiLeaf::Decompression), "decompression");
     EXPECT_STREQ(cpiLeafName(CpiLeaf::PfResidue), "pf_residue");
-    EXPECT_STREQ(cpiLeafName(CpiLeaf::DramQueue), "dram_queue");
 }
 
 } // namespace

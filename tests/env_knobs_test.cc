@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 #include "src/common/sim_error.h"
 #include "tests/env_guard.h"
 
@@ -58,20 +62,28 @@ TEST(EnvKnobsTest, EmptyReturnsFallback)
     EnvGuard cpi("CMPSIM_CPISTACK", "");
     EnvGuard journal("CMPSIM_JOURNAL", "");
     EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "");
-    EnvGuard dram("CMPSIM_DRAM", "");
+    EnvGuard sampling("CMPSIM_SAMPLING", "");
     const EnvKnobs env = readEnvKnobs();
     EXPECT_EQ(env.lengths.measure_per_core,
               RunLengths{}.measure_per_core);
     EXPECT_FALSE(env.cpi_stack.has_value());
     EXPECT_TRUE(env.policy.journal_path.empty());
     EXPECT_EQ(env.policy.point_timeout_sec, 0.0);
-    EXPECT_FALSE(env.dram.has_value());
+    EXPECT_FALSE(env.sampling.has_value());
 }
 
 TEST(EnvKnobsTest, ParsesValue)
 {
     EnvGuard measure("CMPSIM_MEASURE", "400000");
     EXPECT_EQ(readEnvKnobs().lengths.measure_per_core, 400000u);
+
+    // Each knob takes up to its own type's maximum.
+    EnvGuard warmup("CMPSIM_WARMUP", "18446744073709551615");
+    EnvGuard seeds("CMPSIM_SEEDS", "4294967295");
+    const EnvKnobs env = readEnvKnobs();
+    EXPECT_EQ(env.lengths.warmup_per_core,
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(env.seeds, std::numeric_limits<unsigned>::max());
 }
 
 TEST(EnvKnobsTest, ExplicitZeroIsAValueNotAnError)
@@ -86,8 +98,21 @@ TEST(EnvKnobsTest, ExplicitZeroIsAValueNotAnError)
 
 TEST(EnvKnobsTest, NonNumericIsFatal)
 {
-    EnvGuard seeds("CMPSIM_SEEDS", "fast");
-    EXPECT_EQ(errorContext(), "CMPSIM_SEEDS");
+    // Digits only, and within the knob's type: a minus sign (which
+    // strtoull wraps), a leading space or '+', and a value too large
+    // for the destination (which a cast would truncate) all fail.
+    const std::pair<const char *, const char *> bad[] = {
+        {"CMPSIM_SEEDS", "fast"},
+        {"CMPSIM_WARMUP", "-1"},
+        {"CMPSIM_WARMUP", " 5"},
+        {"CMPSIM_WARMUP", "+5"},
+        {"CMPSIM_WARMUP", "18446744073709551616"},
+        {"CMPSIM_SEEDS", "4294967298"},
+    };
+    for (const auto &[knob, value] : bad) {
+        EnvGuard guard(knob, value);
+        EXPECT_EQ(errorContext(), knob) << knob << "=" << value;
+    }
 }
 
 TEST(EnvKnobsTest, TrailingGarbageIsFatal)
@@ -179,10 +204,6 @@ TEST(EnvKnobsTest, PointTimeoutIsFiniteNonNegativeSeconds)
 
 TEST(EnvKnobsTest, SpecKnobsKeepTheirParsersErrorContexts)
 {
-    {
-        EnvGuard dram("CMPSIM_DRAM", "banked:banks=abc");
-        EXPECT_EQ(errorContext(), "env.CMPSIM_DRAM");
-    }
     {
         EnvGuard sampling("CMPSIM_SAMPLING", "8000:2000");
         EXPECT_EQ(errorContext(), "config.sampling");

@@ -85,6 +85,14 @@ TEST(FaultPlanTest, MalformedSpecsThrowConfigError)
     // Retired per-attempt fields: every task runs once.
     EXPECT_THROW(FaultPlan::parse("l2.fill:1:all"), ConfigError);
     EXPECT_THROW(FaultPlan::parse("l2.fill:1:2"), ConfigError);
+    // Counts are plain digits that fit their field: a negative
+    // occurrence would wrap to one that never fires.
+    EXPECT_THROW(FaultPlan::parse("l2.fill:-1"), ConfigError);
+    EXPECT_THROW(FaultPlan::parse("l2.fill:+1"), ConfigError);
+    EXPECT_THROW(FaultPlan::parse("l2.fill: 1"), ConfigError);
+    EXPECT_THROW(FaultPlan::parse("l2.fill:18446744073709551616"),
+                 ConfigError);
+    EXPECT_THROW(FaultPlan::parse("l2.fill:1:s4294967296"), ConfigError);
     // Sites no probe uses: a misspelling and two retired names.
     EXPECT_THROW(FaultPlan::parse("l2.fil:1"), ConfigError);
     EXPECT_THROW(FaultPlan::parse("lane.sync:1"), ConfigError);

@@ -49,14 +49,13 @@ fingerprint(SystemConfig cfg, const std::string &workload,
     return hex(fnv1a(dump.str()));
 }
 
-/** makeConfig() minus whatever CMPSIM_DRAM / CMPSIM_SAMPLING set. */
+/** makeConfig() minus whatever CMPSIM_SAMPLING sets. */
 SystemConfig
 defaultPath(unsigned cores, bool compression, bool prefetching,
             bool adaptive)
 {
     SystemConfig cfg = makeConfig(cores, 4, compression, compression,
                                   prefetching, adaptive, kPinGbps);
-    cfg.dram = DramTimingParams{};
     cfg.sampling = SamplingPlan{};
     return cfg;
 }
@@ -75,12 +74,11 @@ TEST(GoldenFingerprintTest, MgridSixteenCoresBase)
     EXPECT_EQ(got, "57addb62c30b98f8") << "new hash: " << got;
 }
 
-TEST(GoldenFingerprintTest, JbbBankedDram)
+TEST(GoldenFingerprintTest, JbbComprPref)
 {
-    SystemConfig cfg = defaultPath(8, true, true, false);
-    cfg.dram.backend = DramBackendKind::Banked;
-    const std::string got = fingerprint(cfg, "jbb", 30000, 20000);
-    EXPECT_EQ(got, "82c9dcabed710ab3") << "new hash: " << got;
+    const std::string got = fingerprint(defaultPath(8, true, true, false),
+                                        "jbb", 30000, 20000);
+    EXPECT_EQ(got, "40466dca62da94e1") << "new hash: " << got;
 }
 
 } // namespace

@@ -103,32 +103,6 @@ TEST(PointSpecBytesTest, FingerprintTracksBehaviouralKnobsOnly)
     EXPECT_NE(fnv1a(pointSpecBytes(changed)), base);
 }
 
-TEST(PointSpecBytesTest, DramKnobsFingerprintOnlyWhenBackendArmed)
-{
-    auto specs = smallPoints();
-    const std::uint64_t base = fnv1a(pointSpecBytes(specs[0]));
-
-    // Inert knobs on the fixed backend: fingerprints (and journals
-    // written before the banked backend existed) must not move.
-    PointSpec changed = specs[0];
-    changed.config.dram.banks = 32;
-    changed.config.dram.tras = 999;
-    EXPECT_EQ(fnv1a(pointSpecBytes(changed)), base);
-
-    // Arming the backend is behavioural, as is every knob once armed.
-    changed = specs[0];
-    changed.config.dram.backend = DramBackendKind::Banked;
-    const std::uint64_t banked = fnv1a(pointSpecBytes(changed));
-    EXPECT_NE(banked, base);
-
-    changed.config.dram.banks = 32;
-    EXPECT_NE(fnv1a(pointSpecBytes(changed)), banked);
-
-    changed.config.dram.banks = specs[0].config.dram.banks;
-    changed.config.dram.sched = DramSched::Fcfs;
-    EXPECT_NE(fnv1a(pointSpecBytes(changed)), banked);
-}
-
 // ----------------------------------------------------------- resume
 
 TEST(JournalResumeTest, RerunRestoresCompletedPointsByteIdentically)

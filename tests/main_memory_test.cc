@@ -37,6 +37,8 @@ class MainMemoryTest : public ::testing::Test
 TEST_F(MainMemoryTest, UnloadedFetchLatency)
 {
     MainMemory mem(eq, values, baseParams());
+    StatRegistry reg;
+    mem.registerStats(reg, "mem");
     makeRaw(0x1000);
     Cycle done_at = 0;
     mem.fetchLine(0x1000, 100, false, [&](Cycle c) { done_at = c; });
@@ -45,6 +47,9 @@ TEST_F(MainMemoryTest, UnloadedFetchLatency)
     EXPECT_EQ(done_at, 100u + 2 + 400 + 18);
     EXPECT_EQ(mem.reads(), 1u);
     EXPECT_EQ(mem.link().totalBytes(), 8u + 72u);
+    // 420 cycles lands in the 50-cycle bucket 8.
+    EXPECT_DOUBLE_EQ(reg.average("mem.read_latency"), 420.0);
+    EXPECT_EQ(reg.histogram("mem.read_latency_hist").bucket(8), 1u);
 }
 
 TEST_F(MainMemoryTest, LinkCompressionShrinksDataMessage)

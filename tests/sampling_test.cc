@@ -124,6 +124,14 @@ TEST(SamplingPlanTest, MalformedSpecsThrowConfigError)
                  ConfigError);
     EXPECT_THROW(SamplingPlan::parse("100000:5000:30:ci5:2"),
                  ConfigError);
+    // Counts are plain digits that fit: no sign, space or '+', and no
+    // wrap past 2^64.
+    EXPECT_THROW(SamplingPlan::parse("-5:100:3"), ConfigError);
+    EXPECT_THROW(SamplingPlan::parse("5: 100:3"), ConfigError);
+    EXPECT_THROW(SamplingPlan::parse("5:100:+3"), ConfigError);
+    EXPECT_THROW(SamplingPlan::parse("18446744073709551616:100:3"),
+                 ConfigError);
+    EXPECT_THROW(SamplingPlan::parse("5:100:3:warm-1"), ConfigError);
 }
 
 TEST(SamplingPlanTest, EnvSpecIsAppliedAndValidatedByMakeConfig)

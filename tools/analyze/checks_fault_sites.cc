@@ -5,9 +5,6 @@
  * fault-injection tests and documented in DESIGN.md §8's failure
  * model. A probe nobody injects into is dead resilience machinery; a
  * probe the docs omit is an invisible CMPSIM_FAULT surface.
- *
- * The PR that added the dram.access probe documented it in §10 but
- * forgot §8's site list — exactly the drift this check now fails.
  */
 
 #include <sstream>

@@ -49,7 +49,6 @@ const std::map<std::string, std::string> &
 configCoverage()
 {
     static const std::map<std::string, std::string> m = {
-        {"CMPSIM_DRAM", "config.dram"},
         {"CMPSIM_CPISTACK", "config.sampling"}, // cpi_stack x sampling
         {"CMPSIM_SAMPLING", "config.sampling"},
     };

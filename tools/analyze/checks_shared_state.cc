@@ -1,8 +1,8 @@
 /**
  * @file
  * shared-state: mutable namespace-scope globals and non-const
- * statics in the simulation-kernel directories (src/sim, src/cache,
- * src/dram). The determinism guarantee rests on DESIGN.md section
+ * statics in the simulation-kernel directories (src/sim and
+ * src/cache). The determinism guarantee rests on DESIGN.md section
  * 7's ownership model — one CmpSystem owns all of its state — and
  * the parallel runner's workers simulate several CmpSystems at once
  * in one process, so state hidden outside the object graph would
@@ -41,8 +41,7 @@ namespace {
 bool
 scopedDir(const SourceFile &f)
 {
-    return f.under("src/sim") || f.under("src/cache") ||
-           f.under("src/dram");
+    return f.under("src/sim") || f.under("src/cache");
 }
 
 bool
@@ -86,8 +85,8 @@ class SharedStateChecker final : public Checker
     const char *id() const override { return "shared-state"; }
     const char *description() const override
     {
-        return "mutable globals / non-const statics in src/sim, "
-               "src/cache, src/dram";
+        return "mutable globals / non-const statics in src/sim and "
+               "src/cache";
     }
 
     void checkFile(const SourceFile &f, const AnalysisContext &,

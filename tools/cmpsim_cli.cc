@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "src/common/fingerprint.h"
+#include "src/common/parse_unsigned.h"
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
 #include "src/core_api/env_knobs.h"
@@ -106,10 +108,12 @@ usage(int code)
         "                      --samples is given; also\n"
         "                      CMPSIM_SAMPLE_CYCLES)\n"
         "  --sampling SPEC     statistical sampling plan\n"
-        "                      <ff>:<detail>:<n>[:ci<pct>] — alternate\n"
-        "                      ff fast-forward and detail timed instr\n"
-        "                      per core over n intervals, report every\n"
-        "                      metric with a 95%% CI (--measure is then\n"
+        "                      <ff>:<detail>:<n>[:ci<pct>][:warm<instr>]\n"
+        "                      — alternate ff fast-forward and detail\n"
+        "                      timed instr per core over n intervals,\n"
+        "                      report every metric with a 95%% CI;\n"
+        "                      warm<instr> warms only the last instr\n"
+        "                      of each fast-forward (--measure is then\n"
         "                      ignored; also CMPSIM_SAMPLING)\n"
         "  --help\n");
     std::exit(code);
@@ -124,13 +128,12 @@ parse(int argc, char **argv)
             die(argv[i], "missing value");
         return argv[i + 1];
     };
-    auto parse_uint = [&](int i) -> std::uint64_t {
+    auto parse_uint = [&]<typename T>(int i, T &out) {
         const char *v = need_value(i);
-        char *end = nullptr;
-        const std::uint64_t parsed = std::strtoull(v, &end, 10);
-        if (end == v || *end != '\0')
+        const std::optional<T> parsed = parseUnsigned<T>(v);
+        if (!parsed)
             die(argv[i], std::string("bad integer \"") + v + "\"");
-        return parsed;
+        out = *parsed;
     };
     auto parse_double = [&](int i) -> double {
         const char *v = need_value(i);
@@ -147,9 +150,9 @@ parse(int argc, char **argv)
         } else if (a == "--workload") {
             o.workload = need_value(i++);
         } else if (a == "--cores") {
-            o.cores = static_cast<unsigned>(parse_uint(i++));
+            parse_uint(i++, o.cores);
         } else if (a == "--scale") {
-            o.scale = static_cast<unsigned>(parse_uint(i++));
+            parse_uint(i++, o.scale);
         } else if (a == "--compression") {
             o.cache_compression = o.link_compression = true;
         } else if (a == "--cache-compression") {
@@ -168,11 +171,11 @@ parse(int argc, char **argv)
         } else if (a == "--infinite-bw") {
             o.infinite_bw = true;
         } else if (a == "--warmup") {
-            o.lengths.warmup_per_core = parse_uint(i++);
+            parse_uint(i++, o.lengths.warmup_per_core);
         } else if (a == "--measure") {
-            o.lengths.measure_per_core = parse_uint(i++);
+            parse_uint(i++, o.lengths.measure_per_core);
         } else if (a == "--seed") {
-            o.seed = parse_uint(i++);
+            parse_uint(i++, o.seed);
         } else if (a == "--stats") {
             o.dump_stats = true;
         } else if (a == "--cpi-stack") {
@@ -184,7 +187,7 @@ parse(int argc, char **argv)
         } else if (a == "--samples") {
             o.samples_path = need_value(i++);
         } else if (a == "--sample-cycles") {
-            o.sample_cycles = parse_uint(i++);
+            parse_uint(i++, o.sample_cycles);
         } else if (a == "--sampling") {
             o.sampling_spec = need_value(i++);
         } else {
