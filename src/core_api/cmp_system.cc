@@ -41,26 +41,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
             }
         }
     }
-
-    if (config_.sample_interval > 0) {
-        IntervalSampler::Shape shape;
-        shape.cores = config_.cores;
-        shape.link_bytes_per_cycle =
-            config_.infinite_bandwidth
-                ? 0.0
-                : SystemConfig::bytesPerCycle(config_.pin_bandwidth_gbps);
-        sampler_ = std::make_unique<IntervalSampler>(
-            registry_, config_.sample_interval, shape);
-        sampler_->addGauge("l2_compression_ratio",
-                           [this] { return l2_->compressionRatio(); });
-        sampler_->addGauge("l2_adaptive_counter", [this] {
-            return l2_adaptive_ == nullptr
-                       ? 0.0
-                       : static_cast<double>(
-                             l2_adaptive_->counterValue());
-        });
-        sampler_->begin(eq_.now());
-    }
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -262,8 +242,6 @@ CmpSystem::resetAllStats()
         a->resetStats();
     if (miss_journal_ != nullptr)
         miss_journal_->resetStats();
-    if (sampler_ != nullptr)
-        sampler_->onStatsReset(eq_.now());
 }
 
 void
@@ -298,26 +276,6 @@ CmpSystem::warmup(std::uint64_t instr_per_core)
     }
 }
 
-namespace {
-
-/** Counter tracks in the trace viewer for one sampler row. */
-void
-traceSampleRow(const IntervalSampler &sampler, const SampleRow &row)
-{
-    const DerivedMetrics m = sampler.derived(row);
-    traceCounter("obs.ipc", row.t1, {{"ipc", m.ipc_total}});
-    traceCounter("obs.miss_rates", row.t1,
-                 {{"l1d", m.l1d_miss_rate}, {"l2", m.l2_miss_rate}});
-    traceCounter("obs.link", row.t1,
-                 {{"bytes_per_cycle", m.link_bytes_per_cycle}});
-    if (!row.gauges.empty()) {
-        traceCounter("obs.compression_ratio", row.t1,
-                     {{"ratio", row.gauges[0]}});
-    }
-}
-
-} // namespace
-
 void
 CmpSystem::run(std::uint64_t instr_per_core)
 {
@@ -337,9 +295,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
     const Cycle audit_interval = config_.audit_interval;
     Cycle next_audit =
         audit_interval > 0 ? start + audit_interval : kCycleNever;
-    const Cycle obs_interval =
-        sampler_ != nullptr ? sampler_->interval() : 0;
-    Cycle next_obs = obs_interval > 0 ? start + obs_interval : kCycleNever;
     std::uint64_t retired = start_retired;
 
     // Forward-progress watchdog: if no core retires an instruction for
@@ -405,22 +360,9 @@ CmpSystem::run(std::uint64_t instr_per_core)
             audits_.enforce();
             next_audit = now + audit_interval;
         }
-        if (now >= next_obs) {
-            sampler_->sampleAt(now);
-            if (traceEnabled() && !sampler_->rows().empty())
-                traceSampleRow(*sampler_, sampler_->rows().back());
-            next_obs = now + obs_interval;
-        }
     }
 
     ratio_samples_.sample(l2_->compressionRatio());
-    if (sampler_ != nullptr) {
-        // Flush the final partial interval so short runs still
-        // produce a non-empty time-series.
-        sampler_->sampleAt(now);
-        if (traceEnabled() && !sampler_->rows().empty())
-            traceSampleRow(*sampler_, sampler_->rows().back());
-    }
     if (!cpi_.empty()) {
         // Close every open attribution window so the CPI leaves sum to
         // exactly the measured cycles before the end-of-run audit.

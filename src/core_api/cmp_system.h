@@ -25,7 +25,6 @@
 #include "src/audit/invariant_registry.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/system_config.h"
-#include "src/obs/interval_sampler.h"
 #include "src/sample/fast_forward.h"
 #include "src/workload/synthetic_workload.h"
 
@@ -103,15 +102,6 @@ class CmpSystem
      */
     InvariantRegistry &audits() { return audits_; }
     const InvariantRegistry &audits() const { return audits_; }
-
-    /**
-     * The interval time-series sampler, or nullptr when
-     * config.sample_interval is 0 (the default). Created at
-     * construction when sampling is enabled; run() feeds it every
-     * interval and flushes a final partial interval at end-of-run.
-     */
-    IntervalSampler *sampler() { return sampler_.get(); }
-    const IntervalSampler *sampler() const { return sampler_.get(); }
 
     // ---- statistical sampling (DESIGN.md §14) ----
 
@@ -219,7 +209,6 @@ class CmpSystem
     StatRegistry cpi_registry_; ///< see cpiStats()
     InvariantRegistry audits_;
     Average ratio_samples_;
-    std::unique_ptr<IntervalSampler> sampler_;
 
     std::unique_ptr<FastForwardEngine> ff_engine_; ///< see fastForward()
 

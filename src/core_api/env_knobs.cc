@@ -11,12 +11,18 @@ namespace cmpsim {
 
 namespace {
 
-/** The variable's value; "" when it is unset. */
+using RawKnobs = std::map<std::string, std::string>;
+
+/** The variable's value; "" when it is unset. A non-empty value is
+ *  also kept in @p raw. */
 std::string
-envValue(const char *name)
+envValue(RawKnobs &raw, const char *name)
 {
     const char *v = std::getenv(name);
-    return v != nullptr ? v : "";
+    if (v == nullptr || *v == '\0')
+        return "";
+    raw[name] = v;
+    return v;
 }
 
 [[noreturn]] void
@@ -29,9 +35,9 @@ badValue(const char *name, const std::string &v,
 
 template <typename T>
 std::optional<T>
-unsignedKnob(const char *name)
+unsignedKnob(RawKnobs &raw, const char *name)
 {
-    const std::string v = envValue(name);
+    const std::string v = envValue(raw, name);
     if (v.empty())
         return std::nullopt;
     const std::optional<T> parsed = parseUnsigned<T>(v);
@@ -44,9 +50,9 @@ unsignedKnob(const char *name)
 }
 
 std::optional<bool>
-boolKnob(const char *name)
+boolKnob(RawKnobs &raw, const char *name)
 {
-    const std::string v = envValue(name);
+    const std::string v = envValue(raw, name);
     if (v.empty())
         return std::nullopt;
     if (v != "0" && v != "1")
@@ -56,9 +62,9 @@ boolKnob(const char *name)
 
 /** Seconds; 0 when unset. */
 double
-secondsKnob(const char *name)
+secondsKnob(RawKnobs &raw, const char *name)
 {
-    const std::string v = envValue(name);
+    const std::string v = envValue(raw, name);
     if (v.empty())
         return 0.0;
     char *end = nullptr;
@@ -74,32 +80,34 @@ EnvKnobs
 readEnvKnobs()
 {
     EnvKnobs k;
-    k.scale = unsignedKnob<unsigned>("CMPSIM_SCALE").value_or(k.scale);
+    RawKnobs &raw = k.raw;
+    k.scale =
+        unsignedKnob<unsigned>(raw, "CMPSIM_SCALE").value_or(k.scale);
     k.lengths.warmup_per_core =
-        unsignedKnob<std::uint64_t>("CMPSIM_WARMUP")
+        unsignedKnob<std::uint64_t>(raw, "CMPSIM_WARMUP")
             .value_or(k.lengths.warmup_per_core);
     k.lengths.measure_per_core =
-        unsignedKnob<std::uint64_t>("CMPSIM_MEASURE")
+        unsignedKnob<std::uint64_t>(raw, "CMPSIM_MEASURE")
             .value_or(k.lengths.measure_per_core);
-    k.seeds = unsignedKnob<unsigned>("CMPSIM_SEEDS").value_or(k.seeds);
-    k.jobs = unsignedKnob<unsigned>("CMPSIM_JOBS").value_or(k.jobs);
+    k.seeds = unsignedKnob<unsigned>(raw, "CMPSIM_SEEDS").value_or(k.seeds);
+    k.jobs = unsignedKnob<unsigned>(raw, "CMPSIM_JOBS").value_or(k.jobs);
 
     // Paths and the fault plan: empty is unset (an empty plan).
-    k.policy.journal_path = envValue("CMPSIM_JOURNAL");
-    k.policy.point_timeout_sec = secondsKnob("CMPSIM_POINT_TIMEOUT");
-    k.policy.faults = FaultPlan::parse(envValue("CMPSIM_FAULT"));
-    k.policy.report_path = envValue("CMPSIM_REPORT");
-    k.policy.progress = boolKnob("CMPSIM_PROGRESS").value_or(false);
+    k.policy.journal_path = envValue(raw, "CMPSIM_JOURNAL");
+    k.policy.point_timeout_sec = secondsKnob(raw, "CMPSIM_POINT_TIMEOUT");
+    k.policy.faults = FaultPlan::parse(envValue(raw, "CMPSIM_FAULT"));
+    k.policy.report_path = envValue(raw, "CMPSIM_REPORT");
+    k.policy.progress =
+        boolKnob(raw, "CMPSIM_PROGRESS").value_or(false);
 
-    k.audit = unsignedKnob<Cycle>("CMPSIM_AUDIT");
-    k.watchdog = unsignedKnob<Cycle>("CMPSIM_WATCHDOG");
-    k.sample_cycles = unsignedKnob<Cycle>("CMPSIM_SAMPLE_CYCLES");
-    k.cpi_stack = boolKnob("CMPSIM_CPISTACK");
-    if (const std::string v = envValue("CMPSIM_SAMPLING"); !v.empty())
+    k.audit = unsignedKnob<Cycle>(raw, "CMPSIM_AUDIT");
+    k.watchdog = unsignedKnob<Cycle>(raw, "CMPSIM_WATCHDOG");
+    k.cpi_stack = boolKnob(raw, "CMPSIM_CPISTACK");
+    if (const std::string v = envValue(raw, "CMPSIM_SAMPLING"); !v.empty())
         k.sampling = SamplingPlan::parse(v);
 
-    k.trace = envValue("CMPSIM_TRACE");
-    k.prof = boolKnob("CMPSIM_PROF").value_or(false);
+    k.trace = envValue(raw, "CMPSIM_TRACE");
+    k.prof = boolKnob(raw, "CMPSIM_PROF").value_or(false);
     return k;
 }
 

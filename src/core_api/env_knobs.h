@@ -21,6 +21,7 @@
 #ifndef CMPSIM_CORE_API_ENV_KNOBS_H
 #define CMPSIM_CORE_API_ENV_KNOBS_H
 
+#include <map>
 #include <optional>
 #include <string>
 
@@ -43,12 +44,15 @@ struct EnvKnobs
     // Applied by makeConfig(); unset leaves the SystemConfig default.
     std::optional<Cycle> audit;            ///< CMPSIM_AUDIT
     std::optional<Cycle> watchdog;         ///< CMPSIM_WATCHDOG
-    std::optional<Cycle> sample_cycles;    ///< CMPSIM_SAMPLE_CYCLES
     std::optional<bool> cpi_stack;         ///< CMPSIM_CPISTACK
     std::optional<SamplingPlan> sampling;  ///< CMPSIM_SAMPLING
 
     std::string trace;  ///< CMPSIM_TRACE: Chrome trace file
     bool prof = false;  ///< CMPSIM_PROF: arm the scoped profiler
+
+    /** The raw value of every knob set non-empty, by name: the
+     *  "knobs" object of the run and batch reports. */
+    std::map<std::string, std::string> raw;
 };
 
 /** Parse every CMPSIM_* knob; throws ConfigError on the first

@@ -102,7 +102,6 @@ runSampled(CmpSystem &sys)
                                  res.compression_ratio.mean);
     r.sampled.armed = true;
     r.sampled.intervals = res.intervals;
-    r.sampled.stopped_early = res.stopped_early;
     r.sampled.ff_instructions =
         static_cast<double>(res.ff_instructions);
     r.sampled.cycles = res.cycles;

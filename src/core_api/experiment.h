@@ -63,8 +63,7 @@ struct RunResult
     struct SampledMetrics
     {
         bool armed = false;
-        unsigned intervals = 0;     ///< intervals actually measured
-        bool stopped_early = false; ///< CI stopping rule fired
+        unsigned intervals = 0;     ///< intervals measured
         double ff_instructions = 0; ///< fast-forwarded, all cores
 
         SampleSummary cycles;

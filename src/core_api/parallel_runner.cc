@@ -244,8 +244,9 @@ pointStatusName(PointStatus s)
 }
 
 /** Batch JSON report (RunPolicy::report_path / CMPSIM_REPORT): the
- *  per-point provenance a sweep harness archives — what ran, what was
- *  restored, what failed and why, and what the batch cost. */
+ *  per-point provenance a sweep harness archives — the CMPSIM_* knobs
+ *  set, what ran, what was restored, what failed and why, and what
+ *  the batch cost. */
 void
 writeBatchReport(const std::string &path,
                  const std::vector<PointSpec> &points,
@@ -266,6 +267,10 @@ writeBatchReport(const std::string &path,
     w.keyValue("failed", static_cast<std::uint64_t>(batch.failed()));
     w.keyValue("restored",
                static_cast<std::uint64_t>(batch.restored()));
+    w.beginObject("knobs");
+    for (const auto &[name, value] : readEnvKnobs().raw)
+        w.keyValue(name.c_str(), value);
+    w.end();
     w.beginArray("outcomes");
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointOutcome &o = batch.outcomes[i];
@@ -505,8 +510,6 @@ summaryBytes(const MetricSummary &summary)
             const RunResult::SampledMetrics &sm = r.sampled;
             out += "sampling.intervals=" +
                    std::to_string(sm.intervals) + "\n";
-            out += "sampling.stopped_early=" +
-                   std::to_string(sm.stopped_early ? 1 : 0) + "\n";
             appendHex(out, "sampling.ff_instructions",
                       sm.ff_instructions);
             const std::pair<const char *, const SampleSummary *>
@@ -609,12 +612,6 @@ parseSummaryBytes(const std::string &bytes, MetricSummary &out)
                 std::strtoul(line.c_str() + 19, &iend, 10));
             if (iend != line.c_str() + line.size())
                 return false;
-            if (!nextLine(line))
-                return false;
-            if (line == "sampling.stopped_early=1")
-                sm.stopped_early = true;
-            else if (line != "sampling.stopped_early=0")
-                return false;
             if (!readValue("sampling.ff_instructions",
                            sm.ff_instructions))
                 return false;
@@ -657,9 +654,7 @@ pointSpecBytes(const PointSpec &spec)
     // Every knob that changes simulated behaviour. Excluded on
     // purpose: seed (the runner assigns s+1 per task), audit_interval
     // / audit_fill_roundtrip / watchdog_cycles (observability only —
-    // they abort bad runs, never change good ones), sample_interval
-    // (pure observation: the sampler only reads counters, so a
-    // sampled and an unsampled run are byte-identical).
+    // they abort bad runs, never change good ones).
     kv("cores", c.cores);
     kv("scale", c.scale);
     kv("cache_compression", c.cache_compression);
@@ -686,7 +681,6 @@ pointSpecBytes(const PointSpec &spec)
         kv("sampling.detail", c.sampling.detail_per_core);
         kv("sampling.n", c.sampling.max_intervals);
         kv("sampling.warm", c.sampling.warm_per_core);
-        appendHex(out, "sampling.ci", c.sampling.ci_target_pct);
     }
     out += "benchmark=" + spec.benchmark + "\n";
     kv("warmup_per_core", spec.lengths.warmup_per_core);

@@ -129,16 +129,6 @@ struct SystemConfig
      *  value on every L2 fill (debug/audit builds). */
     bool audit_fill_roundtrip = false;
 
-    /**
-     * Interval time-series sampling period in cycles (DESIGN.md §9):
-     * every this many cycles of timed simulation the system snapshots
-     * every registered counter as a delta plus instantaneous gauges
-     * (compression ratio, adaptive-counter state). 0 disables — the
-     * default; sampling is pure observation and cannot change
-     * simulated results.
-     */
-    Cycle sample_interval = 0;
-
     // ---- failure model (DESIGN.md Section 8) ----
 
     /**

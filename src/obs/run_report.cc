@@ -71,6 +71,10 @@ writeRunReport(std::ostream &os, const RunReport &report)
     w.keyValue("config_fingerprint", report.config_fingerprint);
     w.keyValue("warmup_per_core", report.warmup_per_core);
     w.keyValue("measure_per_core", report.measure_per_core);
+    w.beginObject("knobs");
+    for (const auto &[name, value] : report.knobs)
+        w.keyValue(name.c_str(), value);
+    w.end();
     w.keyValue("status", report.status);
     if (!report.error.empty())
         w.keyValue("error", report.error);
@@ -127,8 +131,6 @@ writeRunReport(std::ostream &os, const RunReport &report)
     if (report.sampling.armed) {
         w.beginObject("sampling");
         w.keyValue("intervals", report.sampling.intervals);
-        w.keyValue("stopped_early",
-                   std::uint64_t(report.sampling.stopped_early ? 1 : 0));
         w.keyValue("ff_instructions", report.sampling.ff_instructions);
         w.beginArray("metrics");
         for (const auto &[name, s] : report.sampling.metrics) {

@@ -1,11 +1,12 @@
 /**
  * @file
  * Structured JSON run reports (DESIGN.md §9): a machine-readable
- * record of one simulation run — config fingerprint, outcome status,
- * headline metrics, every registered counter, histogram summaries
- * with quantiles, wall-clock/heap telemetry, and the profiler's site
- * totals — written by `cmpsim_cli --report out.json` and aggregated
- * per-point by the parallel runner's batch report (CMPSIM_REPORT).
+ * record of one simulation run — config fingerprint, the CMPSIM_*
+ * knobs it ran under, outcome status, headline metrics, every
+ * registered counter, histogram summaries with quantiles,
+ * wall-clock/heap telemetry, and the profiler's site totals — written
+ * by `cmpsim_cli --report out.json` and aggregated per-point by the
+ * parallel runner's batch report (CMPSIM_REPORT).
  *
  * The report is the artifact a sweep harness archives next to each
  * run: enough to audit *what* was simulated (fingerprint), *what came
@@ -22,6 +23,7 @@
 #define CMPSIM_OBS_RUN_REPORT_H
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -53,6 +55,8 @@ struct RunReport
     std::uint64_t config_fingerprint = 0; ///< fnv1a(pointSpecBytes)
     std::uint64_t warmup_per_core = 0;
     std::uint64_t measure_per_core = 0;
+    /** The CMPSIM_* knobs set for the run (EnvKnobs::raw), by name. */
+    std::map<std::string, std::string> knobs;
 
     // Outcome.
     std::string status = "ok"; ///< "ok" or the SimError kind name
@@ -84,7 +88,6 @@ struct RunReport
     {
         bool armed = false;
         std::uint64_t intervals = 0;
-        bool stopped_early = false;
         double ff_instructions = 0;
         /** (metric name, per-interval mean/ci95/n) rows. */
         std::vector<std::pair<std::string, SampleSummary>> metrics;

@@ -134,25 +134,11 @@ Tracer::instant(const char *name, Cycle cycle, TraceArgs args)
 }
 
 void
-Tracer::completeCycles(const char *name, Cycle start, Cycle end,
-                       TraceArgs args)
-{
-    emit(name, 'X', start, tl_pid, tl_tid,
-         end >= start ? end - start : 0, true, false, args);
-}
-
-void
 Tracer::completeWall(const char *name, std::uint64_t start_us,
                      std::uint64_t end_us, TraceArgs args)
 {
     emit(name, 'X', start_us, kTraceWallPid, tl_tid,
          end_us >= start_us ? end_us - start_us : 0, true, false, args);
-}
-
-void
-Tracer::counter(const char *name, Cycle cycle, TraceArgs args)
-{
-    emit(name, 'C', cycle, tl_pid, tl_tid, 0, false, false, args);
 }
 
 void

@@ -11,7 +11,7 @@
  *  - pid >= 1 "sim": simulated-cycle-stamped events (ts = cycle,
  *    rendered as if cycles were microseconds) — l2.fill,
  *    link.transfer, prefetch issue/fill/useless, watchdog
- *    diagnostics, and the interval sampler's counter tracks.
+ *    diagnostics, and miss-journey async spans.
  *
  * Arming mirrors the fault-injection harness: probes are inline and
  * cost one relaxed atomic load plus a predictable branch when no
@@ -96,17 +96,10 @@ class Tracer
     /** Instant event at simulated @p cycle on the caller's track. */
     void instant(const char *name, Cycle cycle, TraceArgs args = {});
 
-    /** Complete (duration) event in simulated cycles. */
-    void completeCycles(const char *name, Cycle start, Cycle end,
-                        TraceArgs args = {});
-
     /** Complete (duration) event on the wall-clock timeline; the
      *  caller's TraceThreadScope tid separates concurrent tracks. */
     void completeWall(const char *name, std::uint64_t start_us,
                       std::uint64_t end_us, TraceArgs args = {});
-
-    /** Counter track @p name: one series per arg, at @p cycle. */
-    void counter(const char *name, Cycle cycle, TraceArgs args);
 
     /** Name the pseudo-process @p pid in the trace viewer. */
     void processName(unsigned pid, const std::string &name);
@@ -178,14 +171,6 @@ traceInstant(const char *name, Cycle cycle, TraceArgs args = {})
 {
     if (Tracer *t = detail::g_tracer.load(std::memory_order_relaxed))
         t->instant(name, cycle, args);
-}
-
-/** Counter-track probe; free when no tracer is armed. */
-inline void
-traceCounter(const char *name, Cycle cycle, TraceArgs args)
-{
-    if (Tracer *t = detail::g_tracer.load(std::memory_order_relaxed))
-        t->counter(name, cycle, args);
 }
 
 /**

@@ -26,10 +26,6 @@
  * noise (see bench/table5_sampled). Follower value-store words that
  * differ at a window edge or from cross-core write interleaving take
  * the leader's value, the standard trace-driven-study semantics.
- *
- * The CI stopping rule is ignored (a fixed interval count keeps the
- * systems in lockstep); it remains a feature of the single-system
- * SamplingController path.
  */
 
 #ifndef CMPSIM_SAMPLE_MATRIX_SAMPLER_H

@@ -47,20 +47,6 @@ SamplingController::closeInterval()
     baseline_ = StatSnapshot{};
 }
 
-bool
-SamplingController::ciTargetMet() const
-{
-    if (plan_.ci_target_pct <= 0 || samples_.size() < 2)
-        return false;
-    std::vector<double> ipc;
-    ipc.reserve(samples_.size());
-    for (const IntervalSample &s : samples_)
-        ipc.push_back(s.ipc);
-    const SampleSummary sum = summarize(ipc);
-    return sum.mean > 0 &&
-           sum.ci95 <= plan_.ci_target_pct / 100.0 * sum.mean;
-}
-
 void
 SamplingController::measureInterval()
 {
@@ -74,10 +60,6 @@ SamplingResult
 SamplingController::run()
 {
     while (samples_.size() < plan_.max_intervals) {
-        if (ciTargetMet()) {
-            stopped_early_ = true;
-            break;
-        }
         if (plan_.ff_per_core > 0)
             sys_.fastForward(plan_.ff_per_core, plan_.warmPerCore());
         measureInterval();
@@ -90,7 +72,6 @@ SamplingController::reduce() const
 {
     SamplingResult r;
     r.intervals = static_cast<unsigned>(samples_.size());
-    r.stopped_early = stopped_early_;
     r.ff_instructions =
         sys_.fastForwardEngine()->instructionsAdvanced() - ff_start_;
     r.totals = detail_totals_;

@@ -35,8 +35,7 @@ struct IntervalSample
 /** Reduction of one completed sampling plan. */
 struct SamplingResult
 {
-    unsigned intervals = 0;      ///< intervals actually measured
-    bool stopped_early = false;  ///< CI stopping rule fired
+    unsigned intervals = 0;      ///< intervals measured
     std::uint64_t ff_instructions = 0; ///< all cores, all FF phases
 
     /** Totals across detailed intervals only (FF/drain excluded). */
@@ -72,9 +71,9 @@ class SamplingController
     explicit SamplingController(CmpSystem &sys);
 
     /**
-     * Execute the plan: for each interval, fast-forward ff_per_core
-     * instructions per core, then measureInterval(). Stops early when
-     * the optional CI target is met.
+     * Execute the plan: for each of its max_intervals intervals,
+     * fast-forward ff_per_core instructions per core, then
+     * measureInterval().
      */
     SamplingResult run();
 
@@ -100,10 +99,6 @@ class SamplingController
      *  metric sample, and accumulate the delta into the totals. */
     void closeInterval();
 
-    /** True once the CI stopping rule is satisfied (needs >= 2
-     *  intervals and an armed ci_target_pct). */
-    bool ciTargetMet() const;
-
     SamplingResult reduce() const;
 
     CmpSystem &sys_;
@@ -123,9 +118,6 @@ class SamplingController
     /** Per-interval metric samples (CI inputs), one per closed
      *  interval. */
     std::vector<IntervalSample> samples_;
-
-    /** The CI stopping rule fired before max_intervals. */
-    bool stopped_early_ = false;
 };
 
 } // namespace cmpsim

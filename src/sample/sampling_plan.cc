@@ -1,6 +1,5 @@
 #include "src/sample/sampling_plan.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -17,7 +16,7 @@ badSpec(const std::string &spec, const std::string &why)
     throw ConfigError(
         "config.sampling",
         "bad sampling spec \"" + spec + "\": " + why +
-            " (expected <ff>:<detail>:<n>[:ci<pct>][:warm<instr>])");
+            " (expected <ff>:<detail>:<n>[:warm<instr>])");
 }
 
 /** The count from @p p up to the next ':' (or the end); leaves @p p
@@ -56,23 +55,12 @@ SamplingPlan::parse(const std::string &spec)
         badSpec(spec, "interval count " + std::to_string(n) +
                           " is absurd (max 1000000)");
     plan.max_intervals = static_cast<unsigned>(n);
-    while (*p == ':') {
+    if (*p == ':') {
         ++p;
-        if (p[0] == 'c' && p[1] == 'i') {
-            p += 2;
-            char *end = nullptr;
-            plan.ci_target_pct = std::strtod(p, &end);
-            if (end == p)
-                badSpec(spec, "missing percentage after \"ci\"");
-            p = end;
-        } else if (p[0] == 'w' && p[1] == 'a' && p[2] == 'r' &&
-                   p[3] == 'm') {
-            p += 4;
-            plan.warm_per_core =
-                parseField(spec, p, "warm instruction count");
-        } else {
-            badSpec(spec, "expected ci<pct> or warm<instr> suffix");
-        }
+        if (std::strncmp(p, "warm", 4) != 0)
+            badSpec(spec, "expected warm<instr> suffix");
+        p += 4;
+        plan.warm_per_core = parseField(spec, p, "warm instruction count");
     }
     if (*p != '\0')
         badSpec(spec, std::string("trailing garbage \"") + p + "\"");

@@ -9,14 +9,12 @@
  *
  * The CMPSIM_SAMPLING environment spec
  *
- *     CMPSIM_SAMPLING=<ff>:<detail>:<n>[:ci<pct>][:warm<instr>]
+ *     CMPSIM_SAMPLING=<ff>:<detail>:<n>[:warm<instr>]
  *
  * is applied by makeConfig() so batch fingerprints and journal keys
- * see the plan; the optional ci<pct> suffix arms the stopping rule —
- * stop as soon as the IPC confidence half-width drops below <pct>
- * percent of the mean (n stays the hard ceiling) — and the optional
- * warm<instr> suffix splits each fast-forward phase
- * SMARTS-style: only the last <instr> instructions per core run in
+ * see the plan. A plan always runs all n intervals. The optional
+ * warm<instr> suffix splits each fast-forward phase SMARTS-style:
+ * only the last <instr> instructions per core run in
  * functional-warming mode (cache/prefetcher state updated), the rest
  * in pure skip mode (workload and value store advance only). Without
  * the suffix the whole fast-forward phase warms.
@@ -40,16 +38,8 @@ struct SamplingPlan
     /** Detailed (timed) instructions per core per interval. */
     std::uint64_t detail_per_core = 0;
 
-    /** Interval-count ceiling; 0 leaves sampling disarmed. */
+    /** Detailed intervals to measure; 0 leaves sampling disarmed. */
     unsigned max_intervals = 0;
-
-    /**
-     * Optional stopping rule: stop after any interval >= 2 whose
-     * cumulative IPC 95% CI half-width is below this percentage of
-     * the running mean. 0 (the default) disables the rule and runs
-     * exactly max_intervals intervals.
-     */
-    double ci_target_pct = 0.0;
 
     /** "Warm the whole fast-forward phase" sentinel. */
     static constexpr std::uint64_t kWarmAll =
@@ -75,7 +65,7 @@ struct SamplingPlan
     bool armed() const { return max_intervals > 0; }
 
     /**
-     * Parse a "<ff>:<detail>:<n>[:ci<pct>][:warm<instr>]" spec. Throws
+     * Parse a "<ff>:<detail>:<n>[:warm<instr>]" spec. Throws
      * ConfigError("config.sampling") on malformed input; range checks
      * live in SystemConfig::validate() so programmatic plans get the
      * same guards.

@@ -217,19 +217,15 @@ TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)
     {
         EnvGuard audit("CMPSIM_AUDIT", "5000");
         EnvGuard watchdog("CMPSIM_WATCHDOG", "0");
-        EnvGuard sample("CMPSIM_SAMPLE_CYCLES", "7000");
         SystemConfig cfg = smallConfig();
         EXPECT_EQ(cfg.audit_interval, 5000u);
         EXPECT_TRUE(cfg.audit_fill_roundtrip);
         EXPECT_EQ(cfg.watchdog_cycles, 0u);
-        EXPECT_EQ(cfg.sample_interval, 7000u);
 
         // The system keeps what the caller set after makeConfig().
         cfg.audit_interval = 10000;
-        cfg.sample_interval = 0;
         const CmpSystem sys(cfg, benchmarkParams("zeus"));
         EXPECT_EQ(sys.config().audit_interval, 10000u);
-        EXPECT_EQ(sys.sampler(), nullptr);
     }
     EnvGuard off("CMPSIM_AUDIT", "0");
     const SystemConfig cfg = smallConfig();

@@ -11,9 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/fingerprint.h"
+#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
@@ -84,6 +89,24 @@ TEST(ParallelRunnerTest, RepeatedParallelRunsReproduce)
     const auto specs = standardPoints();
     EXPECT_EQ(fingerprints(runPoints(specs, 4)),
               fingerprints(runPoints(specs, 4)));
+}
+
+TEST(ParallelRunnerTest, BatchReportRecordsTheKnobSet)
+{
+    const std::string path =
+        ::testing::TempDir() + "cmpsim_batch_report_knobs.json";
+    EnvGuard progress("CMPSIM_PROGRESS", "0");
+    RunPolicy policy;
+    policy.report_path = path;
+    // An empty batch still writes its report.
+    runPointsChecked({}, 1, policy);
+
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("\"CMPSIM_PROGRESS\": \"0\""),
+              std::string::npos);
+    std::remove(path.c_str());
 }
 
 } // namespace

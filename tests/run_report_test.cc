@@ -84,6 +84,7 @@ TEST(RunReportTest, JsonRoundTripsEveryField)
     report.config_fingerprint = 0xdeadbeefu;
     report.warmup_per_core = 1000;
     report.measure_per_core = 500;
+    report.knobs = {{"CMPSIM_SEEDS", "3"}, {"CMPSIM_JOBS", "1"}};
     report.cycles = 12345;
     report.instructions = 6789;
     report.ipc = 0.5;
@@ -110,6 +111,15 @@ TEST(RunReportTest, JsonRoundTripsEveryField)
               std::string::npos);
     EXPECT_NE(json.find("\"benchmark\": \"zeus\""), std::string::npos);
     EXPECT_NE(json.find("\"seed\": 42"), std::string::npos);
+    // One "knobs" object, sorted by name.
+    const std::size_t knobs = json.find("\"knobs\": {");
+    const std::size_t jobs = json.find("\"CMPSIM_JOBS\": \"1\"");
+    const std::size_t seeds = json.find("\"CMPSIM_SEEDS\": \"3\"");
+    ASSERT_NE(knobs, std::string::npos);
+    ASSERT_NE(jobs, std::string::npos);
+    ASSERT_NE(seeds, std::string::npos);
+    EXPECT_LT(knobs, jobs);
+    EXPECT_LT(jobs, seeds);
     EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
     EXPECT_NE(json.find("\"cycles\": 12345"), std::string::npos);
     EXPECT_NE(json.find("\"l2.demand_misses\": 17"), std::string::npos);

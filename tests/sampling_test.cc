@@ -73,25 +73,17 @@ TEST(SamplingPlanTest, ParsesBareTriple)
     EXPECT_EQ(p.ff_per_core, 100000u);
     EXPECT_EQ(p.detail_per_core, 5000u);
     EXPECT_EQ(p.max_intervals, 30u);
-    EXPECT_EQ(p.ci_target_pct, 0.0);
     EXPECT_TRUE(p.armed());
     // Without a warm suffix, the whole fast-forward phase warms.
     EXPECT_EQ(p.warm_per_core, SamplingPlan::kWarmAll);
     EXPECT_EQ(p.warmPerCore(), 100000u);
 }
 
-TEST(SamplingPlanTest, ParsesCiAndWarmSuffixesInEitherOrder)
+TEST(SamplingPlanTest, ParsesWarmSuffix)
 {
-    const SamplingPlan a =
-        SamplingPlan::parse("100000:5000:30:ci2.5:warm20000");
-    EXPECT_EQ(a.ci_target_pct, 2.5);
-    EXPECT_EQ(a.warm_per_core, 20000u);
-    EXPECT_EQ(a.warmPerCore(), 20000u);
-
-    const SamplingPlan b =
-        SamplingPlan::parse("100000:5000:30:warm20000:ci2.5");
-    EXPECT_EQ(b.ci_target_pct, 2.5);
-    EXPECT_EQ(b.warm_per_core, 20000u);
+    const SamplingPlan p = SamplingPlan::parse("100000:5000:30:warm20000");
+    EXPECT_EQ(p.warm_per_core, 20000u);
+    EXPECT_EQ(p.warmPerCore(), 20000u);
 }
 
 TEST(SamplingPlanTest, WarmTailClampsToFastForwardLength)
@@ -124,6 +116,11 @@ TEST(SamplingPlanTest, MalformedSpecsThrowConfigError)
                  ConfigError);
     EXPECT_THROW(SamplingPlan::parse("100000:5000:30:ci5:2"),
                  ConfigError);
+    // No stopping-rule suffix: a plan always runs all n intervals.
+    EXPECT_THROW(SamplingPlan::parse("100000:5000:30:ci2.5:warm20000"),
+                 ConfigError);
+    EXPECT_THROW(SamplingPlan::parse("100000:5000:30:warm20000:ci2.5"),
+                 ConfigError);
     // Counts are plain digits that fit: no sign, space or '+', and no
     // wrap past 2^64.
     EXPECT_THROW(SamplingPlan::parse("-5:100:3"), ConfigError);
@@ -151,10 +148,6 @@ TEST(SamplingPlanTest, ValidateRejectsUnmeasurablePlans)
     SystemConfig cfg = smallConfig();
     cfg.sampling = SamplingPlan::parse("8000:1:3");
     cfg.sampling.detail_per_core = 0; // pure fast-forward
-    EXPECT_THROW(cfg.validate(), ConfigError);
-
-    cfg = smallConfig();
-    cfg.sampling = SamplingPlan::parse("8000:2000:3:ci150");
     EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
@@ -208,21 +201,6 @@ TEST(SamplingRunTest, DetailTotalsExcludeFastForward)
     EXPECT_EQ(res.ipc.n, 4u);
     EXPECT_GT(res.ipc.mean, 0.0);
     EXPECT_GT(res.cycles.ci95, 0.0);
-}
-
-TEST(SamplingRunTest, CiStoppingRuleFiresEarly)
-{
-    SystemConfig cfg = smallConfig();
-    // A 90% IPC half-width target is met after the minimum two
-    // intervals on any stable workload.
-    cfg.sampling = SamplingPlan::parse("3000:2000:50:ci90");
-    CmpSystem sys(cfg, benchmarkParams("zeus"));
-    const SamplingResult res = SamplingController(sys).run();
-
-    EXPECT_TRUE(res.stopped_early);
-    EXPECT_LT(res.intervals, 50u);
-    EXPECT_GE(res.intervals, 2u);
-    EXPECT_EQ(res.samples.size(), res.intervals);
 }
 
 // ---------------------------------------------------- determinism

@@ -123,6 +123,11 @@ TEST(ConfigValidateTest, RejectsNonsensePinBandwidth)
     EXPECT_THROW(c.validate(), ConfigError);
     c.pin_bandwidth_gbps = -5.0;
     EXPECT_THROW(c.validate(), ConfigError);
+    // Below the 0.1 GB/s floor; at 1e-18 one message outlasts a Cycle.
+    c.pin_bandwidth_gbps = 1e-18;
+    EXPECT_THROW(c.validate(), ConfigError);
+    c.pin_bandwidth_gbps = 0.05;
+    EXPECT_THROW(c.validate(), ConfigError);
     // Infinite-bandwidth mode never consults the pin rate.
     c.infinite_bandwidth = true;
     EXPECT_NO_THROW(c.validate());

@@ -63,8 +63,6 @@ struct CliOptions
     bool cpi_stack = false;   ///< --cpi-stack: attribution layer
     std::string report_path;  ///< --report: JSON run report
     std::string trace_path;   ///< --trace: Chrome trace events
-    std::string samples_path; ///< --samples: interval time-series
-    std::uint64_t sample_cycles = 0; ///< --sample-cycles period
     std::string sampling_spec; ///< --sampling plan spec
 };
 
@@ -102,13 +100,8 @@ usage(int code)
         "  --trace FILE        write Chrome trace events (load in\n"
         "                      Perfetto / chrome://tracing); also\n"
         "                      enabled by CMPSIM_TRACE=FILE\n"
-        "  --samples FILE      write the interval time-series (CSV,\n"
-        "                      or JSON when FILE ends in .json)\n"
-        "  --sample-cycles N   sampling period (default 100000 when\n"
-        "                      --samples is given; also\n"
-        "                      CMPSIM_SAMPLE_CYCLES)\n"
         "  --sampling SPEC     statistical sampling plan\n"
-        "                      <ff>:<detail>:<n>[:ci<pct>][:warm<instr>]\n"
+        "                      <ff>:<detail>:<n>[:warm<instr>]\n"
         "                      — alternate ff fast-forward and detail\n"
         "                      timed instr per core over n intervals,\n"
         "                      report every metric with a 95%% CI;\n"
@@ -184,10 +177,6 @@ parse(int argc, char **argv)
             o.report_path = need_value(i++);
         } else if (a == "--trace") {
             o.trace_path = need_value(i++);
-        } else if (a == "--samples") {
-            o.samples_path = need_value(i++);
-        } else if (a == "--sample-cycles") {
-            parse_uint(i++, o.sample_cycles);
         } else if (a == "--sampling") {
             o.sampling_spec = need_value(i++);
         } else {
@@ -219,15 +208,8 @@ run(const CliOptions &o)
     // Flags beat the environment makeConfig() applied.
     if (o.cpi_stack)
         cfg.cpi_stack = true;
-    if (o.sample_cycles != 0)
-        cfg.sample_interval = o.sample_cycles;
     if (!o.sampling_spec.empty())
         cfg.sampling = SamplingPlan::parse(o.sampling_spec);
-    // --samples implies sampling, every 100000 cycles unless a flag
-    // or CMPSIM_SAMPLE_CYCLES says otherwise.
-    if (!o.samples_path.empty() && cfg.sample_interval == 0 &&
-        !env.sample_cycles)
-        cfg.sample_interval = 100000;
     // Validate before the banner: "--scale 0" must die with a
     // ConfigError, not divide the L2-size estimate by zero.
     cfg.validate();
@@ -254,6 +236,7 @@ run(const CliOptions &o)
     report.seed = o.seed;
     report.warmup_per_core = o.lengths.warmup_per_core;
     report.measure_per_core = o.lengths.measure_per_core;
+    report.knobs = env.raw;
     {
         PointSpec spec;
         spec.config = cfg;
@@ -318,7 +301,6 @@ run(const CliOptions &o)
         report.compression_ratio = sampled.compression_ratio.mean;
         report.sampling.armed = true;
         report.sampling.intervals = sampled.intervals;
-        report.sampling.stopped_early = sampled.stopped_early;
         report.sampling.ff_instructions =
             static_cast<double>(sampled.ff_instructions);
         report.sampling.metrics = {
@@ -329,11 +311,9 @@ run(const CliOptions &o)
             {"bandwidth_gbps", sampled.bandwidth_gbps},
             {"compression_ratio", sampled.compression_ratio}};
 
-        std::printf("\n--- sampled run: %u intervals%s, "
+        std::printf("\n--- sampled run: %u intervals, "
                     "%llu instr fast-forwarded ---\n",
                     sampled.intervals,
-                    sampled.stopped_early ? " (CI target met early)"
-                                          : "",
                     static_cast<unsigned long long>(
                         sampled.ff_instructions));
         std::printf("detail cycles %.0f, detail instructions %.0f "
@@ -370,12 +350,11 @@ run(const CliOptions &o)
                 sys.ipc() / o.cores);
     std::printf("off-chip bw   %.2f GB/s\n", sys.bandwidthGBps());
     const auto &reg = sys.stats();
+    const std::uint64_t misses = reg.counter("l2.demand_misses");
     const double ki = static_cast<double>(sys.instructions()) / 1000.0;
     std::printf("L2 misses     %llu (%.2f per 1k instr)\n",
-                static_cast<unsigned long long>(
-                    reg.counter("l2.demand_misses")),
-                static_cast<double>(reg.counter("l2.demand_misses")) /
-                    ki);
+                static_cast<unsigned long long>(misses),
+                ki > 0 ? static_cast<double>(misses) / ki : 0.0);
     if (o.cache_compression)
         std::printf("L2 ratio      %.2f\n", sys.compressionRatio());
     if (o.prefetch) {
@@ -421,33 +400,6 @@ run(const CliOptions &o)
         std::ostringstream os;
         reg.dump(os);
         std::fputs(os.str().c_str(), stdout);
-    }
-
-    if (!o.samples_path.empty()) {
-        const IntervalSampler *sampler = sys.sampler();
-        if (sampler == nullptr) {
-            throw ConfigError("samples",
-                              "--samples needs a sampling interval "
-                              "(--sample-cycles or "
-                              "CMPSIM_SAMPLE_CYCLES)");
-        }
-        std::ofstream out(o.samples_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out.is_open()) {
-            throw ConfigError("samples",
-                              "cannot open samples file \"" +
-                                  o.samples_path + "\" for writing");
-        }
-        const bool json =
-            o.samples_path.size() >= 5 &&
-            o.samples_path.compare(o.samples_path.size() - 5, 5,
-                                   ".json") == 0;
-        if (json)
-            sampler->writeJson(out);
-        else
-            sampler->writeCsv(out);
-        std::printf("samples       %zu intervals -> %s\n",
-                    sampler->rows().size(), o.samples_path.c_str());
     }
 
     writeReport(sys);

@@ -214,9 +214,9 @@ main(int argc, char **argv)
         workloads = {"zeus", "apsi"}; // one commercial, one SPEComp
 
     try {
-        // CI's traced gate sets CMPSIM_TRACE, CMPSIM_SAMPLE_CYCLES and
-        // CMPSIM_PROF: the hashes must reproduce with the observability
-        // probes live, proving they only read simulator state.
+        // CI's traced gate sets CMPSIM_TRACE and CMPSIM_PROF: the
+        // hashes must reproduce with the observability probes live,
+        // proving they only read simulator state.
         const cmpsim::EnvKnobs env = cmpsim::readEnvKnobs();
         cmpsim::TraceSession trace_session(env.trace);
         cmpsim::setProfEnabled(env.prof);
