@@ -82,10 +82,8 @@ perKi(const ArmedPoint &p, unsigned leaf)
                      p.instructions;
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     banner("CPI-stack ablation: Table 5 interaction sign from cycle "
            "attribution",
@@ -156,4 +154,12 @@ main()
                     paper.interaction);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return benchMain("ablation_cpi_stack", run);
 }

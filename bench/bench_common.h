@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/sim_error.h"
 #include "src/core_api/env_knobs.h"
 #include "src/core_api/experiment.h"
-#include "src/core_api/miss_classify.h"
 #include "src/core_api/parallel_runner.h"
 
 namespace cmpsim::bench {
@@ -94,6 +94,25 @@ banner(const char *title, const char *paper_ref, unsigned seeds)
                 static_cast<unsigned long long>(len.warmup_per_core),
                 static_cast<unsigned long long>(len.measure_per_core),
                 seeds);
+}
+
+/**
+ * A bench's main(): check the standard config first, so a bad
+ * CMPSIM_SCALE fails before banner() divides by it, then run @p body.
+ * A SimError (a malformed knob, an impossible config, a refused
+ * point) prints one "<bench>: error: [kind] ..." line to stderr and
+ * exits 2; every other exit status is @p body's own.
+ */
+inline int
+benchMain(const char *bench, int (*body)())
+{
+    try {
+        configFor(Cfg::Base).validate();
+        return body();
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "%s: error: %s\n", bench, e.what());
+        return 2;
+    }
 }
 
 /** Paper's Table 5 rows (speedup %, 8-core CMP, 20 GB/s). */

@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <queue>
 #include <vector>
 
 #include "src/cache/decoupled_set.h"
@@ -27,62 +26,9 @@ namespace {
 using namespace cmpsim;
 
 /**
- * The pre-optimization event kernel, kept here as the baseline the
- * EventQueue benchmarks compare against: std::priority_queue of whole
- * events (callback inside) with either copy-on-pop (the original) or
- * move-on-pop (the first fix).
- */
-template <bool MovePop>
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void(Cycle)>;
-
-    Cycle now() const { return now_; }
-
-    void
-    schedule(Cycle when, Callback cb)
-    {
-        heap_.push(Event{when, next_seq_++, std::move(cb)});
-    }
-
-    void
-    drain()
-    {
-        while (!heap_.empty()) {
-            Event ev = MovePop
-                           ? std::move(const_cast<Event &>(heap_.top()))
-                           : heap_.top();
-            heap_.pop();
-            now_ = ev.when;
-            ev.cb(ev.when);
-        }
-    }
-
-  private:
-    struct Event
-    {
-        Cycle when;
-        std::uint64_t seq;
-        Callback cb;
-
-        bool
-        operator>(const Event &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-    Cycle now_ = 0;
-    std::uint64_t next_seq_ = 0;
-};
-
-/**
  * Fat capture block matching what simulator callbacks carry (this +
  * address + request metadata): pushes the std::function past the
- * small-object buffer so pop-by-copy pays a real allocation, exactly
- * as the production continuations do.
+ * small-object buffer, exactly as the production continuations do.
  */
 struct FatPayload
 {
@@ -92,9 +38,8 @@ struct FatPayload
     std::uint64_t cycle;
 };
 
-template <typename Queue>
 void
-runScheduleDrainBatch(Queue &q, std::uint64_t &sink)
+runScheduleDrainBatch(EventQueue &q, std::uint64_t &sink)
 {
     FatPayload p{&sink, 0x1000, 7, 0};
     for (int i = 0; i < 16; ++i) {
@@ -276,31 +221,8 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The copy-on-pop/move-on-pop/key-heap progression on the same
-// schedule-then-drain workload (16 fat-capture events per iteration):
+// 16 fat-capture events scheduled, then drained, per iteration:
 // EventQueue sifts 24-byte keys and leaves callbacks in their slots.
-void
-BM_EventKernelLegacyCopyPop(benchmark::State &state)
-{
-    LegacyEventQueue<false> eq;
-    std::uint64_t sink = 0;
-    for (auto _ : state)
-        runScheduleDrainBatch(eq, sink);
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventKernelLegacyCopyPop);
-
-void
-BM_EventKernelLegacyMovePop(benchmark::State &state)
-{
-    LegacyEventQueue<true> eq;
-    std::uint64_t sink = 0;
-    for (auto _ : state)
-        runScheduleDrainBatch(eq, sink);
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventKernelLegacyMovePop);
-
 void
 BM_EventKernelIntrusiveHeap(benchmark::State &state)
 {
@@ -314,24 +236,7 @@ BENCHMARK(BM_EventKernelIntrusiveHeap);
 
 // Cascading same-cycle continuations (the cache-bank -> link ->
 // directory pattern): exercises the FIFO fast path that bypasses the
-// heap entirely. The legacy variant pays a heap push + sift per
-// continuation.
-void
-BM_EventKernelLegacyCascade(benchmark::State &state)
-{
-    LegacyEventQueue<true> eq;
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        eq.schedule(eq.now() + 1, [&](Cycle) {
-            for (int i = 0; i < 8; ++i)
-                eq.schedule(eq.now(), [&sink](Cycle) { ++sink; });
-        });
-        eq.drain();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventKernelLegacyCascade);
-
+// heap entirely.
 void
 BM_EventQueueSameCycleCascade(benchmark::State &state)
 {

@@ -79,10 +79,8 @@ sampledMatrix(const Cfg (&cfgs)[N], const std::string &wl,
     return MatrixSampler(std::move(ptrs)).run();
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     banner("Table 5 (sampled): interaction sign on 100x longer runs "
            "with paired per-interval 95% CIs",
@@ -214,4 +212,12 @@ main()
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return benchMain("table5_sampled", run);
 }

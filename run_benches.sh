@@ -1,5 +1,6 @@
 #!/bin/bash
-# Runs every bench binary, teeing combined output to bench_output.txt.
+# Runs every bench bench/CMakeLists.txt declares, teeing combined
+# output to bench_output.txt.
 #
 #   ./run_benches.sh [-j N] [output.txt]
 #
@@ -66,6 +67,12 @@ bench_rss() {
 run_one() {
   local bin=$1 name
   name=$(basename "$bin")
+  if [ ! -x "$bin" ]; then
+    # Declared but not built: no .status, so it reads as 127.
+    echo "run_benches.sh: $bin is not built" > "$tmpdir/$name.out"
+    echo 0.00 > "$tmpdir/$name.secs"
+    return
+  fi
   local t0 t1
   t0=$(date +%s.%N)
   if [ -x /usr/bin/time ]; then
@@ -93,11 +100,13 @@ sys.exit(status if status >= 0 else 128 - status)' \
     > "$tmpdir/$name.secs"
 }
 
+# The declared benches, in C-locale name order. A build tree can
+# still hold the binary of a bench since deleted; it is not run.
 benches=()
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  benches+=("$b")
-done
+while IFS= read -r name; do
+  benches+=("build/bench/$name")
+done < <(sed -nE 's/^cmpsim_(micro)?bench\(([A-Za-z0-9_]+)\)$/\2/p' \
+           bench/CMakeLists.txt | LC_ALL=C sort)
 
 running=0
 for b in "${benches[@]}"; do

@@ -1,5 +1,7 @@
 #include "src/core_api/experiment.h"
 
+#include <algorithm>
+
 #include "src/sample/sampling_controller.h"
 
 namespace cmpsim {
@@ -143,6 +145,44 @@ meanOf(const MetricSummary &s, double RunResult::*field)
     for (const auto &r : s.runs)
         total += r.*field;
     return s.runs.empty() ? 0 : total / static_cast<double>(s.runs.size());
+}
+
+MissClassification
+classifyMisses(const MetricSummary &base,
+               const MetricSummary &with_compression,
+               const MetricSummary &with_prefetching,
+               const MetricSummary &with_both)
+{
+    MissClassification out;
+    const double m_b = meanOf(base, &RunResult::l2_demand_misses);
+    if (m_b == 0)
+        return out;
+    auto avoided = [m_b](const MetricSummary &s) {
+        return m_b - meanOf(s, &RunResult::l2_demand_misses);
+    };
+    const double a_c = std::max(0.0, avoided(with_compression));
+    const double a_p = std::max(0.0, avoided(with_prefetching));
+    const double a_cp = avoided(with_both);
+    const double either =
+        std::clamp(a_c + a_p - a_cp, 0.0, std::min(a_c, a_p));
+    const double only_c = a_c - either, only_p = a_p - either;
+    out.unavoidable = (m_b - only_c - only_p - either) / m_b;
+    out.only_compression = only_c / m_b;
+    out.only_prefetching = only_p / m_b;
+    out.either = either / m_b;
+
+    auto l2_prefetches = [](const MetricSummary &s) {
+        double total = 0;
+        for (const auto &r : s.runs)
+            total += r.l2pf.rate_per_kilo_instr * r.instructions / 1000.0;
+        return s.runs.empty() ? 0
+                              : total / static_cast<double>(s.runs.size());
+    };
+    const double f_p = l2_prefetches(with_prefetching);
+    const double f_cp = l2_prefetches(with_both);
+    out.prefetches_kept = std::min(f_p, f_cp) / m_b;
+    out.prefetches_avoided = std::max(0.0, f_p - f_cp) / m_b;
+    return out;
 }
 
 } // namespace cmpsim

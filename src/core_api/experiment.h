@@ -3,7 +3,8 @@
  * Experiment harness: runs (config, workload, seed) points, extracts
  * the paper's metrics, aggregates over seeds with 95% confidence
  * intervals [3], and computes the speedup / interaction arithmetic of
- * Section 5 (EQ 5, after Fields et al. [21]).
+ * Section 5 (EQ 5, after Fields et al. [21]) and Figure 8's
+ * miss classes.
  */
 
 #ifndef CMPSIM_CORE_API_EXPERIMENT_H
@@ -123,6 +124,39 @@ interaction(double speedup_a, double speedup_b, double speedup_ab)
 {
     return speedup_ab / (speedup_a * speedup_b) - 1.0;
 }
+
+/** Figure 8's six access classes, as fractions of base demand misses
+ *  (the figure's 100% line). */
+struct MissClassification
+{
+    double unavoidable = 0;        ///< missed in every config
+    double only_compression = 0;   ///< avoided only by L2 compression
+    double only_prefetching = 0;   ///< avoided only by L2 prefetching
+    double either = 0;             ///< avoided by either technique
+    double prefetches_kept = 0;    ///< L2 prefetches compression keeps
+    double prefetches_avoided = 0; ///< L2 prefetches compression removes
+};
+
+/**
+ * Figure 8 by global inclusion-exclusion, as the paper estimates it.
+ * M is each config's seed-mean l2_demand_misses; F is the L2
+ * prefetcher's seed-mean fetches (Table 4's L2 rate x instructions)
+ * of the two prefetching configs:
+ *
+ *   a_c = max(0, M_b - M_c), a_p = max(0, M_b - M_p), a_cp = M_b - M_cp
+ *   either = clamp(a_c + a_p - a_cp, 0, min(a_c, a_p))
+ *   only_compression = a_c - either, only_prefetching = a_p - either
+ *   unavoidable = M_b - only_compression - only_prefetching - either
+ *   prefetches_kept = min(F_p, F_cp), prefetches_avoided = max(0, F_p - F_cp)
+ *
+ * each divided by M_b; all 0 when M_b = 0. A combination that avoids
+ * more than the two techniques separately (a_cp > a_c + a_p) has no
+ * overlap to count, so "either" clamps to 0 there.
+ */
+MissClassification classifyMisses(const MetricSummary &base,
+                                  const MetricSummary &with_compression,
+                                  const MetricSummary &with_prefetching,
+                                  const MetricSummary &with_both);
 
 /** Mean over seeds of the cycle counts of @p s. */
 double meanCycles(const MetricSummary &s);
