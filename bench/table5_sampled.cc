@@ -107,11 +107,13 @@ run()
     // Full-detail reference matrix: the same points at the standard
     // measured length and seed count — "today's" cost. Pinned rather
     // than read from the environment so the 100x-longer and 3x-wall
-    // claims mean the same thing under CMPSIM_MEASURE/SEEDS overrides.
+    // claims mean the same thing under CMPSIM_MEASURE/SEEDS/SAMPLING
+    // overrides.
     std::vector<PointSpec> ref_specs;
     for (const auto &wl : workloads) {
         for (const Cfg c : cfgs) {
             PointSpec spec = pointSpec(c, wl, 8, 20.0, false, 2);
+            spec.config.sampling = SamplingPlan{};
             spec.lengths.warmup_per_core = 400000;
             spec.lengths.measure_per_core = 50000;
             ref_specs.push_back(std::move(spec));
@@ -159,6 +161,7 @@ run()
     // length (zeus base, 10 x (15k ff + 5k detail) vs one contiguous
     // 200k window) — the sampling error the engine trades for speed.
     PointSpec full = pointSpec(Cfg::Base, "zeus", 8, 20.0, false, 1);
+    full.config.sampling = SamplingPlan{}; // even under CMPSIM_SAMPLING
     full.lengths.measure_per_core = 200000;
     PointSpec samp = pointSpec(Cfg::Base, "zeus", 8, 20.0, false, 1);
     samp.config.sampling = SamplingPlan::parse("15000:5000:10");

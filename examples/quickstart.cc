@@ -3,7 +3,8 @@
  * Quickstart: build the paper's 8-core CMP with compression and
  * adaptive prefetching, run the zeus workload, and print the headline
  * numbers. This is the smallest complete use of the cmpsim public
- * API (CmpSystem + SystemConfig + the workload registry).
+ * API (CmpSystem + SystemConfig + the workload registry + the
+ * experiment layer's metrics).
  *
  *   ./quickstart [workload] [scale]
  */
@@ -11,7 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/core_api/cmp_system.h"
+#include "src/core_api/experiment.h"
 
 using namespace cmpsim;
 
@@ -32,31 +33,25 @@ main(int argc, char **argv)
         makeConfig(8, scale, false, false, false, false);
     SystemConfig full_cfg = makeConfig(8, scale, true, true, true, true);
 
+    const RunLengths lengths{300000, 40000};
     CmpSystem base(base_cfg, benchmarkParams(workload));
-    base.warmup(300000);
-    base.run(40000);
+    const RunResult b = warmupAndMeasure(base, lengths);
 
     CmpSystem full(full_cfg, benchmarkParams(workload));
-    full.warmup(300000);
-    full.run(40000);
+    const RunResult f = warmupAndMeasure(full, lengths);
 
-    auto report = [](const char *name, CmpSystem &sys) {
-        std::printf("%-22s %10llu cycles, IPC %.2f, %.1f GB/s off-chip"
-                    ", L2 misses %llu\n",
-                    name,
-                    static_cast<unsigned long long>(sys.cycles()),
-                    sys.ipc(), sys.bandwidthGBps(),
-                    static_cast<unsigned long long>(
-                        sys.stats().counter("l2.demand_misses")));
+    auto report = [](const char *name, const RunResult &r) {
+        std::printf("%-22s %10.0f cycles, IPC %.2f, %.1f GB/s off-chip"
+                    ", L2 misses %.0f\n",
+                    name, r.cycles, r.ipc, r.bandwidth_gbps,
+                    r.l2_demand_misses);
     };
-    report("base system:", base);
-    report("compression+adaptive:", full);
+    report("base system:", b);
+    report("compression+adaptive:", f);
 
-    const double speedup = static_cast<double>(base.cycles()) /
-                           static_cast<double>(full.cycles());
-    std::printf("\nspeedup: %.2fx (%+.1f%%)\n", speedup,
-                (speedup - 1) * 100);
-    std::printf("L2 compression ratio: %.2f\n", full.compressionRatio());
+    const double gain = speedup(b.cycles, f.cycles);
+    std::printf("\nspeedup: %.2fx (%+.1f%%)\n", gain, (gain - 1) * 100);
+    std::printf("L2 compression ratio: %.2f\n", f.compression_ratio);
     std::printf("adaptive L2 startup budget ended at %u of 25\n",
                 full.l2Adaptive().counterValue());
     return 0;

@@ -352,26 +352,6 @@ L1Cache::registerStats(StatRegistry &reg, const std::string &prefix)
 }
 
 void
-L1Cache::resetStats()
-{
-    accesses_.reset();
-    hits_.reset();
-    misses_.reset();
-    upgrades_.reset();
-    writebacks_.reset();
-    pf_issued_.reset();
-    pf_fills_.reset();
-    pf_hits_.reset();
-    pf_squashed_.reset();
-    pf_dropped_.reset();
-    pf_useless_evicted_.reset();
-    harmful_miss_flags_.reset();
-    partial_hits_.reset();
-    invalidations_received_.reset();
-    decomp_avoided_.reset();
-}
-
-void
 L1Cache::registerAudits(InvariantRegistry &reg, const std::string &name)
 {
     reg.add(name + ".set_integrity", [this](std::string &why) {

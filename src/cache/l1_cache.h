@@ -117,7 +117,6 @@ class L1Cache
     std::uint64_t outstanding() const { return mshrs_used_; }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
-    void resetStats();
 
     /**
      * Register this cache's invariants under "<name>.*": per-set

@@ -743,29 +743,6 @@ L2Cache::registerStats(StatRegistry &reg, const std::string &prefix)
 void
 L2Cache::resetStats()
 {
-    demand_accesses_.reset();
-    demand_hits_.reset();
-    demand_misses_.reset();
-    partial_hits_.reset();
-    upgrade_requests_.reset();
-    penalized_hits_.reset();
-    pf_hits_l1_.reset();
-    pf_hits_l2_.reset();
-    pf_fills_l1_.reset();
-    pf_fills_l2_.reset();
-    l2pf_generated_.reset();
-    l2pf_issued_.reset();
-    l2pf_squashed_.reset();
-    l2pf_dropped_.reset();
-    useless_pf_evicted_.reset();
-    harmful_miss_flags_.reset();
-    evictions_.reset();
-    memory_writebacks_.reset();
-    l1_writebacks_.reset();
-    invalidations_sent_.reset();
-    owner_retrievals_.reset();
-    gcp_benefit_events_.reset();
-    gcp_cost_events_.reset();
     onchip_.resetStats();
     // Prefetches generated before the reset resolve (as issued /
     // squashed / dropped) after it; remember how many are in flight so

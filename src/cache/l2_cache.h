@@ -226,6 +226,10 @@ class L2Cache
     std::uint64_t penalizedHits() const { return penalized_hits_.value(); }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
+
+    /** Re-baseline what the stat registry does not own (the on-chip
+     *  link's totals, the in-flight prefetch count) after
+     *  StatRegistry::resetAll() zeroed the registered stats. */
     void resetStats();
 
     /**

@@ -1,6 +1,5 @@
 #include "src/common/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -10,18 +9,6 @@
 namespace cmpsim {
 
 namespace {
-// Atomic: warn()/inform() may fire from parallel experiment workers
-// (src/core_api/parallel_runner.cc) while a test toggles quiet mode.
-std::atomic<bool> quiet_mode{false};
-
-void
-vreport(const char *tag, const char *fmt, std::va_list ap)
-{
-    std::fprintf(stderr, "%s: ", tag);
-    std::vfprintf(stderr, fmt, ap);
-    std::fprintf(stderr, "\n");
-}
-
 std::string
 vformat(const char *fmt, std::va_list ap)
 {
@@ -42,12 +29,6 @@ fileLine(const char *file, int line)
     return std::string(file) + ":" + std::to_string(line);
 }
 } // namespace
-
-void
-setQuiet(bool quiet)
-{
-    quiet_mode = quiet;
-}
 
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
@@ -87,28 +68,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::string msg = vformat(fmt, ap);
     va_end(ap);
     throw ConfigError(fileLine(file, line), msg);
-}
-
-void
-warnImpl(const char *fmt, ...)
-{
-    if (quiet_mode)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (quiet_mode)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
 }
 
 } // namespace cmpsim

@@ -6,8 +6,6 @@
  *            Throws InvariantError (src/common/sim_error.h).
  * fatal()  - the user asked for something impossible (bad config).
  *            Throws ConfigError.
- * warn()   - something works, but not as well as it should.
- * inform() - status messages.
  *
  * panic/fatal used to abort()/exit(1); they throw so the experiment
  * layer can contain one failed simulation point without killing a
@@ -26,8 +24,6 @@ namespace cmpsim {
                             ...) __attribute__((format(printf, 3, 4)));
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Failed-assertion reporter: prints the condition text plus an
  *  optional printf-formatted context message, then aborts. */
@@ -36,17 +32,12 @@ void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
                                  const char *fmt = nullptr, ...)
     __attribute__((format(printf, 4, 5)));
 
-/** Silence warn()/inform() output (used by tests). */
-void setQuiet(bool quiet);
-
 } // namespace cmpsim
 
 #define cmpsim_panic(...) \
     ::cmpsim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define cmpsim_fatal(...) \
     ::cmpsim::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define cmpsim_warn(...) ::cmpsim::warnImpl(__VA_ARGS__)
-#define cmpsim_inform(...) ::cmpsim::informImpl(__VA_ARGS__)
 
 /**
  * Assert a simulator invariant; active in all build types because

@@ -15,8 +15,12 @@ namespace cmpsim {
 /** Byte address in the simulated physical address space. */
 using Addr = std::uint64_t;
 
-/** Simulated clock cycle (5 GHz core clock unless stated otherwise). */
+/** Simulated clock cycle of the core clock. */
 using Cycle = std::uint64_t;
+
+/** The core clock in GHz: bytes per cycle x kClockGHz = GB/s
+ *  (GB = 1e9 bytes). */
+inline constexpr double kClockGHz = 5.0;
 
 /** Sentinel for "no cycle scheduled / never". */
 inline constexpr Cycle kCycleNever = std::numeric_limits<Cycle>::max();

@@ -387,18 +387,4 @@ CoreModel::registerStats(StatRegistry &reg, const std::string &prefix)
     reg.registerCounter(prefix + ".active_cycles", &cycles_);
 }
 
-void
-CoreModel::resetStats()
-{
-    retired_.reset();
-    loads_.reset();
-    chained_loads_.reset();
-    stores_.reset();
-    branches_.reset();
-    mispredicts_.reset();
-    ifetch_lines_.reset();
-    dispatch_stalls_mshr_.reset();
-    cycles_.reset();
-}
-
 } // namespace cmpsim

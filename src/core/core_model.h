@@ -107,7 +107,6 @@ class CoreModel
     void setCpi(CpiAccount *cpi) { cpi_ = cpi; }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
-    void resetStats();
 
   private:
     struct RobEntry

@@ -215,33 +215,15 @@ CmpSystem::buildSystem()
 void
 CmpSystem::resetAllStats()
 {
+    // The registries zero every registered stat; the components then
+    // re-baseline only the accounting no registry owns.
     registry_.resetAll();
     memory_->resetStats();
     l2_->resetStats();
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        l1i_[c]->resetStats();
-        l1d_[c]->resetStats();
-        cores_[c]->resetStats();
-    }
-    if (config_.prefetching) {
-        for (auto &p : pf_l1i_)
-            p->resetStats();
-        for (auto &p : pf_l1d_)
-            p->resetStats();
-        for (auto &p : pf_l2_)
-            p->resetStats();
-        for (auto &a : ad_l1i_)
-            a->resetStats();
-        for (auto &a : ad_l1d_)
-            a->resetStats();
-        l2_adaptive_->resetStats();
-    }
     ratio_samples_.reset();
     cpi_registry_.resetAll();
     for (auto &a : cpi_)
         a->resetStats();
-    if (miss_journal_ != nullptr)
-        miss_journal_->resetStats();
 }
 
 void
@@ -458,17 +440,6 @@ CmpSystem::runDiagnostic(Cycle now) const
                std::to_string(cores_[c]->instructionsRetired());
     }
     return out;
-}
-
-double
-CmpSystem::bandwidthGBps() const
-{
-    if (measured_cycles_ == 0)
-        return 0.0;
-    const double bytes_per_cycle =
-        static_cast<double>(memory_->link().totalBytes()) /
-        static_cast<double>(measured_cycles_);
-    return bytes_per_cycle * 5.0; // 5 GHz, GB = 1e9 bytes
 }
 
 } // namespace cmpsim

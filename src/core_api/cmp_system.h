@@ -71,13 +71,6 @@ class CmpSystem
                          static_cast<double>(measured_cycles_);
     }
 
-    /**
-     * Off-chip bandwidth consumed during run(), in GB/s at the 5 GHz
-     * clock (the paper's Figure 4/7 metric when the config has
-     * infinite_bandwidth set).
-     */
-    double bandwidthGBps() const;
-
     /** Mean L2 compression ratio over the periodic samples. */
     double compressionRatio() const { return ratio_samples_.mean(); }
 

@@ -32,7 +32,7 @@ namespace cmpsim {
 /** Every CMPSIM_* environment knob, parsed. */
 struct EnvKnobs
 {
-    unsigned scale = 4;  ///< CMPSIM_SCALE: bench capacity divisor
+    unsigned scale = 4;  ///< CMPSIM_SCALE: capacity divisor
     RunLengths lengths;  ///< CMPSIM_WARMUP / CMPSIM_MEASURE
     unsigned seeds = 2;  ///< CMPSIM_SEEDS: seeds per bench point
     /** CMPSIM_JOBS: runner workers (0 = one per hardware thread). */

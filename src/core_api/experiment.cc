@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sample/sampling_controller.h"
-
 namespace cmpsim {
 
 namespace {
@@ -33,14 +31,8 @@ l1Sum(const StatSnapshot &t, unsigned cores, const char *side,
     return static_cast<double>(total);
 }
 
-/**
- * The paper's metrics over one measured span. @p t holds the span's
- * counters: the whole registry after an unsampled run(), or the summed
- * detail-interval deltas of a sampled run, so fast-forward (whose
- * counters keep growing in functional mode) never leaks into measured
- * numbers. Cycles, instructions and the compression ratio come from
- * the caller, because the two kinds of run measure them differently.
- */
+} // namespace
+
 RunResult
 extractMetrics(CmpSystem &sys, const StatSnapshot &t, double cycles,
                double instructions, double compression_ratio)
@@ -64,9 +56,9 @@ extractMetrics(CmpSystem &sys, const StatSnapshot &t, double cycles,
     r.l2_misses_per_kilo_instr =
         kilo_instr > 0 ? r.l2_demand_misses / kilo_instr : 0;
 
-    r.bandwidth_gbps = r.cycles > 0
-                           ? counter("mem.link.bytes") / r.cycles * 5.0
-                           : 0; // 5 GHz, GB = 1e9 bytes
+    r.bandwidth_gbps =
+        r.cycles > 0 ? counter("mem.link.bytes") / r.cycles * kClockGHz
+                     : 0;
     r.compression_ratio = compression_ratio;
     r.penalized_hits = counter("l2.penalized_hits");
 
@@ -91,14 +83,20 @@ extractMetrics(CmpSystem &sys, const StatSnapshot &t, double cycles,
     return r;
 }
 
-/** Drive the sampling plan, then extract the metrics over its
- *  detailed intervals and attach the per-interval CIs. */
 RunResult
-runSampled(CmpSystem &sys)
+warmupAndMeasure(CmpSystem &sys, const RunLengths &lengths)
 {
-    SamplingController ctl(sys);
-    const SamplingResult res = ctl.run();
-
+    sys.warmup(lengths.warmup_per_core);
+    if (!sys.config().sampling.armed()) {
+        sys.run(lengths.measure_per_core);
+        return extractMetrics(sys, sys.stats().snapshot(),
+                              static_cast<double>(sys.cycles()),
+                              static_cast<double>(sys.instructions()),
+                              sys.compressionRatio());
+    }
+    // Sampled: the metrics cover exactly the detailed intervals, and
+    // each summary carries its per-interval CI.
+    const SamplingResult res = SamplingController(sys).run();
     RunResult r = extractMetrics(sys, res.totals, res.detail_cycles,
                                  res.detail_instructions,
                                  res.compression_ratio.mean);
@@ -106,30 +104,17 @@ runSampled(CmpSystem &sys)
     r.sampled.intervals = res.intervals;
     r.sampled.ff_instructions =
         static_cast<double>(res.ff_instructions);
-    r.sampled.cycles = res.cycles;
-    r.sampled.ipc = res.ipc;
-    r.sampled.l2_miss_rate = res.l2_miss_rate;
-    r.sampled.l2_mpki = res.l2_mpki;
-    r.sampled.bandwidth_gbps = res.bandwidth_gbps;
-    r.sampled.compression_ratio = res.compression_ratio;
+    for (const SampledSummaryField &f : kSampledSummaries)
+        r.sampled.*f.metric = res.*f.result;
     return r;
 }
-
-} // namespace
 
 RunResult
 runOnce(const SystemConfig &config, const std::string &benchmark,
         const RunLengths &lengths)
 {
     CmpSystem sys(config, benchmarkParams(benchmark));
-    sys.warmup(lengths.warmup_per_core);
-    if (config.sampling.armed())
-        return runSampled(sys);
-    sys.run(lengths.measure_per_core);
-    return extractMetrics(sys, sys.stats().snapshot(),
-                          static_cast<double>(sys.cycles()),
-                          static_cast<double>(sys.instructions()),
-                          sys.compressionRatio());
+    return warmupAndMeasure(sys, lengths);
 }
 
 double

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core_api/cmp_system.h"
+#include "src/sample/sampling_controller.h"
 #include "src/workload/workload_params.h"
 
 namespace cmpsim {
@@ -77,6 +78,30 @@ struct RunResult
     SampledMetrics sampled;
 };
 
+/** One per-interval summary of a sampled run: its key, its RunResult
+ *  field and the SamplingResult field it is taken from. */
+struct SampledSummaryField
+{
+    const char *key;
+    SampleSummary RunResult::SampledMetrics::*metric;
+    SampleSummary SamplingResult::*result;
+};
+
+/** Every per-interval summary, in the one order the journal body, the
+ *  run report and the CLI's CI table list them. */
+inline constexpr SampledSummaryField kSampledSummaries[] = {
+    {"cycles", &RunResult::SampledMetrics::cycles, &SamplingResult::cycles},
+    {"ipc", &RunResult::SampledMetrics::ipc, &SamplingResult::ipc},
+    {"l2_miss_rate", &RunResult::SampledMetrics::l2_miss_rate,
+     &SamplingResult::l2_miss_rate},
+    {"l2_mpki", &RunResult::SampledMetrics::l2_mpki,
+     &SamplingResult::l2_mpki},
+    {"bandwidth_gbps", &RunResult::SampledMetrics::bandwidth_gbps,
+     &SamplingResult::bandwidth_gbps},
+    {"compression_ratio", &RunResult::SampledMetrics::compression_ratio,
+     &SamplingResult::compression_ratio},
+};
+
 /** Per-core run lengths. The defaults are the bench suite's; the
  *  CMPSIM_WARMUP / CMPSIM_MEASURE knobs override them
  *  (src/core_api/env_knobs.h). */
@@ -87,12 +112,31 @@ struct RunLengths
 };
 
 /**
- * Build a system, warm it up, run it, and extract metrics. When
- * config.sampling is armed the run executes the sampling plan instead
- * of one contiguous lengths.measure_per_core window (which is then
- * ignored — the plan's detail_per_core defines the measured length)
- * and RunResult::sampled carries the per-interval CIs.
+ * The paper's metrics over one measured span of @p sys: the one
+ * formula from counters to IPC, miss rates, MPKI, GB/s and the Table 4
+ * prefetch metrics. @p t holds the span's counters: the whole registry
+ * after an unsampled run(), one detailed interval's delta, or the
+ * summed interval deltas of a sampled run, so fast-forward (whose
+ * counters keep growing in functional mode) never leaks into measured
+ * numbers. Cycles, instructions and the compression ratio come from
+ * the caller, because the kinds of span measure them differently.
  */
+RunResult extractMetrics(CmpSystem &sys, const StatSnapshot &t,
+                         double cycles, double instructions,
+                         double compression_ratio);
+
+/**
+ * Warm @p sys up for lengths.warmup_per_core instructions per core,
+ * then measure it and extract the metrics. When config.sampling is
+ * armed the measurement executes the sampling plan instead of one
+ * contiguous lengths.measure_per_core window (which is then ignored —
+ * the plan's detail_per_core defines the measured length) and
+ * RunResult::sampled carries the per-interval CIs.
+ */
+RunResult warmupAndMeasure(CmpSystem &sys, const RunLengths &lengths);
+
+/** Build a system for (@p config, @p benchmark) and
+ *  warmupAndMeasure() it. */
 RunResult runOnce(const SystemConfig &config,
                   const std::string &benchmark,
                   const RunLengths &lengths);

@@ -215,6 +215,37 @@ appendHex(std::string &out, const char *name, double v)
     out += buf;
 }
 
+/**
+ * The one list of a run's journal fields: calls @p f(key, field) for
+ * each, in body order. @p R is const RunResult for summaryBytes() and
+ * RunResult for parseSummaryBytes().
+ */
+template <typename R, typename F>
+void
+forEachRunField(R &r, F &&f)
+{
+    f("cycles", r.cycles);
+    f("instructions", r.instructions);
+    f("ipc", r.ipc);
+    f("l2_demand_misses", r.l2_demand_misses);
+    f("l2_demand_accesses", r.l2_demand_accesses);
+    f("l2_miss_rate", r.l2_miss_rate);
+    f("l2_mpki", r.l2_misses_per_kilo_instr);
+    f("bandwidth_gbps", r.bandwidth_gbps);
+    f("compression_ratio", r.compression_ratio);
+    f("penalized_hits", r.penalized_hits);
+    for (auto *pf : {&r.l1i, &r.l1d, &r.l2pf}) {
+        f("pf.rate", pf->rate_per_kilo_instr);
+        f("pf.coverage", pf->coverage_pct);
+        f("pf.accuracy", pf->accuracy_pct);
+    }
+    f("adaptive_counter", r.l2_adaptive_counter);
+    f("useful", r.useful_prefetches);
+    f("useless", r.useless_prefetches);
+    f("harmful", r.harmful_flags);
+    f("victim_tags", r.victim_tags_per_set);
+}
+
 /** Aggregate a point's per-seed cycles and IPC, so summaries are
  *  bit-identical however they were produced (simulated or
  *  journal-restored). */
@@ -482,26 +513,9 @@ summaryBytes(const MetricSummary &summary)
     appendHex(out, "cycles.ci95", summary.cycles.ci95);
     out += "n=" + std::to_string(summary.cycles.n) + "\n";
     for (const auto &r : summary.runs) {
-        appendHex(out, "cycles", r.cycles);
-        appendHex(out, "instructions", r.instructions);
-        appendHex(out, "ipc", r.ipc);
-        appendHex(out, "l2_demand_misses", r.l2_demand_misses);
-        appendHex(out, "l2_demand_accesses", r.l2_demand_accesses);
-        appendHex(out, "l2_miss_rate", r.l2_miss_rate);
-        appendHex(out, "l2_mpki", r.l2_misses_per_kilo_instr);
-        appendHex(out, "bandwidth_gbps", r.bandwidth_gbps);
-        appendHex(out, "compression_ratio", r.compression_ratio);
-        appendHex(out, "penalized_hits", r.penalized_hits);
-        for (const auto *pf : {&r.l1i, &r.l1d, &r.l2pf}) {
-            appendHex(out, "pf.rate", pf->rate_per_kilo_instr);
-            appendHex(out, "pf.coverage", pf->coverage_pct);
-            appendHex(out, "pf.accuracy", pf->accuracy_pct);
-        }
-        appendHex(out, "adaptive_counter", r.l2_adaptive_counter);
-        appendHex(out, "useful", r.useful_prefetches);
-        appendHex(out, "useless", r.useless_prefetches);
-        appendHex(out, "harmful", r.harmful_flags);
-        appendHex(out, "victim_tags", r.victim_tags_per_set);
+        forEachRunField(r, [&out](const char *key, double v) {
+            appendHex(out, key, v);
+        });
         // Sampled-run block, appended only when the run used an armed
         // sampling plan: unsampled journal bodies stay byte-identical
         // to the pre-sampling format (same gating idea as the
@@ -512,18 +526,11 @@ summaryBytes(const MetricSummary &summary)
                    std::to_string(sm.intervals) + "\n";
             appendHex(out, "sampling.ff_instructions",
                       sm.ff_instructions);
-            const std::pair<const char *, const SampleSummary *>
-                metrics[] = {
-                    {"cycles", &sm.cycles},
-                    {"ipc", &sm.ipc},
-                    {"l2_miss_rate", &sm.l2_miss_rate},
-                    {"l2_mpki", &sm.l2_mpki},
-                    {"bandwidth_gbps", &sm.bandwidth_gbps},
-                    {"compression_ratio", &sm.compression_ratio}};
-            for (const auto &[name, s] : metrics) {
-                const std::string key = std::string("sampling.") + name;
-                appendHex(out, (key + ".mean").c_str(), s->mean);
-                appendHex(out, (key + ".ci95").c_str(), s->ci95);
+            for (const SampledSummaryField &f : kSampledSummaries) {
+                const SampleSummary &s = sm.*f.metric;
+                const std::string key = std::string("sampling.") + f.key;
+                appendHex(out, (key + ".mean").c_str(), s.mean);
+                appendHex(out, (key + ".ci95").c_str(), s.ci95);
             }
         }
     }
@@ -575,28 +582,11 @@ parseSummaryBytes(const std::string &bytes, MetricSummary &out)
 
     while (pos < bytes.size()) {
         RunResult r;
-        if (!readValue("cycles", r.cycles) ||
-            !readValue("instructions", r.instructions) ||
-            !readValue("ipc", r.ipc) ||
-            !readValue("l2_demand_misses", r.l2_demand_misses) ||
-            !readValue("l2_demand_accesses", r.l2_demand_accesses) ||
-            !readValue("l2_miss_rate", r.l2_miss_rate) ||
-            !readValue("l2_mpki", r.l2_misses_per_kilo_instr) ||
-            !readValue("bandwidth_gbps", r.bandwidth_gbps) ||
-            !readValue("compression_ratio", r.compression_ratio) ||
-            !readValue("penalized_hits", r.penalized_hits))
-            return false;
-        for (auto *pf : {&r.l1i, &r.l1d, &r.l2pf}) {
-            if (!readValue("pf.rate", pf->rate_per_kilo_instr) ||
-                !readValue("pf.coverage", pf->coverage_pct) ||
-                !readValue("pf.accuracy", pf->accuracy_pct))
-                return false;
-        }
-        if (!readValue("adaptive_counter", r.l2_adaptive_counter) ||
-            !readValue("useful", r.useful_prefetches) ||
-            !readValue("useless", r.useless_prefetches) ||
-            !readValue("harmful", r.harmful_flags) ||
-            !readValue("victim_tags", r.victim_tags_per_set))
+        bool ok = true;
+        forEachRunField(r, [&](const char *key, double &v) {
+            ok = ok && readValue(key, v);
+        });
+        if (!ok)
             return false;
         // Optional sampled-run block: presence is detected by peeking
         // for the "sampling." prefix, so journal bodies written before
@@ -615,19 +605,13 @@ parseSummaryBytes(const std::string &bytes, MetricSummary &out)
             if (!readValue("sampling.ff_instructions",
                            sm.ff_instructions))
                 return false;
-            const std::pair<const char *, SampleSummary *> metrics[] = {
-                {"cycles", &sm.cycles},
-                {"ipc", &sm.ipc},
-                {"l2_miss_rate", &sm.l2_miss_rate},
-                {"l2_mpki", &sm.l2_mpki},
-                {"bandwidth_gbps", &sm.bandwidth_gbps},
-                {"compression_ratio", &sm.compression_ratio}};
-            for (const auto &[name, s] : metrics) {
-                const std::string key = std::string("sampling.") + name;
-                if (!readValue((key + ".mean").c_str(), s->mean) ||
-                    !readValue((key + ".ci95").c_str(), s->ci95))
+            for (const SampledSummaryField &f : kSampledSummaries) {
+                SampleSummary &s = sm.*f.metric;
+                const std::string key = std::string("sampling.") + f.key;
+                if (!readValue((key + ".mean").c_str(), s.mean) ||
+                    !readValue((key + ".ci95").c_str(), s.ci95))
                     return false;
-                s->n = sm.intervals;
+                s.n = sm.intervals;
             }
             sm.armed = true;
         }
@@ -653,8 +637,8 @@ pointSpecBytes(const PointSpec &spec)
     };
     // Every knob that changes simulated behaviour. Excluded on
     // purpose: seed (the runner assigns s+1 per task), audit_interval
-    // / audit_fill_roundtrip / watchdog_cycles (observability only —
-    // they abort bad runs, never change good ones).
+    // and watchdog_cycles (observability only — they abort bad runs,
+    // never change good ones).
     kv("cores", c.cores);
     kv("scale", c.scale);
     kv("cache_compression", c.cache_compression);

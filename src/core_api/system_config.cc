@@ -145,7 +145,7 @@ SystemConfig::l2Params() const
     p.decompression_latency = decompression_latency;
     p.adaptive_compression = adaptive_compression;
     p.l1_prefetch_trains_l2 = l1_prefetch_triggers_l2;
-    p.verify_fill_roundtrip = audit_fill_roundtrip;
+    p.verify_fill_roundtrip = audit_interval != 0;
     return p;
 }
 
@@ -201,10 +201,7 @@ makeConfig(unsigned cores, unsigned scale, bool cache_compression,
     // layer: batch fingerprints and journal keys see the sampling
     // plan, and a field the caller sets afterwards wins.
     const EnvKnobs env = readEnvKnobs();
-    if (env.audit) {
-        c.audit_interval = *env.audit;
-        c.audit_fill_roundtrip = *env.audit != 0;
-    }
+    c.audit_interval = env.audit.value_or(c.audit_interval);
     c.watchdog_cycles = env.watchdog.value_or(c.watchdog_cycles);
     c.cpi_stack = env.cpi_stack.value_or(c.cpi_stack);
     c.sampling = env.sampling.value_or(c.sampling);

@@ -120,14 +120,12 @@ struct SystemConfig
 
     /**
      * Run the full invariant audit every this many cycles of timed
-     * simulation (plus once at end-of-run). 0 disables periodic audits
-     * — the Release default; tests and CI audit legs turn it on.
+     * simulation (plus once at end-of-run), and verify an FPC
+     * compress -> decompress round-trip of the line's value on every
+     * L2 fill. 0 disables both — the Release default; tests and CI
+     * audit legs turn it on.
      */
     Cycle audit_interval = 0;
-
-    /** Verify an FPC compress -> decompress round-trip of the line's
-     *  value on every L2 fill (debug/audit builds). */
-    bool audit_fill_roundtrip = false;
 
     // ---- failure model (DESIGN.md Section 8) ----
 
@@ -160,11 +158,11 @@ struct SystemConfig
     PrefetcherParams l1PrefetcherParams() const;
     PrefetcherParams l2PrefetcherParams() const;
 
-    /** Pin bytes per 5 GHz core cycle for @p gbps. */
+    /** Pin bytes per core cycle for @p gbps. */
     static double
     bytesPerCycle(double gbps)
     {
-        return gbps / 5.0;
+        return gbps / kClockGHz;
     }
 };
 

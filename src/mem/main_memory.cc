@@ -94,12 +94,6 @@ MainMemory::registerStats(StatRegistry &reg, const std::string &prefix)
 void
 MainMemory::resetStats()
 {
-    reads_.reset();
-    writebacks_.reset();
-    data_flits_.reset();
-    header_flits_.reset();
-    read_latency_.reset();
-    read_latency_hist_.reset();
     link_.resetStats();
 }
 

@@ -81,6 +81,8 @@ class MainMemory
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
+    /** Re-baseline the link's unregistered accounting
+     *  (PriorityLink::resetStats()). */
     void resetStats();
 
     const MemoryParams &params() const { return params_; }

@@ -166,12 +166,6 @@ PriorityLink::registerStats(StatRegistry &reg, const std::string &prefix)
 void
 PriorityLink::resetStats()
 {
-    total_bytes_.reset();
-    for (auto &c : class_bytes_)
-        c.reset();
-    transfers_.reset();
-    queue_delay_.reset();
-    queue_delay_hist_.reset();
     delivered_bytes_.reset();
     // Messages still queued or on the channel were requested before the
     // reset; remember them so byte conservation holds afterwards.

@@ -89,6 +89,10 @@ class PriorityLink
     std::size_t backlog() const;
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
+
+    /** Re-baseline the byte-conservation accounting the stat registry
+     *  does not own, after StatRegistry::resetAll() zeroed the
+     *  registered stats. */
     void resetStats();
 
   private:

@@ -286,19 +286,6 @@ MissJournal::registerStats(StatRegistry &reg, const std::string &prefix)
     }
 }
 
-void
-MissJournal::resetStats()
-{
-    completed_.reset();
-    pf_squashed_.reset();
-    pf_origin_completed_.reset();
-    total_hist_.reset();
-    for (Histogram &h : leaf_hists_)
-        h.reset();
-    // records_ survives a reset on purpose: in-flight journeys that
-    // straddle the warmup/measure boundary must keep their timeline.
-}
-
 // ---------------------------------------------------------------- account
 
 CpiAccount::CpiAccount(unsigned cpu, unsigned rob_entries,
@@ -422,9 +409,6 @@ CpiAccount::registerStats(StatRegistry &reg, const std::string &prefix)
 void
 CpiAccount::resetStats()
 {
-    for (unsigned i = 0; i < kCpiLeafCount; ++i)
-        leaves_[i].reset();
-    pf_hidden_.reset();
     origin_ = from_;
 }
 

@@ -170,7 +170,6 @@ class MissJournal
     std::uint64_t recordsCompleted() const { return completed_.value(); }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
-    void resetStats();
 
   private:
     /** Close the open frontier as @p leaf up to @p until (no-op when
@@ -183,6 +182,8 @@ class MissJournal
     double link_rate_;
     bool infinite_link_;
 
+    /** Survives a stats reset on purpose: in-flight journeys that
+     *  straddle the warmup/measure boundary keep their timeline. */
     std::unordered_map<Addr, MissRecord> records_;
     std::uint64_t next_span_id_ = 0;
 
@@ -250,6 +251,9 @@ class CpiAccount
     std::uint64_t pfHiddenCycles() const { return pf_hidden_.value(); }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
+
+    /** Restart the accounting epoch at the open window's start, after
+     *  StatRegistry::resetAll() zeroed the leaves. */
     void resetStats();
 
   private:

@@ -92,14 +92,6 @@ class AdaptivePrefetchController
         reg.registerCounter(prefix + ".harmful", &harmful_);
     }
 
-    void
-    resetStats()
-    {
-        useful_.reset();
-        useless_.reset();
-        harmful_.reset();
-    }
-
   private:
     SatCounter counter_;
     bool enabled_;

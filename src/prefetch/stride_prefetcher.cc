@@ -252,15 +252,6 @@ StridePrefetcher::registerStats(StatRegistry &reg,
 }
 
 void
-StridePrefetcher::resetStats()
-{
-    streams_alloc_.reset();
-    generated_.reset();
-    filter_allocs_.reset();
-    stream_advances_.reset();
-}
-
-void
 StridePrefetcher::clear()
 {
     for (auto &e : pos_unit_)

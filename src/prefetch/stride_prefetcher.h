@@ -86,7 +86,6 @@ class StridePrefetcher
     std::uint64_t prefetchesGenerated() const { return generated_.value(); }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
-    void resetStats();
 
     /** Drop all learned state (filter and stream tables). */
     void clear();

@@ -2,6 +2,7 @@
 
 #include "src/common/log.h"
 #include "src/core_api/cmp_system.h"
+#include "src/core_api/experiment.h"
 #include "src/sim/fault_injection.h"
 
 namespace cmpsim {
@@ -24,25 +25,17 @@ SamplingController::closeInterval()
 {
     const StatSnapshot delta =
         StatRegistry::delta(sys_.stats().snapshot(), baseline_);
-
-    IntervalSample s;
-    s.cycles = static_cast<double>(sys_.cycles());
-    s.instructions = static_cast<double>(sys_.instructions());
-    s.ipc = sys_.ipc();
-    const double misses =
-        static_cast<double>(delta.counter("l2.demand_misses"));
-    const double accesses =
-        static_cast<double>(delta.counter("l2.demand_accesses"));
-    s.l2_miss_rate = accesses > 0 ? misses / accesses : 0;
-    const double kilo_instr = s.instructions / 1000.0;
-    s.l2_mpki = kilo_instr > 0 ? misses / kilo_instr : 0;
-    const double link_bytes =
-        static_cast<double>(delta.counter("mem.link.bytes"));
-    s.bandwidth_gbps =
-        s.cycles > 0 ? link_bytes / s.cycles * 5.0 : 0; // 5 GHz clock
-    s.compression_ratio = sys_.l2().compressionRatio();
-
-    samples_.push_back(s);
+    const RunResult m = extractMetrics(
+        sys_, delta, static_cast<double>(sys_.cycles()),
+        static_cast<double>(sys_.instructions()),
+        sys_.l2().compressionRatio());
+    samples_.push_back({.cycles = m.cycles,
+                        .instructions = m.instructions,
+                        .ipc = m.ipc,
+                        .l2_miss_rate = m.l2_miss_rate,
+                        .l2_mpki = m.l2_misses_per_kilo_instr,
+                        .bandwidth_gbps = m.bandwidth_gbps,
+                        .compression_ratio = m.compression_ratio});
     detail_totals_.accumulate(delta);
     baseline_ = StatSnapshot{};
 }

@@ -20,7 +20,8 @@ namespace cmpsim {
 
 class CmpSystem;
 
-/** Headline metrics of one closed detailed interval. */
+/** Headline metrics of one closed detailed interval: extractMetrics()
+ *  over the interval's stat delta. */
 struct IntervalSample
 {
     double cycles = 0;

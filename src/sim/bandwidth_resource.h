@@ -91,14 +91,14 @@ class BandwidthResource
         reg.registerAverage(prefix + ".queue_delay", &queue_delay_);
     }
 
-    /** Clear accounting (start of measurement interval). */
+    /** Clear the plain totals (start of measurement interval); the
+     *  registered queue-delay average is the registry's to reset. */
     void
     resetStats()
     {
         total_bytes_ = 0;
         transfers_ = 0;
         busy_ = 0;
-        queue_delay_.reset();
     }
 
   private:

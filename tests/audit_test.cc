@@ -234,7 +234,6 @@ TEST(AuditSystemTest, FullSystemRunPassesAllAudits)
 {
     SystemConfig cfg = makeConfig(2, 8, true, true, true, true);
     cfg.audit_interval = 5000;
-    cfg.audit_fill_roundtrip = true;
     CmpSystem sys(cfg, benchmarkParams("zeus"));
     sys.warmup(3000);
     sys.run(2000); // enforces periodically + at end-of-run

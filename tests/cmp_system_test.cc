@@ -33,15 +33,33 @@ TEST(CmpSystemTest, RunsAndRetiresRequestedWork)
     EXPECT_LT(sys->ipc(), 32.0);
 }
 
+/** Every counter, average and histogram of @p reg reads zero. */
+void
+expectAllZero(const StatRegistry &reg)
+{
+    const StatSnapshot s = reg.snapshot();
+    EXPECT_FALSE(s.counters.empty());
+    for (const auto &[name, v] : s.counters)
+        EXPECT_EQ(v, 0u) << name;
+    for (const auto &[name, a] : s.averages) {
+        EXPECT_EQ(a.count, 0u) << name;
+        EXPECT_EQ(a.sum, 0.0) << name;
+    }
+    for (const std::string &name : reg.histogramNames())
+        EXPECT_EQ(reg.histogram(name).total(), 0u) << name;
+}
+
 TEST(CmpSystemTest, WarmupPopulatesCachesAndResetsStats)
 {
-    SystemConfig cfg = makeConfig(4, 4, false, false, false, false);
+    // Every feature, so every component's stats are registered.
+    SystemConfig cfg = makeConfig(4, 4, true, true, true, true);
+    cfg.cpi_stack = true;
     CmpSystem sys(cfg, benchmarkParams("zeus"));
     sys.warmup(kWarm);
     // Caches warm but stats clean.
     EXPECT_GT(sys.l2().effectiveBytes(), 0u);
-    EXPECT_EQ(sys.stats().counter("l2.demand_misses"), 0u);
-    EXPECT_EQ(sys.memory().link().totalBytes(), 0u);
+    expectAllZero(sys.stats());
+    expectAllZero(sys.cpiStats());
 }
 
 TEST(CmpSystemTest, DeterministicForSameSeed)
@@ -135,15 +153,15 @@ TEST(CmpSystemTest, PrefetchingHurtsJbbAdaptiveRescues)
 
 TEST(CmpSystemTest, InfiniteBandwidthNeverSlower)
 {
-    auto finite = runSystem(makeConfig(8, 4, false, false, true, false),
-                            "fma3d", 80000);
+    const RunLengths len{80000, kMeasure};
     auto cfg = makeConfig(8, 4, false, false, true, false);
+    const RunResult finite = runOnce(cfg, "fma3d", len);
     cfg.infinite_bandwidth = true;
-    auto infinite = runSystem(cfg, "fma3d", 80000);
-    EXPECT_LE(infinite->cycles(), finite->cycles());
+    const RunResult infinite = runOnce(cfg, "fma3d", len);
+    EXPECT_LE(infinite.cycles, finite.cycles);
     // Demand measured on the infinite link exceeds the 20 GB/s cap
     // for the paper's bandwidth-bound workload.
-    EXPECT_GT(infinite->bandwidthGBps(), 20.0);
+    EXPECT_GT(infinite.bandwidth_gbps, 20.0);
 }
 
 TEST(CmpSystemTest, LowerPinBandwidthIsSlower)

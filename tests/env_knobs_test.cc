@@ -219,7 +219,7 @@ TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)
         EnvGuard watchdog("CMPSIM_WATCHDOG", "0");
         SystemConfig cfg = smallConfig();
         EXPECT_EQ(cfg.audit_interval, 5000u);
-        EXPECT_TRUE(cfg.audit_fill_roundtrip);
+        EXPECT_TRUE(cfg.l2Params().verify_fill_roundtrip);
         EXPECT_EQ(cfg.watchdog_cycles, 0u);
 
         // The system keeps what the caller set after makeConfig().
@@ -230,7 +230,7 @@ TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)
     EnvGuard off("CMPSIM_AUDIT", "0");
     const SystemConfig cfg = smallConfig();
     EXPECT_EQ(cfg.audit_interval, 0u);
-    EXPECT_FALSE(cfg.audit_fill_roundtrip);
+    EXPECT_FALSE(cfg.l2Params().verify_fill_roundtrip);
 }
 
 TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)

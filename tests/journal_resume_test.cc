@@ -59,16 +59,23 @@ readFile(const std::string &path)
 
 TEST(SummaryBytesTest, RoundTripsThroughParseByteExactly)
 {
+    // An unsampled point and a sampled one, whose runs carry the
+    // optional sampled block.
     auto specs = smallPoints();
-    specs.resize(1);
+    specs.resize(2);
+    specs[1] = specs[0];
+    specs[1].config.sampling = SamplingPlan::parse("2000:1000:3");
     const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
     ASSERT_EQ(batch.failed(), 0u);
 
-    const std::string bytes = summaryBytes(batch.summaries[0]);
-    MetricSummary parsed;
-    ASSERT_TRUE(parseSummaryBytes(bytes, parsed));
-    EXPECT_EQ(parsed.runs.size(), batch.summaries[0].runs.size());
-    EXPECT_EQ(summaryBytes(parsed), bytes);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::string bytes = summaryBytes(batch.summaries[i]);
+        EXPECT_EQ(bytes.find("\nsampling.") != std::string::npos, i == 1);
+        MetricSummary parsed;
+        ASSERT_TRUE(parseSummaryBytes(bytes, parsed));
+        EXPECT_EQ(parsed.runs.size(), batch.summaries[i].runs.size());
+        EXPECT_EQ(summaryBytes(parsed), bytes);
+    }
 }
 
 TEST(SummaryBytesTest, ParseRejectsMalformedInput)

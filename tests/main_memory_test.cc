@@ -136,8 +136,11 @@ TEST_F(MainMemoryTest, CompressedWritebackUsesFewerBytes)
 TEST_F(MainMemoryTest, ResetStatsZeroesCounters)
 {
     MainMemory mem(eq, values, baseParams());
+    StatRegistry reg;
+    mem.registerStats(reg, "mem");
     mem.fetchLine(0x1000, 0, false, [](Cycle) {});
     eq.drain();
+    reg.resetAll();
     mem.resetStats();
     EXPECT_EQ(mem.reads(), 0u);
     EXPECT_EQ(mem.link().totalBytes(), 0u);

@@ -140,7 +140,10 @@ TEST_F(PriorityLinkTest, BacklogDrainsToZero)
 TEST_F(PriorityLinkTest, ResetStatsKeepsSchedule)
 {
     PriorityLink link(eq, 4.0, false);
+    StatRegistry reg;
+    link.registerStats(reg, "link");
     link.send(4000, LinkClass::Demand, 0, nullptr);
+    reg.resetAll();
     link.resetStats();
     EXPECT_EQ(link.totalBytes(), 0u);
     Cycle done = 0;

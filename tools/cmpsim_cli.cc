@@ -22,14 +22,13 @@
 #include "src/common/fingerprint.h"
 #include "src/common/parse_unsigned.h"
 #include "src/common/sim_error.h"
-#include "src/core_api/cmp_system.h"
 #include "src/core_api/env_knobs.h"
+#include "src/core_api/experiment.h"
 #include "src/core_api/parallel_runner.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
-#include "src/sample/sampling_controller.h"
 #include "src/sim/fault_injection.h"
 
 using namespace cmpsim;
@@ -49,7 +48,7 @@ struct CliOptions
 {
     std::string workload = "zeus";
     unsigned cores = 8;
-    unsigned scale = 4;
+    std::optional<unsigned> scale; ///< --scale, else CMPSIM_SCALE
     bool cache_compression = false;
     bool link_compression = false;
     bool prefetch = false;
@@ -57,7 +56,8 @@ struct CliOptions
     bool adaptive_compression = false;
     bool infinite_bw = false;
     double bandwidth = 20.0;
-    RunLengths lengths; ///< --warmup / --measure
+    std::optional<std::uint64_t> warmup;  ///< else CMPSIM_WARMUP
+    std::optional<std::uint64_t> measure; ///< else CMPSIM_MEASURE
     std::uint64_t seed = 1;
     bool dump_stats = false;
     bool cpi_stack = false;   ///< --cpi-stack: attribution layer
@@ -79,7 +79,8 @@ usage(int code)
         "mgrid (default zeus)\n"
         "  --cores N           1..16 (default 8)\n"
         "  --scale N           capacity divisor; 1 = paper-size 4 MB "
-        "L2 (default 4)\n"
+        "L2\n"
+        "                      (default CMPSIM_SCALE, else 4)\n"
         "  --compression       cache + link compression\n"
         "  --cache-compression / --link-compression  individually\n"
         "  --adaptive-compression  ISCA'04 compression policy\n"
@@ -87,9 +88,10 @@ usage(int code)
         "  --adaptive          adaptive prefetch throttling\n"
         "  --bandwidth GBPS    pin bandwidth (default 20)\n"
         "  --infinite-bw       measure bandwidth demand (no queuing)\n"
-        "  --warmup N          functional warmup instr/core (default "
-        "400000)\n"
-        "  --measure N         timed instr/core (default 50000)\n"
+        "  --warmup N          functional warmup instr/core\n"
+        "                      (default CMPSIM_WARMUP, else 400000)\n"
+        "  --measure N         timed instr/core\n"
+        "                      (default CMPSIM_MEASURE, else 50000)\n"
         "  --seed N            RNG seed (default 1)\n"
         "  --stats             dump every registered counter\n"
         "  --cpi-stack         arm CPI-stack / miss-genealogy\n"
@@ -145,7 +147,7 @@ parse(int argc, char **argv)
         } else if (a == "--cores") {
             parse_uint(i++, o.cores);
         } else if (a == "--scale") {
-            parse_uint(i++, o.scale);
+            parse_uint(i++, o.scale.emplace());
         } else if (a == "--compression") {
             o.cache_compression = o.link_compression = true;
         } else if (a == "--cache-compression") {
@@ -164,9 +166,9 @@ parse(int argc, char **argv)
         } else if (a == "--infinite-bw") {
             o.infinite_bw = true;
         } else if (a == "--warmup") {
-            parse_uint(i++, o.lengths.warmup_per_core);
+            parse_uint(i++, o.warmup.emplace());
         } else if (a == "--measure") {
-            parse_uint(i++, o.lengths.measure_per_core);
+            parse_uint(i++, o.measure.emplace());
         } else if (a == "--seed") {
             parse_uint(i++, o.seed);
         } else if (a == "--stats") {
@@ -186,177 +188,21 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** The real driver; throws SimError for anything the simulator
- *  rejects (unknown benchmark, bad config, injected fault, ...). */
-int
-run(const CliOptions &o)
+/** An unsampled run's stdout: the headline metrics, then the CPI
+ *  stacks and the full stat dump when asked for. */
+void
+printFullDetail(const CliOptions &o, CmpSystem &sys, const RunResult &r)
 {
-    // Honour the environment failure-model knobs for single runs too:
-    // CMPSIM_FAULT arms this run and CMPSIM_POINT_TIMEOUT bounds the
-    // whole warmup+run step, exactly as one parallel-runner task.
-    const EnvKnobs env = readEnvKnobs();
-    FaultArmGuard arm(env.policy.faults);
-    DeadlineGuard deadline(env.policy.point_timeout_sec);
-
-    SystemConfig cfg =
-        makeConfig(o.cores, o.scale, o.cache_compression,
-                   o.link_compression, o.prefetch, o.adaptive,
-                   o.bandwidth);
-    cfg.infinite_bandwidth = o.infinite_bw;
-    cfg.adaptive_compression = o.adaptive_compression;
-    cfg.seed = o.seed;
-    // Flags beat the environment makeConfig() applied.
-    if (o.cpi_stack)
-        cfg.cpi_stack = true;
-    if (!o.sampling_spec.empty())
-        cfg.sampling = SamplingPlan::parse(o.sampling_spec);
-    // Validate before the banner: "--scale 0" must die with a
-    // ConfigError, not divide the L2-size estimate by zero.
-    cfg.validate();
-
-    // Observability session: the tracer arms process-wide probes
-    // (--trace beats CMPSIM_TRACE); CMPSIM_PROF=1 turns the scoped
-    // timers on, reported in the --report JSON.
-    setProfEnabled(env.prof);
-    TraceSession trace_session(o.trace_path.empty() ? env.trace
-                                                    : o.trace_path);
-
-    std::printf("cmpsim: %s, %u cores, scale %u (L2 %u KB), "
-                "%.0f GB/s%s%s%s%s%s\n",
-                o.workload.c_str(),
-                o.cores, o.scale, 4096 / o.scale, o.bandwidth,
-                o.infinite_bw ? " (infinite)" : "",
-                o.cache_compression ? ", cache-compr" : "",
-                o.link_compression ? ", link-compr" : "",
-                o.prefetch ? ", prefetch" : "",
-                o.adaptive ? " (adaptive)" : "");
-
-    RunReport report;
-    report.benchmark = o.workload;
-    report.seed = o.seed;
-    report.warmup_per_core = o.lengths.warmup_per_core;
-    report.measure_per_core = o.lengths.measure_per_core;
-    report.knobs = env.raw;
-    {
-        PointSpec spec;
-        spec.config = cfg;
-        spec.benchmark = o.workload;
-        spec.lengths = o.lengths;
-        spec.seeds = 1;
-        report.config_fingerprint = fnv1a(pointSpecBytes(spec));
-    }
-    const auto wall_start = std::chrono::steady_clock::now();
-    auto writeReport = [&](CmpSystem &system) {
-        if (o.report_path.empty())
-            return;
-        report.wall_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
-        report.max_rss_kb = currentMaxRssKb();
-        report.prof = profSnapshot();
-        captureStats(system.stats(), report);
-        if (system.config().cpi_stack)
-            captureCpiStats(system.cpiStats(), report);
-        std::ofstream out(o.report_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out.is_open()) {
-            throw ConfigError("report",
-                              "cannot open report file \"" +
-                                  o.report_path + "\" for writing");
-        }
-        writeRunReport(out, report);
-    };
-
-    CmpSystem sys(cfg, benchmarkParams(o.workload));
-    SamplingResult sampled;
-    const bool sampling_armed = cfg.sampling.armed();
-    try {
-        sys.warmup(o.lengths.warmup_per_core);
-        if (sampling_armed) {
-            SamplingController ctl(sys);
-            sampled = ctl.run();
-        } else {
-            sys.run(o.lengths.measure_per_core);
-        }
-    } catch (const SimError &e) {
-        // A failed run still leaves a report: status, the error, and
-        // whatever stats the run accumulated before it died.
-        report.status = errorKindName(e.kind());
-        report.error = e.what();
-        writeReport(sys);
-        throw;
-    }
-
-    if (sampling_armed) {
-        // Sampled run: aggregate over the detailed intervals (the
-        // plain sys.cycles() headline would only cover the last one)
-        // and print each metric with its 95% CI.
-        const double dc = sampled.detail_cycles;
-        const double di = sampled.detail_instructions;
-        report.cycles = static_cast<std::uint64_t>(dc);
-        report.instructions = static_cast<std::uint64_t>(di);
-        report.ipc = dc > 0 ? di / dc : 0;
-        report.bandwidth_gbps = sampled.bandwidth_gbps.mean;
-        report.compression_ratio = sampled.compression_ratio.mean;
-        report.sampling.armed = true;
-        report.sampling.intervals = sampled.intervals;
-        report.sampling.ff_instructions =
-            static_cast<double>(sampled.ff_instructions);
-        report.sampling.metrics = {
-            {"cycles", sampled.cycles},
-            {"ipc", sampled.ipc},
-            {"l2_miss_rate", sampled.l2_miss_rate},
-            {"l2_mpki", sampled.l2_mpki},
-            {"bandwidth_gbps", sampled.bandwidth_gbps},
-            {"compression_ratio", sampled.compression_ratio}};
-
-        std::printf("\n--- sampled run: %u intervals, "
-                    "%llu instr fast-forwarded ---\n",
-                    sampled.intervals,
-                    static_cast<unsigned long long>(
-                        sampled.ff_instructions));
-        std::printf("detail cycles %.0f, detail instructions %.0f "
-                    "(aggregate IPC %.3f)\n",
-                    dc, di, report.ipc);
-        std::printf("%-20s %12s %12s\n", "metric", "mean",
-                    "ci95 (+/-)");
-        for (const auto &[name, s] : report.sampling.metrics)
-            std::printf("%-20s %12.4f %12.4f\n", name.c_str(), s.mean,
-                        s.ci95);
-
-        writeReport(sys);
-        if (!o.report_path.empty())
-            std::printf("run report    %s\n", o.report_path.c_str());
-        if (trace_session.tracer() != nullptr)
-            std::printf("trace         %llu events -> %s\n",
-                        static_cast<unsigned long long>(
-                            trace_session.tracer()->eventsWritten()),
-                        trace_session.tracer()->path().c_str());
-        return 0;
-    }
-
-    report.cycles = sys.cycles();
-    report.instructions = sys.instructions();
-    report.ipc = sys.ipc();
-    report.bandwidth_gbps = sys.bandwidthGBps();
-    report.compression_ratio = sys.compressionRatio();
-
-    std::printf("\ncycles        %llu\n",
-                static_cast<unsigned long long>(sys.cycles()));
-    std::printf("instructions  %llu\n",
-                static_cast<unsigned long long>(sys.instructions()));
-    std::printf("IPC           %.3f (%.3f per core)\n", sys.ipc(),
-                sys.ipc() / o.cores);
-    std::printf("off-chip bw   %.2f GB/s\n", sys.bandwidthGBps());
-    const auto &reg = sys.stats();
-    const std::uint64_t misses = reg.counter("l2.demand_misses");
-    const double ki = static_cast<double>(sys.instructions()) / 1000.0;
-    std::printf("L2 misses     %llu (%.2f per 1k instr)\n",
-                static_cast<unsigned long long>(misses),
-                ki > 0 ? static_cast<double>(misses) / ki : 0.0);
+    std::printf("\ncycles        %.0f\n", r.cycles);
+    std::printf("instructions  %.0f\n", r.instructions);
+    std::printf("IPC           %.3f (%.3f per core)\n", r.ipc,
+                r.ipc / o.cores);
+    std::printf("off-chip bw   %.2f GB/s\n", r.bandwidth_gbps);
+    std::printf("L2 misses     %.0f (%.2f per 1k instr)\n",
+                r.l2_demand_misses, r.l2_misses_per_kilo_instr);
     if (o.cache_compression)
-        std::printf("L2 ratio      %.2f\n", sys.compressionRatio());
+        std::printf("L2 ratio      %.2f\n", r.compression_ratio);
+    const StatRegistry &reg = sys.stats();
     if (o.prefetch) {
         std::printf("L2 prefetches %llu issued, %llu hits\n",
                     static_cast<unsigned long long>(
@@ -364,8 +210,8 @@ run(const CliOptions &o)
                     static_cast<unsigned long long>(
                         reg.counter("l2.pf_hits_l2")));
         if (o.adaptive)
-            std::printf("L2 adaptive counter %u / 25\n",
-                        sys.l2Adaptive().counterValue());
+            std::printf("L2 adaptive counter %.0f / 25\n",
+                        r.l2_adaptive_counter);
     }
 
     if (sys.config().cpi_stack) {
@@ -400,6 +246,137 @@ run(const CliOptions &o)
         std::ostringstream os;
         reg.dump(os);
         std::fputs(os.str().c_str(), stdout);
+    }
+}
+
+/** The real driver; throws SimError for anything the simulator
+ *  rejects (unknown benchmark, bad config, injected fault, ...). */
+int
+run(const CliOptions &o)
+{
+    // Honour the environment knobs for single runs too: CMPSIM_FAULT
+    // arms this run and CMPSIM_POINT_TIMEOUT bounds the whole
+    // warmup+run step, exactly as one parallel-runner task, and a flag
+    // not given takes its knob's value.
+    const EnvKnobs env = readEnvKnobs();
+    FaultArmGuard arm(env.policy.faults);
+    DeadlineGuard deadline(env.policy.point_timeout_sec);
+
+    RunLengths lengths = env.lengths;
+    lengths.warmup_per_core = o.warmup.value_or(lengths.warmup_per_core);
+    lengths.measure_per_core =
+        o.measure.value_or(lengths.measure_per_core);
+    SystemConfig cfg =
+        makeConfig(o.cores, o.scale.value_or(env.scale),
+                   o.cache_compression, o.link_compression, o.prefetch,
+                   o.adaptive, o.bandwidth);
+    cfg.infinite_bandwidth = o.infinite_bw;
+    cfg.adaptive_compression = o.adaptive_compression;
+    cfg.seed = o.seed;
+    // Flags beat the environment makeConfig() applied.
+    if (o.cpi_stack)
+        cfg.cpi_stack = true;
+    if (!o.sampling_spec.empty())
+        cfg.sampling = SamplingPlan::parse(o.sampling_spec);
+    // Validate before the banner: "--scale 0" must die with a
+    // ConfigError, not divide the L2-size estimate by zero.
+    cfg.validate();
+
+    // Observability session: the tracer arms process-wide probes
+    // (--trace beats CMPSIM_TRACE); CMPSIM_PROF=1 turns the scoped
+    // timers on, reported in the --report JSON.
+    setProfEnabled(env.prof);
+    TraceSession trace_session(o.trace_path.empty() ? env.trace
+                                                    : o.trace_path);
+
+    std::printf("cmpsim: %s, %u cores, scale %u (L2 %u KB), "
+                "%.0f GB/s%s%s%s%s%s\n",
+                o.workload.c_str(),
+                o.cores, cfg.scale, 4096 / cfg.scale, o.bandwidth,
+                o.infinite_bw ? " (infinite)" : "",
+                o.cache_compression ? ", cache-compr" : "",
+                o.link_compression ? ", link-compr" : "",
+                o.prefetch ? ", prefetch" : "",
+                o.adaptive ? " (adaptive)" : "");
+
+    RunReport report;
+    report.benchmark = o.workload;
+    report.seed = o.seed;
+    report.warmup_per_core = lengths.warmup_per_core;
+    report.measure_per_core = lengths.measure_per_core;
+    report.knobs = env.raw;
+    {
+        PointSpec spec;
+        spec.config = cfg;
+        spec.benchmark = o.workload;
+        spec.lengths = lengths;
+        spec.seeds = 1;
+        report.config_fingerprint = fnv1a(pointSpecBytes(spec));
+    }
+    const auto wall_start = std::chrono::steady_clock::now();
+    auto writeReport = [&](CmpSystem &system) {
+        if (o.report_path.empty())
+            return;
+        report.wall_seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - wall_start)
+                .count();
+        report.max_rss_kb = currentMaxRssKb();
+        report.prof = profSnapshot();
+        captureStats(system.stats(), report);
+        if (system.config().cpi_stack)
+            captureCpiStats(system.cpiStats(), report);
+        std::ofstream out(o.report_path,
+                          std::ios::binary | std::ios::trunc);
+        if (!out.is_open()) {
+            throw ConfigError("report",
+                              "cannot open report file \"" +
+                                  o.report_path + "\" for writing");
+        }
+        writeRunReport(out, report);
+    };
+
+    CmpSystem sys(cfg, benchmarkParams(o.workload));
+    RunResult r;
+    try {
+        r = warmupAndMeasure(sys, lengths);
+    } catch (const SimError &e) {
+        // A failed run still leaves a report: status, the error, and
+        // whatever stats the run accumulated before it died.
+        report.status = errorKindName(e.kind());
+        report.error = e.what();
+        writeReport(sys);
+        throw;
+    }
+    report.cycles = static_cast<std::uint64_t>(r.cycles);
+    report.instructions = static_cast<std::uint64_t>(r.instructions);
+    report.ipc = r.ipc;
+    report.bandwidth_gbps = r.bandwidth_gbps;
+    report.compression_ratio = r.compression_ratio;
+
+    if (r.sampled.armed) {
+        // Sampled run: the headline covers the detailed intervals;
+        // print each metric with its 95% CI.
+        report.sampling.armed = true;
+        report.sampling.intervals = r.sampled.intervals;
+        report.sampling.ff_instructions = r.sampled.ff_instructions;
+        for (const SampledSummaryField &f : kSampledSummaries)
+            report.sampling.metrics.emplace_back(f.key,
+                                                 r.sampled.*f.metric);
+
+        std::printf("\n--- sampled run: %u intervals, "
+                    "%.0f instr fast-forwarded ---\n",
+                    r.sampled.intervals, r.sampled.ff_instructions);
+        std::printf("detail cycles %.0f, detail instructions %.0f "
+                    "(aggregate IPC %.3f)\n",
+                    r.cycles, r.instructions, r.ipc);
+        std::printf("%-20s %12s %12s\n", "metric", "mean",
+                    "ci95 (+/-)");
+        for (const auto &[name, s] : report.sampling.metrics)
+            std::printf("%-20s %12.4f %12.4f\n", name.c_str(), s.mean,
+                        s.ci95);
+    } else {
+        printFullDetail(o, sys, r);
     }
 
     writeReport(sys);

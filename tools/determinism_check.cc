@@ -61,7 +61,6 @@ runOnce(const std::string &workload)
                                   /*adaptive=*/true);
     cfg.seed = 12345;
     cfg.audit_interval = 10000;
-    cfg.audit_fill_roundtrip = true;
 
     CmpSystem sys(cfg, benchmarkParams(workload));
     sys.warmup(20000);
