@@ -107,13 +107,11 @@ run()
     // Full-detail reference matrix: the same points at the standard
     // measured length and seed count — "today's" cost. Pinned rather
     // than read from the environment so the 100x-longer and 3x-wall
-    // claims mean the same thing under CMPSIM_MEASURE/SEEDS/SAMPLING
-    // overrides.
+    // claims mean the same thing under CMPSIM_MEASURE/SEEDS overrides.
     std::vector<PointSpec> ref_specs;
     for (const auto &wl : workloads) {
         for (const Cfg c : cfgs) {
             PointSpec spec = pointSpec(c, wl, 8, 20.0, false, 2);
-            spec.config.sampling = SamplingPlan{};
             spec.lengths.warmup_per_core = 400000;
             spec.lengths.measure_per_core = 50000;
             ref_specs.push_back(std::move(spec));
@@ -160,15 +158,20 @@ run()
     // Validation row: sampled vs full-detail IPC on the same traversed
     // length (zeus base, 10 x (15k ff + 5k detail) vs one contiguous
     // 200k window) — the sampling error the engine trades for speed.
+    // Both legs warm up first; the sampled one is a one-system matrix.
     PointSpec full = pointSpec(Cfg::Base, "zeus", 8, 20.0, false, 1);
-    full.config.sampling = SamplingPlan{}; // even under CMPSIM_SAMPLING
     full.lengths.measure_per_core = 200000;
-    PointSpec samp = pointSpec(Cfg::Base, "zeus", 8, 20.0, false, 1);
-    samp.config.sampling = SamplingPlan::parse("15000:5000:10");
-    const auto val =
-        runPoints({std::move(full), std::move(samp)}, /*jobs=*/1);
-    const double ipc_full = val[0].runs.front().ipc;
-    const double ipc_samp = val[1].runs.front().ipc;
+    const double ipc_full =
+        runPoints({full}, /*jobs=*/1).front().runs.front().ipc;
+    double ipc_samp = 0;
+    {
+        SystemConfig cfg = configFor(Cfg::Base);
+        cfg.sampling = SamplingPlan::parse("15000:5000:10");
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        sys.warmup(full.lengths.warmup_per_core);
+        const SamplingResult res = MatrixSampler({&sys}).run().front();
+        ipc_samp = res.detail_instructions / res.detail_cycles;
+    }
     const double err_pct =
         std::fabs(ipc_samp - ipc_full) / ipc_full * 100.0;
     std::printf("\nvalidation: zeus base IPC full-detail %.4f vs "

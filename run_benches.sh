@@ -2,33 +2,16 @@
 # Runs every bench bench/CMakeLists.txt declares, teeing combined
 # output to bench_output.txt.
 #
-#   ./run_benches.sh [-j N] [output.txt]
+#   ./run_benches.sh [output.txt]
 #
-# -j N runs up to N bench binaries concurrently (default 1). Each
-# binary writes to its own temp file; sections are concatenated in
-# name order afterwards, so the combined output is identical at any
-# -j. A machine-readable BENCH_results.json (bench name, wall-clock
-# seconds, peak RSS, exit status, plus the commit, core count and
-# every CMPSIM_* knob set for the run) lands next to the text output
-# so later runs have a perf trajectory to compare against.
-#
-# The binaries themselves also parallelize internally across
-# CMPSIM_JOBS simulation workers; with -j > 1 you may want to set
-# CMPSIM_JOBS to a smaller value to avoid oversubscription.
+# The benches run one at a time; each binary parallelizes internally
+# across CMPSIM_JOBS simulation workers. Each binary writes to its own
+# temp file, and sections are concatenated in name order afterwards. A
+# machine-readable BENCH_results.json (bench name, wall-clock seconds,
+# peak RSS, exit status, plus the commit, core count and every
+# CMPSIM_* knob set for the run) lands next to the text output so
+# later runs have a perf trajectory to compare against.
 cd "$(dirname "$0")" || exit 1
-
-jobs=1
-while getopts "j:" opt; do
-  case "$opt" in
-    j) jobs="$OPTARG" ;;
-    *) echo "usage: $0 [-j N] [output.txt]" >&2; exit 2 ;;
-  esac
-done
-shift $((OPTIND - 1))
-case "$jobs" in
-  ''|*[!0-9]*) echo "run_benches.sh: bad -j value: $jobs" >&2; exit 2 ;;
-esac
-[ "$jobs" -ge 1 ] || jobs=1
 
 out=${1:-bench_output.txt}
 json=$(dirname "$out")/BENCH_results.json
@@ -108,19 +91,11 @@ while IFS= read -r name; do
 done < <(sed -nE 's/^cmpsim_(micro)?bench\(([A-Za-z0-9_]+)\)$/\2/p' \
            bench/CMakeLists.txt | LC_ALL=C sort)
 
-running=0
 for b in "${benches[@]}"; do
-  if [ "$running" -ge "$jobs" ]; then
-    wait -n
-    running=$((running - 1))
-  fi
-  run_one "$b" &
-  running=$((running + 1))
+  run_one "$b"
 done
-wait
 
-# Concatenate sections in launch (name) order: byte-identical to a
-# serial run apart from the timings in the JSON.
+# Concatenate sections in name order.
 : > "$out"
 overall=0
 for b in "${benches[@]}"; do
@@ -133,8 +108,7 @@ for b in "${benches[@]}"; do
 done
 
 # Overall wall clock covers launch through concatenation — the number
-# a CI budget actually cares about, not the sum of per-bench times
-# (which double-counts under -j > 1).
+# a CI budget actually cares about.
 suite_t1=$(date +%s.%N)
 overall_secs=$(awk -v a="$suite_t0" -v b="$suite_t1" \
   'BEGIN { printf "%.2f", b - a }')
@@ -154,7 +128,7 @@ esac
 # Every CMPSIM_* variable in the environment, sorted by name, as JSON
 # members with backslashes and quotes escaped. Wall-clock numbers and
 # bench output are only comparable across runs with the same knobs
-# (CMPSIM_JOBS, CMPSIM_MEASURE, CMPSIM_SAMPLING, ...).
+# (CMPSIM_JOBS, CMPSIM_MEASURE, CMPSIM_SEEDS, ...).
 knobs_json() {
   local sep="" name value
   while IFS= read -r name; do
@@ -170,7 +144,6 @@ knobs_json() {
   echo "{"
   echo "  \"git_sha\": \"$git_sha\","
   echo "  \"nproc\": $host_nproc,"
-  echo "  \"jobs\": $jobs,"
   echo "  \"knobs\": {$(knobs_json)},"
   echo "  \"overall_wall_seconds\": $overall_secs,"
   if [ "$overall" -eq 0 ]; then

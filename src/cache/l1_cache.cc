@@ -92,8 +92,8 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
         }
         // Write to an S line: upgrade through the directory.
         ++upgrades_;
-        demandMiss(line, true, /*upgrade=*/true,
-                   when + params_.hit_latency, std::move(done));
+        demandMiss(line, true, when + params_.hit_latency,
+                   std::move(done));
         return;
     }
 
@@ -111,15 +111,13 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
             prefetchLine(a, when);
     }
 
-    demandMiss(line, is_write, /*upgrade=*/false,
-               when + params_.hit_latency, std::move(done));
+    demandMiss(line, is_write, when + params_.hit_latency,
+               std::move(done));
 }
 
 void
-L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done)
+L1Cache::demandMiss(Addr line, bool is_write, Cycle when, Done done)
 {
-    (void)upgrade;
     if (Mshr *m = findMshr(line)) {
         if (m->prefetch_only)
             ++partial_hits_;

@@ -171,8 +171,7 @@ class L1Cache
     Mshr &allocMshr(Addr line);
 
     /** Miss/upgrade path for a demand access. */
-    void demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done);
+    void demandMiss(Addr line, bool is_write, Cycle when, Done done);
 
     /** Issue the L2 request for @p line; the response fills it. */
     void requestFromL2(Addr line, bool is_write, ReqType type,

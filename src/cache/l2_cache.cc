@@ -211,7 +211,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
             journal_->onL2Hit(line, when + params_.lookup_latency,
                               ready, penalized);
         }
-        grant(cpu, line, exclusive, type, ready, penalized, done);
+        grant(cpu, line, exclusive, ready, penalized, done);
         return;
     }
 
@@ -247,8 +247,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
             ++partial_hits_;
         if (type == ReqType::Demand)
             m.prefetch_only = false;
-        m.waiters.push_back(
-            Waiter{cpu, exclusive, type, std::move(done)});
+        m.waiters.push_back(Waiter{cpu, exclusive, std::move(done)});
         return;
     }
 
@@ -273,8 +272,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
                                                 : PfSource::None;
     m.pf_cpu = cpu;
     if (done)
-        m.waiters.push_back(
-            Waiter{cpu, exclusive, type, std::move(done)});
+        m.waiters.push_back(Waiter{cpu, exclusive, std::move(done)});
     mshrs_.emplace(line, std::move(m));
 
     memory_.fetchLine(line, when + params_.lookup_latency,
@@ -283,10 +281,9 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
 }
 
 void
-L2Cache::grant(unsigned cpu, Addr line, bool exclusive, ReqType type,
-               Cycle ready, bool penalized, const Done &done)
+L2Cache::grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
+               bool penalized, const Done &done)
 {
-    (void)type;
     DecoupledSet &set = sets_[setIndex(line)];
     TagEntry *e = set.find(line);
     if (e == nullptr) {
@@ -443,7 +440,7 @@ L2Cache::fill(Addr line, Cycle arrival)
         const bool penalized =
             params_.compressed &&
             set.find(line)->segments < kSegmentsPerLine;
-        grant(w.cpu, line, w.exclusive, w.type,
+        grant(w.cpu, line, w.exclusive,
               arrival + (penalized ? params_.decompression_latency : 0),
               penalized, w.done);
     }

@@ -248,7 +248,6 @@ class L2Cache
     {
         unsigned cpu;
         bool exclusive;
-        ReqType type;
         Done done;
     };
 
@@ -282,8 +281,8 @@ class L2Cache
                 Cycle when, Done done);
 
     /** Coherence actions + data response for a present line. */
-    void grant(unsigned cpu, Addr line, bool exclusive, ReqType type,
-               Cycle ready, bool penalized, const Done &done);
+    void grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
+               bool penalized, const Done &done);
 
     /** Fill from memory: insert, evict, respond to waiters. */
     void fill(Addr line, Cycle arrival);

@@ -103,8 +103,6 @@ readEnvKnobs()
     k.audit = unsignedKnob<Cycle>(raw, "CMPSIM_AUDIT");
     k.watchdog = unsignedKnob<Cycle>(raw, "CMPSIM_WATCHDOG");
     k.cpi_stack = boolKnob(raw, "CMPSIM_CPISTACK");
-    if (const std::string v = envValue(raw, "CMPSIM_SAMPLING"); !v.empty())
-        k.sampling = SamplingPlan::parse(v);
 
     k.trace = envValue(raw, "CMPSIM_TRACE");
     k.prof = boolKnob(raw, "CMPSIM_PROF").value_or(false);

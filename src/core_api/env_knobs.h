@@ -45,7 +45,6 @@ struct EnvKnobs
     std::optional<Cycle> audit;            ///< CMPSIM_AUDIT
     std::optional<Cycle> watchdog;         ///< CMPSIM_WATCHDOG
     std::optional<bool> cpi_stack;         ///< CMPSIM_CPISTACK
-    std::optional<SamplingPlan> sampling;  ///< CMPSIM_SAMPLING
 
     std::string trace;  ///< CMPSIM_TRACE: Chrome trace file
     bool prof = false;  ///< CMPSIM_PROF: arm the scoped profiler

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/sim_error.h"
+
 namespace cmpsim {
 
 namespace {
@@ -86,27 +88,18 @@ extractMetrics(CmpSystem &sys, const StatSnapshot &t, double cycles,
 RunResult
 warmupAndMeasure(CmpSystem &sys, const RunLengths &lengths)
 {
-    sys.warmup(lengths.warmup_per_core);
-    if (!sys.config().sampling.armed()) {
-        sys.run(lengths.measure_per_core);
-        return extractMetrics(sys, sys.stats().snapshot(),
-                              static_cast<double>(sys.cycles()),
-                              static_cast<double>(sys.instructions()),
-                              sys.compressionRatio());
+    if (sys.config().sampling.armed()) {
+        throw ConfigError("config.sampling",
+                          "a sampling plan runs only through "
+                          "MatrixSampler, not as a warmup + measured "
+                          "point");
     }
-    // Sampled: the metrics cover exactly the detailed intervals, and
-    // each summary carries its per-interval CI.
-    const SamplingResult res = SamplingController(sys).run();
-    RunResult r = extractMetrics(sys, res.totals, res.detail_cycles,
-                                 res.detail_instructions,
-                                 res.compression_ratio.mean);
-    r.sampled.armed = true;
-    r.sampled.intervals = res.intervals;
-    r.sampled.ff_instructions =
-        static_cast<double>(res.ff_instructions);
-    for (const SampledSummaryField &f : kSampledSummaries)
-        r.sampled.*f.metric = res.*f.result;
-    return r;
+    sys.warmup(lengths.warmup_per_core);
+    sys.run(lengths.measure_per_core);
+    return extractMetrics(sys, sys.stats().snapshot(),
+                          static_cast<double>(sys.cycles()),
+                          static_cast<double>(sys.instructions()),
+                          sys.compressionRatio());
 }
 
 RunResult

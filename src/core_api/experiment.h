@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/core_api/cmp_system.h"
-#include "src/sample/sampling_controller.h"
 #include "src/workload/workload_params.h"
 
 namespace cmpsim {
@@ -54,52 +53,6 @@ struct RunResult
     double useless_prefetches = 0;
     double harmful_flags = 0;
     double victim_tags_per_set = 0;
-
-    /**
-     * Statistical sampling (DESIGN.md §14): populated when the run
-     * used an armed config.sampling plan. The headline fields above
-     * then aggregate over exactly the detailed intervals (counter
-     * deltas bracketing each measured window), and these summaries
-     * carry the per-interval mean / 95% CI of each metric.
-     */
-    struct SampledMetrics
-    {
-        bool armed = false;
-        unsigned intervals = 0;     ///< intervals measured
-        double ff_instructions = 0; ///< fast-forwarded, all cores
-
-        SampleSummary cycles;
-        SampleSummary ipc;
-        SampleSummary l2_miss_rate;
-        SampleSummary l2_mpki;
-        SampleSummary bandwidth_gbps;
-        SampleSummary compression_ratio;
-    };
-    SampledMetrics sampled;
-};
-
-/** One per-interval summary of a sampled run: its key, its RunResult
- *  field and the SamplingResult field it is taken from. */
-struct SampledSummaryField
-{
-    const char *key;
-    SampleSummary RunResult::SampledMetrics::*metric;
-    SampleSummary SamplingResult::*result;
-};
-
-/** Every per-interval summary, in the one order the journal body, the
- *  run report and the CLI's CI table list them. */
-inline constexpr SampledSummaryField kSampledSummaries[] = {
-    {"cycles", &RunResult::SampledMetrics::cycles, &SamplingResult::cycles},
-    {"ipc", &RunResult::SampledMetrics::ipc, &SamplingResult::ipc},
-    {"l2_miss_rate", &RunResult::SampledMetrics::l2_miss_rate,
-     &SamplingResult::l2_miss_rate},
-    {"l2_mpki", &RunResult::SampledMetrics::l2_mpki,
-     &SamplingResult::l2_mpki},
-    {"bandwidth_gbps", &RunResult::SampledMetrics::bandwidth_gbps,
-     &SamplingResult::bandwidth_gbps},
-    {"compression_ratio", &RunResult::SampledMetrics::compression_ratio,
-     &SamplingResult::compression_ratio},
 };
 
 /** Per-core run lengths. The defaults are the bench suite's; the
@@ -115,11 +68,11 @@ struct RunLengths
  * The paper's metrics over one measured span of @p sys: the one
  * formula from counters to IPC, miss rates, MPKI, GB/s and the Table 4
  * prefetch metrics. @p t holds the span's counters: the whole registry
- * after an unsampled run(), one detailed interval's delta, or the
- * summed interval deltas of a sampled run, so fast-forward (whose
- * counters keep growing in functional mode) never leaks into measured
- * numbers. Cycles, instructions and the compression ratio come from
- * the caller, because the kinds of span measure them differently.
+ * after a contiguous run(), or a sampling plan's summed interval
+ * deltas (SamplingResult::totals), so fast-forward (whose counters
+ * keep growing in functional mode) never leaks into measured numbers.
+ * Cycles, instructions and the compression ratio come from the
+ * caller, because the two kinds of span measure them differently.
  */
 RunResult extractMetrics(CmpSystem &sys, const StatSnapshot &t,
                          double cycles, double instructions,
@@ -127,11 +80,10 @@ RunResult extractMetrics(CmpSystem &sys, const StatSnapshot &t,
 
 /**
  * Warm @p sys up for lengths.warmup_per_core instructions per core,
- * then measure it and extract the metrics. When config.sampling is
- * armed the measurement executes the sampling plan instead of one
- * contiguous lengths.measure_per_core window (which is then ignored —
- * the plan's detail_per_core defines the measured length) and
- * RunResult::sampled carries the per-interval CIs.
+ * then measure one contiguous lengths.measure_per_core window and
+ * extract the metrics. A sampling plan runs only through
+ * MatrixSampler (DESIGN.md §14): an armed config.sampling throws
+ * ConfigError("config.sampling") before anything is simulated.
  */
 RunResult warmupAndMeasure(CmpSystem &sys, const RunLengths &lengths);
 

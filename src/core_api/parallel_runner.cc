@@ -516,23 +516,6 @@ summaryBytes(const MetricSummary &summary)
         forEachRunField(r, [&out](const char *key, double v) {
             appendHex(out, key, v);
         });
-        // Sampled-run block, appended only when the run used an armed
-        // sampling plan: unsampled journal bodies stay byte-identical
-        // to the pre-sampling format (same gating idea as the
-        // sampling knobs in pointSpecBytes).
-        if (r.sampled.armed) {
-            const RunResult::SampledMetrics &sm = r.sampled;
-            out += "sampling.intervals=" +
-                   std::to_string(sm.intervals) + "\n";
-            appendHex(out, "sampling.ff_instructions",
-                      sm.ff_instructions);
-            for (const SampledSummaryField &f : kSampledSummaries) {
-                const SampleSummary &s = sm.*f.metric;
-                const std::string key = std::string("sampling.") + f.key;
-                appendHex(out, (key + ".mean").c_str(), s.mean);
-                appendHex(out, (key + ".ci95").c_str(), s.ci95);
-            }
-        }
     }
     return out;
 }
@@ -588,33 +571,6 @@ parseSummaryBytes(const std::string &bytes, MetricSummary &out)
         });
         if (!ok)
             return false;
-        // Optional sampled-run block: presence is detected by peeking
-        // for the "sampling." prefix, so journal bodies written before
-        // the sampling engine existed still parse.
-        if (bytes.compare(pos, 9, "sampling.") == 0) {
-            RunResult::SampledMetrics &sm = r.sampled;
-            std::string line;
-            if (!nextLine(line) ||
-                line.compare(0, 19, "sampling.intervals=") != 0)
-                return false;
-            char *iend = nullptr;
-            sm.intervals = static_cast<unsigned>(
-                std::strtoul(line.c_str() + 19, &iend, 10));
-            if (iend != line.c_str() + line.size())
-                return false;
-            if (!readValue("sampling.ff_instructions",
-                           sm.ff_instructions))
-                return false;
-            for (const SampledSummaryField &f : kSampledSummaries) {
-                SampleSummary &s = sm.*f.metric;
-                const std::string key = std::string("sampling.") + f.key;
-                if (!readValue((key + ".mean").c_str(), s.mean) ||
-                    !readValue((key + ".ci95").c_str(), s.ci95))
-                    return false;
-                s.n = sm.intervals;
-            }
-            sm.armed = true;
-        }
         out.runs.push_back(r);
     }
     if (n != out.runs.size())
@@ -655,11 +611,10 @@ pointSpecBytes(const PointSpec &spec)
     kv("decompression_latency", c.decompression_latency);
     kv("adaptive_compression", c.adaptive_compression);
     kv("wide_compressed_sets", c.wide_compressed_sets);
-    // The sampling plan changes the measurement protocol (interval
-    // schedule, hence every measured number), so it is behavioural —
-    // but appending it only when armed keeps every unsampled
-    // fingerprint, and every journal written before the sampling
-    // engine existed, valid.
+    // Appended only when armed, so every unsampled fingerprint keeps
+    // its bytes. A point that arms a plan fails [config] (only
+    // MatrixSampler runs a plan); its own key keeps a journal that
+    // holds its unsampled twin from restoring it.
     if (c.sampling.armed()) {
         kv("sampling.ff", c.sampling.ff_per_core);
         kv("sampling.detail", c.sampling.detail_per_core);

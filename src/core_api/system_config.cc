@@ -72,23 +72,23 @@ SystemConfig::validate() const
                                 "-segment line");
     }
 
+    // Checked in both link modes: infinite bandwidth removes queuing,
+    // but every message still serializes at the pin rate.
     const MemoryParams mem = memoryParams();
-    if (!infinite_bandwidth) {
-        if (!(pin_bandwidth_gbps >= kMinPinBandwidthGbps) ||
-            !std::isfinite(pin_bandwidth_gbps)) {
-            reject("config.bandwidth",
-                   "pin bandwidth must be finite and at least 0.1 GB/s");
-        }
-        // The derived link width must agree with the requested pin
-        // rate (bytesPerCycle is the single source of truth; a zero
-        // or negative width would stall every off-chip transfer).
-        if (!(mem.link_bytes_per_cycle > 0.0)) {
-            reject("config.link",
-                   "inconsistent link width: " +
-                       std::to_string(mem.link_bytes_per_cycle) +
-                       " bytes/cycle derived from " +
-                       std::to_string(pin_bandwidth_gbps) + " GB/s");
-        }
+    if (!(pin_bandwidth_gbps >= kMinPinBandwidthGbps) ||
+        !std::isfinite(pin_bandwidth_gbps)) {
+        reject("config.bandwidth",
+               "pin bandwidth must be finite and at least 0.1 GB/s");
+    }
+    // The derived link width must agree with the requested pin rate
+    // (bytesPerCycle is the single source of truth; a zero or negative
+    // width would stall every off-chip transfer).
+    if (!(mem.link_bytes_per_cycle > 0.0)) {
+        reject("config.link",
+               "inconsistent link width: " +
+                   std::to_string(mem.link_bytes_per_cycle) +
+                   " bytes/cycle derived from " +
+                   std::to_string(pin_bandwidth_gbps) + " GB/s");
     }
 
     if (sampling.armed()) {
@@ -198,13 +198,11 @@ makeConfig(unsigned cores, unsigned scale, bool cache_compression,
     c.adaptive_prefetch = adaptive;
     c.pin_bandwidth_gbps = pin_bandwidth_gbps;
     // The environment lands in the config itself, never at some later
-    // layer: batch fingerprints and journal keys see the sampling
-    // plan, and a field the caller sets afterwards wins.
+    // layer, so a field the caller sets afterwards wins.
     const EnvKnobs env = readEnvKnobs();
     c.audit_interval = env.audit.value_or(c.audit_interval);
     c.watchdog_cycles = env.watchdog.value_or(c.watchdog_cycles);
     c.cpi_stack = env.cpi_stack.value_or(c.cpi_stack);
-    c.sampling = env.sampling.value_or(c.sampling);
     return c;
 }
 

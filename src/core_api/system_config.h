@@ -103,16 +103,15 @@ struct SystemConfig
     // ---- statistical sampling (DESIGN.md Section 14) ----
 
     /**
-     * Statistical sampling plan: when armed (max_intervals > 0), a
-     * run alternates functional fast-forward and detailed measurement
-     * intervals per the plan instead of one contiguous timed run, and
-     * every metric carries a 95% confidence interval over the
-     * intervals. Sampling changes the measurement protocol, hence
-     * the measured numbers, so unlike the audit knobs it IS part of
-     * pointSpecBytes() (appended only when armed, keeping unsampled
-     * fingerprints byte-identical to older journals). Refused in
-     * combination with the CPI-stack layer (attribution windows do
-     * not span the fast-forward gaps between intervals).
+     * Statistical sampling plan, armed when max_intervals > 0: the
+     * alternating fast-forward / detailed-interval schedule that
+     * MatrixSampler executes over this system. warmupAndMeasure(), and
+     * so every runner point, refuses an armed plan with
+     * ConfigError("config.sampling"). pointSpecBytes() appends the
+     * plan only when armed, so an armed spec never shares a journal
+     * key with its unsampled twin. Refused in combination with the
+     * CPI-stack layer (attribution windows do not span the
+     * fast-forward gaps between intervals).
      */
     SamplingPlan sampling;
 

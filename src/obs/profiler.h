@@ -18,9 +18,7 @@
  *    and a predictable branch — cheap enough for the event-kernel
  *    dispatch path (benchmarked in bench/micro_components.cc);
  *  - enabled (CMPSIM_PROF=1): two steady_clock reads per scope plus
- *    two relaxed atomic adds;
- *  - compiled out entirely with -DCMPSIM_PROF_DISABLED (CMake option
- *    CMPSIM_PROF=OFF) for builds that must not carry even the branch.
+ *    two relaxed atomic adds.
  *
  * Profiling never feeds back into simulated behaviour: timers only
  * observe wall time, so results are identical with it on or off (the
@@ -115,9 +113,6 @@ class ScopedProf
     std::chrono::steady_clock::time_point t0_;
 };
 
-#if defined(CMPSIM_PROF_DISABLED)
-#define CMPSIM_PROF_SCOPE(name)
-#else
 #define CMPSIM_PROF_CONCAT2(a, b) a##b
 #define CMPSIM_PROF_CONCAT(a, b) CMPSIM_PROF_CONCAT2(a, b)
 /**
@@ -131,7 +126,6 @@ class ScopedProf
     ::cmpsim::ScopedProf CMPSIM_PROF_CONCAT(cmpsim_prof_scope_,       \
                                             __LINE__)(                \
         CMPSIM_PROF_CONCAT(cmpsim_prof_site_, __LINE__))
-#endif
 
 } // namespace cmpsim
 

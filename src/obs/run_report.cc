@@ -128,23 +128,6 @@ writeRunReport(std::ostream &os, const RunReport &report)
         w.end();
     }
 
-    if (report.sampling.armed) {
-        w.beginObject("sampling");
-        w.keyValue("intervals", report.sampling.intervals);
-        w.keyValue("ff_instructions", report.sampling.ff_instructions);
-        w.beginArray("metrics");
-        for (const auto &[name, s] : report.sampling.metrics) {
-            w.beginObject();
-            w.keyValue("name", name);
-            w.keyValue("mean", s.mean);
-            w.keyValue("ci95", s.ci95);
-            w.keyValue("n", static_cast<std::uint64_t>(s.n));
-            w.end();
-        }
-        w.end();
-        w.end();
-    }
-
     w.beginObject("telemetry");
     w.keyValue("wall_seconds", report.wall_seconds);
     w.keyValue("max_rss_kb", report.max_rss_kb);

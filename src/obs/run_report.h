@@ -80,20 +80,6 @@ struct RunReport
     std::vector<std::pair<std::string, std::uint64_t>> cpi_stack;
     std::vector<HistogramReport> cpi_histograms;
 
-    /** Statistical-sampling summary (config.sampling /
-     *  CMPSIM_SAMPLING, DESIGN.md §14), captured only when a plan is
-     *  armed; the "sampling" object is omitted otherwise so unsampled
-     *  reports are byte-identical to older ones. */
-    struct SamplingReport
-    {
-        bool armed = false;
-        std::uint64_t intervals = 0;
-        double ff_instructions = 0;
-        /** (metric name, per-interval mean/ci95/n) rows. */
-        std::vector<std::pair<std::string, SampleSummary>> metrics;
-    };
-    SamplingReport sampling;
-
     // Host-side telemetry (not part of the deterministic payload).
     double wall_seconds = 0.0;
     std::uint64_t max_rss_kb = 0;

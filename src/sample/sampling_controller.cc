@@ -2,7 +2,6 @@
 
 #include "src/common/log.h"
 #include "src/core_api/cmp_system.h"
-#include "src/core_api/experiment.h"
 #include "src/sim/fault_injection.h"
 
 namespace cmpsim {
@@ -25,17 +24,10 @@ SamplingController::closeInterval()
 {
     const StatSnapshot delta =
         StatRegistry::delta(sys_.stats().snapshot(), baseline_);
-    const RunResult m = extractMetrics(
-        sys_, delta, static_cast<double>(sys_.cycles()),
-        static_cast<double>(sys_.instructions()),
-        sys_.l2().compressionRatio());
-    samples_.push_back({.cycles = m.cycles,
-                        .instructions = m.instructions,
-                        .ipc = m.ipc,
-                        .l2_miss_rate = m.l2_miss_rate,
-                        .l2_mpki = m.l2_misses_per_kilo_instr,
-                        .bandwidth_gbps = m.bandwidth_gbps,
-                        .compression_ratio = m.compression_ratio});
+    samples_.push_back(
+        {.cycles = static_cast<double>(sys_.cycles()),
+         .instructions = static_cast<double>(sys_.instructions()),
+         .compression_ratio = sys_.l2().compressionRatio()});
     detail_totals_.accumulate(delta);
     baseline_ = StatSnapshot{};
 }
@@ -70,22 +62,12 @@ SamplingController::reduce() const
     r.totals = detail_totals_;
     r.samples = samples_;
 
-    std::vector<double> cycles, ipc, miss_rate, mpki, bw, ratio;
+    std::vector<double> ratio;
     for (const IntervalSample &s : samples_) {
-        cycles.push_back(s.cycles);
-        ipc.push_back(s.ipc);
-        miss_rate.push_back(s.l2_miss_rate);
-        mpki.push_back(s.l2_mpki);
-        bw.push_back(s.bandwidth_gbps);
         ratio.push_back(s.compression_ratio);
         r.detail_cycles += s.cycles;
         r.detail_instructions += s.instructions;
     }
-    r.cycles = summarize(cycles);
-    r.ipc = summarize(ipc);
-    r.l2_miss_rate = summarize(miss_rate);
-    r.l2_mpki = summarize(mpki);
-    r.bandwidth_gbps = summarize(bw);
     r.compression_ratio = summarize(ratio);
     return r;
 }

@@ -2,9 +2,9 @@
  * @file
  * SamplingController (DESIGN.md §14): drives one statistical-sampling
  * plan over a CmpSystem — alternating functional fast-forward and
- * detailed (timed) measurement intervals — and reduces the
- * per-interval metric samples to means with 95% confidence intervals
- * via the Student-t summarize() the multi-seed path already uses.
+ * detailed (timed) measurement intervals — and records each
+ * interval's cycles, instructions and compression ratio plus the
+ * summed stat deltas of the detailed windows.
  */
 
 #ifndef CMPSIM_SAMPLE_SAMPLING_CONTROLLER_H
@@ -20,16 +20,12 @@ namespace cmpsim {
 
 class CmpSystem;
 
-/** Headline metrics of one closed detailed interval: extractMetrics()
- *  over the interval's stat delta. */
+/** One closed detailed interval: its timed cycles, retired
+ *  instructions and the L2 compression ratio at its end. */
 struct IntervalSample
 {
     double cycles = 0;
     double instructions = 0;
-    double ipc = 0;
-    double l2_miss_rate = 0;
-    double l2_mpki = 0;
-    double bandwidth_gbps = 0;
     double compression_ratio = 0;
 };
 
@@ -43,24 +39,19 @@ struct SamplingResult
     double detail_cycles = 0;
     double detail_instructions = 0;
 
-    /** Per-interval mean / 95% CI of each headline metric; every
-     *  summary's n is the measured interval count. */
-    SampleSummary cycles;
-    SampleSummary ipc;
-    SampleSummary l2_miss_rate;
-    SampleSummary l2_mpki;
-    SampleSummary bandwidth_gbps;
+    /** Per-interval mean / 95% CI of the compression ratio; n is
+     *  the measured interval count. */
     SampleSummary compression_ratio;
 
     /** Summed per-interval stat deltas (counter deltas over exactly
      *  the detailed windows) for derived-metric extraction. */
     StatSnapshot totals;
 
-    /** The raw per-interval samples behind the summaries. Because
-     *  intervals are instruction-indexed, two runs differing only in
-     *  architectural knobs measure the *same* workload windows —
-     *  pairing samples[i] across configs cancels the phase noise
-     *  that dominates the unpaired CIs (DESIGN.md §14). */
+    /** The raw per-interval samples. Because intervals are
+     *  instruction-indexed, two runs differing only in architectural
+     *  knobs measure the *same* workload windows — pairing samples[i]
+     *  across configs cancels the phase noise that dominates unpaired
+     *  CIs (DESIGN.md §14). */
     std::vector<IntervalSample> samples;
 };
 
@@ -97,7 +88,7 @@ class SamplingController
     void beginInterval();
 
     /** Difference stats against the baseline, append the interval's
-     *  metric sample, and accumulate the delta into the totals. */
+     *  sample, and accumulate the delta into the totals. */
     void closeInterval();
 
     SamplingResult reduce() const;
@@ -116,8 +107,7 @@ class SamplingController
     /** Accumulated per-interval stat deltas over closed intervals. */
     StatSnapshot detail_totals_;
 
-    /** Per-interval metric samples (CI inputs), one per closed
-     *  interval. */
+    /** One sample per closed interval. */
     std::vector<IntervalSample> samples_;
 };
 

@@ -4,16 +4,15 @@
  * alternating fast-forward / detailed-measurement schedule, SMARTS-
  * style. A plan of N intervals measures N detailed windows of
  * detail_per_core instructions each, functionally fast-forwarding
- * ff_per_core instructions before every window, and reports each
- * metric as a mean with a 95% confidence interval over the intervals.
+ * ff_per_core instructions before every window.
  *
- * The CMPSIM_SAMPLING environment spec
+ * A plan is written as the spec
  *
- *     CMPSIM_SAMPLING=<ff>:<detail>:<n>[:warm<instr>]
+ *     <ff>:<detail>:<n>[:warm<instr>]
  *
- * is applied by makeConfig() so batch fingerprints and journal keys
- * see the plan. A plan always runs all n intervals. The optional
- * warm<instr> suffix splits each fast-forward phase SMARTS-style:
+ * (SamplingPlan::parse) and runs only through MatrixSampler. A plan
+ * always runs all n intervals. The optional warm<instr> suffix splits
+ * each fast-forward phase SMARTS-style:
  * only the last <instr> instructions per core run in
  * functional-warming mode (cache/prefetcher state updated), the rest
  * in pure skip mode (workload and value store advance only). Without

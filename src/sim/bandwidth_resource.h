@@ -8,11 +8,6 @@
  * the mechanism through which prefetching-induced contention degrades
  * performance in the paper, and through which link compression buys it
  * back.
- *
- * An "infinite" mode removes queuing (transfers still take their own
- * serialization time) and is used to measure *bandwidth demand* as the
- * paper defines it: utilization on a system with infinite pin
- * bandwidth (Section 4.2).
  */
 
 #ifndef CMPSIM_SIM_BANDWIDTH_RESOURCE_H
@@ -33,10 +28,9 @@ class BandwidthResource
     /**
      * @param bytes_per_cycle channel rate; at the paper's 5 GHz clock,
      *        20 GB/s pins = 4 bytes/cycle.
-     * @param infinite when true, transfers never queue.
      */
-    BandwidthResource(double bytes_per_cycle, bool infinite = false)
-        : rate_(bytes_per_cycle), infinite_(infinite)
+    explicit BandwidthResource(double bytes_per_cycle)
+        : rate_(bytes_per_cycle)
     {
         cmpsim_assert(bytes_per_cycle > 0);
     }
@@ -53,14 +47,13 @@ class BandwidthResource
         ++transfers_;
 
         double start = static_cast<double>(earliest);
-        if (!infinite_ && next_free_ > start)
+        if (next_free_ > start)
             start = next_free_;
 
         queue_delay_.sample(start - static_cast<double>(earliest));
 
         const double end = start + duration;
-        if (!infinite_)
-            next_free_ = end;
+        next_free_ = end;
         busy_ += duration;
 
         // The message is usable when its last byte lands.
@@ -82,7 +75,6 @@ class BandwidthResource
     double meanQueueDelay() const { return queue_delay_.mean(); }
 
     double rate() const { return rate_; }
-    bool infinite() const { return infinite_; }
 
     /** Register stats under @p prefix. */
     void
@@ -103,7 +95,6 @@ class BandwidthResource
 
   private:
     double rate_;
-    bool infinite_;
     double next_free_ = 0.0;
     std::uint64_t total_bytes_ = 0;
     std::uint64_t transfers_ = 0;

@@ -339,14 +339,14 @@ TEST(KnobRegistryTest, CmakeKnobsSatisfyTheReverseCheck)
 TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
 {
     AnalysisContext ctx;
-    ctx.readme = "| `CMPSIM_SAMPLING` | — | sampling plan |\n";
+    ctx.readme = "| `CMPSIM_CPISTACK` | — | CPI-stack layer |\n";
     const auto bad = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"}},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_CPISTACK\"); }\n"}},
         ctx);
     EXPECT_EQ(where(bad, "knob-registry").size(), 1u);
 
     const auto good = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_CPISTACK\"); }\n"},
          {"src/mem/v.cc",
           "void v() { reject(\"config.sampling\", \"...\"); }\n"}},
         ctx);
@@ -355,9 +355,9 @@ TEST(KnobRegistryTest, ConfigKnobNeedsValidateCoverage)
     // The checker's own knob->domain map spells "config.sampling"
     // under tools/; that literal is not validate() coverage.
     const auto map_only = analyze(
-        {{kKnobsFile, "void f() { knob(\"CMPSIM_SAMPLING\"); }\n"},
+        {{kKnobsFile, "void f() { knob(\"CMPSIM_CPISTACK\"); }\n"},
          {"tools/analyze/checks_knobs.cc",
-          "auto m = {\"CMPSIM_SAMPLING\", \"config.sampling\"};\n"}},
+          "auto m = {\"CMPSIM_CPISTACK\", \"config.sampling\"};\n"}},
         ctx);
     EXPECT_EQ(where(map_only, "knob-registry").size(), 1u);
 }

@@ -31,15 +31,6 @@ TEST(BandwidthResourceTest, IdleGapsDoNotQueue)
     EXPECT_DOUBLE_EQ(link.meanQueueDelay(), 0.0);
 }
 
-TEST(BandwidthResourceTest, InfiniteModeNeverQueues)
-{
-    BandwidthResource link(4.0, /*infinite=*/true);
-    EXPECT_EQ(link.reserve(0, 400), 100u);
-    EXPECT_EQ(link.reserve(0, 400), 100u); // same start, no queue
-    EXPECT_DOUBLE_EQ(link.meanQueueDelay(), 0.0);
-    EXPECT_EQ(link.totalBytes(), 800u); // demand still counted
-}
-
 TEST(BandwidthResourceTest, FractionalCyclesRoundUp)
 {
     BandwidthResource link(4.0);

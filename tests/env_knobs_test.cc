@@ -62,14 +62,12 @@ TEST(EnvKnobsTest, EmptyReturnsFallback)
     EnvGuard cpi("CMPSIM_CPISTACK", "");
     EnvGuard journal("CMPSIM_JOURNAL", "");
     EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "");
-    EnvGuard sampling("CMPSIM_SAMPLING", "");
     const EnvKnobs env = readEnvKnobs();
     EXPECT_EQ(env.lengths.measure_per_core,
               RunLengths{}.measure_per_core);
     EXPECT_FALSE(env.cpi_stack.has_value());
     EXPECT_TRUE(env.policy.journal_path.empty());
     EXPECT_EQ(env.policy.point_timeout_sec, 0.0);
-    EXPECT_FALSE(env.sampling.has_value());
 }
 
 TEST(EnvKnobsTest, ParsesValue)
@@ -204,10 +202,6 @@ TEST(EnvKnobsTest, PointTimeoutIsFiniteNonNegativeSeconds)
 
 TEST(EnvKnobsTest, SpecKnobsKeepTheirParsersErrorContexts)
 {
-    {
-        EnvGuard sampling("CMPSIM_SAMPLING", "8000:2000");
-        EXPECT_EQ(errorContext(), "config.sampling");
-    }
     EnvGuard fault("CMPSIM_FAULT", "not-a-plan");
     EXPECT_EQ(errorContext(), "fault.spec");
 }
@@ -235,6 +229,15 @@ TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)
 
 TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)
 {
+    {
+        // A name the library no longer reads is not a knob: no error,
+        // and no sampling plan reaches the config.
+        EnvGuard sampling("CMPSIM_SAMPLING", "not-a-plan");
+        EXPECT_NO_THROW(readEnvKnobs());
+        SystemConfig cfg;
+        EXPECT_NO_THROW(cfg = smallConfig());
+        EXPECT_FALSE(cfg.sampling.armed());
+    }
     // makeConfig() needs none of the runner knobs, but a malformed
     // one still fails the first read of the environment.
     EnvGuard progress("CMPSIM_PROGRESS", "yes");

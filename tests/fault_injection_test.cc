@@ -201,28 +201,6 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
     }
 }
 
-TEST(FaultContainmentTest, SampledPointFaultIsContainedAndRetried)
-{
-    // A fast-forward fault inside a sampled point is contained by the
-    // batch runner like any other site: the point fails [injected]
-    // and its neighbour still completes.
-    auto specs = smallPoints();
-    specs[0].config.sampling = SamplingPlan::parse("4000:1000:3");
-    specs[0].lengths.measure_per_core = 0; // sampled runs ignore it
-
-    RunPolicy faulty;
-    faulty.faults = FaultPlan::parse("sample.ff:5:p0");
-    const BatchResult batch = runPointsChecked(specs, 2, faulty);
-
-    EXPECT_EQ(batch.failed(), 1u);
-    EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
-    EXPECT_EQ(batch.outcomes[0].error_kind, ErrorKind::Injected);
-    EXPECT_NE(batch.outcomes[0].error.find("[injected] sample.ff"),
-              std::string::npos)
-        << batch.outcomes[0].error;
-    EXPECT_EQ(batch.outcomes[1].status, PointStatus::Ok);
-}
-
 // ----------------------------------------------- batch containment
 
 TEST(FaultContainmentTest, PermanentFaultFailsOnePointNotTheBatch)

@@ -49,15 +49,14 @@ fingerprint(SystemConfig cfg, const std::string &workload,
     return hex(fnv1a(dump.str()));
 }
 
-/** makeConfig() minus whatever CMPSIM_SAMPLING sets. */
+/** The default path's config: scale 4, compression on cache and link
+ *  together. */
 SystemConfig
 defaultPath(unsigned cores, bool compression, bool prefetching,
             bool adaptive)
 {
-    SystemConfig cfg = makeConfig(cores, 4, compression, compression,
-                                  prefetching, adaptive, kPinGbps);
-    cfg.sampling = SamplingPlan{};
-    return cfg;
+    return makeConfig(cores, 4, compression, compression, prefetching,
+                      adaptive, kPinGbps);
 }
 
 TEST(GoldenFingerprintTest, ZeusEightCoresAllFeatures)

@@ -59,18 +59,12 @@ readFile(const std::string &path)
 
 TEST(SummaryBytesTest, RoundTripsThroughParseByteExactly)
 {
-    // An unsampled point and a sampled one, whose runs carry the
-    // optional sampled block.
-    auto specs = smallPoints();
-    specs.resize(2);
-    specs[1] = specs[0];
-    specs[1].config.sampling = SamplingPlan::parse("2000:1000:3");
+    const auto specs = smallPoints();
     const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
     ASSERT_EQ(batch.failed(), 0u);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::string bytes = summaryBytes(batch.summaries[i]);
-        EXPECT_EQ(bytes.find("\nsampling.") != std::string::npos, i == 1);
         MetricSummary parsed;
         ASSERT_TRUE(parseSummaryBytes(bytes, parsed));
         EXPECT_EQ(parsed.runs.size(), batch.summaries[i].runs.size());
@@ -172,6 +166,32 @@ TEST(JournalResumeTest, FailedPointIsNotJournaledAndRerunsClean)
                   summaryBytes(clean.summaries[i]))
             << "point " << i;
     }
+    std::remove(path.c_str());
+}
+
+TEST(JournalResumeTest, ArmedPlanIsNotRestoredFromItsUnsampledTwin)
+{
+    // A point that arms a sampling plan fails [config] (only
+    // MatrixSampler runs a plan). Its journal key differs from its
+    // unsampled twin's, so a journal holding the twin does not
+    // restore it in place of that failure.
+    auto specs = smallPoints();
+    specs.resize(1);
+    const std::string path =
+        journalPath("ArmedPlanIsNotRestoredFromItsUnsampledTwin");
+    std::remove(path.c_str());
+
+    RunPolicy policy;
+    policy.journal_path = path;
+    ASSERT_EQ(runPointsChecked(specs, 1, policy).failed(), 0u);
+
+    specs[0].config.sampling = SamplingPlan::parse("2000:1000:3");
+    const BatchResult armed = runPointsChecked(specs, 1, policy);
+    EXPECT_EQ(armed.outcomes[0].status, PointStatus::Failed);
+    EXPECT_EQ(armed.outcomes[0].error_kind, ErrorKind::Config);
+    EXPECT_NE(armed.outcomes[0].error.find("config.sampling"),
+              std::string::npos)
+        << armed.outcomes[0].error;
     std::remove(path.c_str());
 }
 

@@ -128,9 +128,12 @@ TEST(ConfigValidateTest, RejectsNonsensePinBandwidth)
     EXPECT_THROW(c.validate(), ConfigError);
     c.pin_bandwidth_gbps = 0.05;
     EXPECT_THROW(c.validate(), ConfigError);
-    // Infinite-bandwidth mode never consults the pin rate.
+    // Infinite-bandwidth mode removes queuing, but every message still
+    // serializes at the pin rate, so the same range applies.
     c.infinite_bandwidth = true;
-    EXPECT_NO_THROW(c.validate());
+    EXPECT_THROW(c.validate(), ConfigError);
+    c.pin_bandwidth_gbps = 0.0;
+    EXPECT_THROW(c.validate(), ConfigError);
 }
 
 TEST(ConfigValidateTest, ErrorNamesTheOffendingKnob)

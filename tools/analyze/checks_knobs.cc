@@ -50,7 +50,6 @@ configCoverage()
 {
     static const std::map<std::string, std::string> m = {
         {"CMPSIM_CPISTACK", "config.sampling"}, // cpi_stack x sampling
-        {"CMPSIM_SAMPLING", "config.sampling"},
     };
     return m;
 }

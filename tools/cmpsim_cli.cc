@@ -63,7 +63,6 @@ struct CliOptions
     bool cpi_stack = false;   ///< --cpi-stack: attribution layer
     std::string report_path;  ///< --report: JSON run report
     std::string trace_path;   ///< --trace: Chrome trace events
-    std::string sampling_spec; ///< --sampling plan spec
 };
 
 [[noreturn]] void
@@ -102,14 +101,6 @@ usage(int code)
         "  --trace FILE        write Chrome trace events (load in\n"
         "                      Perfetto / chrome://tracing); also\n"
         "                      enabled by CMPSIM_TRACE=FILE\n"
-        "  --sampling SPEC     statistical sampling plan\n"
-        "                      <ff>:<detail>:<n>[:warm<instr>]\n"
-        "                      — alternate ff fast-forward and detail\n"
-        "                      timed instr per core over n intervals,\n"
-        "                      report every metric with a 95%% CI;\n"
-        "                      warm<instr> warms only the last instr\n"
-        "                      of each fast-forward (--measure is then\n"
-        "                      ignored; also CMPSIM_SAMPLING)\n"
         "  --help\n");
     std::exit(code);
 }
@@ -179,8 +170,6 @@ parse(int argc, char **argv)
             o.report_path = need_value(i++);
         } else if (a == "--trace") {
             o.trace_path = need_value(i++);
-        } else if (a == "--sampling") {
-            o.sampling_spec = need_value(i++);
         } else {
             die(a.c_str(), "unknown flag (see --help)");
         }
@@ -188,8 +177,8 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** An unsampled run's stdout: the headline metrics, then the CPI
- *  stacks and the full stat dump when asked for. */
+/** The run's stdout: the headline metrics, then the CPI stacks and
+ *  the full stat dump when asked for. */
 void
 printFullDetail(const CliOptions &o, CmpSystem &sys, const RunResult &r)
 {
@@ -276,8 +265,6 @@ run(const CliOptions &o)
     // Flags beat the environment makeConfig() applied.
     if (o.cpi_stack)
         cfg.cpi_stack = true;
-    if (!o.sampling_spec.empty())
-        cfg.sampling = SamplingPlan::parse(o.sampling_spec);
     // Validate before the banner: "--scale 0" must die with a
     // ConfigError, not divide the L2-size estimate by zero.
     cfg.validate();
@@ -354,30 +341,7 @@ run(const CliOptions &o)
     report.bandwidth_gbps = r.bandwidth_gbps;
     report.compression_ratio = r.compression_ratio;
 
-    if (r.sampled.armed) {
-        // Sampled run: the headline covers the detailed intervals;
-        // print each metric with its 95% CI.
-        report.sampling.armed = true;
-        report.sampling.intervals = r.sampled.intervals;
-        report.sampling.ff_instructions = r.sampled.ff_instructions;
-        for (const SampledSummaryField &f : kSampledSummaries)
-            report.sampling.metrics.emplace_back(f.key,
-                                                 r.sampled.*f.metric);
-
-        std::printf("\n--- sampled run: %u intervals, "
-                    "%.0f instr fast-forwarded ---\n",
-                    r.sampled.intervals, r.sampled.ff_instructions);
-        std::printf("detail cycles %.0f, detail instructions %.0f "
-                    "(aggregate IPC %.3f)\n",
-                    r.cycles, r.instructions, r.ipc);
-        std::printf("%-20s %12s %12s\n", "metric", "mean",
-                    "ci95 (+/-)");
-        for (const auto &[name, s] : report.sampling.metrics)
-            std::printf("%-20s %12.4f %12.4f\n", name.c_str(), s.mean,
-                        s.ci95);
-    } else {
-        printFullDetail(o, sys, r);
-    }
+    printFullDetail(o, sys, r);
 
     writeReport(sys);
     if (!o.report_path.empty())

@@ -21,8 +21,9 @@
  * invariance every bench table now depends on).
  *
  * A third leg checks the statistical sampling engine (DESIGN.md
- * Section 14): a sampled batch must reproduce across runner worker
- * counts (jobs 1 vs 4 on the published summaries).
+ * Section 14), which runs a plan only through MatrixSampler: one
+ * lockstep base + full-feature study per workload, run twice, must
+ * reproduce every system's stats and per-interval samples.
  *
  *   determinism_check [workload ...]      # default: zeus apsi
  *
@@ -31,6 +32,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +44,7 @@
 #include "src/core_api/parallel_runner.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
 
 namespace {
@@ -123,53 +126,67 @@ checkParallelRunner(const std::vector<std::string> &workloads)
 }
 
 /**
- * Statistical-sampling leg (DESIGN.md Section 14): a sampled run must
- * be as reproducible as a full-detail one — jobs 1 == 4 on the
- * published summary of a sampled batch. Returns 0 on success, 1 on
- * any divergence.
+ * One lockstep MatrixSampler study of @p workload: base leads and the
+ * full feature set follows, so every interval's skip is journaled by
+ * the leader and adopted by the follower. Returns the fingerprint of
+ * both systems' stats dumps and per-interval samples.
  */
-int
-checkSampledRuns(const std::vector<std::string> &workloads)
+std::uint64_t
+matrixOnce(const std::string &workload)
 {
     using namespace cmpsim;
-    const char *kPlan = "12000:4000:4:warm4000";
-
-    std::vector<PointSpec> specs;
-    for (const std::string &w : workloads) {
-        PointSpec spec;
-        spec.config = makeConfig(/*cores=*/4, /*scale=*/4,
-                                 /*cache_compression=*/true,
-                                 /*link_compression=*/true,
-                                 /*prefetching=*/true,
-                                 /*adaptive=*/true);
-        spec.config.sampling = SamplingPlan::parse(kPlan);
+    const SamplingPlan plan = SamplingPlan::parse("12000:4000:4:warm4000");
+    std::vector<std::unique_ptr<CmpSystem>> systems;
+    for (const bool on : {false, true}) {
+        SystemConfig cfg = makeConfig(/*cores=*/4, /*scale=*/4, on, on,
+                                      on, on);
+        cfg.seed = 12345;
+        cfg.sampling = plan;
         // The CPI-stack layer refuses to combine with statistical
         // sampling (validate()), and CI's armed gate sets
         // CMPSIM_CPISTACK for the other legs: this leg runs unarmed.
-        spec.config.cpi_stack = false;
-        spec.benchmark = w;
-        spec.lengths.warmup_per_core = 20000;
-        spec.lengths.measure_per_core = 0; // sampled runs ignore it
-        spec.seeds = 2;
-        specs.push_back(std::move(spec));
+        cfg.cpi_stack = false;
+        systems.push_back(
+            std::make_unique<CmpSystem>(cfg, benchmarkParams(workload)));
     }
-    const auto serial = runPoints(specs, /*jobs=*/1);
-    const auto parallel = runPoints(specs, /*jobs=*/4);
+    const std::vector<SamplingResult> results =
+        MatrixSampler({systems[0].get(), systems[1].get()}).run();
+
+    std::ostringstream out;
+    out.precision(17);
+    for (std::size_t i = 0; i < systems.size(); ++i) {
+        systems[i]->stats().dump(out);
+        for (const IntervalSample &s : results[i].samples) {
+            out << "sample " << s.cycles << " " << s.instructions << " "
+                << s.compression_ratio << "\n";
+        }
+    }
+    return fnv1a(out.str());
+}
+
+/**
+ * Statistical-sampling leg (DESIGN.md Section 14): each workload's
+ * matrix study, run twice, must fingerprint identically. Returns 0 on
+ * success, 1 on any divergence.
+ */
+int
+checkMatrixSampler(const std::vector<std::string> &workloads)
+{
     int status = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::uint64_t j1 = fnv1a(summaryBytes(serial[i]));
-        const std::uint64_t j4 = fnv1a(summaryBytes(parallel[i]));
-        if (j1 == j4) {
+    for (const std::string &w : workloads) {
+        const std::uint64_t first = matrixOnce(w);
+        const std::uint64_t second = matrixOnce(w);
+        if (first == second) {
             std::printf("determinism_check: %-8s ok    %016llx "
-                        "(sampled: jobs 1 == jobs 4)\n",
-                        specs[i].benchmark.c_str(),
-                        static_cast<unsigned long long>(j1));
+                        "(matrix: run 1 == run 2)\n",
+                        w.c_str(),
+                        static_cast<unsigned long long>(first));
         } else {
-            std::printf("determinism_check: %-8s FAIL  sampled "
-                        "%016llx != %016llx (jobs 1 vs jobs 4)\n",
-                        specs[i].benchmark.c_str(),
-                        static_cast<unsigned long long>(j1),
-                        static_cast<unsigned long long>(j4));
+            std::printf("determinism_check: %-8s FAIL  matrix "
+                        "%016llx != %016llx (run 1 vs run 2)\n",
+                        w.c_str(),
+                        static_cast<unsigned long long>(first),
+                        static_cast<unsigned long long>(second));
             status = 1;
         }
     }
@@ -197,7 +214,7 @@ run(const std::vector<std::string> &workloads)
         }
     }
     status |= checkParallelRunner(workloads);
-    status |= checkSampledRuns(workloads);
+    status |= checkMatrixSampler(workloads);
     return status;
 }
 
@@ -220,7 +237,6 @@ main(int argc, char **argv)
         cmpsim::TraceSession trace_session(env.trace);
         cmpsim::setProfEnabled(env.prof);
         const int status = run(workloads);
-#if !defined(CMPSIM_PROF_DISABLED)
         // profSnapshot() lists only sites that recorded calls.
         bool timed = false;
         for (const cmpsim::ProfSample &s : cmpsim::profSnapshot())
@@ -230,7 +246,6 @@ main(int argc, char **argv)
                                  "no eq.dispatch scope was timed\n");
             return 1;
         }
-#endif
         return status;
     } catch (const cmpsim::SimError &e) {
         std::fprintf(stderr, "determinism_check: error: %s\n", e.what());
