@@ -27,8 +27,9 @@ using namespace cmpsim;
 
 /**
  * Fat capture block matching what simulator callbacks carry (this +
- * address + request metadata): pushes the std::function past the
- * small-object buffer, exactly as the production continuations do.
+ * address + request metadata): 32 bytes, within EventQueue::Callback's
+ * 56-byte inline buffer like every production continuation, so the
+ * batch times copying closures into slots, not allocating them.
  */
 struct FatPayload
 {

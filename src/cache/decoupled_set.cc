@@ -9,7 +9,8 @@ DecoupledSet::DecoupledSet(TagEntry *storage, unsigned tags,
     : entries_(storage), tags_(tags), segment_budget_(segment_budget)
 {
     cmpsim_assert(storage != nullptr);
-    cmpsim_assert(tags > 0);
+    cmpsim_assert(tags > 0 && tags <= kMaxSetTags,
+                  "%u tags per set, limit %u", tags, kMaxSetTags);
     cmpsim_assert(segment_budget >= kSegmentsPerLine);
 }
 
@@ -74,7 +75,7 @@ DecoupledSet::evictLruValid()
     cmpsim_panic("eviction from a set with no valid lines");
 }
 
-std::vector<TagEntry>
+DecoupledSet::Victims
 DecoupledSet::insert(const TagEntry &entry)
 {
     cmpsim_assert(entry.valid);
@@ -83,7 +84,7 @@ DecoupledSet::insert(const TagEntry &entry)
     cmpsim_assert(entry.segments <= segment_budget_);
     cmpsim_assert(find(entry.line) == nullptr);
 
-    std::vector<TagEntry> evicted;
+    Victims evicted;
 
     // Free data space.
     while (used_segments_ + entry.segments > segment_budget_)
@@ -111,14 +112,14 @@ DecoupledSet::insert(const TagEntry &entry)
     return evicted;
 }
 
-std::vector<TagEntry>
+DecoupledSet::Victims
 DecoupledSet::resize(Addr line, unsigned segments)
 {
     cmpsim_assert(segments >= 1 && segments <= kSegmentsPerLine);
     TagEntry *e = find(line);
     cmpsim_assert(e != nullptr);
 
-    std::vector<TagEntry> evicted;
+    Victims evicted;
     if (segments <= e->segments) {
         used_segments_ -= e->segments - segments;
         e->segments = static_cast<std::uint8_t>(segments);

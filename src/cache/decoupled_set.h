@@ -28,12 +28,17 @@
 #define CMPSIM_CACHE_DECOUPLED_SET_H
 
 #include <span>
-#include <vector>
 
 #include "src/cache/tag_entry.h"
+#include "src/common/inline_vector.h"
 #include "src/common/log.h"
 
 namespace cmpsim {
+
+/** Most address tags (valid + victim) one set may hold; bounds the
+ *  victims one insert() or resize() can return. The largest set in
+ *  any configuration is the adaptive uncompressed L2's 8 + 4. */
+inline constexpr unsigned kMaxSetTags = 16;
 
 /**
  * One set: an LRU stack of tags over a shared segment pool.
@@ -49,10 +54,14 @@ namespace cmpsim {
 class DecoupledSet
 {
   public:
+    /** Lines evicted by one insert() or resize(), in eviction order. */
+    using Victims = InlineVector<TagEntry, kMaxSetTags>;
+
     /**
      * @param storage the set's @p tags slots, owned by the caller and
      *        outliving the view; they must be default (empty) tags
-     * @param tags number of address tags (valid + victim)
+     * @param tags number of address tags (valid + victim), at most
+     *        kMaxSetTags
      * @param segment_budget data space in 8-byte segments
      */
     DecoupledSet(TagEntry *storage, unsigned tags, unsigned segment_budget);
@@ -76,14 +85,14 @@ class DecoupledSet
      *         victim tag behind.
      * @pre no valid entry for entry.line exists in the set.
      */
-    std::vector<TagEntry> insert(const TagEntry &entry);
+    Victims insert(const TagEntry &entry);
 
     /**
      * Change the segment count of the valid entry for @p line (a
      * write changed its compressed size). May evict other LRU lines
      * to make room; never evicts @p line itself.
      */
-    std::vector<TagEntry> resize(Addr line, unsigned segments);
+    Victims resize(Addr line, unsigned segments);
 
     /**
      * Invalidate @p line's valid entry, leaving a victim tag.

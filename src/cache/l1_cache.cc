@@ -1,7 +1,6 @@
 #include "src/cache/l1_cache.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/audit/audits.h"
 
@@ -87,13 +86,12 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
-            eq_.schedule(when + params_.hit_latency, std::move(done));
+            eq_.schedule(when + params_.hit_latency, done);
             return;
         }
         // Write to an S line: upgrade through the directory.
         ++upgrades_;
-        demandMiss(line, true, when + params_.hit_latency,
-                   std::move(done));
+        demandMiss(line, true, when + params_.hit_latency, done);
         return;
     }
 
@@ -111,25 +109,25 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
             prefetchLine(a, when);
     }
 
-    demandMiss(line, is_write, when + params_.hit_latency,
-               std::move(done));
+    demandMiss(line, is_write, when + params_.hit_latency, done);
 }
 
 void
-L1Cache::demandMiss(Addr line, bool is_write, Cycle when, Done done)
+L1Cache::demandMiss(Addr line, bool is_write, Cycle when,
+                    const Done &done)
 {
     if (Mshr *m = findMshr(line)) {
         if (m->prefetch_only)
             ++partial_hits_;
         m->prefetch_only = false;
-        m->waiters.push_back(Waiter{is_write, std::move(done)});
+        waiters_.push_back(m->waiters, Waiter{is_write, done});
         return;
     }
 
     Mshr &m = allocMshr(line);
     m.prefetch_only = false;
     m.requested_exclusive = is_write;
-    m.waiters.push_back(Waiter{is_write, std::move(done)});
+    waiters_.push_back(m.waiters, Waiter{is_write, done});
 
     requestFromL2(line, is_write, ReqType::Demand, when);
 }
@@ -168,9 +166,11 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
 {
     Mshr *slot = findMshr(line);
     cmpsim_assert(slot != nullptr);
-    Mshr m = std::move(*slot);
+    // Take the entry's state; it is free again from here on.
+    const bool prefetch_only = slot->prefetch_only;
+    WaiterPool::List waiters = slot->waiters;
+    slot->waiters = {};
     slot->line = kAddrInvalid;
-    slot->waiters.clear();
     --mshrs_used_;
 
     DecoupledSet &set = sets_[setIndex(line)];
@@ -180,8 +180,8 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
         entry.line = line;
         entry.valid = true;
         entry.dirty = exclusive; // store misses install in M
-        entry.prefetch = m.prefetch_only;
-        entry.pf_source = m.prefetch_only ? PfSource::L1 : PfSource::None;
+        entry.prefetch = prefetch_only;
+        entry.pf_source = prefetch_only ? PfSource::L1 : PfSource::None;
         entry.was_compressed = was_compressed;
         for (const TagEntry &victim : set.insert(entry))
             handleVictim(victim, at);
@@ -190,24 +190,23 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
         e->dirty = e->dirty || exclusive;
     }
 
-    if (m.prefetch_only)
+    if (prefetch_only)
         ++pf_fills_;
 
     // A write waiter that coalesced after a shared request still needs
     // store permission: fix the directory state atomically.
     bool any_write = false;
-    for (const Waiter &w : m.waiters)
-        any_write |= w.is_write;
+    waiters_.forEach(waiters,
+                     [&](const Waiter &w) { any_write |= w.is_write; });
     if (any_write && !exclusive) {
         l2_.upgradeAtomic(cpu_, line);
         e->dirty = true;
     }
 
-    for (Waiter &w : m.waiters) {
-        // Completion happens at data arrival; schedule rather than
-        // call so the core sees a consistent event time.
-        eq_.schedule(at, std::move(w.done));
-    }
+    // Completion happens at data arrival; schedule rather than call so
+    // the core sees a consistent event time.
+    waiters_.drain(waiters,
+                   [&](const Waiter &w) { eq_.schedule(at, w.done); });
 }
 
 void
@@ -287,7 +286,7 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
         adaptive_->onHarmfulPrefetch();
     }
 
-    std::vector<Addr> to_prefetch;
+    StridePrefetcher::Prefetches to_prefetch;
     if (prefetcher_)
         to_prefetch = prefetcher_->observeMiss(line, allowedStartup());
 

@@ -20,7 +20,6 @@
 #ifndef CMPSIM_CACHE_L1_CACHE_H
 #define CMPSIM_CACHE_L1_CACHE_H
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "src/cache/decoupled_set.h"
 #include "src/cache/l2_cache.h"
 #include "src/cache/request_types.h"
+#include "src/common/list_pool.h"
 #include "src/common/stats.h"
 #include "src/prefetch/adaptive_controller.h"
 #include "src/prefetch/stride_prefetcher.h"
@@ -59,8 +59,9 @@ struct L1Params
 class L1Cache
 {
   public:
-    /** Completion callback: cycle at which the access is done. */
-    using Done = std::function<void(Cycle)>;
+    /** Completion callback: cycle at which the access is done. A hit
+     *  schedules it as is, so it is the event queue's callable. */
+    using Done = EventQueue::Callback;
 
     L1Cache(EventQueue &eq, L2Cache &l2, unsigned cpu,
             const L1Params &params);
@@ -135,11 +136,13 @@ class L1Cache
         Done done;
     };
 
+    using WaiterPool = ListPool<Waiter>;
+
     /** One miss status holding register; free when line is invalid. */
     struct Mshr
     {
         Addr line = kAddrInvalid;
-        std::vector<Waiter> waiters;
+        WaiterPool::List waiters; ///< in waiters_
         bool prefetch_only = true;
         bool requested_exclusive = false;
     };
@@ -171,7 +174,8 @@ class L1Cache
     Mshr &allocMshr(Addr line);
 
     /** Miss/upgrade path for a demand access. */
-    void demandMiss(Addr line, bool is_write, Cycle when, Done done);
+    void demandMiss(Addr line, bool is_write, Cycle when,
+                    const Done &done);
 
     /** Issue the L2 request for @p line; the response fills it. */
     void requestFromL2(Addr line, bool is_write, ReqType type,
@@ -197,6 +201,7 @@ class L1Cache
     std::vector<DecoupledSet> sets_; ///< views into tags_
     std::vector<Mshr> mshr_file_;    ///< params.mshrs entries, unordered
     unsigned mshrs_used_ = 0;        ///< busy entries in mshr_file_
+    WaiterPool waiters_; ///< every MSHR's waiter list
 
     StridePrefetcher *prefetcher_ = nullptr;
     AdaptivePrefetchController *adaptive_ = nullptr;

@@ -112,10 +112,8 @@ L2Cache::request(unsigned cpu, Addr line, bool exclusive, ReqType type,
     bank_free_[bank] = start + params_.bank_occupancy;
 
     eq_.schedule(start,
-                 [this, cpu, line, exclusive, type,
-                  done = std::move(done)](Cycle at) mutable {
-                     lookup(cpu, line, exclusive, type, at,
-                            std::move(done));
+                 [this, cpu, line, exclusive, type, done](Cycle at) {
+                     lookup(cpu, line, exclusive, type, at, done);
                  });
 }
 
@@ -170,7 +168,7 @@ L2Cache::onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when)
 
 void
 L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                Cycle when, Done done)
+                Cycle when, const Done &done)
 {
     CMPSIM_PROF_SCOPE("l2.lookup");
     DecoupledSet &set = sets_[setIndex(line)];
@@ -247,7 +245,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
             ++partial_hits_;
         if (type == ReqType::Demand)
             m.prefetch_only = false;
-        m.waiters.push_back(Waiter{cpu, exclusive, std::move(done)});
+        waiters_.push_back(m.waiters, Waiter{cpu, exclusive, done});
         return;
     }
 
@@ -265,19 +263,29 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
                      {{"line", line}, {"cpu", std::uint64_t{cpu}}});
     }
 
-    Mshr m;
+    Mshr &m = allocMshr(line);
     m.prefetch_only = type != ReqType::Demand;
     m.pf_source = type == ReqType::L2Prefetch  ? PfSource::L2
                   : type == ReqType::L1Prefetch ? PfSource::L1
                                                 : PfSource::None;
     m.pf_cpu = cpu;
     if (done)
-        m.waiters.push_back(Waiter{cpu, exclusive, std::move(done)});
-    mshrs_.emplace(line, std::move(m));
+        waiters_.push_back(m.waiters, Waiter{cpu, exclusive, done});
 
     memory_.fetchLine(line, when + params_.lookup_latency,
                       type != ReqType::Demand,
                       [this, line](Cycle arrival) { fill(line, arrival); });
+}
+
+L2Cache::Mshr &
+L2Cache::allocMshr(Addr line)
+{
+    if (spare_mshrs_.empty())
+        return mshrs_.try_emplace(line).first->second;
+    MshrMap::node_type node = std::move(spare_mshrs_.back());
+    spare_mshrs_.pop_back();
+    node.key() = line;
+    return mshrs_.insert(std::move(node)).position->second;
 }
 
 void
@@ -382,8 +390,8 @@ L2Cache::fill(Addr line, Cycle arrival)
     traceInstant("l2.fill", arrival, {{"line", line}});
     auto it = mshrs_.find(line);
     cmpsim_assert(it != mshrs_.end());
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    MshrMap::node_type node = mshrs_.extract(it);
+    Mshr &m = node.mapped();
 
     if (m.pf_source == PfSource::L2) {
         cmpsim_assert(pf_outstanding_[m.pf_cpu] > 0);
@@ -436,14 +444,15 @@ L2Cache::fill(Addr line, Cycle arrival)
     }
 
     // Grant every coalesced waiter, in arrival order.
-    for (Waiter &w : m.waiters) {
+    waiters_.drain(m.waiters, [&](const Waiter &w) {
         const bool penalized =
             params_.compressed &&
             set.find(line)->segments < kSegmentsPerLine;
         grant(w.cpu, line, w.exclusive,
               arrival + (penalized ? params_.decompression_latency : 0),
               penalized, w.done);
-    }
+    });
+    spare_mshrs_.push_back(std::move(node));
 }
 
 void

@@ -42,6 +42,7 @@
 
 #include "src/cache/decoupled_set.h"
 #include "src/cache/request_types.h"
+#include "src/common/list_pool.h"
 #include "src/common/stats.h"
 #include "src/mem/main_memory.h"
 #include "src/mem/value_store.h"
@@ -49,6 +50,7 @@
 #include "src/prefetch/stride_prefetcher.h"
 #include "src/sim/bandwidth_resource.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -114,8 +116,11 @@ class L2Cache
      * @param Cycle the cycle data is at the L1
      * @param bool exclusive permission granted
      * @param bool the line was compressed in the L2 (penalty paid)
+     *
+     * Its 16 bytes hold the L1's `this` and line; it rides inside the
+     * lookup event (EventQueue::Callback) and the MSHR's waiter list.
      */
-    using Done = std::function<void(Cycle, bool, bool)>;
+    using Done = InlineFunction<void(Cycle, bool, bool), 16>;
 
     /** Inclusion hook: invalidate @p line in L1 @p cpu; returns true
      *  when the L1 copy was dirty. */
@@ -251,13 +256,17 @@ class L2Cache
         Done done;
     };
 
+    using WaiterPool = ListPool<Waiter>;
+
     struct Mshr
     {
-        std::vector<Waiter> waiters;
+        WaiterPool::List waiters; ///< in waiters_
         bool prefetch_only = true;
         PfSource pf_source = PfSource::None;
         unsigned pf_cpu = 0; ///< for the prefetch-outstanding budget
     };
+
+    using MshrMap = std::unordered_map<Addr, Mshr>;
 
     unsigned
     setIndex(Addr line) const
@@ -278,7 +287,11 @@ class L2Cache
 
     /** The lookup stage of a timed request (runs at bank time). */
     void lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
-                Cycle when, Done done);
+                Cycle when, const Done &done);
+
+    /** Enter a new MSHR for @p line, on a recycled node when one is
+     *  spare; its waiter list is empty. */
+    Mshr &allocMshr(Addr line);
 
     /** Coherence actions + data response for a present line. */
     void grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
@@ -317,7 +330,11 @@ class L2Cache
     std::vector<Cycle> bank_free_;
     BandwidthResource onchip_;
 
-    std::unordered_map<Addr, Mshr> mshrs_;
+    MshrMap mshrs_;
+    /** Nodes of retired MSHRs, reused by the next misses so a
+     *  miss/fill pair allocates nothing. */
+    std::vector<MshrMap::node_type> spare_mshrs_;
+    WaiterPool waiters_; ///< every MSHR's waiter list
     std::vector<unsigned> pf_outstanding_; // per core
 
     std::vector<StridePrefetcher *> prefetchers_;

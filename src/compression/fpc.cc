@@ -75,12 +75,11 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
     if (out)
         out->clear();
 
-    // First pass: compute the encoded size (and optionally emit).
+    // Count the encoded bits, emitting the stream only when the caller
+    // asked for it: the size needs the count alone.
     // Zero runs of up to 8 words share one (prefix, length) tuple.
     unsigned bits = 0;
-    BitStream local;
-    BitStream *bs = out ? out : &local;
-    const bool emit = true; // always build; cheap relative to lookup
+    const bool emit = out != nullptr;
 
     unsigned i = 0;
     while (i < kWordsPerLine) {
@@ -94,8 +93,8 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
             }
             bits += 3 + 3;
             if (emit) {
-                bs->put(ZeroRun, 3);
-                bs->put(run - 1, 3);
+                out->put(ZeroRun, 3);
+                out->put(run - 1, 3);
             }
             i += run;
             continue;
@@ -104,7 +103,7 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
         const unsigned db = dataBits(p);
         bits += 3 + db;
         if (emit) {
-            bs->put(p, 3);
+            out->put(p, 3);
             std::uint64_t payload = 0;
             switch (p) {
               case Se4:
@@ -126,7 +125,7 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
               case ZeroRun:
                 break; // handled above
             }
-            bs->put(payload, db);
+            out->put(payload, db);
         }
         ++i;
     }

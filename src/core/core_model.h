@@ -21,11 +21,11 @@
 #ifndef CMPSIM_CORE_CORE_MODEL_H
 #define CMPSIM_CORE_CORE_MODEL_H
 
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/cache/l1_cache.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/core/instruction.h"
 #include "src/mem/value_store.h"
@@ -156,7 +156,7 @@ class CoreModel
         unsigned slot;
         std::uint64_t id;
     };
-    std::deque<ChainedAccess> chain_queue_;
+    RingQueue<ChainedAccess> chain_queue_;
     bool chain_outstanding_ = false;
 
     /** Issue the next queued chained access, if any. */

@@ -53,10 +53,28 @@ SystemConfig::validate() const
     }
     if (l1.mshrs == 0)
         reject("config.l1", "zero L1 MSHRs");
+    if (l1.ways + l1.victim_tags > kMaxSetTags) {
+        reject("config.l1", std::to_string(l1.ways + l1.victim_tags) +
+                                " tags per L1 set, limit " +
+                                std::to_string(kMaxSetTags));
+    }
 
     const L2Params l2 = l2Params();
     if (l2.tags_per_set == 0)
         reject("config.l2", "zero L2 tags per set");
+    if (l2.tags_per_set > kMaxSetTags) {
+        reject("config.l2", std::to_string(l2.tags_per_set) +
+                                " tags per L2 set, limit " +
+                                std::to_string(kMaxSetTags));
+    }
+    if (l1_startup_prefetches > kMaxStartupPrefetches ||
+        l2_startup_prefetches > kMaxStartupPrefetches) {
+        reject("config.prefetch",
+               "startup depth above " +
+                   std::to_string(kMaxStartupPrefetches) + " (L1 " +
+                   std::to_string(l1_startup_prefetches) + ", L2 " +
+                   std::to_string(l2_startup_prefetches) + ")");
+    }
     if (!isPowerOfTwo(l2.sets)) {
         reject("config.l2", "non-power-of-two L2 set count " +
                                 std::to_string(l2.sets) + " (scale " +

@@ -31,10 +31,8 @@ MainMemory::fetchLine(Addr line_addr, Cycle when, bool prefetch,
     // back (fetchStage2 -> fetchDeliver). The data message enters the
     // link queue only when DRAM has produced it.
     link_.send(kMessageHeaderBytes, cls, when,
-               [this, line_addr, when, cls,
-                done = std::move(done)](Cycle req_arrives) mutable {
-                   fetchStage2(line_addr, when, cls, std::move(done),
-                               req_arrives);
+               [this, line_addr, when, cls, done](Cycle req_arrives) {
+                   fetchStage2(line_addr, when, cls, done, req_arrives);
                });
 }
 
@@ -51,10 +49,9 @@ MainMemory::fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
     ++header_flits_;
     data_flits_ += segments;
     const unsigned bytes = kMessageHeaderBytes + segments * kSegmentBytes;
-    link_.send(bytes, cls, dram_done,
-               [this, when, done = std::move(done)](Cycle at) {
-                   fetchDeliver(when, done, at);
-               });
+    link_.send(bytes, cls, dram_done, [this, when, done](Cycle at) {
+        fetchDeliver(when, done, at);
+    });
 }
 
 void

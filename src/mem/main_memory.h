@@ -16,7 +16,6 @@
 #ifndef CMPSIM_MEM_MAIN_MEMORY_H
 #define CMPSIM_MEM_MAIN_MEMORY_H
 
-#include <functional>
 #include <string>
 
 #include "src/common/stats.h"
@@ -24,6 +23,7 @@
 #include "src/mem/priority_link.h"
 #include "src/mem/value_store.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -49,7 +49,10 @@ struct MemoryParams
 class MainMemory
 {
   public:
-    using FetchCallback = std::function<void(Cycle)>;
+    /** Fill completion; runs at the cycle the data lands on-chip.
+     *  Its 16 bytes hold the L2's `this` and line, and it rides
+     *  inside the link's Deliver closures (EventQueue::Callback). */
+    using FetchCallback = InlineFunction<void(Cycle), 16>;
 
     MainMemory(EventQueue &eq, ValueStore &values,
                const MemoryParams &params);

@@ -39,12 +39,12 @@ PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
         queue_delay_.sample(0.0);
         queue_delay_hist_.sample(0.0);
         if (deliver)
-            eq_.schedule(done, std::move(deliver));
+            eq_.schedule(done, deliver);
         return;
     }
 
     queues_[static_cast<unsigned>(cls)].push_back(
-        Message{bytes, ready, std::move(deliver)});
+        Message{bytes, ready, deliver});
     if (!busy_) {
         // Kick the pump at the message's ready time (or now).
         const Cycle at = std::max(ready, eq_.now());
@@ -66,8 +66,8 @@ PriorityLink::queuedBytes() const
 {
     std::uint64_t n = 0;
     for (const auto &q : queues_)
-        for (const Message &m : q)
-            n += m.bytes;
+        for (std::size_t i = 0; i < q.size(); ++i)
+            n += q[i].bytes;
     return n;
 }
 
@@ -84,11 +84,11 @@ PriorityLink::pump()
     // write buffer gets promoted: real controllers must drain
     // writebacks before the buffer backs up into the cache.
     constexpr std::size_t kWbHighWater = 16;
-    std::deque<Message> *queue = nullptr;
+    RingQueue<Message> *queue = nullptr;
     std::size_t index = 0;
     Cycle earliest_future = kCycleNever;
 
-    auto scan = [&](std::deque<Message> &q) {
+    auto scan = [&](RingQueue<Message> &q) {
         for (std::size_t i = 0; i < q.size(); ++i) {
             if (q[i].ready <= now) {
                 queue = &q;
@@ -116,8 +116,8 @@ PriorityLink::pump()
         return;
     }
 
-    Message msg = std::move((*queue)[index]);
-    queue->erase(queue->begin() + static_cast<std::ptrdiff_t>(index));
+    const Message msg = (*queue)[index];
+    queue->erase(index);
 
     queue_delay_.sample(static_cast<double>(now - msg.ready));
     queue_delay_hist_.sample(static_cast<double>(now - msg.ready));
@@ -129,19 +129,22 @@ PriorityLink::pump()
 
     busy_ = true;
     inflight_bytes_ = msg.bytes;
-    eq_.schedule(done, [this, deliver = std::move(msg.deliver),
-                        bytes = msg.bytes](Cycle at) mutable {
-        completeTransfer(std::move(deliver), at, bytes);
+    inflight_deliver_ = msg.deliver;
+    eq_.schedule(done, [this, bytes = msg.bytes](Cycle at) {
+        completeTransfer(at, bytes);
     });
 }
 
 void
-PriorityLink::completeTransfer(Deliver deliver, Cycle done,
-                               unsigned bytes)
+PriorityLink::completeTransfer(Cycle done, unsigned bytes)
 {
     busy_ = false;
     inflight_bytes_ = 0;
     delivered_bytes_ += bytes;
+    // Copied out: with busy_ clear, whatever the delivery triggers may
+    // start the next transfer, which reuses the member.
+    const Deliver deliver = inflight_deliver_;
+    inflight_deliver_ = nullptr;
     if (deliver)
         deliver(done);
     pump();

@@ -19,10 +19,9 @@
 #define CMPSIM_MEM_PRIORITY_LINK_H
 
 #include <array>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/sim/event_queue.h"
@@ -43,7 +42,8 @@ inline constexpr unsigned kLinkClasses = 3;
 class PriorityLink
 {
   public:
-    using Deliver = std::function<void(Cycle)>;
+    /** Runs at the cycle a message's last byte lands. */
+    using Deliver = EventQueue::Callback;
 
     /**
      * @param bytes_per_cycle pin rate (20 GB/s @ 5 GHz = 4)
@@ -106,9 +106,9 @@ class PriorityLink
     /** Start the next transmission if the channel is idle. */
     void pump();
 
-    /** End-of-transfer bookkeeping + delivery (the completion event's
-     *  body). */
-    void completeTransfer(Deliver deliver, Cycle done, unsigned bytes);
+    /** End-of-transfer bookkeeping + delivery of inflight_deliver_
+     *  (the completion event's body). */
+    void completeTransfer(Cycle done, unsigned bytes);
 
     /** Serialization time for @p bytes starting at @p start. */
     Cycle
@@ -125,8 +125,12 @@ class PriorityLink
     double rate_;
     bool infinite_;
 
-    std::array<std::deque<Message>, kLinkClasses> queues_;
+    std::array<RingQueue<Message>, kLinkClasses> queues_;
     bool busy_ = false;
+    /** The transmitting message's delivery. Only one message is on
+     *  the channel at a time (busy_), so its completion event
+     *  captures just the byte count. */
+    Deliver inflight_deliver_;
     double cursor_ = 0.0; ///< fractional end of the last transmission
 
     Counter total_bytes_;

@@ -17,6 +17,9 @@ StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
     cmpsim_assert(params.filter_entries > 0);
     cmpsim_assert(params.stream_entries > 0);
     cmpsim_assert(params.train_count >= 2);
+    cmpsim_assert(params.startup_prefetches <= kMaxStartupPrefetches,
+                  "startup depth %u, limit %u", params.startup_prefetches,
+                  kMaxStartupPrefetches);
 }
 
 StridePrefetcher::FilterEntry *
@@ -61,7 +64,7 @@ StridePrefetcher::samePage(std::int64_t a, std::int64_t b) const
            static_cast<std::uint64_t>(b) / params_.page_lines;
 }
 
-std::vector<Addr>
+StridePrefetcher::Prefetches
 StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
                               unsigned startup_limit)
 {
@@ -85,8 +88,7 @@ StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
     victim->stride = stride;
     victim->lru = tick_;
 
-    std::vector<Addr> out;
-    out.reserve(n);
+    Prefetches out;
     for (unsigned i = 1; i <= n; ++i) {
         const std::int64_t l = line + stride * static_cast<int>(i);
         if (l < 0 || !samePage(line, l))
@@ -134,7 +136,7 @@ StridePrefetcher::findStream(std::int64_t line)
     return nullptr;
 }
 
-std::vector<Addr>
+StridePrefetcher::Prefetches
 StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
                                 unsigned startup_limit)
 {
@@ -149,7 +151,7 @@ StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
         return {};
     }
     ++stream_advances_;
-    std::vector<Addr> out;
+    Prefetches out;
     // The demand head moved; keep the prefetch head a bounded
     // distance in front of it (the startup depth), as the Power4
     // ramping scheme does.
@@ -164,7 +166,7 @@ StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
     return out;
 }
 
-std::vector<Addr>
+StridePrefetcher::Prefetches
 StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
 {
     ++tick_;
@@ -182,7 +184,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
         if (++e->count >= params_.train_count) {
             e->valid = false;
             return startup_limit ? allocStream(line, +1, startup_limit)
-                                 : std::vector<Addr>{};
+                                 : Prefetches{};
         }
         return {};
     }
@@ -194,7 +196,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
         if (++e->count >= params_.train_count) {
             e->valid = false;
             return startup_limit ? allocStream(line, -1, startup_limit)
-                                 : std::vector<Addr>{};
+                                 : Prefetches{};
         }
         return {};
     }
@@ -208,7 +210,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
             e->valid = false;
             return startup_limit
                        ? allocStream(line, stride, startup_limit)
-                       : std::vector<Addr>{};
+                       : Prefetches{};
         }
         return {};
     }
@@ -217,8 +219,8 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
     // address alone; the non-unit table pairs it with a recent miss.
     allocFilter(pos_unit_, line, +1, 1);
     allocFilter(neg_unit_, line, -1, 1);
-    for (const std::int64_t m : recent_misses_) {
-        const std::int64_t d = line - m;
+    for (std::size_t i = 0; i < recent_misses_.size(); ++i) {
+        const std::int64_t d = line - recent_misses_[i];
         if (d != 0 && std::abs(d) > 1 &&
             std::abs(d) <= params_.max_stride) {
             allocFilter(non_unit_, line, d, 2);
@@ -231,7 +233,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
     return {};
 }
 
-std::vector<Addr>
+StridePrefetcher::Prefetches
 StridePrefetcher::observeUse(Addr line_addr, unsigned startup_limit)
 {
     ++tick_;

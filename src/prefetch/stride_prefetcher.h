@@ -22,14 +22,20 @@
 #define CMPSIM_PREFETCH_STRIDE_PREFETCHER_H
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "src/common/inline_vector.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 
 namespace cmpsim {
+
+/** Largest startup depth a prefetcher may be built with; bounds the
+ *  addresses one observeMiss() or observeUse() returns. The paper's
+ *  L2 prefetchers use 25. */
+inline constexpr unsigned kMaxStartupPrefetches = 32;
 
 /** Static configuration of one prefetcher instance. */
 struct PrefetcherParams
@@ -43,7 +49,8 @@ struct PrefetcherParams
     /** Fixed-stride misses required to allocate a stream. */
     unsigned train_count = 4;
 
-    /** Startup prefetches per new stream (6 for L1, 25 for L2). */
+    /** Startup prefetches per new stream (6 for L1, 25 for L2), at
+     *  most kMaxStartupPrefetches. */
     unsigned startup_prefetches = 6;
 
     /** Largest |stride| (in lines) the non-unit table learns. */
@@ -62,6 +69,9 @@ struct PrefetcherParams
 class StridePrefetcher
 {
   public:
+    /** Line addresses to prefetch, in issue order. */
+    using Prefetches = InlineVector<Addr, kMaxStartupPrefetches>;
+
     explicit StridePrefetcher(const PrefetcherParams &params);
 
     /**
@@ -71,14 +81,14 @@ class StridePrefetcher
      *        0 disables stream allocation and prefetch issue.
      * @return line addresses to prefetch now.
      */
-    std::vector<Addr> observeMiss(Addr line_addr, unsigned startup_limit);
+    Prefetches observeMiss(Addr line_addr, unsigned startup_limit);
 
     /**
      * Observe the first demand use of a prefetched block (a "prefetch
      * hit"); the owning stream advances one line.
      * @return line addresses to prefetch now.
      */
-    std::vector<Addr> observeUse(Addr line_addr, unsigned startup_limit);
+    Prefetches observeUse(Addr line_addr, unsigned startup_limit);
 
     const PrefetcherParams &params() const { return params_; }
 
@@ -130,8 +140,8 @@ class StridePrefetcher
                      std::int64_t stride, unsigned count);
 
     /** Allocate a stream and emit its startup burst. */
-    std::vector<Addr> allocStream(std::int64_t line, std::int64_t stride,
-                                  unsigned startup_limit);
+    Prefetches allocStream(std::int64_t line, std::int64_t stride,
+                           unsigned startup_limit);
 
     /** Find the stream whose window covers @p line, or nullptr. */
     StreamEntry *findStream(std::int64_t line);
@@ -140,16 +150,15 @@ class StridePrefetcher
     bool samePage(std::int64_t a, std::int64_t b) const;
 
     /** Advance @p stream past demand @p line; maybe prefetch. */
-    std::vector<Addr> advanceStream(StreamEntry &stream,
-                                    std::int64_t line,
-                                    unsigned startup_limit);
+    Prefetches advanceStream(StreamEntry &stream, std::int64_t line,
+                             unsigned startup_limit);
 
     PrefetcherParams params_;
     FilterTable pos_unit_;
     FilterTable neg_unit_;
     FilterTable non_unit_;
     std::vector<StreamEntry> streams_;
-    std::deque<std::int64_t> recent_misses_;
+    RingQueue<std::int64_t> recent_misses_;
     std::uint64_t tick_ = 0;
 
     Counter streams_alloc_;

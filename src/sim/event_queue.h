@@ -8,7 +8,9 @@
  * in scheduling order (stable), which keeps runs bit-reproducible.
  * A callback receives the cycle it was scheduled for, so a component's
  * completion callback (`void(Cycle)`) is scheduled as is, without a
- * wrapper closure that only re-supplies the cycle.
+ * wrapper closure that only re-supplies the cycle. Callbacks are
+ * InlineFunctions: scheduling copies the closure into the slab and
+ * never allocates.
  *
  * Implementation notes (hot path — this queue executes every timed
  * cache/link/memory transaction in the simulator):
@@ -20,7 +22,7 @@
  *    pending: the slab grows in fixed-size chunks, and freed slots are
  *    recycled through a free list.
  *
- *  - A callback runs in place in its slot and is destroyed after it
+ *  - A callback runs in place in its slot, which is recycled after it
  *    returns, so a callback that schedules more events (and grows the
  *    slab) never invalidates itself.
  *
@@ -37,15 +39,14 @@
 #define CMPSIM_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/common/log.h"
 #include "src/common/types.h"
 #include "src/obs/profiler.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -53,8 +54,16 @@ namespace cmpsim {
 class EventQueue
 {
   public:
+    /**
+     * Inline closure bytes of a Callback. The widest timed-path
+     * closures fill it exactly: L2Cache::request's lookup event and
+     * MainMemory::fetchLine's request delivery, each a `this`, three
+     * scalars and a 24-byte nested completion.
+     */
+    static constexpr std::size_t kCallbackBytes = 56;
+
     /** An event body; receives the cycle it was scheduled for. */
-    using Callback = std::function<void(Cycle)>;
+    using Callback = InlineFunction<void(Cycle), kCallbackBytes>;
 
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
@@ -86,7 +95,7 @@ class EventQueue
                       "schedule into the past: when=%llu now=%llu",
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
-        const Key key{when, seq_++, acquireSlot(std::move(cb))};
+        const Key key{when, seq_++, acquireSlot(cb)};
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
@@ -163,6 +172,8 @@ class EventQueue
         }
     };
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+    static_assert(sizeof(Callback) == 64 &&
+                  std::is_trivially_copyable_v<Callback>);
 
     static constexpr unsigned kChunkShift = 8;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
@@ -185,24 +196,21 @@ class EventQueue
     }
 
     std::uint32_t
-    acquireSlot(Callback cb)
+    acquireSlot(const Callback &cb)
     {
         if (free_.empty())
             addChunk();
         const std::uint32_t slot = free_.back();
         free_.pop_back();
-        pending(slot) = std::move(cb);
+        pending(slot) = cb;
         return slot;
     }
 
-    /** Run @p k's callback in its slot, then destroy it and recycle
-     *  the slot. */
+    /** Run @p k's callback in its slot, then recycle the slot. */
     void
     fire(const Key &k)
     {
-        Callback &cb = pending(k.slot);
-        cb(k.when);
-        cb = nullptr;
+        pending(k.slot)(k.when);
         free_.push_back(k.slot);
     }
 

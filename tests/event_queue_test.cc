@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace cmpsim {
@@ -118,11 +119,13 @@ TEST(EventQueueTest, NestedSameCycleCascadeRunsToCompletion)
 {
     EventQueue eq;
     int depth = 0;
+    // The self-reference lives in a std::function outside the queue;
+    // each event holds only a reference to it.
     std::function<void(Cycle)> chain = [&](Cycle) {
         if (++depth < 10)
-            eq.schedule(eq.now(), chain);
+            eq.schedule(eq.now(), [&chain](Cycle c) { chain(c); });
     };
-    eq.schedule(3, chain);
+    eq.schedule(3, [&chain](Cycle c) { chain(c); });
     EXPECT_EQ(eq.drain(), 10u);
     EXPECT_EQ(depth, 10);
     EXPECT_TRUE(eq.empty());

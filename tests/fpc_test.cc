@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/random.h"
 
 namespace cmpsim {
@@ -13,6 +15,48 @@ lineOfWords(std::uint32_t w)
     LineData d{};
     for (unsigned i = 0; i < kWordsPerLine; ++i)
         setLineWord(d, i, w);
+    return d;
+}
+
+/** A line drawn from a word mixture that hits every FPC pattern. */
+LineData
+patternMixLine(Random &rng)
+{
+    LineData d{};
+    for (unsigned i = 0; i < kWordsPerLine; ++i) {
+        switch (rng.below(8)) {
+          case 0:
+            setLineWord(d, i, 0);
+            break;
+          case 1:
+            setLineWord(d, i,
+                        static_cast<std::uint32_t>(rng.inRange(0, 15)) - 8);
+            break;
+          case 2:
+            setLineWord(d, i, static_cast<std::uint32_t>(
+                                  static_cast<std::int32_t>(
+                                      rng.inRange(0, 255)) -
+                                  128));
+            break;
+          case 3:
+            setLineWord(d, i, static_cast<std::uint32_t>(
+                                  static_cast<std::int32_t>(
+                                      rng.inRange(0, 65535)) -
+                                  32768));
+            break;
+          case 4:
+            setLineWord(d, i, static_cast<std::uint32_t>(rng.next()) << 16);
+            break;
+          case 5: {
+            const auto b = static_cast<std::uint32_t>(rng.below(256));
+            setLineWord(d, i, b * 0x01010101u);
+            break;
+          }
+          default:
+            setLineWord(d, i, static_cast<std::uint32_t>(rng.next()));
+            break;
+        }
+    }
     return d;
 }
 
@@ -146,6 +190,47 @@ TEST_F(FpcTest, CompressIsDeterministic)
     EXPECT_EQ(a.segments, b.segments);
 }
 
+TEST_F(FpcTest, SizingWithoutStreamMatchesEmittingPath)
+{
+    // compress(line) skips building the bit stream; its size must be
+    // the one compress(line, &bs) reports.
+    std::vector<LineData> corpus = {
+        zeroLine(),
+        lineOfWords(5),
+        lineOfWords(7),
+        lineOfWords(0xffffff9cu),
+        lineOfWords(12345),
+        lineOfWords(0xbeef0000u),
+        lineOfWords(0x00140037u),
+        lineOfWords(0x77777777u),
+        lineOfWords(0x00010002u),
+    };
+    LineData split{};
+    setLineWord(split, 8, 0x12345678u);
+    corpus.push_back(split);
+    LineData incompressible{};
+    for (unsigned i = 0; i < kWordsPerLine; ++i)
+        setLineWord(incompressible, i, 0x89abcdefu + i * 0x01010101u);
+    corpus.push_back(incompressible);
+    Random rng(17);
+    for (int i = 0; i < 500; ++i)
+        corpus.push_back(patternMixLine(rng));
+    for (int i = 0; i < 100; ++i) {
+        LineData raw{};
+        for (unsigned w = 0; w < kWordsPerLine; ++w)
+            setLineWord(raw, w, static_cast<std::uint32_t>(rng.next()));
+        corpus.push_back(raw);
+    }
+
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        BitStream bs;
+        const auto sized = fpc.compress(corpus[i]);
+        const auto emitted = fpc.compress(corpus[i], &bs);
+        ASSERT_EQ(sized.bits, emitted.bits) << "line " << i;
+        ASSERT_EQ(sized.segments, emitted.segments) << "line " << i;
+    }
+}
+
 TEST_F(FpcTest, DataBitsMatchSpec)
 {
     using P = FpcCompressor::Pattern;
@@ -169,44 +254,7 @@ TEST_P(FpcPropertyTest, RandomizedRoundTripAndSizeBound)
     Random rng(GetParam());
     FpcCompressor fpc;
     for (int trial = 0; trial < 400; ++trial) {
-        LineData d{};
-        for (unsigned i = 0; i < kWordsPerLine; ++i) {
-            // Draw from a mixture that hits all patterns.
-            switch (rng.below(8)) {
-              case 0:
-                setLineWord(d, i, 0);
-                break;
-              case 1:
-                setLineWord(d, i, static_cast<std::uint32_t>(
-                                      rng.inRange(0, 15)) -
-                                      8);
-                break;
-              case 2:
-                setLineWord(d, i, static_cast<std::uint32_t>(
-                                      static_cast<std::int32_t>(
-                                          rng.inRange(0, 255)) -
-                                      128));
-                break;
-              case 3:
-                setLineWord(d, i, static_cast<std::uint32_t>(
-                                      static_cast<std::int32_t>(
-                                          rng.inRange(0, 65535)) -
-                                      32768));
-                break;
-              case 4:
-                setLineWord(d, i,
-                            static_cast<std::uint32_t>(rng.next()) << 16);
-                break;
-              case 5: {
-                const auto b = static_cast<std::uint32_t>(rng.below(256));
-                setLineWord(d, i, b * 0x01010101u);
-                break;
-              }
-              default:
-                setLineWord(d, i, static_cast<std::uint32_t>(rng.next()));
-                break;
-            }
-        }
+        const LineData d = patternMixLine(rng);
         BitStream bs;
         const auto size = fpc.compress(d, &bs);
         ASSERT_GE(size.segments, 1u);

@@ -109,6 +109,22 @@ TEST(ConfigValidateTest, RejectsZeroAndOversizedCores)
     EXPECT_THROW(c.validate(), ConfigError);
 }
 
+TEST(ConfigValidateTest, RejectsTagsAndStartupDepthPastInlineBounds)
+{
+    // Adaptive prefetching adds the victim tags to every set.
+    SystemConfig c = makeConfig(8, 4, false, false, true, true);
+    c.extra_victim_tags = kMaxSetTags - 8;
+    EXPECT_NO_THROW(c.validate());
+    c.extra_victim_tags = kMaxSetTags - 7;
+    EXPECT_THROW(c.validate(), ConfigError);
+
+    c = makeConfig(8, 4, false, false, true, false);
+    c.l2_startup_prefetches = kMaxStartupPrefetches;
+    EXPECT_NO_THROW(c.validate());
+    c.l2_startup_prefetches = kMaxStartupPrefetches + 1;
+    EXPECT_THROW(c.validate(), ConfigError);
+}
+
 TEST(ConfigValidateTest, RejectsZeroScale)
 {
     SystemConfig c = makeConfig(8, 4, false, false, false, false);
