@@ -88,9 +88,12 @@ banner(const char *title, const char *paper_ref, unsigned seeds)
     const RunLengths &len = env.lengths;
     std::printf("=== %s ===\n", title);
     std::printf("paper: %s\n", paper_ref);
-    std::printf("setup: scale=%u (L2 %u KB), warmup=%llu, "
+    std::printf("setup: scale=%u (L2 %llu KB), warmup=%llu, "
                 "measure=%llu instr/core, seeds=%u\n\n",
-                env.scale, 4096 / env.scale,
+                env.scale,
+                static_cast<unsigned long long>(
+                    configFor(Cfg::Base).l2Params().dataCapacityBytes() /
+                    1024),
                 static_cast<unsigned long long>(len.warmup_per_core),
                 static_cast<unsigned long long>(len.measure_per_core),
                 seeds);
@@ -98,7 +101,8 @@ banner(const char *title, const char *paper_ref, unsigned seeds)
 
 /**
  * A bench's main(): check the standard config first, so a bad
- * CMPSIM_SCALE fails before banner() divides by it, then run @p body.
+ * CMPSIM_SCALE fails before banner() derives the L2 size from it,
+ * then run @p body.
  * A SimError (a malformed knob, an impossible config, a refused
  * point) prints one "<bench>: error: [kind] ..." line to stderr and
  * exits 2; every other exit status is @p body's own.

@@ -343,7 +343,6 @@ BM_L2FunctionalAccess(benchmark::State &state)
     p2.banks = 8;
     p2.cores = 1;
     L2Cache l2(eq, values, mem, p2);
-    l2.setFunctionalMode(true);
     Random rng(3);
     for (auto _ : state) {
         benchmark::DoNotOptimize(l2.accessFunctional(

@@ -181,8 +181,7 @@ run()
     // Fast-forward throughput, warming (cache/prefetcher state
     // updated) and pure-skip (workload position + value store only).
     {
-        SystemConfig cfg = configFor(Cfg::Base);
-        cfg.sampling = plans[0]; // arms the engine
+        const SystemConfig cfg = configFor(Cfg::Base);
         CmpSystem sys(cfg, benchmarkParams("zeus"));
         sys.warmup(10000);
         const std::uint64_t burst = 2'000'000;

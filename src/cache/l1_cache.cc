@@ -86,7 +86,8 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
-            eq_.schedule(when + params_.hit_latency, done);
+            if (done)
+                eq_.schedule(when + params_.hit_latency, done);
             return;
         }
         // Write to an S line: upgrade through the directory.
@@ -116,6 +117,7 @@ void
 L1Cache::demandMiss(Addr line, bool is_write, Cycle when,
                     const Done &done)
 {
+    cmpsim_assert(static_cast<bool>(done), "a miss needs a completion");
     if (Mshr *m = findMshr(line)) {
         if (m->prefetch_only)
             ++partial_hits_;
@@ -184,7 +186,7 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
         entry.pf_source = prefetch_only ? PfSource::L1 : PfSource::None;
         entry.was_compressed = was_compressed;
         for (const TagEntry &victim : set.insert(entry))
-            handleVictim(victim, at);
+            handleVictim(victim, at, false);
         e = set.find(line);
     } else {
         e->dirty = e->dirty || exclusive;
@@ -210,7 +212,8 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
 }
 
 void
-L1Cache::handleVictim(const TagEntry &victim, Cycle when)
+L1Cache::handleVictim(const TagEntry &victim, Cycle when,
+                      bool functional)
 {
     if (victim.prefetch) {
         ++pf_useless_evicted_;
@@ -219,9 +222,7 @@ L1Cache::handleVictim(const TagEntry &victim, Cycle when)
     }
     if (victim.dirty) {
         ++writebacks_;
-        // In functional mode the L2 has been switched functional too,
-        // so this charges no bandwidth.
-        l2_.writeback(cpu_, victim.line, when);
+        l2_.writeback(cpu_, victim.line, when, functional);
     } else {
         l2_.sharerEvict(cpu_, victim.line);
     }
@@ -245,16 +246,6 @@ L1Cache::downgradeLine(Addr line)
 
 bool
 L1Cache::accessFunctional(Addr addr, bool is_write)
-{
-    const bool l2_mode = l2_.functionalMode();
-    l2_.setFunctionalMode(true);
-    const bool hit = accessFunctionalImpl(addr, is_write);
-    l2_.setFunctionalMode(l2_mode);
-    return hit;
-}
-
-bool
-L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
 {
     const Addr line = lineAddr(addr);
     DecoupledSet &set = sets_[setIndex(line)];
@@ -296,10 +287,8 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
     entry.line = line;
     entry.valid = true;
     entry.dirty = is_write;
-    functional_mode_ = true;
     for (const TagEntry &victim : set.insert(entry))
-        handleVictim(victim, 0);
-    functional_mode_ = false;
+        handleVictim(victim, 0, true);
 
     // Functional prefetches: instant fills with the prefetch bit set.
     for (Addr a : to_prefetch) {
@@ -317,10 +306,8 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
         pf.valid = true;
         pf.prefetch = true;
         pf.pf_source = PfSource::L1;
-        functional_mode_ = true;
         for (const TagEntry &victim : sets_[setIndex(a)].insert(pf))
-            handleVictim(victim, 0);
-        functional_mode_ = false;
+            handleVictim(victim, 0, true);
     }
     return false;
 }

@@ -85,6 +85,8 @@ class L1Cache
 
     /**
      * Timed demand access (load, store, or instruction fetch).
+     * @p done may be empty only for a plain hit (a pipelined I-fetch
+     * hit), which then schedules no completion event.
      * @pre canAccept(addr).
      */
     void access(Addr addr, bool is_write, Cycle when, Done done);
@@ -98,13 +100,12 @@ class L1Cache
     /** L2 coherence: demote an M copy to S (data already merged). */
     void downgradeLine(Addr line);
 
-    /** Functional access for warmup. @return true on hit. */
+    /**
+     * Functional access (warmup and fast-forward): updates tags,
+     * directory and prefetcher state with no timing, and charges no
+     * bandwidth for the evictions it causes. @return true on hit.
+     */
     bool accessFunctional(Addr addr, bool is_write);
-
-  private:
-    bool accessFunctionalImpl(Addr addr, bool is_write);
-
-  public:
 
     unsigned cpu() const { return cpu_; }
     const L1Params &params() const { return params_; }
@@ -184,8 +185,9 @@ class L1Cache
     /** Response from the L2 for @p line. */
     void fill(Addr line, Cycle at, bool exclusive, bool was_compressed);
 
-    /** Evicted-line handling (writeback or sharer notification). */
-    void handleVictim(const TagEntry &victim, Cycle when);
+    /** Evicted-line handling (writeback or sharer notification); a
+     *  @p functional eviction's writeback charges no bandwidth. */
+    void handleVictim(const TagEntry &victim, Cycle when, bool functional);
 
     /** First demand use of a prefetched line. */
     void onPrefetchBitHit(TagEntry &e, Cycle when);
@@ -205,7 +207,6 @@ class L1Cache
 
     StridePrefetcher *prefetcher_ = nullptr;
     AdaptivePrefetchController *adaptive_ = nullptr;
-    bool functional_mode_ = false;
 
     Counter accesses_;
     Counter hits_;

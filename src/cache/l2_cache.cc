@@ -305,7 +305,7 @@ L2Cache::grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
         entry.segments =
             static_cast<std::uint8_t>(storedSegments(line));
         for (const TagEntry &victim : set.insert(entry))
-            handleVictim(victim, ready);
+            handleVictim(victim, ready, false);
         e = set.find(line);
     }
     cmpsim_assert(e != nullptr);
@@ -428,7 +428,7 @@ L2Cache::fill(Addr line, Cycle arrival)
         verifyFillRoundTrip(line);
 
     for (const TagEntry &victim : set.insert(entry))
-        handleVictim(victim, arrival);
+        handleVictim(victim, arrival, false);
 
     if (journal_ != nullptr) {
         const TagEntry *filled = set.find(line);
@@ -468,14 +468,15 @@ L2Cache::verifyFillRoundTrip(Addr line)
 }
 
 void
-L2Cache::handleVictim(const TagEntry &victim, Cycle when)
+L2Cache::handleVictim(const TagEntry &victim, Cycle when,
+                      bool functional)
 {
     ++evictions_;
     bool dirty = victim.dirty;
 
     if (victim.owner != kNoOwner) {
         ++invalidations_sent_;
-        if (!functional_mode_)
+        if (!functional)
             onchip_.reserve(when, kDataBytes); // retrieve modified data
         if (l1_invalidate_ &&
             l1_invalidate_(static_cast<unsigned>(victim.owner),
@@ -486,7 +487,7 @@ L2Cache::handleVictim(const TagEntry &victim, Cycle when)
     for (unsigned c = 0; c < params_.cores; ++c) {
         if (victim.hasSharer(c)) {
             ++invalidations_sent_;
-            if (!functional_mode_)
+            if (!functional)
                 onchip_.reserve(when, kCtrlBytes);
             if (l1_invalidate_)
                 l1_invalidate_(c, victim.line);
@@ -500,17 +501,17 @@ L2Cache::handleVictim(const TagEntry &victim, Cycle when)
             adaptive_->onUselessPrefetch();
     }
 
-    if (dirty && !functional_mode_) {
+    if (dirty && !functional) {
         ++memory_writebacks_;
         memory_.writebackLine(victim.line, when);
     }
 }
 
 void
-L2Cache::writeback(unsigned cpu, Addr line, Cycle when)
+L2Cache::writeback(unsigned cpu, Addr line, Cycle when, bool functional)
 {
     ++l1_writebacks_;
-    if (!functional_mode_)
+    if (!functional)
         onchip_.reserve(when, kDataBytes);
 
     DecoupledSet &set = sets_[setIndex(line)];
@@ -518,7 +519,7 @@ L2Cache::writeback(unsigned cpu, Addr line, Cycle when)
     if (e == nullptr) {
         // The L2 copy is gone (concurrent eviction path); forward the
         // dirty data straight to memory to preserve it.
-        if (!functional_mode_) {
+        if (!functional) {
             ++memory_writebacks_;
             memory_.writebackLine(line, when);
         }
@@ -533,7 +534,7 @@ L2Cache::writeback(unsigned cpu, Addr line, Cycle when)
     const unsigned segs = storedSegments(line);
     if (segs != e->segments) {
         for (const TagEntry &victim : set.resize(line, segs))
-            handleVictim(victim, when);
+            handleVictim(victim, when, functional);
     }
 }
 
@@ -653,14 +654,8 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
     if (params_.verify_fill_roundtrip)
         verifyFillRoundTrip(line);
 
-    {
-        // Victim handling with no bandwidth accounting.
-        const bool saved = functional_mode_;
-        functional_mode_ = true;
-        for (const TagEntry &victim : set.insert(entry))
-            handleVictim(victim, 0);
-        functional_mode_ = saved;
-    }
+    for (const TagEntry &victim : set.insert(entry))
+        handleVictim(victim, 0, true);
 
     if (type != ReqType::L2Prefetch) {
         StridePrefetcher *pf = prefetchers_[cpu];
@@ -681,13 +676,6 @@ L2Cache::effectiveBytes() const
     for (const auto &set : sets_)
         lines += set.validCount();
     return lines * kLineBytes;
-}
-
-std::uint64_t
-L2Cache::dataCapacityBytes() const
-{
-    return static_cast<std::uint64_t>(params_.sets) *
-           params_.segment_budget * kSegmentBytes;
 }
 
 double

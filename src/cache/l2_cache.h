@@ -105,6 +105,14 @@ struct L2Params
     /** Audit builds: verify an FPC compress -> decompress round-trip
      *  of the line's current value on every L2 fill. */
     bool verify_fill_roundtrip = false;
+
+    /** Data capacity in bytes (sets x segment budget x 8). */
+    std::uint64_t
+    dataCapacityBytes() const
+    {
+        return static_cast<std::uint64_t>(sets) * segment_budget *
+               kSegmentBytes;
+    }
 };
 
 /** The shared inclusive L2 with its on-chip interconnect. */
@@ -154,14 +162,6 @@ class L2Cache
     void setJournal(MissJournal *j) { journal_ = j; }
 
     /**
-     * Functional (warmup) mode: state changes apply instantly and no
-     * bandwidth is charged, so warmup cannot leave a backlog on the
-     * timed channels.
-     */
-    void setFunctionalMode(bool on) { functional_mode_ = on; }
-    bool functionalMode() const { return functional_mode_; }
-
-    /**
      * Timed request from L1 @p cpu for @p line.
      * @param exclusive store permission needed (GETX/upgrade)
      * @param type demand / L1 prefetch / L2 prefetch
@@ -171,8 +171,13 @@ class L2Cache
     void request(unsigned cpu, Addr line, bool exclusive, ReqType type,
                  Cycle when, Done done);
 
-    /** L1 dirty eviction: merge data, charge on-chip traffic. Atomic. */
-    void writeback(unsigned cpu, Addr line, Cycle when);
+    /**
+     * L1 dirty eviction: merge data, charge on-chip traffic. Atomic.
+     * A @p functional eviction (warmup or fast-forward) charges no
+     * bandwidth and forwards nothing to memory, so functional
+     * execution cannot leave a backlog on the timed channels.
+     */
+    void writeback(unsigned cpu, Addr line, Cycle when, bool functional);
 
     /** L1 clean eviction: clear the sharer bit. Atomic, free. */
     void sharerEvict(unsigned cpu, Addr line);
@@ -195,7 +200,11 @@ class L2Cache
     std::uint64_t effectiveBytes() const;
 
     /** Data capacity in bytes (sets x segment budget x 8). */
-    std::uint64_t dataCapacityBytes() const;
+    std::uint64_t
+    dataCapacityBytes() const
+    {
+        return params_.dataCapacityBytes();
+    }
 
     /** Current compression ratio (effective / capacity). */
     double
@@ -303,8 +312,10 @@ class L2Cache
     /** Debug-mode FPC round-trip of the line being filled. */
     void verifyFillRoundTrip(Addr line);
 
-    /** Handle one evicted L2 line (inclusion + writeback + stats). */
-    void handleVictim(const TagEntry &victim, Cycle when);
+    /** Handle one evicted L2 line (inclusion + writeback + stats); a
+     *  @p functional eviction charges no bandwidth and writes nothing
+     *  back to memory. */
+    void handleVictim(const TagEntry &victim, Cycle when, bool functional);
 
     /** Train the per-core L2 prefetcher on a miss at @p line. */
     void trainPrefetcher(unsigned cpu, Addr line, Cycle when);
@@ -343,7 +354,6 @@ class L2Cache
     L1Downgrader l1_downgrade_;
     MissObserver miss_observer_;
     MissJournal *journal_ = nullptr;
-    bool functional_mode_ = false;
 
     // Statistics.
     Counter demand_accesses_;

@@ -26,11 +26,12 @@ CoreModel::fetchAvailable(Addr pc, Cycle now)
         return true;
 
     if (icache_.probeHit(line)) {
-        // Pipelined I-hit: no stall, but the access still updates LRU,
-        // prefetch bits and the I-prefetcher.
+        // Pipelined I-hit: no stall and no completion to wait for, but
+        // the access still updates LRU, prefetch bits and the
+        // I-prefetcher.
         ++ifetch_lines_;
         last_fetch_line_ = line;
-        icache_.access(line, false, now, [](Cycle) {});
+        icache_.access(line, false, now, nullptr);
         return true;
     }
 
@@ -286,8 +287,9 @@ CoreModel::tick(Cycle now)
     return nw;
 }
 
+template <bool Warm>
 void
-CoreModel::runFunctional(std::uint64_t count)
+CoreModel::runFunctionalBody(std::uint64_t count)
 {
     for (std::uint64_t i = 0; i < count; ++i) {
         const Instruction in = stream_.next();
@@ -295,18 +297,21 @@ CoreModel::runFunctional(std::uint64_t count)
         if (iline != last_fetch_line_) {
             ++ifetch_lines_;
             last_fetch_line_ = iline;
-            icache_.accessFunctional(in.pc, false);
+            if constexpr (Warm)
+                icache_.accessFunctional(in.pc, false);
         }
         switch (in.type) {
           case InstrType::Load:
             ++loads_;
-            dcache_.accessFunctional(in.addr, false);
+            if constexpr (Warm)
+                dcache_.accessFunctional(in.addr, false);
             break;
           case InstrType::Store:
             ++stores_;
             values_.writeWord(in.addr & ~static_cast<Addr>(3),
                               in.store_value);
-            dcache_.accessFunctional(in.addr, true);
+            if constexpr (Warm)
+                dcache_.accessFunctional(in.addr, true);
             break;
           case InstrType::Branch:
             ++branches_;
@@ -321,34 +326,15 @@ CoreModel::runFunctional(std::uint64_t count)
 }
 
 void
+CoreModel::runFunctional(std::uint64_t count)
+{
+    runFunctionalBody<true>(count);
+}
+
+void
 CoreModel::runSkip(std::uint64_t count)
 {
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const Instruction in = stream_.next();
-        const Addr iline = lineAddr(in.pc);
-        if (iline != last_fetch_line_) {
-            ++ifetch_lines_;
-            last_fetch_line_ = iline;
-        }
-        switch (in.type) {
-          case InstrType::Load:
-            ++loads_;
-            break;
-          case InstrType::Store:
-            ++stores_;
-            values_.writeWord(in.addr & ~static_cast<Addr>(3),
-                              in.store_value);
-            break;
-          case InstrType::Branch:
-            ++branches_;
-            if (in.mispredict)
-                ++mispredicts_;
-            break;
-          case InstrType::Alu:
-            break;
-        }
-        ++retired_;
-    }
+    runFunctionalBody<false>(count);
 }
 
 void

@@ -69,16 +69,17 @@ class CoreModel
     std::uint64_t instructionsRetired() const { return retired_.value(); }
 
     /**
-     * Run @p count instructions functionally (cache state only, no
-     * timing) for warmup.
+     * Functional warming: run @p count instructions updating cache,
+     * directory and prefetcher state with no timing (warmup and the
+     * warm tail of a fast-forward).
      */
     void runFunctional(std::uint64_t count);
 
     /**
-     * Pure fast-forward: advance @p count instructions of the stream
-     * — identical RNG draws, value-store first touches and store
-     * writes as runFunctional(), so a later functional or detailed
-     * phase continues the exact same workload — but with no cache or
+     * Pure skip: advance @p count instructions of the stream —
+     * identical RNG draws, value-store first touches and store writes
+     * as runFunctional(), so a later functional or detailed phase
+     * continues the exact same workload — but with no cache or
      * prefetcher state updates. The cheap half of a SMARTS-style
      * skip+warm fast-forward (DESIGN.md §14).
      */
@@ -116,6 +117,12 @@ class CoreModel
         std::uint64_t id = ~0ULL; ///< guards stale memory callbacks
         bool completed(Cycle now) const { return done_at <= now; }
     };
+
+    /** The one functional instruction body behind runFunctional()
+     *  (Warm) and runSkip(): both retire the same stream and counters;
+     *  only Warm touches the caches. */
+    template <bool Warm>
+    void runFunctionalBody(std::uint64_t count);
 
     /** Dispatch one instruction at @p now; false when stalled. */
     bool dispatchOne(Cycle now);

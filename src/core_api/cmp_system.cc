@@ -16,9 +16,9 @@ namespace {
  *  "periodically measuring the average effective cache size"). */
 constexpr Cycle kRatioSampleInterval = 20000;
 
-/** Functional warmup interleaves cores in chunks this large so the
- *  shared region and the L2 see a realistic interleaving. */
-constexpr std::uint64_t kWarmupChunk = 2000;
+/** Functional execution interleaves cores in chunks this large so
+ *  the shared region and the L2 see a realistic interleaving. */
+constexpr std::uint64_t kFunctionalChunk = 2000;
 } // namespace
 
 CmpSystem::CmpSystem(const SystemConfig &config,
@@ -158,20 +158,24 @@ CmpSystem::buildSystem()
     }
 
     if (config_.sampling.armed()) {
-        // Statistical sampling (DESIGN.md §14): the fast-forward
-        // engine exists only when a plan is armed so unsampled runs
+        // Statistical sampling (DESIGN.md §14): the fast-forward stats
+        // are registered only when a plan is armed so unsampled runs
         // register no extra stats and their dumps stay byte-identical.
-        std::vector<CoreModel *> raw;
-        for (auto &core : cores_)
-            raw.push_back(core.get());
-        ff_engine_ = std::make_unique<FastForwardEngine>(std::move(raw),
-                                                         *l2_);
-        ff_engine_->registerStats(registry_, "sample");
-        // Conservation: functional execution must retire exactly the
-        // budget handed out — a skipped or double-counted instruction
-        // would silently bias every sampled metric.
+        registry_.registerCounter("sample.ff_instructions",
+                                  &ff_instructions_);
+        registry_.registerCounter("sample.ff_skip_instructions",
+                                  &ff_skip_instructions_);
+        registry_.registerCounter("sample.ff_chunks", &ff_chunks_);
+        // Conservation: fast-forwards must retire exactly the budget
+        // handed out — a skipped or double-counted instruction would
+        // silently bias every sampled metric.
         audits_.add("sample.conservation", [this](std::string &why) {
-            return ff_engine_->conserved(why);
+            if (ff_observed_ == ff_expected_)
+                return true;
+            why = "fast-forward retired " + std::to_string(ff_observed_) +
+                  " instructions against a budget of " +
+                  std::to_string(ff_expected_);
+            return false;
         });
     }
 
@@ -233,23 +237,59 @@ CmpSystem::cpiFlush(Cycle now)
         a->flush(now);
 }
 
+std::uint64_t
+CmpSystem::retiredTotal() const
+{
+    std::uint64_t total = 0;
+    for (const auto &core : cores_)
+        total += core->instructionsRetired();
+    return total;
+}
+
+std::uint64_t
+CmpSystem::runFunctionalLoop(std::uint64_t instr_per_core,
+                             std::uint64_t warm_per_core,
+                             bool fast_forward)
+{
+    // Drain to quiescence first: functional accesses evict lines, and
+    // a pending fill completing into an evicted tag would corrupt the
+    // set. The loop terminates because pending events only complete
+    // existing work (cores create new events only via tick(), which
+    // the drain never calls). A fresh system has nothing pending.
+    eq_.drain();
+
+    const char *deadline_label = fast_forward ? "sample.ff" : "warmup";
+    const std::uint64_t skip =
+        instr_per_core - std::min(warm_per_core, instr_per_core);
+    std::uint64_t done = 0;
+    std::uint64_t chunks = 0;
+    while (done < instr_per_core) {
+        if (fast_forward)
+            faultSite("sample.ff");
+        checkPointDeadline(deadline_label);
+        // A skip chunk ends at the skip/warm boundary at the latest.
+        const bool skipping = done < skip;
+        const std::uint64_t chunk = std::min(
+            kFunctionalChunk, (skipping ? skip : instr_per_core) - done);
+        for (auto &core : cores_) {
+            if (skipping)
+                core->runSkip(chunk);
+            else
+                core->runFunctional(chunk);
+        }
+        done += chunk;
+        ++chunks;
+    }
+    return chunks;
+}
+
 void
 CmpSystem::warmup(std::uint64_t instr_per_core)
 {
     Tracer *tracer = Tracer::armed();
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
-    l2_->setFunctionalMode(true);
-    std::uint64_t done = 0;
-    while (done < instr_per_core) {
-        checkPointDeadline("warmup");
-        const std::uint64_t chunk =
-            std::min(kWarmupChunk, instr_per_core - done);
-        for (auto &core : cores_)
-            core->runFunctional(chunk);
-        done += chunk;
-    }
-    l2_->setFunctionalMode(false);
+    runFunctionalLoop(instr_per_core, instr_per_core, false);
     resetAllStats();
 
     if (tracer != nullptr) {
@@ -266,9 +306,7 @@ CmpSystem::run(std::uint64_t instr_per_core)
         tracer != nullptr ? tracer->nowWallUs() : 0;
 
     const Cycle start = eq_.now();
-    std::uint64_t start_retired = 0;
-    for (auto &core : cores_)
-        start_retired += core->instructionsRetired();
+    const std::uint64_t start_retired = retiredTotal();
     const std::uint64_t target =
         start_retired + instr_per_core * config_.cores;
 
@@ -366,18 +404,18 @@ void
 CmpSystem::fastForward(std::uint64_t instr_per_core,
                        std::uint64_t warm_per_core)
 {
-    cmpsim_assert(ff_engine_ != nullptr);
     Tracer *tracer = Tracer::armed();
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
-    // Drain to quiescence first: functional accesses evict lines, and
-    // a pending fill completing into an evicted tag would corrupt the
-    // set. The loop terminates because pending events only complete
-    // existing work (cores create new events only via tick(), which
-    // the drain never calls).
-    eq_.drain();
-
-    ff_engine_->advance(instr_per_core, warm_per_core);
+    const std::uint64_t before = retiredTotal();
+    ff_chunks_ += runFunctionalLoop(instr_per_core, warm_per_core, true);
+    const std::uint64_t cores = cores_.size();
+    const std::uint64_t budget = instr_per_core * cores;
+    ff_instructions_ += budget;
+    ff_skip_instructions_ +=
+        (instr_per_core - std::min(warm_per_core, instr_per_core)) * cores;
+    ff_expected_ += budget;
+    ff_observed_ += retiredTotal() - before;
 
     if (tracer != nullptr) {
         tracer->completeWall("phase.fastforward", t0, tracer->nowWallUs(),
@@ -398,7 +436,6 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
                      const std::vector<ValueStore::Op> &ops,
                      std::uint64_t instr_per_core)
 {
-    cmpsim_assert(ff_engine_ != nullptr);
     cmpsim_assert(config_.cores == leader.config_.cores);
     cmpsim_assert(config_.seed == leader.config_.seed);
     cmpsim_assert(workload_.name == leader.workload_.name);
@@ -420,8 +457,15 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
     }
     values_->applyOps(ops);
 
-    ff_engine_->noteAdopted(instr_per_core *
-                            static_cast<std::uint64_t>(config_.cores));
+    // The cores' retirement counters were copied to the post-skip
+    // values, so both sides of the conservation audit grow by the
+    // adopted budget.
+    const std::uint64_t budget =
+        instr_per_core * static_cast<std::uint64_t>(config_.cores);
+    ff_instructions_ += budget;
+    ff_skip_instructions_ += budget;
+    ff_expected_ += budget;
+    ff_observed_ += budget;
 }
 
 std::string

@@ -25,7 +25,6 @@
 #include "src/audit/invariant_registry.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/system_config.h"
-#include "src/sample/fast_forward.h"
 #include "src/workload/synthetic_workload.h"
 
 namespace cmpsim {
@@ -44,9 +43,10 @@ class CmpSystem
     CmpSystem &operator=(const CmpSystem &) = delete;
 
     /**
-     * Functional cache warmup: every core executes @p instr_per_core
-     * instructions updating cache/directory/prefetcher state with no
-     * timing. Stats are reset afterwards.
+     * Functional cache warmup: drain the event queue to quiescence,
+     * then every core executes @p instr_per_core instructions updating
+     * cache/directory/prefetcher state with no timing (the functional
+     * loop shared with fastForward()). Stats are reset afterwards.
      */
     void warmup(std::uint64_t instr_per_core);
 
@@ -103,17 +103,18 @@ class CmpSystem
      * drain the event queue to quiescence (functional execution
      * must not race pending fills holding tag references), then
      * advance every core @p instr_per_core instructions through the
-     * FastForwardEngine with no event timing. Unlike warmup() this
-     * does NOT reset stats — the SamplingController brackets detailed
-     * intervals with snapshots instead — and it requires an armed
-     * config.sampling plan (the engine only exists then). Only the
-     * last @p warm_per_core instructions (clamped; default all) run
-     * in functional-warming mode; any prefix runs in pure skip mode
-     * (see FastForwardEngine::advance()).
+     * functional loop shared with warmup(). Only the last
+     * @p warm_per_core instructions (clamped; default all) run in
+     * functional-warming mode (CoreModel::runFunctional()); any
+     * prefix runs in pure skip mode (CoreModel::runSkip()). Unlike
+     * warmup() this does NOT reset stats — MatrixSampler brackets
+     * detailed intervals with snapshots instead — and it probes the
+     * sample.ff fault site once per chunk. With an armed
+     * config.sampling plan its "sample.ff_*" counters and the
+     * sample.conservation audit are registered.
      */
     void fastForward(std::uint64_t instr_per_core,
-                     std::uint64_t warm_per_core =
-                         ~static_cast<std::uint64_t>(0));
+                     std::uint64_t warm_per_core = SamplingPlan::kWarmAll);
 
     /**
      * Leader half of shared-prefix fast-forward (DESIGN.md §14): run
@@ -140,9 +141,10 @@ class CmpSystem
                    const std::vector<ValueStore::Op> &ops,
                    std::uint64_t instr_per_core);
 
-    /** The fast-forward engine, or nullptr when config.sampling is
-     *  not armed. */
-    FastForwardEngine *fastForwardEngine() { return ff_engine_.get(); }
+    /** Instructions fast-forwarded over all cores, adopted skips
+     *  included (the sample.ff_instructions counter); MatrixSampler
+     *  reports its growth across a plan. */
+    std::uint64_t fastForwarded() const { return ff_instructions_.value(); }
 
     /**
      * CPI-stack and miss-genealogy statistics (config.cpi_stack /
@@ -168,6 +170,26 @@ class CmpSystem
   private:
     void buildSystem();
     void resetAllStats();
+
+    /**
+     * The one functional loop behind warmup() and fastForward(): drain
+     * the event queue (functional execution must not race pending
+     * fills holding tag references), then every core advances
+     * @p instr_per_core instructions, interleaved in
+     * chunks so the shared L2 sees a realistic core mix; the last
+     * @p warm_per_core (clamped) warm the caches and any prefix only
+     * skips, and no chunk straddles the boundary. The point deadline
+     * is polled once per chunk, labelled "sample.ff" for a
+     * @p fast_forward (which also probes the sample.ff fault site) and
+     * "warmup" otherwise. @return the chunks run.
+     */
+    std::uint64_t runFunctionalLoop(std::uint64_t instr_per_core,
+                                    std::uint64_t warm_per_core,
+                                    bool fast_forward);
+
+    /** Sum of every core's retirement counter. */
+    std::uint64_t retiredTotal() const;
+
     /** One-line-per-item progress diagnostic for watchdog/deadlock
      *  reports: event-queue depth and horizon plus per-core state. */
     std::string runDiagnostic(Cycle now) const;
@@ -203,7 +225,15 @@ class CmpSystem
     InvariantRegistry audits_;
     Average ratio_samples_;
 
-    std::unique_ptr<FastForwardEngine> ff_engine_; ///< see fastForward()
+    // Fast-forward accounting ("sample.*", registered only when a
+    // plan is armed so unsampled dumps stay byte-identical).
+    Counter ff_instructions_;      ///< budget handed out (all cores)
+    Counter ff_skip_instructions_; ///< pure-skip share of the budget
+    Counter ff_chunks_;            ///< interleave rounds executed
+    /** Conservation audit inputs: cumulative budget and retirement
+     *  growth across fast-forwards. Not stats — never reset. */
+    std::uint64_t ff_expected_ = 0;
+    std::uint64_t ff_observed_ = 0;
 
     Cycle measured_cycles_ = 0;
     std::uint64_t measured_instructions_ = 0;

@@ -2,6 +2,7 @@
 
 #include "src/common/log.h"
 #include "src/core_api/cmp_system.h"
+#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -9,27 +10,42 @@ MatrixSampler::MatrixSampler(std::vector<CmpSystem *> systems)
     : systems_(std::move(systems))
 {
     cmpsim_assert(!systems_.empty());
-    controllers_.reserve(systems_.size());
-    for (CmpSystem *sys : systems_)
-        controllers_.emplace_back(*sys);
-    const SamplingPlan &lead = controllers_.front().plan();
-    for (const SamplingController &c : controllers_) {
-        cmpsim_assert(c.plan().ff_per_core == lead.ff_per_core);
-        cmpsim_assert(c.plan().detail_per_core ==
-                      lead.detail_per_core);
-        cmpsim_assert(c.plan().max_intervals == lead.max_intervals);
-        cmpsim_assert(c.plan().warm_per_core == lead.warm_per_core);
+    plan_ = systems_.front()->config().sampling;
+    cmpsim_assert(plan_.armed());
+    for (CmpSystem *sys : systems_) {
+        const SamplingPlan &p = sys->config().sampling;
+        cmpsim_assert(p.ff_per_core == plan_.ff_per_core);
+        cmpsim_assert(p.detail_per_core == plan_.detail_per_core);
+        cmpsim_assert(p.max_intervals == plan_.max_intervals);
+        cmpsim_assert(p.warm_per_core == plan_.warm_per_core);
+        ff_start_.push_back(sys->fastForwarded());
     }
+}
+
+void
+MatrixSampler::measureInterval(CmpSystem &sys, SamplingResult &r) const
+{
+    faultSite("sample.interval");
+    const StatSnapshot baseline = sys.stats().snapshot();
+    sys.run(plan_.detail_per_core);
+    r.totals.accumulate(
+        StatRegistry::delta(sys.stats().snapshot(), baseline));
+    r.samples.push_back(
+        {.cycles = static_cast<double>(sys.cycles()),
+         .instructions = static_cast<double>(sys.instructions()),
+         .compression_ratio = sys.l2().compressionRatio()});
+    r.detail_cycles += r.samples.back().cycles;
+    r.detail_instructions += r.samples.back().instructions;
 }
 
 std::vector<SamplingResult>
 MatrixSampler::run()
 {
-    const SamplingPlan &plan = controllers_.front().plan();
-    const std::uint64_t warm = plan.warmPerCore();
-    const std::uint64_t skip = plan.ff_per_core - warm;
+    const std::uint64_t warm = plan_.warmPerCore();
+    const std::uint64_t skip = plan_.ff_per_core - warm;
+    std::vector<SamplingResult> results(systems_.size());
 
-    for (unsigned i = 0; i < plan.max_intervals; ++i) {
+    for (unsigned i = 0; i < plan_.max_intervals; ++i) {
         if (skip > 0) {
             const std::vector<ValueStore::Op> ops =
                 systems_.front()->fastForwardJournaled(skip);
@@ -40,14 +56,19 @@ MatrixSampler::run()
             for (CmpSystem *sys : systems_)
                 sys->fastForward(warm, warm);
         }
-        for (SamplingController &c : controllers_)
-            c.measureInterval();
+        for (std::size_t s = 0; s < systems_.size(); ++s)
+            measureInterval(*systems_[s], results[s]);
     }
 
-    std::vector<SamplingResult> results;
-    results.reserve(controllers_.size());
-    for (const SamplingController &c : controllers_)
-        results.push_back(c.finish());
+    for (std::size_t s = 0; s < systems_.size(); ++s) {
+        SamplingResult &r = results[s];
+        r.intervals = static_cast<unsigned>(r.samples.size());
+        r.ff_instructions = systems_[s]->fastForwarded() - ff_start_[s];
+        std::vector<double> ratio;
+        for (const IntervalSample &sample : r.samples)
+            ratio.push_back(sample.compression_ratio);
+        r.compression_ratio = summarize(ratio);
+    }
     return results;
 }
 

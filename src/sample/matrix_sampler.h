@@ -1,8 +1,13 @@
 /**
  * @file
- * MatrixSampler (DESIGN.md §14): lockstep sampled execution of one
- * plan over a matrix of configurations of the same workload and seed,
- * sharing the pure-skip prefix of every fast-forward phase.
+ * MatrixSampler (DESIGN.md §14): runs every statistical-sampling
+ * plan — alternating functional fast-forward and detailed (timed)
+ * measurement intervals — in lockstep over a matrix of
+ * configurations of the same workload and seed (one system is a
+ * matrix of one), sharing the pure-skip prefix of every fast-forward
+ * phase. Each system's result records every interval's cycles,
+ * instructions and compression ratio plus the summed stat deltas of
+ * its detailed windows.
  *
  * A pure-skip phase (CoreModel::runSkip()) advances only the workload
  * generators and the value store — state that is a pure function of
@@ -31,13 +36,50 @@
 #ifndef CMPSIM_SAMPLE_MATRIX_SAMPLER_H
 #define CMPSIM_SAMPLE_MATRIX_SAMPLER_H
 
+#include <cstdint>
 #include <vector>
 
-#include "src/sample/sampling_controller.h"
+#include "src/common/stats.h"
+#include "src/sample/sampling_plan.h"
 
 namespace cmpsim {
 
 class CmpSystem;
+
+/** One closed detailed interval: its timed cycles, retired
+ *  instructions and the L2 compression ratio at its end. */
+struct IntervalSample
+{
+    double cycles = 0;
+    double instructions = 0;
+    double compression_ratio = 0;
+};
+
+/** Reduction of one completed sampling plan over one system. */
+struct SamplingResult
+{
+    unsigned intervals = 0;      ///< intervals measured
+    std::uint64_t ff_instructions = 0; ///< all cores, all FF phases
+
+    /** Totals across detailed intervals only (FF/drain excluded). */
+    double detail_cycles = 0;
+    double detail_instructions = 0;
+
+    /** Per-interval mean / 95% CI of the compression ratio; n is
+     *  the measured interval count. */
+    SampleSummary compression_ratio;
+
+    /** Summed per-interval stat deltas (counter deltas over exactly
+     *  the detailed windows) for derived-metric extraction. */
+    StatSnapshot totals;
+
+    /** The raw per-interval samples. Because intervals are
+     *  instruction-indexed, two runs differing only in architectural
+     *  knobs measure the *same* workload windows — pairing samples[i]
+     *  across configs cancels the phase noise that dominates unpaired
+     *  CIs (DESIGN.md §14). */
+    std::vector<IntervalSample> samples;
+};
 
 /** Lockstep sampling over N same-workload, same-seed systems. */
 class MatrixSampler
@@ -49,12 +91,26 @@ class MatrixSampler
      */
     explicit MatrixSampler(std::vector<CmpSystem *> systems);
 
-    /** Drive the full plan; results in systems order. */
+    /**
+     * Drive the full plan: for each of its max_intervals intervals,
+     * fast-forward ff_per_core instructions per core (the leader's
+     * skip shared, the warm tail per system), then probe the
+     * sample.interval fault site and measure one detailed interval of
+     * detail_per_core instructions per core on each system in turn.
+     * Results in systems order.
+     */
     std::vector<SamplingResult> run();
 
   private:
+    /** Measure one detailed interval on @p sys into @p r. */
+    void measureInterval(CmpSystem &sys, SamplingResult &r) const;
+
     std::vector<CmpSystem *> systems_;
-    std::vector<SamplingController> controllers_;
+    SamplingPlan plan_;
+
+    /** Each system's fastForwarded() at construction; its
+     *  fast-forward total is the growth since. */
+    std::vector<std::uint64_t> ff_start_;
 };
 
 } // namespace cmpsim

@@ -62,6 +62,21 @@ TEST(CmpSystemTest, WarmupPopulatesCachesAndResetsStats)
     expectAllZero(sys.cpiStats());
 }
 
+TEST(CmpSystemTest, WarmupBetweenTimedRunsDrainsFirst)
+{
+    // A functional access must not race a pending fill: warmup()
+    // after run() drains the event queue first, as fastForward() does.
+    CmpSystem sys(makeConfig(2, 8, true, true, true, true),
+                  benchmarkParams("zeus"));
+    sys.warmup(5000);
+    for (int i = 0; i < 3; ++i) {
+        sys.run(2000);
+        sys.warmup(2000);
+    }
+    sys.run(2000);
+    EXPECT_TRUE(sys.audits().check().empty());
+}
+
 TEST(CmpSystemTest, DeterministicForSameSeed)
 {
     const auto cfg = makeConfig(4, 4, true, true, true, true);

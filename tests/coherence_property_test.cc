@@ -158,6 +158,12 @@ TEST_P(CoherenceProperty, RandomFunctionalTrafficKeepsInvariants)
             checkInvariants();
     }
     checkInvariants();
+    // Functional traffic is free and untimed: the hundreds of dirty L1
+    // victims it pushes through L2Cache::writeback() charge neither
+    // link, and nothing is left scheduled.
+    EXPECT_EQ(mem->link().totalBytes(), 0u);
+    EXPECT_EQ(l2->onchip().totalBytes(), 0u);
+    EXPECT_EQ(eq.size(), 0u);
 }
 
 TEST_P(CoherenceProperty, MixedTimedAndPrefetchTraffic)

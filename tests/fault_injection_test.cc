@@ -17,7 +17,7 @@
 #include "src/common/fingerprint.h"
 #include "src/core_api/cmp_system.h"
 #include "src/core_api/parallel_runner.h"
-#include "src/sample/sampling_controller.h"
+#include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
 
 namespace cmpsim {
@@ -160,17 +160,17 @@ TEST(FaultProbeTest, DeadlinePastTheClockRangeIsNoDeadline)
 
 TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
 {
-    // The sampling engine exposes two sites: sample.ff (once per
+    // Sampling exposes two fault sites: sample.ff (once per
     // fast-forward chunk) and sample.interval (once per interval).
     SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
     cfg.sampling = SamplingPlan::parse("4000:1000:3");
     {
         const FaultPlan plan = FaultPlan::parse("sample.ff:2");
         CmpSystem sys(cfg, benchmarkParams("zeus"));
-        SamplingController ctl(sys);
+        MatrixSampler sampler({&sys});
         FaultArmGuard arm(plan);
         try {
-            ctl.run();
+            sampler.run();
             FAIL() << "sample.ff fault did not fire";
         } catch (const InjectedFault &e) {
             EXPECT_EQ(e.context(), "sample.ff");
@@ -179,10 +179,10 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
     {
         const FaultPlan plan = FaultPlan::parse("sample.interval:3");
         CmpSystem sys(cfg, benchmarkParams("zeus"));
-        SamplingController ctl(sys);
+        MatrixSampler sampler({&sys});
         FaultArmGuard arm(plan);
         try {
-            ctl.run();
+            sampler.run();
             FAIL() << "sample.interval fault did not fire";
         } catch (const InjectedFault &e) {
             EXPECT_EQ(e.context(), "sample.interval");
@@ -198,6 +198,14 @@ TEST(FaultProbeTest, SamplingSitesFireDuringSampledRuns)
         FaultArmGuard arm(plan);
         sys.warmup(2000);
         EXPECT_NO_THROW(sys.run(1000));
+    }
+    {
+        // warmup() runs the fast-forward's functional loop but never
+        // probes sample.ff, also on an armed system.
+        const FaultPlan plan = FaultPlan::parse("sample.ff:1");
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        FaultArmGuard arm(plan);
+        EXPECT_NO_THROW(sys.warmup(2000));
     }
 }
 

@@ -278,7 +278,8 @@ TEST_F(L2CacheTest, WritebackResizeEvictsWhenLineGrows)
     // must evict.
     for (std::uint64_t i = 0; i < 4; ++i) {
         makeRaw(la(i * 4));
-        l2->writeback(0, la(i * 4), 100000 + i * 1000);
+        l2->writeback(0, la(i * 4), 100000 + i * 1000,
+                      /*functional=*/false);
         eq.drain();
         EXPECT_EQ(l2->setAt(0).find(la(i * 4))->segments, 8u);
     }
@@ -311,7 +312,6 @@ TEST_F(L2CacheTest, FunctionalAccessMatchesTimedState)
 TEST_F(L2CacheTest, FunctionalModeChargesNoBandwidth)
 {
     build(false);
-    l2->setFunctionalMode(true);
     for (std::uint64_t i = 0; i < 9; ++i)
         l2->accessFunctional(0, la(i * 4), true, ReqType::Demand);
     EXPECT_EQ(mem->link().totalBytes(), 0u);

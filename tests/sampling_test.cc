@@ -1,13 +1,13 @@
 /**
  * @file
- * Statistical sampling engine contract (DESIGN.md §14): the plan
+ * Statistical sampling contract (DESIGN.md §14): the plan
  * grammar and validation, fast-forward instruction conservation,
  * detail-interval stat isolation, sampled-run determinism across
  * repeats, the MatrixSampler's leader-equivalence guarantee, and
  * runOnce()'s refusal of a plan.
  */
 
-#include "src/sample/sampling_controller.h"
+#include "src/sample/matrix_sampler.h"
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
 #include "src/core_api/experiment.h"
-#include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
 
 namespace cmpsim {
@@ -48,6 +47,13 @@ statsHash(CmpSystem &sys)
     out << "cycles " << sys.cycles() << "\n";
     out << "instructions " << sys.instructions() << "\n";
     return fnv1a(out.str());
+}
+
+/** The plan of @p sys's config, driven as a matrix of one. */
+SamplingResult
+runAlone(CmpSystem &sys)
+{
+    return MatrixSampler({&sys}).run().front();
 }
 
 /** Bit-level fingerprint of a result's per-interval samples. */
@@ -144,8 +150,7 @@ TEST(SamplingRunTest, ConservesFastForwardInstructions)
     SystemConfig cfg = smallConfig();
     cfg.sampling = SamplingPlan::parse("6000:2000:4:warm2000");
     CmpSystem sys(cfg, benchmarkParams("zeus"));
-    SamplingController ctl(sys);
-    const SamplingResult res = ctl.run();
+    const SamplingResult res = runAlone(sys);
 
     EXPECT_EQ(res.intervals, 4u);
     // Every interval fast-forwards ff_per_core on each core.
@@ -165,7 +170,7 @@ TEST(SamplingRunTest, DetailTotalsExcludeFastForward)
     SystemConfig cfg = smallConfig();
     cfg.sampling = SamplingPlan::parse("6000:2000:4");
     CmpSystem sys(cfg, benchmarkParams("zeus"));
-    const SamplingResult res = SamplingController(sys).run();
+    const SamplingResult res = runAlone(sys);
 
     // The measured instruction total covers exactly the detailed
     // windows (a run() window can overshoot its budget by at most a
@@ -201,7 +206,7 @@ TEST(SamplingDeterminismTest, RepeatRunsAreByteIdentical)
     std::uint64_t samples[2];
     for (int i = 0; i < 2; ++i) {
         CmpSystem sys(cfg, benchmarkParams("apsi"));
-        const SamplingResult res = SamplingController(sys).run();
+        const SamplingResult res = runAlone(sys);
         stats[i] = statsHash(sys);
         samples[i] = samplesHash(res);
     }
@@ -218,14 +223,25 @@ TEST(MatrixSamplerTest, LeaderIsByteIdenticalToStandaloneRun)
     SystemConfig pref = base;
     pref.prefetching = false; // a genuinely different follower config
 
-    // Standalone run of the leader's exact config.
+    // Independent reference: the leader's exact config driven by
+    // hand on its own, each fast-forward one unsplit skip+warm call
+    // where the matrix splits it into a shared skip and a warm tail.
     std::uint64_t want_stats = 0;
     std::uint64_t want_samples = 0;
     {
         CmpSystem sys(base, benchmarkParams("zeus"));
-        const SamplingResult res = SamplingController(sys).run();
+        const SamplingPlan &plan = base.sampling;
+        SamplingResult ref;
+        for (unsigned i = 0; i < plan.max_intervals; ++i) {
+            sys.fastForward(plan.ff_per_core, plan.warmPerCore());
+            sys.run(plan.detail_per_core);
+            ref.samples.push_back(
+                {.cycles = static_cast<double>(sys.cycles()),
+                 .instructions = static_cast<double>(sys.instructions()),
+                 .compression_ratio = sys.l2().compressionRatio()});
+        }
         want_stats = statsHash(sys);
-        want_samples = samplesHash(res);
+        want_samples = samplesHash(ref);
     }
 
     CmpSystem lead(base, benchmarkParams("zeus"));
@@ -233,8 +249,9 @@ TEST(MatrixSamplerTest, LeaderIsByteIdenticalToStandaloneRun)
     const auto results = MatrixSampler({&lead, &follow}).run();
     ASSERT_EQ(results.size(), 2u);
 
-    // Journaling the leader's skips and sharing them must not perturb
-    // the leader's own execution in any way.
+    // Splitting the fast-forward, journaling the leader's skips and
+    // sharing them must not perturb the leader's own execution in any
+    // way.
     EXPECT_EQ(statsHash(lead), want_stats);
     EXPECT_EQ(samplesHash(results[0]), want_samples);
 

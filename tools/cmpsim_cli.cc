@@ -276,10 +276,12 @@ run(const CliOptions &o)
     TraceSession trace_session(o.trace_path.empty() ? env.trace
                                                     : o.trace_path);
 
-    std::printf("cmpsim: %s, %u cores, scale %u (L2 %u KB), "
+    std::printf("cmpsim: %s, %u cores, scale %u (L2 %llu KB), "
                 "%.0f GB/s%s%s%s%s%s\n",
-                o.workload.c_str(),
-                o.cores, cfg.scale, 4096 / cfg.scale, o.bandwidth,
+                o.workload.c_str(), o.cores, cfg.scale,
+                static_cast<unsigned long long>(
+                    cfg.l2Params().dataCapacityBytes() / 1024),
+                o.bandwidth,
                 o.infinite_bw ? " (infinite)" : "",
                 o.cache_compression ? ", cache-compr" : "",
                 o.link_compression ? ", link-compr" : "",
