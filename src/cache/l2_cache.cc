@@ -6,7 +6,6 @@
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -386,7 +385,6 @@ L2Cache::trainPrefetcher(unsigned cpu, Addr line, Cycle when)
 void
 L2Cache::fill(Addr line, Cycle arrival)
 {
-    faultSite("l2.fill");
     traceInstant("l2.fill", arrival, {{"line", line}});
     auto it = mshrs_.find(line);
     cmpsim_assert(it != mshrs_.end());

@@ -14,8 +14,6 @@ errorKindName(ErrorKind kind)
         return "invariant";
       case ErrorKind::Watchdog:
         return "watchdog";
-      case ErrorKind::Injected:
-        return "injected";
       case ErrorKind::Internal:
         return "internal";
     }
@@ -66,12 +64,6 @@ InvariantError::InvariantError(std::string context,
 WatchdogTimeout::WatchdogTimeout(std::string context,
                                  const std::string &message)
     : SimError(ErrorKind::Watchdog, std::move(context), message)
-{
-}
-
-InjectedFault::InjectedFault(std::string site, std::uint64_t nth)
-    : SimError(ErrorKind::Injected, std::move(site),
-               "injected fault at occurrence " + std::to_string(nth))
 {
 }
 

@@ -5,9 +5,11 @@
  *
  * Every failure the simulator can raise carries a kind (what class of
  * thing went wrong), a context (the site that detected it, e.g.
- * "l2.fill" or "config.cores") and a message. The experiment layer
- * contains every kind to the (point, seed) task that raised it and
- * reports the kind in the point's outcome.
+ * "cmp_system.run" or "config.cores") and a message. The experiment
+ * layer contains every kind to the (point, seed) task that raised it
+ * and reports the kind in the point's outcome. Every kind but Internal
+ * is a pure function of the point's spec: the same spec fails the
+ * same way on any host.
  *
  * The legacy cmpsim_fatal()/cmpsim_panic() reporters throw
  * ConfigError/InvariantError respectively (src/common/log.cc), so a
@@ -19,20 +21,18 @@
 #ifndef CMPSIM_COMMON_SIM_ERROR_H
 #define CMPSIM_COMMON_SIM_ERROR_H
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 namespace cmpsim {
 
-/** Failure classes, ordered roughly by how deterministic they are. */
+/** Failure classes. */
 enum class ErrorKind
 {
     Config,    ///< the user asked for an impossible system
     Workload,  ///< benchmark input missing or malformed
     Invariant, ///< a simulator invariant was violated (a cmpsim bug)
-    Watchdog,  ///< no forward progress (livelock) or deadline missed
-    Injected,  ///< deliberately injected by the fault harness
+    Watchdog,  ///< no instruction retired within watchdog_cycles
     Internal,  ///< wrapped foreign exception / multi-task failure
 };
 
@@ -48,7 +48,7 @@ class SimError : public std::runtime_error
 
     ErrorKind kind() const { return kind_; }
 
-    /** The site that raised the error, e.g. "l2.fill". */
+    /** The site that raised the error, e.g. "cmp_system.run". */
     const std::string &context() const { return context_; }
 
   private:
@@ -77,20 +77,12 @@ class InvariantError : public SimError
     InvariantError(std::string context, const std::string &message);
 };
 
-/** The simulation stopped making progress (cycle-based watchdog) or
- *  overran its wall-clock deadline (CMPSIM_POINT_TIMEOUT). */
+/** The simulation stopped making progress: no core retired an
+ *  instruction for watchdog_cycles simulated cycles. */
 class WatchdogTimeout : public SimError
 {
   public:
     WatchdogTimeout(std::string context, const std::string &message);
-};
-
-/** Raised at a named fault site by the injection harness
- *  (CMPSIM_FAULT; src/sim/fault_injection.h). */
-class InjectedFault : public SimError
-{
-  public:
-    InjectedFault(std::string site, std::uint64_t nth);
 };
 
 } // namespace cmpsim

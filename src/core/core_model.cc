@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/obs/cpi_stack.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -200,14 +199,6 @@ CoreModel::tick(Cycle now)
 {
     if (cpi_ != nullptr)
         cpi_->beginTick(now);
-    if (faultStallActive("core.stall")) {
-        // Injected livelock: keep ticking without retiring anything so
-        // the cycle-based watchdog (not a hang) ends the simulation.
-        if (cpi_ != nullptr)
-            cpi_->endTick(now, CpiBlock::Compute, 0);
-        next_wake_ = now + 1;
-        return next_wake_;
-    }
     ++cycles_;
     mshr_stall_ = false;
     bool progress = false;

@@ -7,7 +7,6 @@
 #include "src/common/sim_error.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/trace.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -248,8 +247,7 @@ CmpSystem::retiredTotal() const
 
 std::uint64_t
 CmpSystem::runFunctionalLoop(std::uint64_t instr_per_core,
-                             std::uint64_t warm_per_core,
-                             bool fast_forward)
+                             std::uint64_t warm_per_core)
 {
     // Drain to quiescence first: functional accesses evict lines, and
     // a pending fill completing into an evicted tag would corrupt the
@@ -258,15 +256,11 @@ CmpSystem::runFunctionalLoop(std::uint64_t instr_per_core,
     // the drain never calls). A fresh system has nothing pending.
     eq_.drain();
 
-    const char *deadline_label = fast_forward ? "sample.ff" : "warmup";
     const std::uint64_t skip =
         instr_per_core - std::min(warm_per_core, instr_per_core);
     std::uint64_t done = 0;
     std::uint64_t chunks = 0;
     while (done < instr_per_core) {
-        if (fast_forward)
-            faultSite("sample.ff");
-        checkPointDeadline(deadline_label);
         // A skip chunk ends at the skip/warm boundary at the latest.
         const bool skipping = done < skip;
         const std::uint64_t chunk = std::min(
@@ -289,7 +283,7 @@ CmpSystem::warmup(std::uint64_t instr_per_core)
     Tracer *tracer = Tracer::armed();
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
-    runFunctionalLoop(instr_per_core, instr_per_core, false);
+    runFunctionalLoop(instr_per_core, instr_per_core);
     resetAllStats();
 
     if (tracer != nullptr) {
@@ -324,7 +318,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
     const Cycle watchdog = config_.watchdog_cycles;
     Cycle last_progress = start;
     std::uint64_t last_retired = start_retired;
-    std::uint64_t iterations = 0;
 
     // Earliest core wake-up. Only event callbacks and a core's own
     // tick move a core's wake-up, and a tick schedules events rather
@@ -335,9 +328,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
         min_wake = std::min(min_wake, core->nextWake());
 
     while (retired < target) {
-        if ((++iterations & 0x1ff) == 0)
-            checkPointDeadline("run");
-
         Cycle next = std::min(eq_.nextEventCycle(), min_wake);
         if (next == kCycleNever) {
             cmpsim_panic("simulation deadlock: no events, no core "
@@ -408,7 +398,7 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
     const std::uint64_t before = retiredTotal();
-    ff_chunks_ += runFunctionalLoop(instr_per_core, warm_per_core, true);
+    ff_chunks_ += runFunctionalLoop(instr_per_core, warm_per_core);
     const std::uint64_t cores = cores_.size();
     const std::uint64_t budget = instr_per_core * cores;
     ff_instructions_ += budget;

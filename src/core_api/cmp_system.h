@@ -108,8 +108,7 @@ class CmpSystem
      * functional-warming mode (CoreModel::runFunctional()); any
      * prefix runs in pure skip mode (CoreModel::runSkip()). Unlike
      * warmup() this does NOT reset stats — MatrixSampler brackets
-     * detailed intervals with snapshots instead — and it probes the
-     * sample.ff fault site once per chunk. With an armed
+     * detailed intervals with snapshots instead. With an armed
      * config.sampling plan its "sample.ff_*" counters and the
      * sample.conservation audit are registered.
      */
@@ -178,14 +177,11 @@ class CmpSystem
      * @p instr_per_core instructions, interleaved in
      * chunks so the shared L2 sees a realistic core mix; the last
      * @p warm_per_core (clamped) warm the caches and any prefix only
-     * skips, and no chunk straddles the boundary. The point deadline
-     * is polled once per chunk, labelled "sample.ff" for a
-     * @p fast_forward (which also probes the sample.ff fault site) and
-     * "warmup" otherwise. @return the chunks run.
+     * skips, and no chunk straddles the boundary. @return the chunks
+     * run.
      */
     std::uint64_t runFunctionalLoop(std::uint64_t instr_per_core,
-                                    std::uint64_t warm_per_core,
-                                    bool fast_forward);
+                                    std::uint64_t warm_per_core);
 
     /** Sum of every core's retirement counter. */
     std::uint64_t retiredTotal() const;

@@ -1,6 +1,5 @@
 #include "src/core_api/env_knobs.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -60,20 +59,6 @@ boolKnob(RawKnobs &raw, const char *name)
     return v == "1";
 }
 
-/** Seconds; 0 when unset. */
-double
-secondsKnob(RawKnobs &raw, const char *name)
-{
-    const std::string v = envValue(raw, name);
-    if (v.empty())
-        return 0.0;
-    char *end = nullptr;
-    const double s = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || !std::isfinite(s) || s < 0.0)
-        badValue(name, v, "finite seconds >= 0");
-    return s;
-}
-
 } // namespace
 
 EnvKnobs
@@ -92,10 +77,8 @@ readEnvKnobs()
     k.seeds = unsignedKnob<unsigned>(raw, "CMPSIM_SEEDS").value_or(k.seeds);
     k.jobs = unsignedKnob<unsigned>(raw, "CMPSIM_JOBS").value_or(k.jobs);
 
-    // Paths and the fault plan: empty is unset (an empty plan).
+    // Paths: empty is unset.
     k.policy.journal_path = envValue(raw, "CMPSIM_JOURNAL");
-    k.policy.point_timeout_sec = secondsKnob(raw, "CMPSIM_POINT_TIMEOUT");
-    k.policy.faults = FaultPlan::parse(envValue(raw, "CMPSIM_FAULT"));
     k.policy.report_path = envValue(raw, "CMPSIM_REPORT");
     k.policy.progress =
         boolKnob(raw, "CMPSIM_PROGRESS").value_or(false);

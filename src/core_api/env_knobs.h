@@ -9,8 +9,6 @@
  *             fit the field (parseUnsigned)
  *   boolean   empty = unset; else "0" or "1"
  *   path      empty = unset
- *   seconds   empty = unset; else finite and >= 0
- *   spec      the component's own parser and error context
  *
  * Precedence: SystemConfig defaults, then the environment (applied by
  * makeConfig()), then whatever code or a CLI flag sets afterwards.
@@ -37,8 +35,8 @@ struct EnvKnobs
     unsigned seeds = 2;  ///< CMPSIM_SEEDS: seeds per bench point
     /** CMPSIM_JOBS: runner workers (0 = one per hardware thread). */
     unsigned jobs = 0;
-    /** What runPoints() applies: CMPSIM_JOURNAL, CMPSIM_POINT_TIMEOUT,
-     *  CMPSIM_FAULT, CMPSIM_REPORT and CMPSIM_PROGRESS. */
+    /** What runPoints() applies: CMPSIM_JOURNAL, CMPSIM_REPORT and
+     *  CMPSIM_PROGRESS. */
     RunPolicy policy;
 
     // Applied by makeConfig(); unset leaves the SystemConfig default.

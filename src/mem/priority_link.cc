@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/obs/trace.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -18,7 +17,6 @@ void
 PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
                    Deliver deliver)
 {
-    faultSite("link.transfer");
     // Stamp with the current cycle, not `ready` (which may lie in the
     // future), so the track's timestamps stay monotone.
     traceInstant("link.transfer", eq_.now(),

@@ -13,10 +13,10 @@
  *    link.transfer, prefetch issue/fill/useless, watchdog
  *    diagnostics, and miss-journey async spans.
  *
- * Arming mirrors the fault-injection harness: probes are inline and
- * cost one relaxed atomic load plus a predictable branch when no
- * tracer is armed (benchmarked in bench/micro_components.cc), so the
- * instrumentation can live permanently in the hot paths. Probes only
+ * Probes are inline and cost one relaxed atomic load plus a
+ * predictable branch when no tracer is armed (benchmarked in
+ * bench/micro_components.cc), so the instrumentation can live
+ * permanently in the hot paths. Probes only
  * *read* simulator state — simulated results are byte-identical with
  * tracing on or off (tests/event_trace_test.cc proves it; the CI
  * determinism gate runs traced).

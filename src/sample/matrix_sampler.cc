@@ -2,7 +2,6 @@
 
 #include "src/common/log.h"
 #include "src/core_api/cmp_system.h"
-#include "src/sim/fault_injection.h"
 
 namespace cmpsim {
 
@@ -25,7 +24,6 @@ MatrixSampler::MatrixSampler(std::vector<CmpSystem *> systems)
 void
 MatrixSampler::measureInterval(CmpSystem &sys, SamplingResult &r) const
 {
-    faultSite("sample.interval");
     const StatSnapshot baseline = sys.stats().snapshot();
     sys.run(plan_.detail_per_core);
     r.totals.accumulate(

@@ -94,9 +94,9 @@ class MatrixSampler
     /**
      * Drive the full plan: for each of its max_intervals intervals,
      * fast-forward ff_per_core instructions per core (the leader's
-     * skip shared, the warm tail per system), then probe the
-     * sample.interval fault site and measure one detailed interval of
-     * detail_per_core instructions per core on each system in turn.
+     * skip shared, the warm tail per system), then measure one
+     * detailed interval of detail_per_core instructions per core on
+     * each system in turn.
      * Results in systems order.
      */
     std::vector<SamplingResult> run();

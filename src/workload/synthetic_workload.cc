@@ -1,7 +1,5 @@
 #include "src/workload/synthetic_workload.h"
 
-#include "src/sim/fault_injection.h"
-
 namespace cmpsim {
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
@@ -12,7 +10,6 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
       rng_(seed * 0x9e3779b97f4a7c15ULL + cpu * 0x100000001b3ULL + 1),
       pc_(layout::kCodeBase), streams_(params.stream_count)
 {
-    faultSite("workload.gen");
     cmpsim_assert(params.load_frac + params.store_frac +
                       params.branch_frac <=
                   1.0);

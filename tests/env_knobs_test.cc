@@ -2,9 +2,8 @@
  * @file
  * readEnvKnobs(), the one place configuration enters from the
  * environment: one parse rule per value type (an explicit 0 is a
- * value, empty is unset, booleans are 0 or 1, seconds are finite and
- * non-negative), spec knobs keep their parsers' error contexts, and
- * makeConfig() applies the knobs while a field set afterwards wins.
+ * value, empty is unset, booleans are 0 or 1), and makeConfig()
+ * applies the knobs while a field set afterwards wins.
  */
 
 #include "src/core_api/env_knobs.h"
@@ -61,13 +60,11 @@ TEST(EnvKnobsTest, EmptyReturnsFallback)
     EnvGuard measure("CMPSIM_MEASURE", "");
     EnvGuard cpi("CMPSIM_CPISTACK", "");
     EnvGuard journal("CMPSIM_JOURNAL", "");
-    EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "");
     const EnvKnobs env = readEnvKnobs();
     EXPECT_EQ(env.lengths.measure_per_core,
               RunLengths{}.measure_per_core);
     EXPECT_FALSE(env.cpi_stack.has_value());
     EXPECT_TRUE(env.policy.journal_path.empty());
-    EXPECT_EQ(env.policy.point_timeout_sec, 0.0);
 }
 
 TEST(EnvKnobsTest, ParsesValue)
@@ -182,28 +179,6 @@ TEST(EnvKnobsTest, BooleanKnobsAcceptOnlyZeroAndOne)
     EXPECT_EQ(env.cpi_stack, std::optional<bool>(true));
     EXPECT_FALSE(env.policy.progress);
     EXPECT_TRUE(env.prof);
-}
-
-TEST(EnvKnobsTest, PointTimeoutIsFiniteNonNegativeSeconds)
-{
-    for (const char *bad : {"nan", "inf", "-1", "1s"}) {
-        EnvGuard timeout("CMPSIM_POINT_TIMEOUT", bad);
-        EXPECT_EQ(errorContext(), "CMPSIM_POINT_TIMEOUT") << bad;
-    }
-    {
-        EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "2.5");
-        EXPECT_EQ(readEnvKnobs().policy.point_timeout_sec, 2.5);
-    }
-    // Too large for the clock is still a valid value; DeadlineGuard
-    // turns it into no deadline.
-    EnvGuard timeout("CMPSIM_POINT_TIMEOUT", "1e30");
-    EXPECT_EQ(readEnvKnobs().policy.point_timeout_sec, 1e30);
-}
-
-TEST(EnvKnobsTest, SpecKnobsKeepTheirParsersErrorContexts)
-{
-    EnvGuard fault("CMPSIM_FAULT", "not-a-plan");
-    EXPECT_EQ(errorContext(), "fault.spec");
 }
 
 TEST(EnvKnobsTest, MakeConfigAppliesKnobsAndLaterFieldsWin)

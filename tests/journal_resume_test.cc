@@ -3,7 +3,8 @@
  * Journaled-resume contract (DESIGN.md §8): completed points land in
  * the journal as soon as their last seed finishes, a rerun restores
  * them with byte-identical summaryBytes, a crash-truncated journal
- * still loads its valid prefix, and the summaryBytes text format
+ * still loads its valid prefix, a file that is not a journal is
+ * refused and left untouched, and the summaryBytes text format
  * round-trips exactly through parseSummaryBytes().
  */
 
@@ -143,20 +144,22 @@ TEST(JournalResumeTest, FailedPointIsNotJournaledAndRerunsClean)
         journalPath("FailedPointIsNotJournaledAndRerunsClean");
     std::remove(path.c_str());
 
-    // Point 0 permanently fails on the first pass; point 1 completes
-    // and is journaled.
-    RunPolicy faulty;
-    faulty.journal_path = path;
-    faulty.faults = FaultPlan::parse("l2.fill:50:p0");
-    const BatchResult interrupted = runPointsChecked(specs, 2, faulty);
+    // Point 0 trips a watchdog bound shorter than one memory access on
+    // the first pass; point 1 completes and is journaled. The bound is
+    // not part of the journal key.
+    RunPolicy policy;
+    policy.journal_path = path;
+    auto stalling = specs;
+    stalling[0].config.watchdog_cycles = 100;
+    const BatchResult interrupted = runPointsChecked(stalling, 2, policy);
     EXPECT_EQ(interrupted.outcomes[0].status, PointStatus::Failed);
+    EXPECT_EQ(interrupted.outcomes[0].error_kind, ErrorKind::Watchdog);
     EXPECT_EQ(interrupted.outcomes[1].status, PointStatus::Ok);
 
-    // The resumed pass (no faults) skips point 1 and simulates only
-    // point 0; the batch must match an uninterrupted clean run.
-    RunPolicy resume;
-    resume.journal_path = path;
-    const BatchResult resumed = runPointsChecked(specs, 2, resume);
+    // The resumed pass over the unmodified specs skips point 1 and
+    // simulates only point 0; the batch must match an uninterrupted
+    // clean run.
+    const BatchResult resumed = runPointsChecked(specs, 2, policy);
     EXPECT_EQ(resumed.outcomes[0].status, PointStatus::Ok);
     EXPECT_EQ(resumed.outcomes[1].status, PointStatus::Restored);
 
@@ -255,21 +258,36 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
         v1 += head + body + "end\n";
     }
 
-    for (const std::string &garbage :
-         {std::string("not a journal at all\n"), v1}) {
-        {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << garbage;
-        }
-        RunPolicy policy;
-        policy.journal_path = path;
+    RunPolicy policy;
+    policy.journal_path = path;
+    auto write = [&path](const std::string &text) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << text;
+    };
+
+    // What a crash (an empty file, a torn header) or an older build
+    // (a v1 journal) leaves behind restarts fresh.
+    for (const std::string &old :
+         {std::string(), std::string("cmpsim-jour"), v1}) {
+        write(old);
         const BatchResult batch = runPointsChecked(specs, 2, policy);
         EXPECT_EQ(batch.failed(), 0u);
-        EXPECT_EQ(batch.restored(), 0u) << garbage.substr(0, 18);
+        EXPECT_EQ(batch.restored(), 0u) << old.substr(0, 18);
         const std::string content = readFile(path);
         EXPECT_EQ(content.compare(0, 18, "cmpsim-journal v2\n"), 0)
             << content.substr(0, 40);
     }
+
+    // Any other file is not a journal: refused, and left as it was.
+    const std::string notes = "not a journal at all\n";
+    write(notes);
+    try {
+        runPointsChecked(specs, 2, policy);
+        FAIL() << "a file that is not a journal was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.context(), "journal");
+    }
+    EXPECT_EQ(readFile(path), notes);
     std::remove(path.c_str());
 }
 

@@ -34,7 +34,6 @@ TEST(SimErrorTest, KindNamesAreStable)
     EXPECT_STREQ(errorKindName(ErrorKind::Workload), "workload");
     EXPECT_STREQ(errorKindName(ErrorKind::Invariant), "invariant");
     EXPECT_STREQ(errorKindName(ErrorKind::Watchdog), "watchdog");
-    EXPECT_STREQ(errorKindName(ErrorKind::Injected), "injected");
     EXPECT_STREQ(errorKindName(ErrorKind::Internal), "internal");
 }
 
@@ -45,14 +44,6 @@ TEST(SimErrorTest, HierarchyIsCatchableAsSimError)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::Watchdog);
     }
-}
-
-TEST(SimErrorTest, InjectedFaultNamesSiteOccurrenceAndAttempt)
-{
-    const InjectedFault e("link.transfer", 5);
-    const std::string what = e.what();
-    EXPECT_EQ(e.context(), "link.transfer");
-    EXPECT_NE(what.find("occurrence 5"), std::string::npos) << what;
 }
 
 TEST(SimErrorTest, PanicThrowsInvariantErrorWithFileLineContext)

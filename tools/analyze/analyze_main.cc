@@ -116,7 +116,7 @@ main(int argc, char **argv)
                       << "\n";
         }
         std::cout << "suppression\tanalyze-ok comments must name a known "
-                     "check and carry a reason\n";
+                     "check, carry a reason and suppress a finding\n";
         return 0;
     }
 
@@ -164,24 +164,7 @@ main(int argc, char **argv)
 
     AnalysisContext ctx;
     readFile(root / "README.md", ctx.readme);
-    readFile(root / "DESIGN.md", ctx.design);
     readFile(root / "CMakeLists.txt", ctx.cmake);
-    if (fs::is_directory(root / "tests")) {
-        std::vector<fs::path> test_files;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root / "tests")) {
-            if (entry.is_regular_file() && isSourceFile(entry.path()))
-                test_files.push_back(entry.path());
-        }
-        std::sort(test_files.begin(), test_files.end());
-        for (const fs::path &p : test_files) {
-            std::string text;
-            if (readFile(p, text)) {
-                ctx.tests_blob += text;
-                ctx.tests_blob += '\n';
-            }
-        }
-    }
 
     const AnalysisResult result = runAnalysis(corpus, ctx);
 

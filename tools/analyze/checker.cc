@@ -12,7 +12,6 @@ std::unique_ptr<Checker> makeNondetSourceChecker();
 std::unique_ptr<Checker> makeUnorderedIterChecker();
 std::unique_ptr<Checker> makeTagEntryChecker();
 std::unique_ptr<Checker> makeKnobRegistryChecker();
-std::unique_ptr<Checker> makeFaultSiteChecker();
 std::unique_ptr<Checker> makeSharedStateChecker();
 
 const std::vector<std::unique_ptr<Checker>> &
@@ -24,7 +23,6 @@ allCheckers()
         v.push_back(makeUnorderedIterChecker());
         v.push_back(makeTagEntryChecker());
         v.push_back(makeKnobRegistryChecker());
-        v.push_back(makeFaultSiteChecker());
         v.push_back(makeSharedStateChecker());
         return v;
     }();
@@ -117,6 +115,20 @@ runAnalysis(const Corpus &corpus, const AnalysisContext &ctx)
         }
         if (!drop)
             result.findings.push_back(std::move(fd));
+    }
+
+    // A well-formed suppression that silenced nothing is stale: the
+    // hazard it excused is gone or the checker no longer sees it.
+    for (const SourceFile &f : corpus.files) {
+        for (const Suppression &s : f.suppressions) {
+            if (!s.used && known_ids.count(s.check_id) != 0 &&
+                !s.reason.empty()) {
+                result.findings.push_back(
+                    {"suppression", f.path, s.line,
+                     "analyze-ok for '" + s.check_id +
+                         "' suppresses no finding"});
+            }
+        }
     }
 
     auto byPlace = [](const auto &a, const auto &b) {

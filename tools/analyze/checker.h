@@ -9,16 +9,16 @@
  *                   analyses);
  *  - checkCorpus(): cross-file invariants that need the whole
  *                   analyzed set plus repo context (env-knob drift
- *                   against README, fault-site coverage in tests and
- *                   DESIGN.md).
+ *                   against README and the build's CMake knobs).
  *
  * Suppression contract: a finding of check `<id>` at line L is
  * suppressed by a `// analyze-ok: <id> <reason>` comment on line L
  * (trailing) or on line L-1 (a standalone comment above). The reason
- * is mandatory — a suppression without one, or naming an unknown
- * check id, is itself a finding (check id "suppression"). This keeps
- * every silenced hazard carrying a written justification in the
- * source, greppable at the point of risk.
+ * is mandatory — a suppression without one, naming an unknown check
+ * id, or suppressing no finding is itself a finding (check id
+ * "suppression"). This keeps every silenced hazard carrying a written
+ * justification in the source, greppable at the point of risk, and
+ * no justification outliving its hazard.
  *
  * Adding a checker: implement the interface in a new checks_*.cc,
  * declare its factory in checker.cc's allCheckers() (explicit
@@ -60,10 +60,8 @@ struct Corpus
  */
 struct AnalysisContext
 {
-    std::string readme;     ///< README.md (env-knob table)
-    std::string design;     ///< DESIGN.md (§8 fault sites)
-    std::string cmake;      ///< top-level CMakeLists.txt (build knobs)
-    std::string tests_blob; ///< all tests/*.cc concatenated
+    std::string readme; ///< README.md (env-knob table)
+    std::string cmake;  ///< top-level CMakeLists.txt (build knobs)
 };
 
 class Checker

@@ -138,11 +138,16 @@ class UnorderedIterChecker final : public Checker
                      std::vector<Finding> &out) const override
     {
         // Pass 1 (all analyzed files, headers included): names
-        // declared with an unordered container type — variables,
-        // members, parameters, and functions returning one.
+        // declared with an unordered container type or an alias of
+        // one — variables, members, parameters, and functions
+        // returning one. Aliases first: a header may declare the
+        // alias that another file's declarations use.
+        std::set<std::string> aliases;
+        for (const SourceFile &f : corpus.files)
+            collectAliases(f, aliases);
         std::set<std::string> names;
         for (const SourceFile &f : corpus.files)
-            collectNames(f, names);
+            collectNames(f, aliases, names);
         if (names.empty())
             return;
 
@@ -156,17 +161,47 @@ class UnorderedIterChecker final : public Checker
     }
 
   private:
+    static bool
+    isUnordered(const std::vector<Token> &t, std::size_t i)
+    {
+        return (isIdent(t, i, "unordered_map") ||
+                isIdent(t, i, "unordered_set")) &&
+               isPunct(t, i + 1, "<");
+    }
+
+    /** `using X = [std::]unordered_map<...>` (or unordered_set)
+     *  records X. */
     static void
-    collectNames(const SourceFile &f, std::set<std::string> &names)
+    collectAliases(const SourceFile &f, std::set<std::string> &aliases)
+    {
+        const auto &t = f.tokens;
+        for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+            if (!isIdent(t, i, "using") ||
+                t[i + 1].kind != TokKind::Ident || !isPunct(t, i + 2, "="))
+                continue;
+            std::size_t k = i + 3;
+            if (isIdent(t, k, "std") && isPunct(t, k + 1, "::"))
+                k += 2;
+            if (isUnordered(t, k))
+                aliases.insert(t[i + 1].text);
+        }
+    }
+
+    /** Names declared with an unordered type or one of @p aliases
+     *  (`X name`, not `X::member`). */
+    static void
+    collectNames(const SourceFile &f, const std::set<std::string> &aliases,
+                 std::set<std::string> &names)
     {
         const auto &t = f.tokens;
         for (std::size_t i = 0; i < t.size(); ++i) {
-            if (!isIdent(t, i, "unordered_map") &&
-                !isIdent(t, i, "unordered_set"))
+            std::size_t p;
+            if (isUnordered(t, i))
+                p = skipAngles(t, i + 1);
+            else if (t[i].kind == TokKind::Ident && aliases.count(t[i].text))
+                p = i + 1;
+            else
                 continue;
-            if (!isPunct(t, i + 1, "<"))
-                continue;
-            std::size_t p = skipAngles(t, i + 1);
             while (p < t.size() &&
                    (isPunct(t, p, "&") || isPunct(t, p, "*") ||
                     isIdent(t, p, "const")))

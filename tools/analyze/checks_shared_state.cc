@@ -8,8 +8,8 @@
  * in one process, so state hidden outside the object graph would
  * leak between concurrently running points. Every such variable
  * must be const/constexpr, std::atomic, or carry an explicit
- * suppression arguing why it is safe (e.g. thread_local fault-probe
- * arming, which is scoped per worker by design). `constinit` only
+ * suppression arguing why it is safe (e.g. a thread_local that only
+ * its own worker thread ever reads or writes). `constinit` only
  * fixes how a variable is initialized, not whether it is written
  * later, so it does not exempt anything.
  *

@@ -10,8 +10,8 @@
  *  - comments and string/char literal *bodies* never produce
  *    identifier tokens (so `// rand()` and `"time("` cannot fire a
  *    checker), while string literals survive as single String tokens
- *    carrying their unquoted text (the knob and fault-site checkers
- *    match on them);
+ *    carrying their unquoted text (the knob checker matches on
+ *    them);
  *  - every token carries the 1-based line of the raw source it came
  *    from, including through block comments and raw strings;
  *  - `// analyze-ok: <check-id> <reason>` comments are collected as
@@ -52,6 +52,8 @@ struct Suppression
     int line = 0;          ///< line the comment sits on
     std::string check_id;  ///< first word after the marker
     std::string reason;    ///< everything after the check id, trimmed
+    /** Set by runAnalysis() when this suppression silenced a finding;
+     *  an unused one is itself reported. */
     mutable bool used = false;
 };
 

@@ -29,7 +29,6 @@
 #include "src/obs/profiler.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
-#include "src/sim/fault_injection.h"
 
 using namespace cmpsim;
 
@@ -239,17 +238,13 @@ printFullDetail(const CliOptions &o, CmpSystem &sys, const RunResult &r)
 }
 
 /** The real driver; throws SimError for anything the simulator
- *  rejects (unknown benchmark, bad config, injected fault, ...). */
+ *  rejects (unknown benchmark, bad config, watchdog, ...). */
 int
 run(const CliOptions &o)
 {
-    // Honour the environment knobs for single runs too: CMPSIM_FAULT
-    // arms this run and CMPSIM_POINT_TIMEOUT bounds the whole
-    // warmup+run step, exactly as one parallel-runner task, and a flag
-    // not given takes its knob's value.
+    // Honour the environment knobs for single runs too: a flag not
+    // given takes its knob's value.
     const EnvKnobs env = readEnvKnobs();
-    FaultArmGuard arm(env.policy.faults);
-    DeadlineGuard deadline(env.policy.point_timeout_sec);
 
     RunLengths lengths = env.lengths;
     lengths.warmup_per_core = o.warmup.value_or(lengths.warmup_per_core);

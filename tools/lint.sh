@@ -3,9 +3,8 @@
 # (tools/analyze/, DESIGN.md §11). The analyzer replaced this script's
 # old grep/awk heuristics with token-level checkers: banned
 # nondeterminism sources, unordered-container iteration, TagEntry*
-# held across DecoupledSet reordering, env-knob registry drift,
-# fault-site coverage, and mutable shared state in the kernel
-# directories. Findings are suppressed in-source with
+# held across DecoupledSet reordering, env-knob registry drift, and
+# mutable shared state in the kernel directories. Findings are suppressed in-source with
 # "// analyze-ok: <check-id> <reason>".
 #
 # Exit status: 0 clean, 1 findings, 2 build/usage failure — the same
