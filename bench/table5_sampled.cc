@@ -121,10 +121,8 @@ run()
     // full-detail reference; one runner worker keeps the comparison
     // compute-for-compute on any host. No journal: a reference
     // restored from one would time nothing.
-    RunPolicy ref_policy = readEnvKnobs().policy;
-    ref_policy.journal_path.clear();
     const double detail_wall = wallOf([&] {
-        runPointsChecked(ref_specs, /*jobs=*/1, ref_policy).throwIfFailed();
+        runPointsChecked(ref_specs, /*jobs=*/1).throwIfFailed();
     });
 
     std::printf("%-8s | %10s %12s %8s | %8s\n", "bench", "interact",

@@ -60,14 +60,4 @@ assertFailImpl(const char *file, int line, const char *cond,
     std::abort();
 }
 
-void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    throw ConfigError(fileLine(file, line), msg);
-}
-
 } // namespace cmpsim

@@ -3,14 +3,13 @@
  * Error-reporting helpers in the spirit of gem5's logging.hh.
  *
  * panic()  - internal invariant violated; a cmpsim bug.
- *            Throws InvariantError (src/common/sim_error.h).
- * fatal()  - the user asked for something impossible (bad config).
- *            Throws ConfigError.
+ *            Throws InvariantError (src/common/sim_error.h), so the
+ *            experiment layer can contain one failed simulation point
+ *            without killing a whole batch (DESIGN.md §8).
  *
- * panic/fatal used to abort()/exit(1); they throw so the experiment
- * layer can contain one failed simulation point without killing a
- * whole batch (DESIGN.md §8). cmpsim_assert() still aborts: a tripped
- * assertion means in-memory state cannot be trusted enough to unwind.
+ * A request for an impossible system throws ConfigError where it is
+ * detected. cmpsim_assert() aborts: a tripped assertion means
+ * in-memory state cannot be trusted enough to unwind.
  */
 
 #ifndef CMPSIM_COMMON_LOG_H
@@ -21,8 +20,6 @@
 namespace cmpsim {
 
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
-                            ...) __attribute__((format(printf, 3, 4)));
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 
 /** Failed-assertion reporter: prints the condition text plus an
@@ -36,8 +33,6 @@ namespace cmpsim {
 
 #define cmpsim_panic(...) \
     ::cmpsim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define cmpsim_fatal(...) \
-    ::cmpsim::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 
 /**
  * Assert a simulator invariant; active in all build types because

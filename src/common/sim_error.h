@@ -11,8 +11,7 @@
  * is a pure function of the point's spec: the same spec fails the
  * same way on any host.
  *
- * The legacy cmpsim_fatal()/cmpsim_panic() reporters throw
- * ConfigError/InvariantError respectively (src/common/log.cc), so a
+ * cmpsim_panic() throws InvariantError (src/common/log.cc), so a
  * single bad point in a parallel batch unwinds its own simulation
  * instead of killing the process. cmpsim_assert() still aborts: a
  * tripped assertion means in-memory state is untrustworthy.
@@ -33,7 +32,7 @@ enum class ErrorKind
     Workload,  ///< benchmark input missing or malformed
     Invariant, ///< a simulator invariant was violated (a cmpsim bug)
     Watchdog,  ///< no instruction retired within watchdog_cycles
-    Internal,  ///< wrapped foreign exception / multi-task failure
+    Internal,  ///< a foreign (non-SimError) exception, wrapped
 };
 
 /** Stable lower-case name of @p kind ("config", "watchdog", ...). */

@@ -11,7 +11,7 @@ StatRegistry::registerCounter(const std::string &name, const Counter *c)
     auto [it, inserted] = counters_.emplace(name, c);
     (void)it;
     if (!inserted)
-        cmpsim_fatal("duplicate counter registration: %s", name.c_str());
+        cmpsim_panic("duplicate counter registration: %s", name.c_str());
 }
 
 void
@@ -21,7 +21,7 @@ StatRegistry::registerAverage(const std::string &name, const Average *a)
     auto [it, inserted] = averages_.emplace(name, a);
     (void)it;
     if (!inserted)
-        cmpsim_fatal("duplicate average registration: %s", name.c_str());
+        cmpsim_panic("duplicate average registration: %s", name.c_str());
 }
 
 void
@@ -32,7 +32,7 @@ StatRegistry::registerHistogram(const std::string &name,
     auto [it, inserted] = histograms_.emplace(name, h);
     (void)it;
     if (!inserted)
-        cmpsim_fatal("duplicate histogram registration: %s",
+        cmpsim_panic("duplicate histogram registration: %s",
                      name.c_str());
 }
 
@@ -41,7 +41,7 @@ StatRegistry::counter(const std::string &name) const
 {
     auto it = counters_.find(name);
     if (it == counters_.end())
-        cmpsim_fatal("unknown counter: %s", name.c_str());
+        cmpsim_panic("unknown counter: %s", name.c_str());
     return it->second->value();
 }
 
@@ -50,7 +50,7 @@ StatRegistry::average(const std::string &name) const
 {
     auto it = averages_.find(name);
     if (it == averages_.end())
-        cmpsim_fatal("unknown average: %s", name.c_str());
+        cmpsim_panic("unknown average: %s", name.c_str());
     return it->second->mean();
 }
 
@@ -65,7 +65,7 @@ StatRegistry::histogram(const std::string &name) const
 {
     auto it = histograms_.find(name);
     if (it == histograms_.end())
-        cmpsim_fatal("unknown histogram: %s", name.c_str());
+        cmpsim_panic("unknown histogram: %s", name.c_str());
     return *it->second;
 }
 

@@ -76,12 +76,7 @@ readEnvKnobs()
             .value_or(k.lengths.measure_per_core);
     k.seeds = unsignedKnob<unsigned>(raw, "CMPSIM_SEEDS").value_or(k.seeds);
     k.jobs = unsignedKnob<unsigned>(raw, "CMPSIM_JOBS").value_or(k.jobs);
-
-    // Paths: empty is unset.
-    k.policy.journal_path = envValue(raw, "CMPSIM_JOURNAL");
-    k.policy.report_path = envValue(raw, "CMPSIM_REPORT");
-    k.policy.progress =
-        boolKnob(raw, "CMPSIM_PROGRESS").value_or(false);
+    k.journal = envValue(raw, "CMPSIM_JOURNAL");
 
     k.audit = unsignedKnob<Cycle>(raw, "CMPSIM_AUDIT");
     k.watchdog = unsignedKnob<Cycle>(raw, "CMPSIM_WATCHDOG");

@@ -23,7 +23,7 @@
 #include <optional>
 #include <string>
 
-#include "src/core_api/parallel_runner.h"
+#include "src/core_api/experiment.h"
 
 namespace cmpsim {
 
@@ -35,9 +35,7 @@ struct EnvKnobs
     unsigned seeds = 2;  ///< CMPSIM_SEEDS: seeds per bench point
     /** CMPSIM_JOBS: runner workers (0 = one per hardware thread). */
     unsigned jobs = 0;
-    /** What runPoints() applies: CMPSIM_JOURNAL, CMPSIM_REPORT and
-     *  CMPSIM_PROGRESS. */
-    RunPolicy policy;
+    std::string journal; ///< CMPSIM_JOURNAL: runPoints()'s journal file
 
     // Applied by makeConfig(); unset leaves the SystemConfig default.
     std::optional<Cycle> audit;            ///< CMPSIM_AUDIT
@@ -48,7 +46,7 @@ struct EnvKnobs
     bool prof = false;  ///< CMPSIM_PROF: arm the scoped profiler
 
     /** The raw value of every knob set non-empty, by name: the
-     *  "knobs" object of the run and batch reports. */
+     *  run report's "knobs" object. */
     std::map<std::string, std::string> raw;
 };
 

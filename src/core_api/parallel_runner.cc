@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,10 +14,7 @@
 #include "src/common/crc32.h"
 #include "src/common/fingerprint.h"
 #include "src/core_api/env_knobs.h"
-#include "src/obs/json_writer.h"
-#include "src/obs/run_report.h"
 #include "src/obs/trace.h"
-#include "src/sim/thread_pool.h"
 
 namespace cmpsim {
 
@@ -29,16 +25,6 @@ BatchResult::failed() const
         std::count_if(outcomes.begin(), outcomes.end(),
                       [](const PointOutcome &o) {
                           return o.status == PointStatus::Failed;
-                      }));
-}
-
-std::size_t
-BatchResult::restored() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(outcomes.begin(), outcomes.end(),
-                      [](const PointOutcome &o) {
-                          return o.status == PointStatus::Restored;
                       }));
 }
 
@@ -274,88 +260,19 @@ aggregatePoint(MetricSummary &summary)
     summary.ipc = summarize(ipc_samples);
 }
 
-const char *
-pointStatusName(PointStatus s)
-{
-    switch (s) {
-    case PointStatus::Ok: return "ok";
-    case PointStatus::Restored: return "restored";
-    case PointStatus::Failed: return "failed";
-    }
-    return "unknown";
-}
-
-/** Batch JSON report (RunPolicy::report_path / CMPSIM_REPORT): the
- *  per-point provenance a sweep harness archives — the CMPSIM_* knobs
- *  set, what ran, what was restored, what failed and why, and what
- *  the batch cost. */
-void
-writeBatchReport(const std::string &path,
-                 const std::vector<PointSpec> &points,
-                 const BatchResult &batch,
-                 const std::vector<std::uint64_t> &fps,
-                 double wall_seconds)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-        throw ConfigError("report",
-                          "cannot open batch report file \"" + path +
-                              "\" for writing");
-    }
-    JsonWriter w(out);
-    w.beginObject();
-    w.keyValue("schema", "cmpsim.batch_report.v1");
-    w.keyValue("points", static_cast<std::uint64_t>(points.size()));
-    w.keyValue("failed", static_cast<std::uint64_t>(batch.failed()));
-    w.keyValue("restored",
-               static_cast<std::uint64_t>(batch.restored()));
-    w.beginObject("knobs");
-    for (const auto &[name, value] : readEnvKnobs().raw)
-        w.keyValue(name.c_str(), value);
-    w.end();
-    w.beginArray("outcomes");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const PointOutcome &o = batch.outcomes[i];
-        const MetricSummary &s = batch.summaries[i];
-        w.beginObject();
-        w.keyValue("point", static_cast<std::uint64_t>(i));
-        w.keyValue("benchmark", points[i].benchmark);
-        w.keyValue("seeds",
-                   static_cast<std::uint64_t>(points[i].seeds));
-        w.keyValue("fingerprint", fps[i]);
-        w.keyValue("status", pointStatusName(o.status));
-        w.keyValue("attempts", static_cast<std::uint64_t>(o.attempts));
-        if (o.status == PointStatus::Failed) {
-            w.keyValue("error_kind", errorKindName(o.error_kind));
-            w.keyValue("error", o.error);
-        }
-        w.keyValue("cycles_mean", s.cycles.mean);
-        w.keyValue("cycles_ci95", s.cycles.ci95);
-        w.end();
-    }
-    w.end();
-    w.beginObject("telemetry");
-    w.keyValue("wall_seconds", wall_seconds);
-    w.keyValue("max_rss_kb", currentMaxRssKb());
-    w.end();
-    w.end();
-    out << "\n";
-}
-
 } // namespace
 
 BatchResult
 runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
-                 const RunPolicy &policy)
+                 const std::string &journal_path)
 {
-    const auto batch_start = std::chrono::steady_clock::now();
     BatchResult batch;
     batch.summaries.resize(points.size());
     batch.outcomes.resize(points.size());
 
     std::unique_ptr<Journal> journal;
-    if (!policy.journal_path.empty())
-        journal = std::make_unique<Journal>(policy.journal_path);
+    if (!journal_path.empty())
+        journal = std::make_unique<Journal>(journal_path);
 
     // Restore journaled points; lay out the remaining (point, seed)
     // tasks in submission order.
@@ -384,21 +301,8 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
         for (unsigned s = 0; s < points[i].seeds; ++s)
             tasks.push_back(Task{i, s});
     }
-    auto finishBatch = [&] {
-        if (policy.report_path.empty())
-            return;
-        const double wall_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - batch_start)
-                .count();
-        writeBatchReport(policy.report_path, points, batch, fps,
-                         wall_seconds);
-    };
-
-    if (tasks.empty()) {
-        finishBatch();
+    if (tasks.empty())
         return batch;
-    }
 
     if (jobs == 0)
         jobs = readEnvKnobs().jobs;
@@ -422,69 +326,63 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     for (std::size_t i = 0; i < points.size(); ++i)
         pending[i].store(points[i].seeds, std::memory_order_relaxed);
 
-    const std::size_t total_tasks = tasks.size();
-    std::atomic<std::size_t> tasks_done{0};
+    // Task t: simulate its (point, seed); the point's last seed also
+    // aggregates and journals it. Whatever those steps throw is the
+    // task's failure, so none of it leaves a worker.
+    auto runTask = [&](std::size_t t) {
+        const Task &task = tasks[t];
+        TaskFailure &slot = failures[t];
+        // Each concurrent task traces onto its own (pid, tid) track so
+        // parallel points don't interleave.
+        TraceThreadScope trace_scope(kTraceSimPid,
+                                     static_cast<unsigned>(t) + 1);
+        Tracer *tracer = Tracer::armed();
+        const std::uint64_t wall0 =
+            tracer != nullptr ? tracer->nowWallUs() : 0;
+        try {
+            MetricSummary &summary = batch.summaries[task.point];
+            SystemConfig config = points[task.point].config;
+            config.seed = task.seed_idx + 1;
+            summary.runs[task.seed_idx] =
+                runOnce(config, points[task.point].benchmark,
+                        points[task.point].lengths);
+            if (pending[task.point].fetch_sub(1) == 1) {
+                aggregatePoint(summary);
+                if (journal)
+                    journal->append(fps[task.point], summaryBytes(summary));
+            }
+        } catch (const SimError &e) {
+            slot = {true, e.kind(), e.what()};
+        } catch (const std::exception &e) {
+            slot = {true, ErrorKind::Internal, e.what()};
+        } catch (...) {
+            slot = {true, ErrorKind::Internal, "non-standard exception"};
+        }
+        if (tracer != nullptr) {
+            tracer->completeWall(
+                "point.task", wall0, tracer->nowWallUs(),
+                {{"point", std::uint64_t{task.point}},
+                 {"seed", std::uint64_t{task.seed_idx + 1}},
+                 {"status", slot.failed ? "failed" : "ok"}});
+        }
+    };
 
-    // Scope the pool so its destructor joins the workers even if
-    // wait() rethrows (it shouldn't: tasks catch internally).
-    ThreadPool pool(jobs);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-        pool.submit([&points, &policy, &batch, &failures, &tasks, &fps,
-                     &pending, &journal, &tasks_done, total_tasks, t] {
-            const Task &task = tasks[t];
-            TaskFailure &slot = failures[t];
-            // Each concurrent task traces onto its own (pid, tid)
-            // track so parallel points don't interleave.
-            TraceThreadScope trace_scope(kTraceSimPid,
-                                         static_cast<unsigned>(t) + 1);
-            Tracer *tracer = Tracer::armed();
-            const std::uint64_t wall0 =
-                tracer != nullptr ? tracer->nowWallUs() : 0;
-            try {
-                SystemConfig config = points[task.point].config;
-                config.seed = task.seed_idx + 1;
-                batch.summaries[task.point].runs[task.seed_idx] =
-                    runOnce(config, points[task.point].benchmark,
-                            points[task.point].lengths);
-            } catch (const SimError &e) {
-                slot.failed = true;
-                slot.kind = e.kind();
-                slot.what = e.what();
-            } catch (const std::exception &e) {
-                slot.failed = true;
-                slot.kind = ErrorKind::Internal;
-                slot.what = e.what();
-            } catch (...) {
-                slot.failed = true;
-                slot.kind = ErrorKind::Internal;
-                slot.what = "non-standard exception";
-            }
-            if (!slot.failed && pending[task.point].fetch_sub(1) == 1) {
-                aggregatePoint(batch.summaries[task.point]);
-                if (journal) {
-                    journal->append(
-                        fps[task.point],
-                        summaryBytes(batch.summaries[task.point]));
-                }
-            }
-            const char *result = slot.failed ? "failed" : "ok";
-            if (tracer != nullptr) {
-                tracer->completeWall(
-                    "point.task", wall0, tracer->nowWallUs(),
-                    {{"point", std::uint64_t{task.point}},
-                     {"seed", std::uint64_t{task.seed_idx + 1}},
-                     {"status", result}});
-            }
-            const std::size_t done = tasks_done.fetch_add(1) + 1;
-            if (policy.progress) {
-                std::fprintf(stderr,
-                             "[cmpsim] %zu/%zu point %zu seed %u: %s\n",
-                             done, total_tasks, task.point,
-                             task.seed_idx + 1, result);
-            }
-        });
+    // Workers claim tasks in submission order; the calling thread is
+    // one of them. Leaving the scope joins the others, on an exception
+    // too, and orders every slot write before the reads below.
+    std::atomic<std::size_t> next_task{0};
+    auto work = [&] {
+        for (std::size_t t = next_task.fetch_add(1); t < tasks.size();
+             t = next_task.fetch_add(1))
+            runTask(t);
+    };
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(jobs - 1);
+        for (unsigned w = 1; w < jobs; ++w)
+            workers.emplace_back(work);
+        work();
     }
-    pool.wait();
 
     // Record outcomes serially, in task order, so the failure a point
     // reports (and therefore every outcome) is deterministic.
@@ -498,8 +396,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
             outcome.error = slot.what;
         }
     }
-
-    finishBatch();
     return batch;
 }
 
@@ -507,7 +403,7 @@ std::vector<MetricSummary>
 runPoints(const std::vector<PointSpec> &points, unsigned jobs)
 {
     BatchResult batch =
-        runPointsChecked(points, jobs, readEnvKnobs().policy);
+        runPointsChecked(points, jobs, readEnvKnobs().journal);
     batch.throwIfFailed();
     return std::move(batch.summaries);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment execution: fan a batch of independent
- * (config, workload, seed) simulation points across a worker pool,
+ * (config, workload, seed) simulation points across worker threads,
  * with crash containment and journaled resume (DESIGN.md §8).
  *
  * Every point is a pure function of (SystemConfig, workload name,
@@ -12,21 +12,22 @@
  * it) byte-identical regardless of the worker count.
  *
  * Failure model: runPointsChecked() never lets one broken point sink
- * the batch. Each (point, seed) task runs once; its exception is
- * caught and recorded as a PointOutcome. A point is a pure function
- * of its spec, so rerunning a failure would fail the same way; a
- * rerun under the journal re-simulates only the failed points. The
- * runPoints() wrapper keeps the all-or-nothing contract by throwing a
- * SimError summarising any failures.
+ * the batch. Each (point, seed) task runs once; whatever it throws is
+ * caught on its worker and recorded as a PointOutcome. A point is a
+ * pure function of its spec, so rerunning a failure would fail the
+ * same way; a rerun under the journal re-simulates only the failed
+ * points. The runPoints() wrapper keeps the all-or-nothing contract
+ * by throwing a SimError summarising any failures.
  *
- * Journaled resume: with RunPolicy::journal_path set, every completed
- * point's spec fingerprint and summaryBytes are appended to a journal
- * file as soon as its last seed finishes. A rerun over the same
- * journal restores those points byte-identically (asserted by
+ * Journaled resume: with a journal path, every completed point's spec
+ * fingerprint and summaryBytes are appended to a journal file as soon
+ * as its last seed finishes. A rerun over the same journal restores
+ * those points byte-identically (asserted by
  * tests/journal_resume_test.cc) and only simulates the rest.
  *
- * runPoints() takes its policy, and a zero worker count its jobs,
- * from the environment knobs (src/core_api/env_knobs.h).
+ * runPoints() takes its journal path (CMPSIM_JOURNAL), and a zero
+ * worker count its jobs, from the environment knobs
+ * (src/core_api/env_knobs.h).
  */
 
 #ifndef CMPSIM_CORE_API_PARALLEL_RUNNER_H
@@ -82,8 +83,7 @@ struct BatchResult
     std::vector<MetricSummary> summaries;
     std::vector<PointOutcome> outcomes; ///< parallel to summaries
 
-    std::size_t failed() const;   ///< points with status Failed
-    std::size_t restored() const; ///< points with status Restored
+    std::size_t failed() const; ///< points with status Failed
 
     /** Multi-line human-readable digest of every failure, or ""
      *  when the batch is clean. */
@@ -94,40 +94,28 @@ struct BatchResult
     void throwIfFailed() const;
 };
 
-/** Fault-tolerance policy for one batch. The default-constructed
- *  policy is inert: no journal, no report, no progress lines. */
-struct RunPolicy
-{
-    /** Journal file for completed points ("" = no journal). */
-    std::string journal_path;
-    /** Batch JSON report path ("" = no report): per-point provenance
-     *  (status, attempts, error kind, spec fingerprint, aggregate
-     *  cycles) plus batch wall-clock/heap telemetry (DESIGN.md §9). */
-    std::string report_path;
-    /** Emit one stderr progress line per finished (point, seed) task
-     *  — live visibility into long sweeps without polluting stdout. */
-    bool progress = false;
-};
-
 /**
- * Run every (point, seed) task across @p jobs workers (0 = CMPSIM_JOBS
- * if that is non-zero, else one per hardware thread) under @p policy.
- * One point's failure is contained: the rest of the batch still runs
- * to completion and the failure is recorded in the returned outcomes.
- * Deterministic: the summaries are a pure function of @p points (and
- * the journal contents), independent of jobs. Throws only on
- * batch-level misuse (bad journal path, a journal path naming a file
- * that is not a journal, zero seeds).
+ * Run every (point, seed) task on min(@p jobs, tasks) threads, the
+ * calling thread among them (@p jobs 0 = CMPSIM_JOBS if that is
+ * non-zero, else one per hardware thread). With @p journal_path set,
+ * journaled points are restored instead of simulated and every
+ * completed point is appended to the journal. One point's failure is
+ * contained: the rest of the batch still runs to completion and the
+ * failure is recorded in the returned outcomes. Deterministic: the
+ * summaries are a pure function of @p points (and the journal
+ * contents), independent of jobs. Throws only on batch-level misuse
+ * (bad journal path, a journal path naming a file that is not a
+ * journal, zero seeds).
  */
 BatchResult runPointsChecked(const std::vector<PointSpec> &points,
                              unsigned jobs = 0,
-                             const RunPolicy &policy = RunPolicy{});
+                             const std::string &journal_path = "");
 
 /**
- * Strict wrapper: runPointsChecked() under the environment's
- * RunPolicy (EnvKnobs::policy), returning just the summaries; any
- * point failure throws (BatchResult::throwIfFailed()). runs[s] within
- * each summary is seed s+1.
+ * Strict wrapper: runPointsChecked() journaling to CMPSIM_JOURNAL
+ * (EnvKnobs::journal), returning just the summaries; any point
+ * failure throws (BatchResult::throwIfFailed()). runs[s] within each
+ * summary is seed s+1.
  */
 std::vector<MetricSummary> runPoints(const std::vector<PointSpec> &points,
                                      unsigned jobs = 0);

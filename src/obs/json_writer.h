@@ -1,11 +1,11 @@
 /**
  * @file
- * Minimal streaming JSON emitter for the observability layer (run
- * reports, batch reports, interval-sampler series). No reflection, no
- * DOM: callers push begin/end/key/value calls and the writer tracks
- * comma placement and indentation. Output is deterministic for
- * deterministic inputs — doubles are printed with %.17g so a value
- * round-trips bit-exactly through a JSON parser.
+ * Minimal streaming JSON emitter for the run report
+ * (src/obs/run_report.h). No reflection, no DOM: callers push
+ * begin/end/key/value calls and the writer tracks comma placement and
+ * indentation. Output is deterministic for deterministic inputs —
+ * doubles are printed with %.17g so a value round-trips bit-exactly
+ * through a JSON parser.
  */
 
 #ifndef CMPSIM_OBS_JSON_WRITER_H

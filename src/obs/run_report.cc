@@ -16,14 +16,12 @@ currentMaxRssKb()
     return static_cast<std::uint64_t>(ru.ru_maxrss);
 }
 
-void
-captureStats(const StatRegistry &reg, RunReport &report)
+StatCapture
+captureStats(const StatRegistry &reg)
 {
-    report.counters.clear();
+    StatCapture c;
     for (const std::string &name : reg.counterNames())
-        report.counters.emplace_back(name, reg.counter(name));
-
-    report.histograms.clear();
+        c.counters.emplace_back(name, reg.counter(name));
     for (const std::string &name : reg.histogramNames()) {
         const Histogram &h = reg.histogram(name);
         HistogramReport hr;
@@ -34,31 +32,38 @@ captureStats(const StatRegistry &reg, RunReport &report)
         hr.p90 = h.quantile(0.90);
         hr.p99 = h.quantile(0.99);
         hr.underflow = h.underflow();
-        report.histograms.push_back(std::move(hr));
+        c.histograms.push_back(std::move(hr));
     }
+    return c;
 }
 
+namespace {
+
+/** @p c as a "counters" object and a "histograms" array. */
 void
-captureCpiStats(const StatRegistry &reg, RunReport &report)
+writeCapture(JsonWriter &w, const StatCapture &c)
 {
-    report.cpi_stack.clear();
-    for (const std::string &name : reg.counterNames())
-        report.cpi_stack.emplace_back(name, reg.counter(name));
+    w.beginObject("counters");
+    for (const auto &[name, value] : c.counters)
+        w.keyValue(name.c_str(), value);
+    w.end();
 
-    report.cpi_histograms.clear();
-    for (const std::string &name : reg.histogramNames()) {
-        const Histogram &h = reg.histogram(name);
-        HistogramReport hr;
-        hr.name = name;
-        hr.count = h.total();
-        hr.mean = h.mean();
-        hr.p50 = h.quantile(0.50);
-        hr.p90 = h.quantile(0.90);
-        hr.p99 = h.quantile(0.99);
-        hr.underflow = h.underflow();
-        report.cpi_histograms.push_back(std::move(hr));
+    w.beginArray("histograms");
+    for (const HistogramReport &h : c.histograms) {
+        w.beginObject();
+        w.keyValue("name", h.name);
+        w.keyValue("count", h.count);
+        w.keyValue("mean", h.mean);
+        w.keyValue("p50", h.p50);
+        w.keyValue("p90", h.p90);
+        w.keyValue("p99", h.p99);
+        w.keyValue("underflow", h.underflow);
+        w.end();
     }
+    w.end();
 }
+
+} // namespace
 
 void
 writeRunReport(std::ostream &os, const RunReport &report)
@@ -87,44 +92,11 @@ writeRunReport(std::ostream &os, const RunReport &report)
     w.keyValue("compression_ratio", report.compression_ratio);
     w.end();
 
-    w.beginObject("counters");
-    for (const auto &[name, value] : report.counters)
-        w.keyValue(name.c_str(), value);
-    w.end();
-
-    w.beginArray("histograms");
-    for (const HistogramReport &h : report.histograms) {
-        w.beginObject();
-        w.keyValue("name", h.name);
-        w.keyValue("count", h.count);
-        w.keyValue("mean", h.mean);
-        w.keyValue("p50", h.p50);
-        w.keyValue("p90", h.p90);
-        w.keyValue("p99", h.p99);
-        w.keyValue("underflow", h.underflow);
-        w.end();
-    }
-    w.end();
-
-    if (!report.cpi_stack.empty() || !report.cpi_histograms.empty()) {
+    writeCapture(w, report.stats);
+    if (!report.cpi_stack.counters.empty() ||
+        !report.cpi_stack.histograms.empty()) {
         w.beginObject("cpi_stack");
-        w.beginObject("counters");
-        for (const auto &[name, value] : report.cpi_stack)
-            w.keyValue(name.c_str(), value);
-        w.end();
-        w.beginArray("histograms");
-        for (const HistogramReport &h : report.cpi_histograms) {
-            w.beginObject();
-            w.keyValue("name", h.name);
-            w.keyValue("count", h.count);
-            w.keyValue("mean", h.mean);
-            w.keyValue("p50", h.p50);
-            w.keyValue("p90", h.p90);
-            w.keyValue("p99", h.p99);
-            w.keyValue("underflow", h.underflow);
-            w.end();
-        }
-        w.end();
+        writeCapture(w, report.cpi_stack);
         w.end();
     }
 

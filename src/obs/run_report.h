@@ -5,8 +5,7 @@
  * knobs it ran under, outcome status, headline metrics, every
  * registered counter, histogram summaries with quantiles,
  * wall-clock/heap telemetry, and the profiler's site totals — written
- * by `cmpsim_cli --report out.json` and aggregated per-point by the
- * parallel runner's batch report (CMPSIM_REPORT).
+ * by `cmpsim_cli --report out.json`.
  *
  * The report is the artifact a sweep harness archives next to each
  * run: enough to audit *what* was simulated (fingerprint), *what came
@@ -46,6 +45,13 @@ struct HistogramReport
     std::uint64_t underflow = 0;
 };
 
+/** One registry's counters and histogram summaries, in name order. */
+struct StatCapture
+{
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<HistogramReport> histograms;
+};
+
 /** Everything one run's report serializes. */
 struct RunReport
 {
@@ -69,16 +75,13 @@ struct RunReport
     double bandwidth_gbps = 0.0;
     double compression_ratio = 1.0;
 
-    // Full stat capture.
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<HistogramReport> histograms;
+    StatCapture stats; ///< CmpSystem::stats(), in full
 
-    /** CPI-stack / miss-genealogy counters (CmpSystem::cpiStats()),
+    /** CPI-stack / miss-genealogy registry (CmpSystem::cpiStats()),
      *  captured only when the layer is armed (--cpi-stack /
-     *  CMPSIM_CPISTACK); the "cpi_stack" object is omitted otherwise
-     *  so unarmed reports are byte-identical to older ones. */
-    std::vector<std::pair<std::string, std::uint64_t>> cpi_stack;
-    std::vector<HistogramReport> cpi_histograms;
+     *  CMPSIM_CPISTACK); the "cpi_stack" object is omitted while it
+     *  is empty, so unarmed reports are byte-identical to older ones. */
+    StatCapture cpi_stack;
 
     // Host-side telemetry (not part of the deterministic payload).
     double wall_seconds = 0.0;
@@ -89,12 +92,8 @@ struct RunReport
 /** Peak resident set size of this process in KiB (0 if unknown). */
 std::uint64_t currentMaxRssKb();
 
-/** Copy every registered counter and histogram into @p report. */
-void captureStats(const StatRegistry &reg, RunReport &report);
-
-/** Copy the CPI-stack registry (CmpSystem::cpiStats()) into the
- *  report's cpi_stack section. */
-void captureCpiStats(const StatRegistry &reg, RunReport &report);
+/** Every counter and histogram registered in @p reg. */
+StatCapture captureStats(const StatRegistry &reg);
 
 /** Serialize @p report as a pretty-printed JSON object. */
 void writeRunReport(std::ostream &os, const RunReport &report);

@@ -158,7 +158,8 @@ struct WorkloadParams
     }
 };
 
-/** The eight paper workloads by name; fatal on unknown names. */
+/** The eight paper workloads by name; an unknown name throws
+ *  WorkloadError. */
 WorkloadParams benchmarkParams(const std::string &name);
 
 /** Names of all eight workloads, commercial first (paper order). */

@@ -16,9 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -587,41 +584,11 @@ TEST(JsonTest, MessagesAreEscaped)
 
 // --------------------------------------------------------- self-scan
 
-/** Walk the shipped tree exactly like cmpsim_analyze's driver. */
+/** The tree as cmpsim_analyze scans it. */
 AnalysisResult
 scanRepo()
 {
-    namespace fs = std::filesystem;
-    const fs::path root = CMPSIM_REPO_ROOT;
-
-    auto slurp = [](const fs::path &p) {
-        std::ifstream in(p, std::ios::binary);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        return ss.str();
-    };
-
-    Corpus corpus;
-    std::vector<fs::path> files;
-    for (const char *dir : {"src", "tools", "bench", "examples"}) {
-        if (!fs::is_directory(root / dir))
-            continue;
-        for (const auto &e : fs::recursive_directory_iterator(root / dir)) {
-            const std::string ext = e.path().extension().string();
-            if (e.is_regular_file() && (ext == ".cc" || ext == ".h"))
-                files.push_back(e.path());
-        }
-    }
-    std::sort(files.begin(), files.end());
-    for (const fs::path &p : files) {
-        corpus.files.push_back(
-            lexSource(fs::relative(p, root).generic_string(), slurp(p)));
-    }
-
-    AnalysisContext ctx;
-    ctx.readme = slurp(root / "README.md");
-    ctx.cmake = slurp(root / "CMakeLists.txt");
-    return runAnalysis(corpus, ctx);
+    return analyzeRepo(CMPSIM_REPO_ROOT);
 }
 
 TEST(SelfScanTest, ShippedTreeIsClean)

@@ -197,13 +197,13 @@ TEST(CpiStackTest, ReportAndTraceFromArmedRun)
         CmpSystem sys(fullConfig(true), benchmarkParams("zeus"));
         sys.warmup(kWarmup);
         sys.run(kMeasure);
-        captureStats(sys.stats(), report);
-        captureCpiStats(sys.cpiStats(), report);
+        report.stats = captureStats(sys.stats());
+        report.cpi_stack = captureStats(sys.cpiStats());
         report.cycles = sys.cycles();
     }
-    EXPECT_FALSE(report.counters.empty());
-    EXPECT_FALSE(report.cpi_stack.empty());
-    EXPECT_FALSE(report.cpi_histograms.empty());
+    EXPECT_FALSE(report.stats.counters.empty());
+    EXPECT_FALSE(report.cpi_stack.counters.empty());
+    EXPECT_FALSE(report.cpi_stack.histograms.empty());
     std::ostringstream os;
     writeRunReport(os, report);
     EXPECT_NE(os.str().find("\"cpi_stack\""), std::string::npos);

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "src/common/sim_error.h"
+#include "src/core_api/parallel_runner.h"
 #include "tests/env_guard.h"
 
 namespace cmpsim {
@@ -64,7 +65,7 @@ TEST(EnvKnobsTest, EmptyReturnsFallback)
     EXPECT_EQ(env.lengths.measure_per_core,
               RunLengths{}.measure_per_core);
     EXPECT_FALSE(env.cpi_stack.has_value());
-    EXPECT_TRUE(env.policy.journal_path.empty());
+    EXPECT_TRUE(env.journal.empty());
 }
 
 TEST(EnvKnobsTest, ParsesValue)
@@ -165,19 +166,16 @@ TEST(EnvKnobsTest, ExplicitZeroWarmupRunsEndToEnd)
 
 TEST(EnvKnobsTest, BooleanKnobsAcceptOnlyZeroAndOne)
 {
-    for (const char *knob :
-         {"CMPSIM_CPISTACK", "CMPSIM_PROGRESS", "CMPSIM_PROF"}) {
+    for (const char *knob : {"CMPSIM_CPISTACK", "CMPSIM_PROF"}) {
         for (const char *bad : {"off", "yes", "2"}) {
             EnvGuard guard(knob, bad);
             EXPECT_EQ(errorContext(), knob) << knob << "=" << bad;
         }
     }
-    EnvGuard cpi("CMPSIM_CPISTACK", "1");
-    EnvGuard progress("CMPSIM_PROGRESS", "0");
+    EnvGuard cpi("CMPSIM_CPISTACK", "0");
     EnvGuard prof("CMPSIM_PROF", "1");
     const EnvKnobs env = readEnvKnobs();
-    EXPECT_EQ(env.cpi_stack, std::optional<bool>(true));
-    EXPECT_FALSE(env.policy.progress);
+    EXPECT_EQ(env.cpi_stack, std::optional<bool>(false));
     EXPECT_TRUE(env.prof);
 }
 
@@ -208,6 +206,8 @@ TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)
         // A name the library no longer reads is not a knob: no error,
         // and no sampling plan reaches the config.
         EnvGuard sampling("CMPSIM_SAMPLING", "not-a-plan");
+        EnvGuard report("CMPSIM_REPORT", "report.json");
+        EnvGuard progress("CMPSIM_PROGRESS", "yes");
         EXPECT_NO_THROW(readEnvKnobs());
         SystemConfig cfg;
         EXPECT_NO_THROW(cfg = smallConfig());
@@ -215,7 +215,7 @@ TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)
     }
     // makeConfig() needs none of the runner knobs, but a malformed
     // one still fails the first read of the environment.
-    EnvGuard progress("CMPSIM_PROGRESS", "yes");
+    EnvGuard jobs("CMPSIM_JOBS", "abc");
     EXPECT_THROW(smallConfig(), ConfigError);
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -56,12 +57,23 @@ readFile(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+/** How many of @p batch's points were restored from the journal. */
+std::size_t
+restored(const BatchResult &batch)
+{
+    return static_cast<std::size_t>(
+        std::count_if(batch.outcomes.begin(), batch.outcomes.end(),
+                      [](const PointOutcome &o) {
+                          return o.status == PointStatus::Restored;
+                      }));
+}
+
 // --------------------------------------------- summaryBytes format
 
 TEST(SummaryBytesTest, RoundTripsThroughParseByteExactly)
 {
     const auto specs = smallPoints();
-    const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
+    const BatchResult batch = runPointsChecked(specs, 2);
     ASSERT_EQ(batch.failed(), 0u);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -114,19 +126,16 @@ TEST(JournalResumeTest, RerunRestoresCompletedPointsByteIdentically)
         journalPath("RerunRestoresCompletedPointsByteIdentically");
     std::remove(path.c_str());
 
-    RunPolicy policy;
-    policy.journal_path = path;
-
     // Uninterrupted single-worker reference run, journaling as it goes.
-    const BatchResult first = runPointsChecked(specs, 1, policy);
+    const BatchResult first = runPointsChecked(specs, 1, path);
     ASSERT_EQ(first.failed(), 0u);
-    EXPECT_EQ(first.restored(), 0u);
+    EXPECT_EQ(restored(first), 0u);
 
     // Rerun over the same journal (different worker count on purpose):
     // nothing simulates, everything restores, bytes are identical.
-    const BatchResult second = runPointsChecked(specs, 4, policy);
+    const BatchResult second = runPointsChecked(specs, 4, path);
     ASSERT_EQ(second.failed(), 0u);
-    EXPECT_EQ(second.restored(), specs.size());
+    EXPECT_EQ(restored(second), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_EQ(second.outcomes[i].status, PointStatus::Restored);
         EXPECT_EQ(second.outcomes[i].attempts, 0u);
@@ -147,11 +156,9 @@ TEST(JournalResumeTest, FailedPointIsNotJournaledAndRerunsClean)
     // Point 0 trips a watchdog bound shorter than one memory access on
     // the first pass; point 1 completes and is journaled. The bound is
     // not part of the journal key.
-    RunPolicy policy;
-    policy.journal_path = path;
     auto stalling = specs;
     stalling[0].config.watchdog_cycles = 100;
-    const BatchResult interrupted = runPointsChecked(stalling, 2, policy);
+    const BatchResult interrupted = runPointsChecked(stalling, 2, path);
     EXPECT_EQ(interrupted.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(interrupted.outcomes[0].error_kind, ErrorKind::Watchdog);
     EXPECT_EQ(interrupted.outcomes[1].status, PointStatus::Ok);
@@ -159,11 +166,11 @@ TEST(JournalResumeTest, FailedPointIsNotJournaledAndRerunsClean)
     // The resumed pass over the unmodified specs skips point 1 and
     // simulates only point 0; the batch must match an uninterrupted
     // clean run.
-    const BatchResult resumed = runPointsChecked(specs, 2, policy);
+    const BatchResult resumed = runPointsChecked(specs, 2, path);
     EXPECT_EQ(resumed.outcomes[0].status, PointStatus::Ok);
     EXPECT_EQ(resumed.outcomes[1].status, PointStatus::Restored);
 
-    const BatchResult clean = runPointsChecked(specs, 1, RunPolicy{});
+    const BatchResult clean = runPointsChecked(specs, 1);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_EQ(summaryBytes(resumed.summaries[i]),
                   summaryBytes(clean.summaries[i]))
@@ -184,12 +191,10 @@ TEST(JournalResumeTest, ArmedPlanIsNotRestoredFromItsUnsampledTwin)
         journalPath("ArmedPlanIsNotRestoredFromItsUnsampledTwin");
     std::remove(path.c_str());
 
-    RunPolicy policy;
-    policy.journal_path = path;
-    ASSERT_EQ(runPointsChecked(specs, 1, policy).failed(), 0u);
+    ASSERT_EQ(runPointsChecked(specs, 1, path).failed(), 0u);
 
     specs[0].config.sampling = SamplingPlan::parse("2000:1000:3");
-    const BatchResult armed = runPointsChecked(specs, 1, policy);
+    const BatchResult armed = runPointsChecked(specs, 1, path);
     EXPECT_EQ(armed.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(armed.outcomes[0].error_kind, ErrorKind::Config);
     EXPECT_NE(armed.outcomes[0].error.find("config.sampling"),
@@ -205,9 +210,7 @@ TEST(JournalResumeTest, TruncatedTailIsDroppedValidPrefixKept)
         journalPath("TruncatedTailIsDroppedValidPrefixKept");
     std::remove(path.c_str());
 
-    RunPolicy policy;
-    policy.journal_path = path;
-    const BatchResult first = runPointsChecked(specs, 1, policy);
+    const BatchResult first = runPointsChecked(specs, 1, path);
     ASSERT_EQ(first.failed(), 0u);
 
     // Simulate a crash mid-append: chop the file inside the last
@@ -220,7 +223,7 @@ TEST(JournalResumeTest, TruncatedTailIsDroppedValidPrefixKept)
         out << "point 12 oops";
     }
 
-    const BatchResult second = runPointsChecked(specs, 2, policy);
+    const BatchResult second = runPointsChecked(specs, 2, path);
     ASSERT_EQ(second.failed(), 0u);
     // First point survives from the valid prefix; the mangled one was
     // re-simulated and re-journaled.
@@ -233,8 +236,8 @@ TEST(JournalResumeTest, TruncatedTailIsDroppedValidPrefixKept)
     }
 
     // Third pass: everything restores again.
-    const BatchResult third = runPointsChecked(specs, 1, policy);
-    EXPECT_EQ(third.restored(), specs.size());
+    const BatchResult third = runPointsChecked(specs, 1, path);
+    EXPECT_EQ(restored(third), specs.size());
     std::remove(path.c_str());
 }
 
@@ -246,7 +249,7 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
 
     // A v1 journal (records without a CRC field) holding every point
     // of this very batch: only v2 is read, so none of it is restored.
-    const BatchResult clean = runPointsChecked(specs, 2, RunPolicy{});
+    const BatchResult clean = runPointsChecked(specs, 2);
     std::string v1 = "cmpsim-journal v1\n";
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const std::string body = summaryBytes(clean.summaries[i]);
@@ -258,8 +261,6 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
         v1 += head + body + "end\n";
     }
 
-    RunPolicy policy;
-    policy.journal_path = path;
     auto write = [&path](const std::string &text) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << text;
@@ -270,9 +271,9 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
     for (const std::string &old :
          {std::string(), std::string("cmpsim-jour"), v1}) {
         write(old);
-        const BatchResult batch = runPointsChecked(specs, 2, policy);
+        const BatchResult batch = runPointsChecked(specs, 2, path);
         EXPECT_EQ(batch.failed(), 0u);
-        EXPECT_EQ(batch.restored(), 0u) << old.substr(0, 18);
+        EXPECT_EQ(restored(batch), 0u) << old.substr(0, 18);
         const std::string content = readFile(path);
         EXPECT_EQ(content.compare(0, 18, "cmpsim-journal v2\n"), 0)
             << content.substr(0, 40);
@@ -282,7 +283,7 @@ TEST(JournalResumeTest, UnrecognisableJournalIsStartedFresh)
     const std::string notes = "not a journal at all\n";
     write(notes);
     try {
-        runPointsChecked(specs, 2, policy);
+        runPointsChecked(specs, 2, path);
         FAIL() << "a file that is not a journal was accepted";
     } catch (const ConfigError &e) {
         EXPECT_EQ(e.context(), "journal");
@@ -298,9 +299,7 @@ TEST(JournalResumeTest, InteriorCorruptionTruncatesAtFirstBadRecord)
         journalPath("InteriorCorruptionTruncatesAtFirstBadRecord");
     std::remove(path.c_str());
 
-    RunPolicy policy;
-    policy.journal_path = path;
-    const BatchResult first = runPointsChecked(specs, 1, policy);
+    const BatchResult first = runPointsChecked(specs, 1, path);
     ASSERT_EQ(first.failed(), 0u);
 
     // Flip one byte inside the *last* record's body. The framing still
@@ -320,7 +319,7 @@ TEST(JournalResumeTest, InteriorCorruptionTruncatesAtFirstBadRecord)
         f.write(&c, 1);
     }
 
-    const BatchResult second = runPointsChecked(specs, 2, policy);
+    const BatchResult second = runPointsChecked(specs, 2, path);
     ASSERT_EQ(second.failed(), 0u);
     EXPECT_EQ(second.outcomes[0].status, PointStatus::Restored);
     EXPECT_EQ(second.outcomes[1].status, PointStatus::Ok)

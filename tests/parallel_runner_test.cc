@@ -14,14 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/fingerprint.h"
-#include "tests/env_guard.h"
 
 namespace cmpsim {
 namespace {
@@ -119,33 +115,15 @@ TEST(ParallelRunnerTest, RepeatedParallelRunsReproduce)
               fingerprints(runPoints(specs, 4)));
 }
 
-TEST(ParallelRunnerTest, BatchReportRecordsTheKnobSet)
-{
-    const std::string path =
-        ::testing::TempDir() + "cmpsim_batch_report_knobs.json";
-    EnvGuard progress("CMPSIM_PROGRESS", "0");
-    RunPolicy policy;
-    policy.report_path = path;
-    // An empty batch still writes its report.
-    runPointsChecked({}, 1, policy);
-
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    EXPECT_NE(text.str().find("\"CMPSIM_PROGRESS\": \"0\""),
-              std::string::npos);
-    std::remove(path.c_str());
-}
-
 // ----------------------------------------------- batch containment
 
 TEST(FaultContainmentTest, PermanentFaultFailsOnePointNotTheBatch)
 {
     auto specs = smallPoints();
-    const BatchResult expected = runPointsChecked(specs, 2, RunPolicy{});
+    const BatchResult expected = runPointsChecked(specs, 2);
 
     specs[0].config.watchdog_cycles = kStallingWatchdog;
-    const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
+    const BatchResult batch = runPointsChecked(specs, 2);
 
     EXPECT_EQ(batch.failed(), 1u);
     EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
@@ -173,7 +151,7 @@ TEST(FaultContainmentTest, DeterministicErrorsAreNotRetried)
     auto specs = smallPoints();
     specs[0].benchmark = "no-such-benchmark";
 
-    const BatchResult batch = runPointsChecked(specs, 2, RunPolicy{});
+    const BatchResult batch = runPointsChecked(specs, 2);
 
     EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);
     EXPECT_EQ(batch.outcomes[0].error_kind, ErrorKind::Workload);
@@ -187,7 +165,7 @@ TEST(FaultContainmentTest, FailedPointKeepsItsCompletedSeeds)
     specs.resize(1);
     auto runAt = [&specs](Cycle bound) {
         specs[0].config.watchdog_cycles = bound;
-        return runPointsChecked(specs, 2, RunPolicy{});
+        return runPointsChecked(specs, 2);
     };
 
     // Bisect for the largest bound at which the point still fails: the
@@ -239,7 +217,7 @@ TEST(WatchdogTest, InjectedLivelockTerminatesViaWatchdog)
     specs[0].seeds = 1;
     specs[0].config.watchdog_cycles = kStallingWatchdog;
 
-    const BatchResult batch = runPointsChecked(specs, 1, RunPolicy{});
+    const BatchResult batch = runPointsChecked(specs, 1);
 
     ASSERT_EQ(batch.outcomes.size(), 1u);
     EXPECT_EQ(batch.outcomes[0].status, PointStatus::Failed);

@@ -58,17 +58,16 @@ TEST(RunReportTest, CaptureStatsCopiesEveryCounterAndHistogram)
     h.sample(15);
     h.sample(-1);
 
-    RunReport report;
-    captureStats(reg, report);
+    const StatCapture c = captureStats(reg);
 
-    ASSERT_EQ(report.counters.size(), 2u);
-    EXPECT_EQ(report.counters[0].first, "a.first"); // sorted
-    EXPECT_EQ(report.counters[0].second, 3u);
-    EXPECT_EQ(report.counters[1].first, "b.second");
-    EXPECT_EQ(report.counters[1].second, 9u);
+    ASSERT_EQ(c.counters.size(), 2u);
+    EXPECT_EQ(c.counters[0].first, "a.first"); // sorted
+    EXPECT_EQ(c.counters[0].second, 3u);
+    EXPECT_EQ(c.counters[1].first, "b.second");
+    EXPECT_EQ(c.counters[1].second, 9u);
 
-    ASSERT_EQ(report.histograms.size(), 1u);
-    const HistogramReport &hr = report.histograms[0];
+    ASSERT_EQ(c.histograms.size(), 1u);
+    const HistogramReport &hr = c.histograms[0];
     EXPECT_EQ(hr.name, "lat");
     EXPECT_EQ(hr.count, 3u);
     EXPECT_EQ(hr.underflow, 1u);
@@ -88,12 +87,12 @@ TEST(RunReportTest, JsonRoundTripsEveryField)
     report.cycles = 12345;
     report.instructions = 6789;
     report.ipc = 0.5;
-    report.counters.emplace_back("l2.demand_misses", 17);
+    report.stats.counters.emplace_back("l2.demand_misses", 17);
     HistogramReport hr;
     hr.name = "mem.read_latency_hist";
     hr.count = 4;
     hr.p99 = 250.0;
-    report.histograms.push_back(hr);
+    report.stats.histograms.push_back(hr);
     report.wall_seconds = 1.25;
     report.max_rss_kb = 2048;
     ProfSample prof;

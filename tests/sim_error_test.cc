@@ -1,8 +1,8 @@
 /**
  * @file
  * Error-taxonomy contract (DESIGN.md §8): kinds, what() structure,
- * the throwing cmpsim_fatal/cmpsim_panic reporters, and
- * SystemConfig::validate() rejections.
+ * the throwing cmpsim_panic reporter, and SystemConfig::validate()
+ * rejections.
  */
 
 #include "src/common/sim_error.h"
@@ -58,12 +58,6 @@ TEST(SimErrorTest, PanicThrowsInvariantErrorWithFileLineContext)
         EXPECT_NE(what.find("sim_error_test.cc"), std::string::npos)
             << what;
     }
-}
-
-TEST(SimErrorTest, FatalThrowsConfigError)
-{
-    EXPECT_THROW(cmpsim_fatal("bad value for %s: %s", "KNOB", "x"),
-                 ConfigError);
 }
 
 TEST(SimErrorTest, UnknownBenchmarkIsWorkloadError)

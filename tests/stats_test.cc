@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "src/common/sim_error.h"
+
 namespace cmpsim {
 namespace {
 
@@ -170,6 +172,17 @@ TEST(StatRegistryTest, CounterNamesSorted)
     ASSERT_EQ(names.size(), 2u);
     EXPECT_EQ(names[0], "a");
     EXPECT_EQ(names[1], "z");
+}
+
+TEST(StatRegistryTest, NameErrorsAreInvariantErrors)
+{
+    // A stat name registered twice or looked up but never registered
+    // is a cmpsim bug, not an impossible configuration.
+    StatRegistry reg;
+    Counter a, b;
+    reg.registerCounter("l2.misses", &a);
+    EXPECT_THROW(reg.registerCounter("l2.misses", &b), InvariantError);
+    EXPECT_THROW(reg.counter("l2.hits"), InvariantError);
 }
 
 TEST(SummaryTest, EmptyAndSingle)

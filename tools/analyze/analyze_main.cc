@@ -3,50 +3,29 @@
  * cmpsim_analyze — repo-specific static analysis for the simulator.
  *
  * Usage:
- *   cmpsim_analyze [--root DIR] [--json] [--list-checks] [PATH...]
+ *   cmpsim_analyze [--root DIR] [--json] [--list-checks]
  *
- * PATHs are directories or files relative to --root (default: the
- * current directory, walking up until README.md + src/ are found).
- * With no PATHs the default scan set is: src tools bench examples.
+ * Scans every .cc/.h file under src tools bench examples of the repo
+ * at --root (default: the current directory, walking up until
+ * README.md + src/ are found), with README.md and CMakeLists.txt as
+ * the cross-check context. The scan set is fixed: the cross-file
+ * checks are only right over the whole tree.
  *
  * Exit codes: 0 = clean, 1 = unsuppressed findings, 2 = usage or I/O
  * error. CI and tools/lint.sh rely on this contract.
  */
 
-#include <algorithm>
+#include <exception>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "tools/analyze/checker.h"
-#include "tools/analyze/lexer.h"
 
 namespace fs = std::filesystem;
 using namespace cmpsim::analyze;
 
 namespace {
-
-bool
-readFile(const fs::path &p, std::string &out)
-{
-    std::ifstream in(p, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
-bool
-isSourceFile(const fs::path &p)
-{
-    const std::string ext = p.extension().string();
-    return ext == ".cc" || ext == ".h";
-}
 
 /** Locate the repo root: the nearest ancestor holding README.md and
  *  src/, so the tool works from build/ as well as the checkout. */
@@ -63,20 +42,11 @@ findRoot()
     }
 }
 
-std::string
-relPath(const fs::path &p, const fs::path &root)
-{
-    std::error_code ec;
-    const fs::path rel = fs::relative(p, root, ec);
-    return (ec ? p : rel).generic_string();
-}
-
 int
 usage(std::ostream &os, int code)
 {
-    os << "usage: cmpsim_analyze [--root DIR] [--json] [--list-checks]"
-          " [PATH...]\n"
-          "  PATHs default to: src tools bench examples\n";
+    os << "usage: cmpsim_analyze [--root DIR] [--json] [--list-checks]\n"
+          "  scans src tools bench examples under the repo root\n";
     return code;
 }
 
@@ -88,7 +58,6 @@ main(int argc, char **argv)
     bool json = false;
     bool list_checks = false;
     fs::path root;
-    std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -102,11 +71,10 @@ main(int argc, char **argv)
             root = argv[i];
         } else if (arg == "--help" || arg == "-h") {
             return usage(std::cout, 0);
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "cmpsim_analyze: unknown option " << arg << "\n";
-            return usage(std::cerr, 2);
         } else {
-            paths.push_back(arg);
+            std::cerr << "cmpsim_analyze: unexpected argument " << arg
+                      << "\n";
+            return usage(std::cerr, 2);
         }
     }
 
@@ -127,46 +95,14 @@ main(int argc, char **argv)
                   << " is not a directory\n";
         return 2;
     }
-    if (paths.empty())
-        paths = {"src", "tools", "bench", "examples"};
 
-    // Collect the scan set, sorted for stable output.
-    std::vector<fs::path> files;
-    for (const std::string &p : paths) {
-        const fs::path abs = root / p;
-        if (fs::is_directory(abs)) {
-            for (const auto &entry :
-                 fs::recursive_directory_iterator(abs)) {
-                if (entry.is_regular_file() &&
-                    isSourceFile(entry.path()))
-                    files.push_back(entry.path());
-            }
-        } else if (fs::is_regular_file(abs)) {
-            files.push_back(abs);
-        } else {
-            std::cerr << "cmpsim_analyze: no such path: " << p << "\n";
-            return 2;
-        }
+    AnalysisResult result;
+    try {
+        result = analyzeRepo(root.string());
+    } catch (const std::exception &e) {
+        std::cerr << "cmpsim_analyze: " << e.what() << "\n";
+        return 2;
     }
-    std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()), files.end());
-
-    Corpus corpus;
-    for (const fs::path &p : files) {
-        std::string text;
-        if (!readFile(p, text)) {
-            std::cerr << "cmpsim_analyze: cannot read " << p.string()
-                      << "\n";
-            return 2;
-        }
-        corpus.files.push_back(lexSource(relPath(p, root), text));
-    }
-
-    AnalysisContext ctx;
-    readFile(root / "README.md", ctx.readme);
-    readFile(root / "CMakeLists.txt", ctx.cmake);
-
-    const AnalysisResult result = runAnalysis(corpus, ctx);
 
     if (json) {
         std::cout << toJson(result);
@@ -175,7 +111,7 @@ main(int argc, char **argv)
             std::cout << f.file << ":" << f.line << ": [" << f.check
                       << "] " << f.message << "\n";
         }
-        std::cout << "cmpsim_analyze: " << corpus.files.size()
+        std::cout << "cmpsim_analyze: " << result.files_scanned
                   << " files, " << result.findings.size()
                   << " finding(s), " << result.suppressed.size()
                   << " suppressed\n";

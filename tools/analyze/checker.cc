@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 
 namespace cmpsim::analyze {
 
@@ -142,6 +146,49 @@ runAnalysis(const Corpus &corpus, const AnalysisContext &ctx)
     std::sort(result.suppressed.begin(), result.suppressed.end(),
               byPlace);
     return result;
+}
+
+AnalysisResult
+analyzeRepo(const std::string &root)
+{
+    namespace fs = std::filesystem;
+    auto slurp = [](const fs::path &p, std::string &out) {
+        std::ifstream in(p, std::ios::binary);
+        if (!in)
+            return false;
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        out = ss.str();
+        return true;
+    };
+
+    std::vector<fs::path> files;
+    for (const char *dir : {"src", "tools", "bench", "examples"}) {
+        const fs::path abs = fs::path(root) / dir;
+        if (!fs::is_directory(abs))
+            throw std::runtime_error("no such directory: " + abs.string());
+        for (const auto &e : fs::recursive_directory_iterator(abs)) {
+            const std::string ext = e.path().extension().string();
+            if (e.is_regular_file() && (ext == ".cc" || ext == ".h"))
+                files.push_back(e.path());
+        }
+    }
+    std::sort(files.begin(), files.end());
+
+    Corpus corpus;
+    for (const fs::path &p : files) {
+        std::string text;
+        if (!slurp(p, text))
+            throw std::runtime_error("cannot read " + p.string());
+        corpus.files.push_back(
+            lexSource(fs::relative(p, root).generic_string(), text));
+    }
+
+    // Either file may be missing: its cross-check is then skipped.
+    AnalysisContext ctx;
+    slurp(fs::path(root) / "README.md", ctx.readme);
+    slurp(fs::path(root) / "CMakeLists.txt", ctx.cmake);
+    return runAnalysis(corpus, ctx);
 }
 
 namespace {

@@ -53,8 +53,9 @@ struct Corpus
 };
 
 /**
- * Repo context the cross-file checkers match against. The driver
- * loads these from --root; tests inject synthetic content directly.
+ * Repo context the cross-file checkers match against. analyzeRepo()
+ * loads these from the repo root; tests inject synthetic content
+ * directly.
  * An empty string means "not available": the dependent cross-check is
  * skipped rather than reporting the whole repo missing.
  */
@@ -116,6 +117,16 @@ struct AnalysisResult
  */
 AnalysisResult runAnalysis(const Corpus &corpus,
                            const AnalysisContext &ctx);
+
+/**
+ * Analyze the repo at @p root: every .cc/.h file under its src,
+ * tools, bench and examples directories (sorted, paths root-relative)
+ * against its README.md and top-level CMakeLists.txt. The one walk of
+ * the tree, shared by cmpsim_analyze and the analyzer's self-scan
+ * test. Throws std::runtime_error naming a directory it cannot find
+ * or a file it cannot read.
+ */
+AnalysisResult analyzeRepo(const std::string &root);
 
 /** Render @p result as the stable cmpsim.analyze.v1 JSON document. */
 std::string toJson(const AnalysisResult &result);

@@ -24,7 +24,7 @@ cd "$work"
 
 echo "== Resilience test suites"
 ctest --test-dir "$build" --output-on-failure -j 4 \
-  -R 'SimError|ConfigValidate|FaultContainment|Watchdog|SummaryBytes|PointSpecBytes|JournalResume|ThreadPool'
+  -R 'SimError|ConfigValidate|FaultContainment|Watchdog|SummaryBytes|PointSpecBytes|JournalResume'
 
 echo "== CLI error smoke tests"
 (

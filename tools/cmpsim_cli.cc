@@ -307,9 +307,9 @@ run(const CliOptions &o)
                 .count();
         report.max_rss_kb = currentMaxRssKb();
         report.prof = profSnapshot();
-        captureStats(system.stats(), report);
+        report.stats = captureStats(system.stats());
         if (system.config().cpi_stack)
-            captureCpiStats(system.cpiStats(), report);
+            report.cpi_stack = captureStats(system.cpiStats());
         std::ofstream out(o.report_path,
                           std::ios::binary | std::ios::trunc);
         if (!out.is_open()) {

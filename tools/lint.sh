@@ -7,6 +7,9 @@
 # mutable shared state in the kernel directories. Findings are suppressed in-source with
 # "// analyze-ok: <check-id> <reason>".
 #
+# Arguments go to the analyzer (e.g. --json). It always scans the
+# whole tree, so it takes no paths: one exits 2 with its usage.
+#
 # Exit status: 0 clean, 1 findings, 2 build/usage failure — the same
 # contract CI has always keyed on.
 set -u
