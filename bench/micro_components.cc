@@ -39,13 +39,15 @@ struct FatPayload
     std::uint64_t cycle;
 };
 
+/** Schedule 16 fat-capture events at delays @p base + 1..13, then
+ *  drain them. */
 void
-runScheduleDrainBatch(EventQueue &q, std::uint64_t &sink)
+runScheduleDrainBatch(EventQueue &q, std::uint64_t &sink, Cycle base)
 {
     FatPayload p{&sink, 0x1000, 7, 0};
     for (int i = 0; i < 16; ++i) {
         p.addr += 64;
-        q.schedule(q.now() + 1 + (i * 7) % 13,
+        q.schedule(q.now() + base + 1 + (i * 7) % 13,
                    [p](Cycle) { *p.sink += p.addr + p.meta; });
     }
     q.drain();
@@ -222,22 +224,36 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// 16 fat-capture events scheduled, then drained, per iteration:
-// EventQueue sifts 24-byte keys and leaves callbacks in their slots.
+// 16 fat-capture events per iteration at delays under 64 cycles, where
+// 97% of simulated delays fall: each is one append to and one pop from
+// a timing-wheel bucket.
 void
-BM_EventKernelIntrusiveHeap(benchmark::State &state)
+BM_EventQueueNearDelays(benchmark::State &state)
 {
     EventQueue eq;
     std::uint64_t sink = 0;
     for (auto _ : state)
-        runScheduleDrainBatch(eq, sink);
+        runScheduleDrainBatch(eq, sink, 0);
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_EventKernelIntrusiveHeap);
+BENCHMARK(BM_EventQueueNearDelays);
+
+// The same batch a wheel's span ahead: each event takes the overflow
+// heap and migrates to its bucket when the drain reaches its window.
+// No valid configuration schedules this far ahead (DESIGN §7).
+void
+BM_EventQueueOverflowDelays(benchmark::State &state)
+{
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    for (auto _ : state)
+        runScheduleDrainBatch(eq, sink, EventQueue::kWheelSlots);
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueueOverflowDelays);
 
 // Cascading same-cycle continuations (the cache-bank -> link ->
-// directory pattern): exercises the FIFO fast path that bypasses the
-// heap entirely.
+// directory pattern): each appends to the bucket being drained.
 void
 BM_EventQueueSameCycleCascade(benchmark::State &state)
 {
@@ -256,9 +272,9 @@ BENCHMARK(BM_EventQueueSameCycleCascade);
 
 // Burst scheduling with and without pre-sized storage: CmpSystem
 // reserves cores x ROB entries up front (see CmpSystem::
-// buildSystem), so the heap never reallocates mid-run. The batch is
-// drained outside the reserve so growth cost recurs every iteration
-// in the no-reserve variant.
+// buildSystem), so the slab never grows mid-run. Each iteration builds
+// a fresh queue, so growth cost recurs every iteration in the
+// no-reserve variant.
 void
 BM_EventQueueBurstNoReserve(benchmark::State &state)
 {

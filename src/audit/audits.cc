@@ -153,6 +153,8 @@ registerEventQueueAudits(InvariantRegistry &reg, const EventQueue &eq,
         }
         return true;
     });
+    reg.add(name + ".wheel",
+            [&eq](std::string &why) { return eq.auditWheel(why); });
 }
 
 void

@@ -8,7 +8,8 @@
  *  - DecoupledSet: segment accounting vs. budget, valid-prefix LRU
  *    stack order, no duplicate valid line addresses, full 8-segment
  *    charge for uncompressed caches, clean victim-tag state;
- *  - EventQueue: monotonic now(), no event pending in the past;
+ *  - EventQueue: monotonic now(), no event pending in the past,
+ *    timing-wheel structure (EventQueue::auditWheel);
  *  - PriorityLink: byte conservation (requested = delivered +
  *    in-flight + queued);
  *  - BandwidthResource: busy-time/byte-count consistency;
@@ -60,8 +61,9 @@ bool auditDecoupledSet(const DecoupledSet &set, bool require_full_charge,
 bool auditCompressorRoundTrip(const Compressor &c, const LineData &line,
                               std::string &why);
 
-/** Register @p eq's audits (monotonic now, no past events) as
- *  "<name>.monotonic_now" and "<name>.no_past_events". */
+/** Register @p eq's audits (monotonic now, no past events, wheel
+ *  structure) as "<name>.monotonic_now", "<name>.no_past_events" and
+ *  "<name>.wheel". */
 void registerEventQueueAudits(InvariantRegistry &reg,
                               const EventQueue &eq,
                               const std::string &name);

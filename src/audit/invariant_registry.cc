@@ -9,8 +9,8 @@ InvariantRegistry::add(const std::string &name, Check fn)
 {
     cmpsim_assert(fn != nullptr);
     for (const auto &[existing, _] : checks_) {
-        cmpsim_assert(existing != name,
-                      "duplicate invariant name \"%s\"", name.c_str());
+        if (existing == name)
+            cmpsim_panic("duplicate invariant name \"%s\"", name.c_str());
     }
     checks_.emplace_back(name, std::move(fn));
 }

@@ -64,10 +64,13 @@ TEST(InvariantRegistryTest, EnforcePanicsWithInvariantName)
 
 TEST(InvariantRegistryTest, DuplicateNameIsFatal)
 {
+    // A name registered twice is a cmpsim bug: fatal to the point that
+    // builds the registry (InvariantError), not to the whole process.
     InvariantRegistry reg;
     reg.add("dup", [](std::string &) { return true; });
-    EXPECT_DEATH(reg.add("dup", [](std::string &) { return true; }),
-                 "duplicate invariant name");
+    EXPECT_THROW(reg.add("dup", [](std::string &) { return true; }),
+                 InvariantError);
+    EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(InvariantRegistryTest, NamesPreserveRegistrationOrder)
@@ -220,12 +223,25 @@ TEST(AuditEventQueueTest, CleanQueuePassesAndAdvancesTrack)
     EventQueue eq;
     InvariantRegistry reg;
     registerEventQueueAudits(reg, eq, "eq");
+    EXPECT_EQ(reg.names().back(), "eq.wheel");
+    // The far event waits in the overflow heap until now() comes
+    // within a wheel's span of it, then migrates to its bucket.
+    const Cycle far = 5 + 2 * EventQueue::kWheelSlots;
     eq.schedule(10, [](Cycle) {});
+    eq.schedule(far, [](Cycle) {});
     EXPECT_TRUE(reg.check().empty());
     eq.advanceTo(5);
     EXPECT_TRUE(reg.check().empty());
     eq.advanceTo(50);
     EXPECT_TRUE(reg.check().empty());
+    eq.advanceTo(far - EventQueue::kWheelSlots + 1);
+    EXPECT_TRUE(reg.check().empty());
+    EXPECT_EQ(eq.nextEventCycle(), far);
+    eq.advanceTo(far);
+    EXPECT_TRUE(eq.empty());
+    const auto failures = reg.check();
+    EXPECT_TRUE(failures.empty())
+        << failures[0].name << ": " << failures[0].detail;
 }
 
 // ------------------------------------------------ whole-system audit

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <set>
+#include <tuple>
 #include <vector>
+
+#include "src/common/random.h"
 
 namespace cmpsim {
 namespace {
@@ -162,7 +167,7 @@ TEST(EventQueueTest, ReservePreservesOrderAndContents)
 
 TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)
 {
-    // Stress the key heap: many events at duplicated cycles
+    // Many events at duplicated cycles, scheduled out of order,
     // must still pop in exact (when, seq) order.
     EventQueue eq;
     std::vector<std::pair<Cycle, int>> order;
@@ -177,6 +182,176 @@ TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)
         {20, 5}, {30, 0}, {30, 4}, {40, 7},
     };
     EXPECT_EQ(order, expect);
+}
+
+TEST(EventQueueTest, ParkedOverflowEventRunsBeforeLaterPeer)
+{
+    // An event scheduled a wheel's span or more ahead waits in the
+    // overflow heap. A peer scheduled for the same cycle after now()
+    // has come within range is younger, so the parked event must run
+    // first: it has to migrate as soon as now() advances, not when its
+    // bucket is reached.
+    constexpr Cycle kW = EventQueue::kWheelSlots;
+    for (const Cycle when : {kW, kW + 10, 3 * kW}) {
+        EventQueue eq;
+        std::vector<int> order;
+        eq.schedule(when, [&](Cycle) { order.push_back(0); });
+        eq.advanceTo(when - kW + 1);
+        EXPECT_EQ(eq.nextEventCycle(), when);
+        eq.schedule(when, [&](Cycle) { order.push_back(1); });
+        EXPECT_EQ(eq.size(), 2u);
+        EXPECT_EQ(eq.drain(), 2u);
+        EXPECT_EQ(order, (std::vector<int>{0, 1})) << "when=" << when;
+        EXPECT_EQ(eq.now(), when);
+    }
+}
+
+// ------------------------------------------- differential order check
+
+constexpr Cycle kW = EventQueue::kWheelSlots;
+
+/** Delays the order check draws: near, both edges of the wheel, whole
+ *  spans past it, and far beyond any simulated delay. */
+const Cycle kDelays[] = {0, 1, 2, 7, 63, kW - 1, kW, kW + 1, 3 * kW,
+                         Cycle{1} << 40};
+constexpr std::size_t kNumDelays = std::size(kDelays);
+/** The delays that keep now() in reach: all but the last, 2^40. */
+constexpr std::size_t kReachable = kNumDelays - 1;
+
+/** Delays of the events a fired event schedules: a pure function of
+ *  its id, so both kernels run the same program. 0.75 children per
+ *  event on average, so every cascade dies out. */
+std::vector<Cycle>
+childDelays(std::uint64_t id)
+{
+    Random rng(id + 1);
+    std::vector<Cycle> out;
+    for (int i = 0; i < 3; ++i) {
+        if (rng.below(4) == 0)
+            out.push_back(kDelays[rng.below(kNumDelays)]);
+    }
+    return out;
+}
+
+/** EventQueue driven by the order check; events record their ids. */
+struct KernelUnderTest
+{
+    EventQueue eq;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t next_id = 0;
+
+    void
+    schedule(Cycle when)
+    {
+        const std::uint64_t id = next_id++;
+        eq.schedule(when, [this, id](Cycle c) {
+            EXPECT_EQ(c, eq.now());
+            fired.push_back(id);
+            for (const Cycle d : childDelays(id))
+                schedule(eq.now() + d);
+        });
+    }
+};
+
+/** The specification: pending events in a (when, seq) ordered set. */
+struct ReferenceKernel
+{
+    std::set<std::tuple<Cycle, std::uint64_t, std::uint64_t>> pending;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t next_id = 0;
+    std::uint64_t seq = 0;
+    Cycle now = 0;
+
+    void
+    schedule(Cycle when)
+    {
+        pending.emplace(when, seq++, next_id++);
+    }
+
+    std::uint64_t
+    drain(Cycle limit)
+    {
+        std::uint64_t executed = 0;
+        if (now > limit)
+            return 0;
+        while (!pending.empty() && std::get<0>(*pending.begin()) <= limit) {
+            const auto [when, s, id] = *pending.begin();
+            pending.erase(pending.begin());
+            now = when;
+            fired.push_back(id);
+            for (const Cycle d : childDelays(id))
+                schedule(now + d);
+            ++executed;
+        }
+        return executed;
+    }
+
+    void
+    advanceTo(Cycle when)
+    {
+        drain(when);
+        now = when;
+    }
+
+    Cycle
+    nextEventCycle() const
+    {
+        return pending.empty() ? kCycleNever
+                               : std::get<0>(*pending.begin());
+    }
+};
+
+TEST(EventQueueTest, MatchesReferenceOrderUnderRandomTraffic)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        Random rng(seed);
+        KernelUnderTest k;
+        ReferenceKernel ref;
+        const auto delay = [&] {
+            return rng.below(2) == 0 ? rng.below(64)
+                                     : kDelays[rng.below(kNumDelays)];
+        };
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t op = rng.below(16);
+            const Cycle now = ref.now;
+            std::uint64_t ran = 0, ref_ran = 0;
+            if (op < 8) {
+                const Cycle when = now + delay();
+                k.schedule(when);
+                ref.schedule(when);
+            } else if (op < 12) {
+                const Cycle when =
+                    now + (rng.below(2) == 0
+                               ? rng.below(64)
+                               : kDelays[rng.below(kReachable)]);
+                k.eq.advanceTo(when);
+                ref.advanceTo(when);
+            } else if (op < 15) {
+                // Limits behind now() (which run nothing), at it and
+                // ahead of it.
+                const Cycle back = std::min<Cycle>(now, rng.below(3));
+                const Cycle limit =
+                    rng.below(3) == 0
+                        ? now - back
+                        : now + kDelays[rng.below(kReachable)];
+                ran = k.eq.drain(limit);
+                ref_ran = ref.drain(limit);
+            } else {
+                ran = k.eq.drain();
+                ref_ran = ref.drain(kCycleNever);
+            }
+            ASSERT_EQ(k.fired, ref.fired) << "seed " << seed << " step "
+                                          << step << " op " << op;
+            ASSERT_EQ(ran, ref_ran) << "seed " << seed << " step " << step;
+            ASSERT_EQ(k.eq.now(), ref.now)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(k.eq.size(), ref.pending.size())
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(k.eq.nextEventCycle(), ref.nextEventCycle())
+                << "seed " << seed << " step " << step;
+        }
+        EXPECT_GT(ref.fired.size(), 1000u);
+    }
 }
 
 } // namespace

@@ -5,11 +5,12 @@
 #   tools/ci/failure_model.sh <build-dir>
 #
 # <build-dir> is a configured and built Release tree. Five steps: the
-# resilience test suites; CLI error smoke tests (each failure must
-# exit 2 with one structured "[kind]" line); bench knob errors; the
-# journal-resume determinism gate (a batch resumed from a journal must
-# fingerprint identically to a clean run); and a bench SIGKILLed
-# mid-batch and resumed from its journal. Scratch files go to a
+# resilience test suites (each named suite must match a test); CLI
+# error smoke tests (each failure must exit 2 with one structured
+# "[kind]" line); bench knob errors; the journal-resume determinism
+# gate (a batch resumed from a journal must fingerprint identically to
+# a clean run); and a bench SIGKILLed mid-batch and resumed from its
+# journal. Scratch files go to a
 # temporary directory. Stops at the first failed check, non-zero.
 set -eo pipefail
 
@@ -17,14 +18,16 @@ if [ $# -ne 1 ] || [ ! -d "$1" ]; then
     echo "usage: $0 <build-dir>" >&2
     exit 2
 fi
+here=$(cd "$(dirname "$0")" && pwd)
 build=$(cd "$1" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
 
 echo "== Resilience test suites"
-ctest --test-dir "$build" --output-on-failure -j 4 \
-  -R 'SimError|ConfigValidate|FaultContainment|Watchdog|SummaryBytes|PointSpecBytes|JournalResume'
+"$here/ctest_suites.sh" "$build" \
+  'SimError|ConfigValidate|FaultContainment|Watchdog|SummaryBytes|PointSpecBytes|JournalResume' \
+  -j 4
 
 echo "== CLI error smoke tests"
 (

@@ -5,12 +5,13 @@
 #   tools/ci/observability.sh <build-dir> [<artifact-dir>]
 #
 # <build-dir> is a configured and built Release tree. Six steps: the
-# observability test suites; a traced + reported CLI run whose JSON
-# artifacts must parse (python3 -m json.tool is the arbiter); the
-# determinism gate traced and profiled, and again with the CPI stack
-# armed, printing exactly what it prints unarmed (tracing, profiling
-# and attribution only read simulator state); a CLI flag beating its
-# environment knob; and a CPI-stack bench point's trace and report.
+# observability test suites (each named suite must match a test); a
+# traced + reported CLI run whose JSON artifacts must parse (python3
+# -m json.tool is the arbiter); the determinism gate traced and
+# profiled, and again with the CPI stack armed, printing exactly what
+# it prints unarmed (tracing, profiling and attribution only read
+# simulator state); a CLI flag beating its environment knob; and a
+# CPI-stack bench point's trace and report.
 # The JSON artifacts are left in <artifact-dir> when one is given,
 # else in a temporary directory removed on exit. Stops at the first
 # failed check, non-zero.
@@ -20,6 +21,7 @@ if [ $# -lt 1 ] || [ $# -gt 2 ] || [ ! -d "$1" ]; then
     echo "usage: $0 <build-dir> [<artifact-dir>]" >&2
     exit 2
 fi
+here=$(cd "$(dirname "$0")" && pwd)
 build=$(cd "$1" && pwd)
 if [ $# -eq 2 ]; then
     mkdir -p "$2"
@@ -31,8 +33,8 @@ fi
 cd "$work"
 
 echo "== Observability test suites"
-ctest --test-dir "$build" --output-on-failure -j 4 \
-  -R 'EventTrace|RunReport|Profiler|Histogram|StatRegistry|CpiStack'
+"$here/ctest_suites.sh" "$build" \
+  'EventTrace|RunReport|Profiler|Histogram|StatRegistry|CpiStack' -j 4
 
 echo "== Traced + reported CLI smoke run"
 (
