@@ -169,6 +169,31 @@ BM_PrefetcherObserveMissStreams(benchmark::State &state)
 }
 BENCHMARK(BM_PrefetcherObserveMissStreams);
 
+// observeMiss on scattered lines, the no-match path: no stream
+// covers the line and no filter entry expects it, so each call
+// scans the stream table and all three filter tables, then fills an
+// entry of each unit-stride table (its LRU one, once the table is
+// full). The lines are drawn from a 2^28-line range, so two of them
+// all but never lie within max_stride of each other and the non-unit
+// table stays empty.
+void
+BM_PrefetcherObserveMissScattered(benchmark::State &state)
+{
+    PrefetcherParams p;
+    p.startup_prefetches = 25;
+    StridePrefetcher pf(p);
+    Random rng(17);
+    std::vector<Addr> lines(4096);
+    for (Addr &line : lines)
+        line = (rng.below(1u << 28) + (1u << 29)) << kLineShift;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            pf.observeMiss(lines[i++ & (lines.size() - 1)], 25));
+    }
+}
+BENCHMARK(BM_PrefetcherObserveMissScattered);
+
 // ValueStore lookups in a store of 256 K lines (16 MiB of values,
 // several times a host's last-level cache): hits on resident lines and
 // misses on absent ones, at random.
@@ -270,28 +295,13 @@ BM_EventQueueSameCycleCascade(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSameCycleCascade);
 
-// Burst scheduling with and without pre-sized storage: CmpSystem
-// reserves cores x ROB entries up front (see CmpSystem::
-// buildSystem), so the slab never grows mid-run. Each iteration builds
-// a fresh queue, so growth cost recurs every iteration in the
-// no-reserve variant.
+// A burst of 512 events into a fresh queue, pre-sized as CmpSystem
+// pre-sizes its queue (cores x ROB entries, see CmpSystem::
+// buildSystem): each iteration times the slab's two 256-slot chunks
+// being allocated, 512 schedules and the drain. Reserving buys no
+// speed here: a queue left to grow allocates the same two chunks.
 void
-BM_EventQueueBurstNoReserve(benchmark::State &state)
-{
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        EventQueue eq;
-        for (int i = 0; i < 512; ++i)
-            eq.schedule(static_cast<Cycle>(1 + (i % 7)),
-                        [&sink](Cycle) { ++sink; });
-        eq.drain();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventQueueBurstNoReserve);
-
-void
-BM_EventQueueBurstWithReserve(benchmark::State &state)
+BM_EventQueueBurst(benchmark::State &state)
 {
     std::uint64_t sink = 0;
     for (auto _ : state) {
@@ -304,7 +314,7 @@ BM_EventQueueBurstWithReserve(benchmark::State &state)
     }
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_EventQueueBurstWithReserve);
+BENCHMARK(BM_EventQueueBurst);
 
 void
 BM_PriorityLinkSend(benchmark::State &state)

@@ -1,8 +1,16 @@
 #include "src/cache/decoupled_set.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace cmpsim {
+
+// The LRU moves below shift a run of tags by one slot with one
+// std::copy or std::copy_backward, which is a memmove only for a
+// trivially copyable TagEntry. (std::rotate would not do: libstdc++
+// takes its memmove path only for POD types, and TagEntry's member
+// initializers make it non-POD, so it runs a swap loop.)
+static_assert(std::is_trivially_copyable_v<TagEntry>);
 
 DecoupledSet::DecoupledSet(TagEntry *storage, unsigned tags,
                            unsigned segment_budget)
@@ -35,7 +43,12 @@ DecoupledSet::touch(TagEntry *entry)
 {
     cmpsim_assert(entry >= entries_ && entry < end() && entry->valid,
                   "touch of an entry outside this set's valid tags");
-    std::rotate(entries_, entry, entry + 1);
+    // Most touches hit the MRU tag already, which needs no move.
+    if (entry != entries_) {
+        const TagEntry moved = *entry;
+        std::copy_backward(entries_, entry, entry + 1);
+        entries_[0] = moved;
+    }
     return entries_;
 }
 
@@ -52,14 +65,18 @@ DecoupledSet::retireTag(TagEntry *it)
     it->segments = kSegmentsPerLine;
     it->sharers = 0;
     it->owner = kNoOwner;
-    // Rotate the fresh victim tag just behind the last valid entry so
+    // Move the fresh victim tag just behind the last valid entry so
     // valids remain a contiguous MRU prefix and the newest victim
     // heads the victim region (insert() reuses the backmost invalid
     // tag, so older victims are recycled first).
     TagEntry *end_valid = it + 1;
     while (end_valid != end() && end_valid->valid)
         ++end_valid;
-    std::rotate(it, it + 1, end_valid);
+    if (end_valid != it + 1) {
+        const TagEntry moved = *it;
+        std::copy(it + 1, end_valid, it);
+        end_valid[-1] = moved;
+    }
 }
 
 TagEntry
@@ -105,8 +122,9 @@ DecoupledSet::insert(const TagEntry &entry)
     }
     cmpsim_assert(slot != nullptr);
 
-    // Move the chosen slot to the MRU position and fill it.
-    std::rotate(entries_, slot, slot + 1);
+    // Shift the tags in front of the chosen slot back over it and
+    // fill the freed MRU position.
+    std::copy_backward(entries_, slot, slot + 1);
     entries_[0] = entry;
     used_segments_ += entry.segments;
     return evicted;

@@ -146,7 +146,7 @@ class DecoupledSet
 
     /**
      * Invalidate the valid entry at @p it, leaving a victim tag, and
-     * rotate it just behind the remaining valid entries so valids stay
+     * move it just behind the remaining valid entries so valids stay
      * a contiguous MRU prefix (the audited stack-order invariant).
      */
     void retireTag(TagEntry *it);

@@ -109,7 +109,7 @@ CoreModel::dispatchOne(Cycle now)
         // from a store buffer while its MSHR throttles the core.
         values_.writeWord(in.addr & ~static_cast<Addr>(3), in.store_value);
         e.type = InstrType::Store;
-        e.done_at = now + 1;
+        setDone(e, now + 1);
         if (in.chained) {
             // The store's address depends on the chain too, but the
             // store buffer decouples it: issue when the chain allows,
@@ -126,7 +126,7 @@ CoreModel::dispatchOne(Cycle now)
       case InstrType::Branch: {
         ++branches_;
         e.type = InstrType::Branch;
-        e.done_at = now + 1;
+        setDone(e, now + 1);
         if (in.mispredict) {
             ++mispredicts_;
             fetch_kind_ = FetchStallKind::Branch;
@@ -138,7 +138,7 @@ CoreModel::dispatchOne(Cycle now)
       }
       case InstrType::Alu: {
         e.type = InstrType::Alu;
-        e.done_at = now + params_.alu_latency;
+        setDone(e, now + params_.alu_latency);
         break;
       }
     }
@@ -157,7 +157,7 @@ CoreModel::finishLoad(unsigned slot, std::uint64_t id, Cycle c,
                       bool chained)
 {
     if (rob_[slot].id == id) {
-        rob_[slot].done_at = c;
+        setDone(rob_[slot], c);
         wake(c);
     }
     if (chained) {
@@ -257,21 +257,25 @@ CoreModel::tick(Cycle now)
         cpi_->endTick(now, cause, line);
     }
 
-    // Blocked: compute the earliest self-known wake-up over the
-    // occupied ring, which is at most two contiguous spans:
+    // Blocked: the earliest self-known wake-up is the fetch stall's
+    // end or the earliest ROB completion after now. None can lie
+    // after now once now has reached the done horizon; before that,
+    // scan the occupied ring, which is at most two contiguous spans:
     // [head, min(head + count, size)) and its wrapped remainder.
     Cycle nw = kCycleNever;
-    auto scan = [&nw, now](const RobEntry *e, const RobEntry *end) {
-        for (; e != end; ++e) {
-            const Cycle d = e->done_at;
-            if (d != kCycleNever && d > now)
-                nw = std::min(nw, d);
-        }
-    };
-    const unsigned first =
-        std::min(rob_count_, params_.rob_entries - rob_head_);
-    scan(rob_.data() + rob_head_, rob_.data() + rob_head_ + first);
-    scan(rob_.data(), rob_.data() + (rob_count_ - first));
+    if (done_horizon_ > now) {
+        auto scan = [&nw, now](const RobEntry *e, const RobEntry *end) {
+            for (; e != end; ++e) {
+                const Cycle d = e->done_at;
+                if (d != kCycleNever && d > now)
+                    nw = std::min(nw, d);
+            }
+        };
+        const unsigned first =
+            std::min(rob_count_, params_.rob_entries - rob_head_);
+        scan(rob_.data() + rob_head_, rob_.data() + rob_head_ + first);
+        scan(rob_.data(), rob_.data() + (rob_count_ - first));
+    }
     if (fetch_stall_until_ != kCycleNever && fetch_stall_until_ > now)
         nw = std::min(nw, fetch_stall_until_);
     next_wake_ = nw;
@@ -347,6 +351,23 @@ CoreModel::adoptSkip(const CoreModel &leader, std::uint64_t count,
     mispredicts_.restore(leader.mispredicts_.value());
     ifetch_lines_.restore(leader.ifetch_lines_.value());
     last_fetch_line_ = leader.last_fetch_line_;
+}
+
+bool
+CoreModel::auditDoneHorizon(std::string &why) const
+{
+    for (unsigned n = 0; n < rob_count_; ++n) {
+        const unsigned slot = (rob_head_ + n) % params_.rob_entries;
+        const Cycle d = rob_[slot].done_at;
+        if (d != kCycleNever && d > done_horizon_) {
+            why = "core " + std::to_string(cpu_) + " ROB slot " +
+                  std::to_string(slot) + " completes at " +
+                  std::to_string(d) + ", past the done horizon " +
+                  std::to_string(done_horizon_);
+            return false;
+        }
+    }
+    return true;
 }
 
 void

@@ -109,6 +109,16 @@ class CoreModel
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
+    /**
+     * The wake-horizon invariant: every occupied ROB entry's finite
+     * done_at is at or before the horizon tick() trusts to skip its
+     * ROB scan. @p why names the first entry past it.
+     */
+    bool auditDoneHorizon(std::string &why) const;
+
+    /** Audit-test fault injection ONLY: overwrite the wake horizon. */
+    void setDoneHorizonForTest(Cycle c) { done_horizon_ = c; }
+
   private:
     struct RobEntry
     {
@@ -150,6 +160,20 @@ class CoreModel
     unsigned rob_tail_ = 0;
     unsigned rob_count_ = 0;
     std::uint64_t next_rob_id_ = 0;
+
+    /** The latest finite done_at ever written to the ROB (only
+     *  dispatchOne() and finishLoad() write one): a blocked tick at
+     *  or past it has no ROB completion left to wake for. */
+    Cycle done_horizon_ = 0;
+
+    /** Write @p c, a finite cycle, as @p e's completion. */
+    void
+    setDone(RobEntry &e, Cycle c)
+    {
+        e.done_at = c;
+        if (c > done_horizon_)
+            done_horizon_ = c;
+    }
 
     bool have_pending_ = false;   ///< instruction stalled at dispatch
     Instruction pending_{};

@@ -213,6 +213,31 @@ CmpSystem::buildSystem()
         l1i_[c]->registerAudits(audits_, "l1i." + idx);
         l1d_[c]->registerAudits(audits_, "l1d." + idx);
     }
+    // One audit per structure kind, each looping over every instance:
+    // a name and a closure per core or prefetcher would be
+    // construction work for nothing.
+    audits_.add("core.done_horizon", [this](std::string &why) {
+        for (const auto &core : cores_) {
+            if (!core->auditDoneHorizon(why))
+                return false;
+        }
+        return true;
+    });
+    if (config_.prefetching) {
+        audits_.add("prefetch.filters", [this](std::string &why) {
+            auto pass = [&why](const auto &engines, const char *name) {
+                for (std::size_t e = 0; e < engines.size(); ++e) {
+                    if (!engines[e]->auditFilters(why)) {
+                        why = name + std::to_string(e) + ": " + why;
+                        return false;
+                    }
+                }
+                return true;
+            };
+            return pass(pf_l1i_, "pf.l1i.") && pass(pf_l1d_, "pf.l1d.") &&
+                   pass(pf_l2_, "pf.l2.");
+        });
+    }
 }
 
 void

@@ -1,6 +1,7 @@
 #include "src/prefetch/stride_prefetcher.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 namespace cmpsim {
@@ -10,11 +11,8 @@ constexpr unsigned kRecentMissWindow = 8;
 } // namespace
 
 StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
-    : params_(params), pos_unit_(params.filter_entries),
-      neg_unit_(params.filter_entries), non_unit_(params.filter_entries),
-      streams_(params.stream_entries)
+    : params_(params), streams_(params.stream_entries)
 {
-    cmpsim_assert(params.filter_entries > 0);
     cmpsim_assert(params.stream_entries > 0);
     cmpsim_assert(params.train_count >= 2);
     cmpsim_assert(params.startup_prefetches <= kMaxStartupPrefetches,
@@ -22,16 +20,143 @@ StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
                   kMaxStartupPrefetches);
 }
 
-StridePrefetcher::FilterEntry *
-StridePrefetcher::matchFilter(FilterTable &table, std::int64_t line,
-                              std::int64_t stride)
+void
+StridePrefetcher::FilterTable::clear()
 {
-    for (auto &e : table) {
-        const std::int64_t s = stride != 0 ? stride : e.stride;
-        if (e.valid && s != 0 && e.last_line + s == line)
-            return &e;
+    next.fill(kInvalidNext);
+    invalid = kAllInvalid;
+    mru = kNil;
+    lru = kNil;
+}
+
+int
+StridePrefetcher::FilterTable::match(std::int64_t line) const
+{
+    // Invalid entries hold kInvalidNext, which no line number equals,
+    // so the compare needs no valid bit. Two valid entries can expect
+    // the same line (one line missed twice); the lowest index wins.
+    // Most misses match nothing, so the scan runs to the end; the
+    // unrolled form takes about half the time of the plain loop.
+#pragma GCC unroll 8
+    for (unsigned i = 0; i < kFilterEntries; ++i) {
+        if (next[i] == line)
+            return static_cast<int>(i);
     }
-    return nullptr;
+    return -1;
+}
+
+void
+StridePrefetcher::FilterTable::unlink(unsigned i)
+{
+    const std::uint8_t p = prev[i];
+    const std::uint8_t s = succ[i];
+    (p != kNil ? succ[p] : mru) = s;
+    (s != kNil ? prev[s] : lru) = p;
+}
+
+void
+StridePrefetcher::FilterTable::pushMru(unsigned i)
+{
+    prev[i] = kNil;
+    succ[i] = mru;
+    (mru != kNil ? prev[mru] : lru) = static_cast<std::uint8_t>(i);
+    mru = static_cast<std::uint8_t>(i);
+}
+
+void
+StridePrefetcher::FilterTable::touch(unsigned i)
+{
+    if (i == mru)
+        return;
+    unlink(i);
+    pushMru(i);
+}
+
+void
+StridePrefetcher::FilterTable::drop(unsigned i)
+{
+    unlink(i);
+    next[i] = kInvalidNext;
+    invalid |= 1u << i;
+}
+
+void
+StridePrefetcher::FilterTable::alloc(std::int64_t line,
+                                     std::int64_t entry_stride,
+                                     unsigned entry_count)
+{
+    // The lowest invalid entry, else the LRU tail: every write moves
+    // its entry to the MRU end, so the tail is the entry written
+    // least recently.
+    unsigned i;
+    if (invalid != 0) {
+        i = static_cast<unsigned>(std::countr_zero(invalid));
+        invalid &= invalid - 1;
+    } else {
+        i = lru;
+        unlink(i);
+    }
+    next[i] = line + entry_stride;
+    stride[i] = entry_stride;
+    count[i] = entry_count;
+    pushMru(i);
+}
+
+bool
+StridePrefetcher::FilterTable::audit(std::string &why) const
+{
+    std::uint32_t listed = 0;
+    std::uint8_t before = kNil;
+    for (std::uint8_t i = mru; i != kNil; i = succ[i]) {
+        if (i >= kFilterEntries) {
+            why = "LRU list links to entry " + std::to_string(i);
+            return false;
+        }
+        if ((listed >> i) & 1) {
+            why = "LRU list revisits entry " + std::to_string(i);
+            return false;
+        }
+        if (prev[i] != before) {
+            why = "entry " + std::to_string(i) + " has prev " +
+                  std::to_string(prev[i]) + ", list order gives " +
+                  std::to_string(before);
+            return false;
+        }
+        listed |= 1u << i;
+        before = i;
+    }
+    if (lru != before) {
+        why = "lru is entry " + std::to_string(lru) +
+              ", the list ends at " + std::to_string(before);
+        return false;
+    }
+    if ((listed & invalid) != 0 || (listed | invalid) != kAllInvalid) {
+        why = "LRU list and invalid mask do not partition the entries";
+        return false;
+    }
+    for (unsigned i = 0; i < kFilterEntries; ++i) {
+        if (((invalid >> i) & 1) != (next[i] == kInvalidNext)) {
+            why = "entry " + std::to_string(i) +
+                  ((invalid >> i) & 1 ? " is invalid without"
+                                      : " is valid with") +
+                  " the invalid next-line sentinel";
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
+StridePrefetcher::auditFilters(std::string &why) const
+{
+    static constexpr const char *kNames[] = {"+1", "-1", "non-unit"};
+    for (unsigned t = 0; t < filters_.size(); ++t) {
+        if (!filters_[t].audit(why)) {
+            why = std::string(kNames[t]) + " filter table: " + why;
+            return false;
+        }
+    }
+    return true;
 }
 
 void
@@ -39,20 +164,7 @@ StridePrefetcher::allocFilter(FilterTable &table, std::int64_t line,
                               std::int64_t stride, unsigned count)
 {
     ++filter_allocs_;
-    FilterEntry *victim = &table[0];
-    for (auto &e : table) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->last_line = line;
-    victim->stride = stride;
-    victim->count = count;
-    victim->lru = tick_;
+    table.alloc(line, stride, count);
 }
 
 bool
@@ -177,53 +289,32 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
     if (StreamEntry *s = findStream(line))
         return advanceStream(*s, line, startup_limit);
 
-    // Positive unit stride.
-    if (FilterEntry *e = matchFilter(pos_unit_, line, +1)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            e->valid = false;
-            return startup_limit ? allocStream(line, +1, startup_limit)
-                                 : Prefetches{};
+    // Train the first table (+1, -1, then non-unit stride) that
+    // expects this line.
+    for (FilterTable &t : filters_) {
+        const int i = t.match(line);
+        if (i < 0)
+            continue;
+        if (++t.count[i] < params_.train_count) {
+            t.next[i] = line + t.stride[i];
+            t.touch(static_cast<unsigned>(i));
+            return {};
         }
-        return {};
-    }
-
-    // Negative unit stride.
-    if (FilterEntry *e = matchFilter(neg_unit_, line, -1)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            e->valid = false;
-            return startup_limit ? allocStream(line, -1, startup_limit)
-                                 : Prefetches{};
-        }
-        return {};
-    }
-
-    // Non-unit stride (stride learned per entry).
-    if (FilterEntry *e = matchFilter(non_unit_, line, 0)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            const std::int64_t stride = e->stride;
-            e->valid = false;
-            return startup_limit
-                       ? allocStream(line, stride, startup_limit)
-                       : Prefetches{};
-        }
-        return {};
+        const std::int64_t stride = t.stride[i];
+        t.drop(static_cast<unsigned>(i));
+        return startup_limit ? allocStream(line, stride, startup_limit)
+                             : Prefetches{};
     }
 
     // No match: start tracking this miss. Unit tables learn from the
     // address alone; the non-unit table pairs it with a recent miss.
-    allocFilter(pos_unit_, line, +1, 1);
-    allocFilter(neg_unit_, line, -1, 1);
+    allocFilter(filters_[kPosUnit], line, +1, 1);
+    allocFilter(filters_[kNegUnit], line, -1, 1);
     for (std::size_t i = 0; i < recent_misses_.size(); ++i) {
         const std::int64_t d = line - recent_misses_[i];
         if (d != 0 && std::abs(d) > 1 &&
             std::abs(d) <= params_.max_stride) {
-            allocFilter(non_unit_, line, d, 2);
+            allocFilter(filters_[kNonUnit], line, d, 2);
             break;
         }
     }
@@ -256,12 +347,8 @@ StridePrefetcher::registerStats(StatRegistry &reg,
 void
 StridePrefetcher::clear()
 {
-    for (auto &e : pos_unit_)
-        e.valid = false;
-    for (auto &e : neg_unit_)
-        e.valid = false;
-    for (auto &e : non_unit_)
-        e.valid = false;
+    for (FilterTable &t : filters_)
+        t.clear();
     for (auto &s : streams_)
         s.valid = false;
     recent_misses_.clear();

@@ -4,7 +4,7 @@
  * implementation the paper uses (Section 2, Table 1):
  *
  *  - three 32-entry filter tables: positive unit stride, negative unit
- *    stride, and non-unit stride;
+ *    stride, and non-unit stride (kFilterEntries);
  *  - a filter entry that observes 4 fixed-stride misses allocates one
  *    of 8 stream-table entries;
  *  - on allocation the stream launches a burst of startup prefetches
@@ -21,7 +21,9 @@
 #ifndef CMPSIM_PREFETCH_STRIDE_PREFETCHER_H
 #define CMPSIM_PREFETCH_STRIDE_PREFETCHER_H
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,12 +39,12 @@ namespace cmpsim {
  *  L2 prefetchers use 25. */
 inline constexpr unsigned kMaxStartupPrefetches = 32;
 
+/** Entries in each of the three filter tables (Table 1). */
+inline constexpr unsigned kFilterEntries = 32;
+
 /** Static configuration of one prefetcher instance. */
 struct PrefetcherParams
 {
-    /** Entries per filter table (three tables). */
-    unsigned filter_entries = 32;
-
     /** Stream-table entries. */
     unsigned stream_entries = 8;
 
@@ -110,16 +112,84 @@ class StridePrefetcher
                              std::int64_t next_pf, std::int64_t stride,
                              std::int64_t line);
 
-  private:
-    struct FilterEntry
+    /**
+     * One filter table as per-field arrays, so a match is one compare
+     * over the contiguous next[] array and allocation is O(1):
+     *
+     *  - next[i]: the line entry i expects next (its last miss plus
+     *    its stride), or kInvalidNext while the entry is invalid;
+     *  - stride[i], count[i]: its stride and fixed-stride misses seen;
+     *  - invalid: bit i set while entry i is invalid;
+     *  - the valid entries form one LRU list, mru to lru through
+     *    succ[] and back through prev[], kNil at both ends.
+     *
+     * Audited by audit() (DESIGN.md §6).
+     */
+    struct FilterTable
     {
-        std::int64_t last_line = 0;
-        std::int64_t stride = 0; // +1 / -1 / non-unit
-        unsigned count = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
+        static constexpr std::int64_t kInvalidNext =
+            std::numeric_limits<std::int64_t>::min();
+        static constexpr std::uint8_t kNil = 0xff;
+        static constexpr std::uint32_t kAllInvalid =
+            static_cast<std::uint32_t>(~0ULL >> (64 - kFilterEntries));
+        static_assert(kFilterEntries <= 32, "invalid mask is 32 bits");
+
+        std::array<std::int64_t, kFilterEntries> next;
+        std::array<std::int64_t, kFilterEntries> stride{};
+        std::array<std::uint32_t, kFilterEntries> count{};
+        std::array<std::uint8_t, kFilterEntries> prev{};
+        std::array<std::uint8_t, kFilterEntries> succ{};
+        std::uint32_t invalid;
+        std::uint8_t mru;
+        std::uint8_t lru;
+
+        FilterTable() { clear(); }
+
+        /** Invalidate every entry. */
+        void clear();
+
+        /** The lowest index whose next line is @p line, or -1. */
+        int match(std::int64_t line) const;
+
+        /** Make valid entry @p i the MRU one. */
+        void touch(unsigned i);
+
+        /** Invalidate valid entry @p i. */
+        void drop(unsigned i);
+
+        /** Fill the lowest invalid entry, or else the LRU one, with a
+         *  miss at @p line of stride @p entry_stride, counted
+         *  @p entry_count, and make it the MRU one. */
+        void alloc(std::int64_t line, std::int64_t entry_stride,
+                   unsigned entry_count);
+
+        /** Structural check: the invalid mask and the LRU list
+         *  partition the entries, prev[] and succ[] agree, the list
+         *  is acyclic and exactly the invalid entries hold
+         *  kInvalidNext. @p why names the first violation. */
+        bool audit(std::string &why) const;
+
+      private:
+        void unlink(unsigned i);
+        void pushMru(unsigned i);
     };
 
+    /** Filter tables in match order: +1, -1, then non-unit stride. */
+    static constexpr unsigned kPosUnit = 0;
+    static constexpr unsigned kNegUnit = 1;
+    static constexpr unsigned kNonUnit = 2;
+
+    /** FilterTable::audit() over all three tables; @p why names the
+     *  failing table. */
+    bool auditFilters(std::string &why) const;
+
+    /**
+     * Mutable filter-table access for audit-test fault injection
+     * ONLY: any real caller corrupts the prefetcher.
+     */
+    FilterTable &filterForTest(unsigned table) { return filters_.at(table); }
+
+  private:
     struct StreamEntry
     {
         std::int64_t next_pf = 0;      // next line to prefetch
@@ -129,13 +199,7 @@ class StridePrefetcher
         bool valid = false;
     };
 
-    using FilterTable = std::vector<FilterEntry>;
-
-    /** Match+advance in one table; returns matched entry or nullptr. */
-    FilterEntry *matchFilter(FilterTable &table, std::int64_t line,
-                             std::int64_t stride);
-
-    /** Allocate (LRU) a filter entry. */
+    /** Allocate a filter entry in @p table for a miss at @p line. */
     void allocFilter(FilterTable &table, std::int64_t line,
                      std::int64_t stride, unsigned count);
 
@@ -154,9 +218,7 @@ class StridePrefetcher
                              unsigned startup_limit);
 
     PrefetcherParams params_;
-    FilterTable pos_unit_;
-    FilterTable neg_unit_;
-    FilterTable non_unit_;
+    std::array<FilterTable, 3> filters_;
     std::vector<StreamEntry> streams_;
     RingQueue<std::int64_t> recent_misses_;
     std::uint64_t tick_ = 0;

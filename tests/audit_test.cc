@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 
 #include "src/compression/fpc.h"
 #include "src/core_api/cmp_system.h"
+#include "src/prefetch/stride_prefetcher.h"
 #include "src/workload/workload_params.h"
 
 namespace cmpsim {
@@ -166,6 +168,73 @@ TEST(AuditDecoupledSetTest, DetectsLiveStateOnInvalidTag)
     EXPECT_NE(why.find("live"), std::string::npos) << why;
 }
 
+// ----------------------------------------- prefetcher filter audit
+
+/** A prefetcher whose +1 and -1 tables hold valid entries 0..4 (MRU
+ *  first: 4, 3, 2, 1, 0) and 27 invalid ones. */
+StridePrefetcher
+trainedPrefetcher()
+{
+    StridePrefetcher pf(PrefetcherParams{});
+    for (Addr l = 0; l < 5; ++l)
+        pf.observeMiss((1000 + 100 * l) << kLineShift, 6);
+    return pf;
+}
+
+TEST(AuditPrefetcherTest, CleanTablesPass)
+{
+    StridePrefetcher pf = trainedPrefetcher();
+    std::string why;
+    EXPECT_TRUE(pf.auditFilters(why)) << why;
+    const auto &t = pf.filterForTest(StridePrefetcher::kPosUnit);
+    EXPECT_EQ(t.mru, 4);
+    EXPECT_EQ(t.lru, 0);
+    pf.clear();
+    EXPECT_TRUE(pf.auditFilters(why)) << why;
+}
+
+TEST(AuditPrefetcherTest, DetectsListedEntryMarkedInvalid)
+{
+    StridePrefetcher pf = trainedPrefetcher();
+    pf.filterForTest(StridePrefetcher::kPosUnit).invalid |= 1u << 2;
+    std::string why;
+    EXPECT_FALSE(pf.auditFilters(why));
+    EXPECT_NE(why.find("+1 filter table"), std::string::npos) << why;
+    EXPECT_NE(why.find("partition"), std::string::npos) << why;
+}
+
+TEST(AuditPrefetcherTest, DetectsPrevSuccDisagreement)
+{
+    StridePrefetcher pf = trainedPrefetcher();
+    pf.filterForTest(StridePrefetcher::kNegUnit).prev[2] = 0;
+    std::string why;
+    EXPECT_FALSE(pf.auditFilters(why));
+    EXPECT_NE(why.find("-1 filter table"), std::string::npos) << why;
+    EXPECT_NE(why.find("entry 2 has prev 0"), std::string::npos) << why;
+}
+
+TEST(AuditPrefetcherTest, DetectsLruListCycle)
+{
+    StridePrefetcher pf = trainedPrefetcher();
+    auto &t = pf.filterForTest(StridePrefetcher::kPosUnit);
+    t.succ[t.lru] = t.mru;
+    std::string why;
+    EXPECT_FALSE(pf.auditFilters(why));
+    EXPECT_NE(why.find("revisits"), std::string::npos) << why;
+}
+
+TEST(AuditPrefetcherTest, DetectsInvalidEntryWithoutSentinel)
+{
+    StridePrefetcher pf = trainedPrefetcher();
+    // Entry 9 is invalid; a stale next line would let it match.
+    pf.filterForTest(StridePrefetcher::kNonUnit).next[9] = 77;
+    std::string why;
+    EXPECT_FALSE(pf.auditFilters(why));
+    EXPECT_NE(why.find("non-unit filter table: entry 9 is invalid"),
+              std::string::npos)
+        << why;
+}
+
 // ------------------------------------------------- round-trip audit
 
 TEST(AuditRoundTripTest, FpcSurvivesStructuredData)
@@ -258,6 +327,43 @@ TEST(AuditSystemTest, FullSystemRunPassesAllAudits)
     const auto failures = sys.audits().check();
     EXPECT_TRUE(failures.empty())
         << failures[0].name << ": " << failures[0].detail;
+}
+
+TEST(AuditSystemTest, HorizonAndFilterAuditsRegisteredOncePerSystem)
+{
+    auto count = [](const std::vector<std::string> &names,
+                    const std::string &name) {
+        return std::count(names.begin(), names.end(), name);
+    };
+    CmpSystem pf_sys(makeConfig(4, 8, false, false, true, false),
+                     benchmarkParams("jbb"));
+    EXPECT_EQ(count(pf_sys.audits().names(), "core.done_horizon"), 1);
+    EXPECT_EQ(count(pf_sys.audits().names(), "prefetch.filters"), 1);
+    CmpSystem base(makeConfig(4, 8, false, false, false, false),
+                   benchmarkParams("jbb"));
+    EXPECT_EQ(count(base.audits().names(), "core.done_horizon"), 1);
+    EXPECT_EQ(count(base.audits().names(), "prefetch.filters"), 0);
+}
+
+TEST(AuditSystemTest, LoweredDoneHorizonIsCaughtAndNamed)
+{
+    SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
+    CmpSystem sys(cfg, benchmarkParams("zeus"));
+    sys.warmup(2000);
+    sys.run(500);
+    EXPECT_TRUE(sys.audits().check().empty());
+
+    // Pretend no completion was ever written: the in-flight ROB
+    // entries the run left behind now lie past the horizon, and a
+    // blocked tick would skip the scan that finds their wake-up.
+    for (unsigned c = 0; c < cfg.cores; ++c)
+        sys.core(c).setDoneHorizonForTest(0);
+    const auto failures = sys.audits().check();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].name, "core.done_horizon");
+    EXPECT_NE(failures[0].detail.find("past the done horizon 0"),
+              std::string::npos)
+        << failures[0].detail;
 }
 
 TEST(AuditSystemTest, CorruptedL2SetIsCaughtAndNamed)

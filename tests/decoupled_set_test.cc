@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/audit/audits.h"
@@ -289,6 +291,224 @@ TEST(DecoupledSetTest, ValidStackDepth)
     EXPECT_EQ(set.validStackDepth(0x200), 1);
     EXPECT_EQ(set.validStackDepth(0x100), 2);
     EXPECT_EQ(set.validStackDepth(0x999), -1);
+}
+
+/**
+ * Reference model for the LRU moves: the set's algorithm as it stood
+ * with std::rotate for every move (touch() to MRU, insert() into the
+ * backmost invalid slot, a retired tag to just behind the valid
+ * prefix). DecoupledSet must leave its tags byte-identical to it.
+ */
+class RotateReferenceSet
+{
+  public:
+    explicit RotateReferenceSet(std::vector<TagEntry> &tags,
+                                unsigned segment_budget)
+        : tags_(tags), segment_budget_(segment_budget)
+    {
+    }
+
+    TagEntry *
+    find(Addr line)
+    {
+        for (TagEntry &e : tags_) {
+            if (e.line == line && e.valid)
+                return &e;
+        }
+        return nullptr;
+    }
+
+    void
+    touch(TagEntry *entry)
+    {
+        std::rotate(tags_.data(), entry, entry + 1);
+    }
+
+    DecoupledSet::Victims
+    insert(const TagEntry &entry)
+    {
+        DecoupledSet::Victims evicted;
+        while (used_segments_ + entry.segments > segment_budget_)
+            evicted.push_back(evictLruValid());
+        auto backmostInvalid = [this]() -> TagEntry * {
+            for (TagEntry *it = end(); it-- != tags_.data();) {
+                if (!it->valid)
+                    return it;
+            }
+            return nullptr;
+        };
+        TagEntry *slot = backmostInvalid();
+        if (slot == nullptr) {
+            evicted.push_back(evictLruValid());
+            slot = backmostInvalid();
+        }
+        std::rotate(tags_.data(), slot, slot + 1);
+        tags_[0] = entry;
+        used_segments_ += entry.segments;
+        return evicted;
+    }
+
+    DecoupledSet::Victims
+    resize(Addr line, unsigned segments)
+    {
+        TagEntry *e = find(line);
+        DecoupledSet::Victims evicted;
+        if (segments <= e->segments) {
+            used_segments_ -= e->segments - segments;
+            e->segments = static_cast<std::uint8_t>(segments);
+            return evicted;
+        }
+        const unsigned grow = segments - e->segments;
+        while (used_segments_ + grow > segment_budget_) {
+            for (TagEntry *it = end(); it-- != tags_.data();) {
+                if (it->valid && it->line != line) {
+                    TagEntry victim = *it;
+                    retireTag(it);
+                    evicted.push_back(victim);
+                    break;
+                }
+            }
+            e = find(line);
+        }
+        used_segments_ += grow;
+        e->segments = static_cast<std::uint8_t>(segments);
+        return evicted;
+    }
+
+    TagEntry
+    invalidate(Addr line)
+    {
+        TagEntry *it = find(line);
+        if (it == nullptr)
+            return TagEntry{};
+        TagEntry prior = *it;
+        retireTag(it);
+        return prior;
+    }
+
+    unsigned usedSegments() const { return used_segments_; }
+
+  private:
+    TagEntry *end() { return tags_.data() + tags_.size(); }
+
+    void
+    retireTag(TagEntry *it)
+    {
+        used_segments_ -= it->segments;
+        it->valid = false;
+        it->dirty = false;
+        it->prefetch = false;
+        it->pf_source = PfSource::None;
+        it->was_compressed = false;
+        it->segments = kSegmentsPerLine;
+        it->sharers = 0;
+        it->owner = kNoOwner;
+        TagEntry *end_valid = it + 1;
+        while (end_valid != end() && end_valid->valid)
+            ++end_valid;
+        std::rotate(it, it + 1, end_valid);
+    }
+
+    TagEntry
+    evictLruValid()
+    {
+        for (TagEntry *it = end(); it-- != tags_.data();) {
+            if (it->valid) {
+                TagEntry victim = *it;
+                retireTag(it);
+                return victim;
+            }
+        }
+        return TagEntry{};
+    }
+
+    std::vector<TagEntry> &tags_;
+    unsigned segment_budget_;
+    unsigned used_segments_ = 0;
+};
+
+bool
+sameBytes(const TagEntry *a, const TagEntry *b, std::size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(TagEntry)) == 0;
+}
+
+TEST(DecoupledSetTest, LruMovesMatchRotateReferenceByteForByte)
+{
+    // The paper's set geometries: compressed L2 (8 tags, 32 segments),
+    // uncompressed L2 with victim tags (12 tags, 64 segments) and an
+    // L1 with victim tags (8 tags, 32 segments, full charge).
+    struct Geometry
+    {
+        unsigned tags;
+        unsigned budget;
+        bool full_charge;
+    };
+    const Geometry geometries[] = {{8, 32, false}, {12, 64, true},
+                                   {8, 32, true}, {16, 40, false}};
+    unsigned moves = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const Geometry &g : geometries) {
+            std::vector<TagEntry> tags(g.tags);
+            std::vector<TagEntry> ref_tags(g.tags);
+            DecoupledSet set(tags.data(), g.tags, g.budget);
+            RotateReferenceSet ref(ref_tags, g.budget);
+            Random rng(seed * 31 + g.tags);
+            for (unsigned step = 0; step < 4000; ++step) {
+                const Addr line = rng.below(3 * g.tags) << kLineShift;
+                const auto segs =
+                    g.full_charge ? kSegmentsPerLine
+                                  : static_cast<unsigned>(rng.inRange(1, 8));
+                TagEntry *hit = set.find(line);
+                ASSERT_EQ(hit == nullptr, ref.find(line) == nullptr);
+                DecoupledSet::Victims got;
+                DecoupledSet::Victims want;
+                if (hit == nullptr) {
+                    // Every byte of the entry is set, padding too, so
+                    // the comparison below sees only the moves.
+                    TagEntry e;
+                    std::memset(static_cast<void *>(&e), 0, sizeof e);
+                    e.line = line;
+                    e.valid = true;
+                    e.segments = static_cast<std::uint8_t>(segs);
+                    e.dirty = rng.chance(0.5);
+                    e.prefetch = rng.chance(0.3);
+                    e.sharers = static_cast<std::uint16_t>(rng.below(16));
+                    got = set.insert(e);
+                    want = ref.insert(e);
+                } else {
+                    switch (rng.below(4)) {
+                      case 0:
+                      case 1:
+                        set.touch(hit);
+                        ref.touch(ref.find(line));
+                        ++moves;
+                        break;
+                      case 2:
+                        if (!g.full_charge) {
+                            got = set.resize(line, segs);
+                            want = ref.resize(line, segs);
+                        }
+                        break;
+                      default: {
+                        const TagEntry a = set.invalidate(line);
+                        const TagEntry b = ref.invalidate(line);
+                        ASSERT_TRUE(sameBytes(&a, &b, 1)) << step;
+                        break;
+                      }
+                    }
+                }
+                ASSERT_EQ(got.size(), want.size()) << step;
+                ASSERT_TRUE(sameBytes(got.begin(), want.begin(), got.size()))
+                    << "victims differ at step " << step;
+                ASSERT_TRUE(sameBytes(tags.data(), ref_tags.data(), g.tags))
+                    << "tags differ at step " << step << ", seed " << seed
+                    << ", " << g.tags << " tags";
+                ASSERT_EQ(set.usedSegments(), ref.usedSegments());
+            }
+        }
+    }
+    EXPECT_GT(moves, 5000u);
 }
 
 bool

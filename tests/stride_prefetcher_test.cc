@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/prefetch/adaptive_controller.h"
@@ -258,6 +261,418 @@ TEST(AdaptiveControllerTest, ThrottledPrefetcherEndToEnd)
     for (std::uint64_t l = 100; l < 103; ++l)
         pf.observeMiss(la(l), ctl.allowedStartup());
     EXPECT_EQ(pf.observeMiss(la(103), ctl.allowedStartup()).size(), 2u);
+}
+
+/**
+ * Reference model for the differential test: the array-of-structs
+ * prefetcher the per-field filter tables replaced, kept verbatim apart
+ * from its name and the fixed kFilterEntries table size. Its filter
+ * tables are scanned linearly: a match is the first valid entry whose
+ * last line plus stride is the miss, and allocation takes the first
+ * invalid entry, else the entry with the smallest LRU stamp.
+ */
+class ReferencePrefetcher
+{
+  public:
+    using Prefetches = StridePrefetcher::Prefetches;
+
+    explicit ReferencePrefetcher(const PrefetcherParams &params)
+        : params_(params), pos_unit_(kFilterEntries),
+          neg_unit_(kFilterEntries), non_unit_(kFilterEntries),
+          streams_(params.stream_entries)
+    {
+    }
+
+    Prefetches
+    observeMiss(Addr line_addr, unsigned startup_limit)
+    {
+        ++tick_;
+        const auto line = static_cast<std::int64_t>(lineNumber(line_addr));
+
+        if (StreamEntry *s = findStream(line))
+            return advanceStream(*s, line, startup_limit);
+
+        if (FilterEntry *e = matchFilter(pos_unit_, line, +1)) {
+            e->last_line = line;
+            e->lru = tick_;
+            if (++e->count >= params_.train_count) {
+                e->valid = false;
+                return startup_limit ? allocStream(line, +1, startup_limit)
+                                     : Prefetches{};
+            }
+            return {};
+        }
+
+        if (FilterEntry *e = matchFilter(neg_unit_, line, -1)) {
+            e->last_line = line;
+            e->lru = tick_;
+            if (++e->count >= params_.train_count) {
+                e->valid = false;
+                return startup_limit ? allocStream(line, -1, startup_limit)
+                                     : Prefetches{};
+            }
+            return {};
+        }
+
+        if (FilterEntry *e = matchFilter(non_unit_, line, 0)) {
+            e->last_line = line;
+            e->lru = tick_;
+            if (++e->count >= params_.train_count) {
+                const std::int64_t stride = e->stride;
+                e->valid = false;
+                return startup_limit
+                           ? allocStream(line, stride, startup_limit)
+                           : Prefetches{};
+            }
+            return {};
+        }
+
+        allocFilter(pos_unit_, line, +1, 1);
+        allocFilter(neg_unit_, line, -1, 1);
+        for (std::size_t i = 0; i < recent_misses_.size(); ++i) {
+            const std::int64_t d = line - recent_misses_[i];
+            if (d != 0 && std::abs(d) > 1 &&
+                std::abs(d) <= params_.max_stride) {
+                allocFilter(non_unit_, line, d, 2);
+                break;
+            }
+        }
+        recent_misses_.push_back(line);
+        if (recent_misses_.size() > kRecentMissWindow)
+            recent_misses_.pop_front();
+        return {};
+    }
+
+    Prefetches
+    observeUse(Addr line_addr, unsigned startup_limit)
+    {
+        ++tick_;
+        const auto line = static_cast<std::int64_t>(lineNumber(line_addr));
+        if (StreamEntry *s = findStream(line))
+            return advanceStream(*s, line, startup_limit);
+        return {};
+    }
+
+    void
+    registerStats(StatRegistry &reg, const std::string &prefix)
+    {
+        reg.registerCounter(prefix + ".streams", &streams_alloc_);
+        reg.registerCounter(prefix + ".generated", &generated_);
+        reg.registerCounter(prefix + ".filter_allocs", &filter_allocs_);
+        reg.registerCounter(prefix + ".advances", &stream_advances_);
+    }
+
+    void
+    clear()
+    {
+        for (auto &e : pos_unit_)
+            e.valid = false;
+        for (auto &e : neg_unit_)
+            e.valid = false;
+        for (auto &e : non_unit_)
+            e.valid = false;
+        for (auto &s : streams_)
+            s.valid = false;
+        recent_misses_.clear();
+    }
+
+  private:
+    static constexpr unsigned kRecentMissWindow = 8;
+
+    struct FilterEntry
+    {
+        std::int64_t last_line = 0;
+        std::int64_t stride = 0; // +1 / -1 / non-unit
+        unsigned count = 0;
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    struct StreamEntry
+    {
+        std::int64_t next_pf = 0;      // next line to prefetch
+        std::int64_t stride = 0;
+        std::int64_t last_demand = 0;  // stream head (demand side)
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    using FilterTable = std::vector<FilterEntry>;
+
+    FilterEntry *
+    matchFilter(FilterTable &table, std::int64_t line, std::int64_t stride)
+    {
+        for (auto &e : table) {
+            const std::int64_t s = stride != 0 ? stride : e.stride;
+            if (e.valid && s != 0 && e.last_line + s == line)
+                return &e;
+        }
+        return nullptr;
+    }
+
+    void
+    allocFilter(FilterTable &table, std::int64_t line, std::int64_t stride,
+                unsigned count)
+    {
+        ++filter_allocs_;
+        FilterEntry *victim = &table[0];
+        for (auto &e : table) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lru < victim->lru)
+                victim = &e;
+        }
+        victim->valid = true;
+        victim->last_line = line;
+        victim->stride = stride;
+        victim->count = count;
+        victim->lru = tick_;
+    }
+
+    bool
+    samePage(std::int64_t a, std::int64_t b) const
+    {
+        if (params_.page_lines == 0)
+            return true;
+        return static_cast<std::uint64_t>(a) / params_.page_lines ==
+               static_cast<std::uint64_t>(b) / params_.page_lines;
+    }
+
+    Prefetches
+    allocStream(std::int64_t line, std::int64_t stride,
+                unsigned startup_limit)
+    {
+        const unsigned n =
+            std::min(params_.startup_prefetches, startup_limit);
+        if (n == 0)
+            return {};
+
+        StreamEntry *victim = &streams_[0];
+        for (auto &s : streams_) {
+            if (!s.valid) {
+                victim = &s;
+                break;
+            }
+            if (s.lru < victim->lru)
+                victim = &s;
+        }
+
+        ++streams_alloc_;
+        victim->valid = true;
+        victim->stride = stride;
+        victim->lru = tick_;
+
+        Prefetches out;
+        for (unsigned i = 1; i <= n; ++i) {
+            const std::int64_t l = line + stride * static_cast<int>(i);
+            if (l < 0 || !samePage(line, l))
+                break;
+            out.push_back(static_cast<Addr>(l) << kLineShift);
+        }
+        generated_ += out.size();
+
+        victim->last_demand = line;
+        victim->next_pf = line + stride * static_cast<int>(n) + stride;
+        return out;
+    }
+
+    StreamEntry *
+    findStream(std::int64_t line)
+    {
+        for (auto &s : streams_) {
+            if (s.valid && StridePrefetcher::streamCovers(
+                               s.last_demand, s.next_pf, s.stride, line))
+                return &s;
+        }
+        return nullptr;
+    }
+
+    Prefetches
+    advanceStream(StreamEntry &stream, std::int64_t line,
+                  unsigned startup_limit)
+    {
+        stream.lru = tick_;
+        if ((line - stream.last_demand) * (stream.stride > 0 ? 1 : -1) > 0)
+            stream.last_demand = line;
+        if (startup_limit == 0)
+            return {};
+        if (stream.next_pf < 0) {
+            stream.valid = false;
+            return {};
+        }
+        ++stream_advances_;
+        Prefetches out;
+        const std::int64_t ahead =
+            (stream.next_pf - stream.last_demand) / stream.stride;
+        if (ahead <= static_cast<std::int64_t>(startup_limit) &&
+            samePage(stream.last_demand, stream.next_pf)) {
+            ++generated_;
+            out.push_back(static_cast<Addr>(stream.next_pf) << kLineShift);
+            stream.next_pf += stream.stride;
+        }
+        return out;
+    }
+
+    PrefetcherParams params_;
+    FilterTable pos_unit_;
+    FilterTable neg_unit_;
+    FilterTable non_unit_;
+    std::vector<StreamEntry> streams_;
+    RingQueue<std::int64_t> recent_misses_;
+    std::uint64_t tick_ = 0;
+
+    Counter streams_alloc_;
+    Counter generated_;
+    Counter filter_allocs_;
+    Counter stream_advances_;
+};
+
+/** The four counters both prefetchers register, by name. */
+std::vector<std::uint64_t>
+prefetcherCounters(const StatRegistry &reg)
+{
+    std::vector<std::uint64_t> out;
+    for (const char *name : {"pf.streams", "pf.generated",
+                             "pf.filter_allocs", "pf.advances"})
+        out.push_back(reg.counter(name));
+    return out;
+}
+
+/** True when two valid entries of @p t expect the same next line. */
+bool
+hasDuplicateNext(const StridePrefetcher::FilterTable &t)
+{
+    for (unsigned i = 0; i < kFilterEntries; ++i) {
+        for (unsigned j = i + 1; j < kFilterEntries; ++j) {
+            if (t.next[i] != StridePrefetcher::FilterTable::kInvalidNext &&
+                t.next[i] == t.next[j])
+                return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * A random miss/use/clear() sequence through the per-field filter
+ * tables and the reference model must give the same prefetches and
+ * counters after every call. The mix covers +1/-1 runs, non-unit
+ * strides up to and past max_stride, the same line missed twice (two
+ * entries then expect one line, and the lower index must train),
+ * scattered lines that fill all 32 entries of a table and force LRU
+ * eviction, startup limits of 0, partial and full, and pages of 0 and
+ * 128 lines.
+ */
+TEST(StridePrefetcherTest, FilterTablesMatchArrayOfStructsReference)
+{
+    unsigned full_table_allocs = 0;
+    unsigned duplicate_states = 0;
+    unsigned bursts = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        PrefetcherParams params;
+        params.startup_prefetches = seed % 2 ? 25 : 6;
+        params.page_lines = seed % 3 == 0 ? 0 : 128;
+        params.max_stride = seed <= 4 ? 32 : 8;
+        params.train_count = seed == 6 ? 3 : 4;
+        StridePrefetcher pf(params);
+        ReferencePrefetcher ref(params);
+        StatRegistry pf_stats;
+        StatRegistry ref_stats;
+        pf.registerStats(pf_stats, "pf");
+        ref.registerStats(ref_stats, "pf");
+
+        Random rng(seed);
+        const std::int64_t max_stride = params.max_stride;
+        const std::int64_t strides[] = {
+            1, -1, 2, -3, max_stride, -max_stride, max_stride + 1,
+            -(max_stride + 1)};
+        struct Run
+        {
+            std::int64_t line;
+            std::int64_t stride;
+        };
+        Run runs[4];
+        auto restart = [&](Run &r) {
+            r.line = 4096 + static_cast<std::int64_t>(rng.below(1u << 20));
+            r.stride = strides[rng.below(std::size(strides))];
+        };
+        for (Run &r : runs)
+            restart(r);
+        std::int64_t last_miss = 5000;
+
+        for (unsigned step = 0; step < 6000; ++step) {
+            const unsigned pick = static_cast<unsigned>(rng.below(3));
+            const unsigned limit =
+                pick == 0 ? 0
+                : pick == 1
+                    ? static_cast<unsigned>(
+                          rng.inRange(1, params.startup_prefetches - 1))
+                    : params.startup_prefetches;
+            const unsigned op = static_cast<unsigned>(rng.below(100));
+            std::int64_t line;
+            bool use = false;
+            if (op == 0) {
+                pf.clear();
+                ref.clear();
+                continue;
+            } else if (op < 45) {
+                // Continue a run, now and then from a fresh start.
+                Run &r = runs[rng.below(std::size(runs))];
+                if (rng.below(40) == 0)
+                    restart(r);
+                r.line = std::max<std::int64_t>(r.line + r.stride, 0);
+                line = r.line;
+            } else if (op < 55) {
+                line = last_miss; // the same line missed twice
+            } else if (op < 70) {
+                // Scattered: no entry expects it, so tables fill up.
+                line = static_cast<std::int64_t>(rng.below(1u << 30));
+            } else if (op < 80) {
+                // Near the last miss: pairs for the non-unit table.
+                line = std::max<std::int64_t>(
+                    last_miss + static_cast<std::int64_t>(
+                                    rng.below(4 * max_stride + 1)) -
+                        2 * max_stride,
+                    0);
+            } else {
+                // A use just ahead of a run: advances its stream.
+                const Run &r = runs[rng.below(std::size(runs))];
+                line = std::max<std::int64_t>(
+                    r.line + r.stride * static_cast<std::int64_t>(
+                                            rng.inRange(1, 8)),
+                    0);
+                use = true;
+            }
+            if (!use) {
+                last_miss = line;
+                full_table_allocs +=
+                    pf.filterForTest(StridePrefetcher::kPosUnit).invalid ==
+                    0;
+            }
+            const Addr addr = static_cast<Addr>(line) << kLineShift;
+            const auto got = use ? pf.observeUse(addr, limit)
+                                 : pf.observeMiss(addr, limit);
+            const auto want = use ? ref.observeUse(addr, limit)
+                                  : ref.observeMiss(addr, limit);
+            bursts += got.size() > 1;
+            ASSERT_EQ(std::vector<Addr>(got.begin(), got.end()),
+                      std::vector<Addr>(want.begin(), want.end()))
+                << "seed " << seed << " step " << step << " line " << line
+                << (use ? " use" : " miss") << " limit " << limit;
+            ASSERT_EQ(prefetcherCounters(pf_stats),
+                      prefetcherCounters(ref_stats))
+                << "seed " << seed << " step " << step;
+            std::string why;
+            ASSERT_TRUE(pf.auditFilters(why)) << why;
+            for (unsigned t = 0; t < 3; ++t)
+                duplicate_states += hasDuplicateNext(pf.filterForTest(t));
+        }
+    }
+    // The mix reached the paths it is meant to cover.
+    EXPECT_GT(full_table_allocs, 1000u);
+    EXPECT_GT(duplicate_states, 1000u);
+    EXPECT_GT(bursts, 100u);
 }
 
 /**
