@@ -17,7 +17,6 @@
 #include "src/mem/priority_link.h"
 #include "src/mem/value_store.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/prefetch/stride_prefetcher.h"
 #include "src/sim/event_queue.h"
 
@@ -329,22 +328,10 @@ BM_PriorityLinkSend(benchmark::State &state)
 }
 BENCHMARK(BM_PriorityLinkSend);
 
-// The observability probes live permanently in the hot paths; these
-// two pin down their disarmed cost (one relaxed atomic load plus a
-// predictable branch — compare against BM_EventQueueScheduleRun-level
-// numbers, not zero, since the loop itself isn't free).
-void
-BM_TraceProbeDisabled(benchmark::State &state)
-{
-    std::uint64_t cycle = 0;
-    for (auto _ : state) {
-        traceInstant("bench.probe", ++cycle,
-                     {{"line", std::uint64_t{0x1000}}});
-        benchmark::DoNotOptimize(cycle);
-    }
-}
-BENCHMARK(BM_TraceProbeDisabled);
-
+// The profiler's scopes live permanently in the hot paths; this pins
+// down their disarmed cost (one relaxed atomic load plus a predictable
+// branch — compare against BM_EventQueueScheduleRun-level numbers, not
+// zero, since the loop itself isn't free).
 void
 BM_ProfScopeDisabled(benchmark::State &state)
 {

@@ -5,14 +5,14 @@
 namespace cmpsim {
 
 void
-InvariantRegistry::add(const std::string &name, Check fn)
+InvariantRegistry::add(std::string name, Check fn)
 {
     cmpsim_assert(fn != nullptr);
     for (const auto &[existing, _] : checks_) {
         if (existing == name)
             cmpsim_panic("duplicate invariant name \"%s\"", name.c_str());
     }
-    checks_.emplace_back(name, std::move(fn));
+    checks_.emplace_back(std::move(name), std::move(fn));
 }
 
 std::vector<InvariantFailure>

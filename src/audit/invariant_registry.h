@@ -51,7 +51,7 @@ class InvariantRegistry
 
     /** Register @p fn under @p name. Names should be hierarchical
      *  dotted paths ("l2.set_segments", "eq.monotonic_now"). */
-    void add(const std::string &name, Check fn);
+    void add(std::string name, Check fn);
 
     /** Run every check; return all failures (never aborts). */
     std::vector<InvariantFailure> check() const;

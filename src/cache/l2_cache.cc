@@ -5,7 +5,6 @@
 #include "src/audit/audits.h"
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 
 namespace cmpsim {
 
@@ -93,7 +92,7 @@ L2Cache::request(unsigned cpu, Addr line, bool exclusive, ReqType type,
     cmpsim_assert(line == lineAddr(line));
 
     if (journal_ != nullptr)
-        journal_->onL2Request(cpu, line, type != ReqType::Demand, when);
+        journal_->onL2Request(line, type != ReqType::Demand, when);
 
     if (type == ReqType::L2Prefetch)
         ++l2pf_in_network_;
@@ -258,8 +257,6 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
         }
         ++pf_outstanding_[cpu];
         ++l2pf_issued_;
-        traceInstant("pf.issue", when,
-                     {{"line", line}, {"cpu", std::uint64_t{cpu}}});
     }
 
     Mshr &m = allocMshr(line);
@@ -385,7 +382,6 @@ L2Cache::trainPrefetcher(unsigned cpu, Addr line, Cycle when)
 void
 L2Cache::fill(Addr line, Cycle arrival)
 {
-    traceInstant("l2.fill", arrival, {{"line", line}});
     auto it = mshrs_.find(line);
     cmpsim_assert(it != mshrs_.end());
     MshrMap::node_type node = mshrs_.extract(it);
@@ -409,11 +405,6 @@ L2Cache::fill(Addr line, Cycle arrival)
             ++pf_fills_l2_;
         else
             ++pf_fills_l1_;
-        traceInstant("pf.fill", arrival,
-                     {{"line", line},
-                      {"source", entry.pf_source == PfSource::L2
-                                     ? "l2"
-                                     : "l1"}});
         if (miss_observer_) {
             miss_observer_(entry.pf_source == PfSource::L2
                                ? ReqType::L2Prefetch
@@ -494,7 +485,6 @@ L2Cache::handleVictim(const TagEntry &victim, Cycle when,
 
     if (victim.prefetch) {
         ++useless_pf_evicted_;
-        traceInstant("pf.useless", when, {{"line", victim.line}});
         if (adaptive_)
             adaptive_->onUselessPrefetch();
     }

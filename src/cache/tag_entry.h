@@ -31,14 +31,21 @@ inline constexpr std::int8_t kNoOwner = -1;
  * 16 bytes: the line address, then the directory and compression
  * fields, then the four flags as 1-bit fields. Four tags share a
  * 64-byte host cache line, so an 8-tag set scan touches two.
+ *
+ * The fields fill all 16 bytes, with no padding, so a tag copies as
+ * one 16-byte move. With padding GCC copies the fields as two
+ * overlapping 8-byte moves, which stall store forwarding when the
+ * copy goes through a stack temporary (DecoupledSet::touch's saved
+ * tag).
  */
 struct TagEntry
 {
     /** Line-aligned address; kAddrInvalid when the tag is empty. */
     Addr line = kAddrInvalid;
 
-    /** L2 directory: bitmask of L1 caches holding a shared copy. */
-    std::uint16_t sharers = 0;
+    /** L2 directory: bitmask of L1 caches holding a shared copy
+     *  (kMaxCores bits used; 32 wide so the fields fill the tag). */
+    std::uint32_t sharers = 0;
 
     /** Compression tag: allocated 8-byte segments (1..8). */
     std::uint8_t segments = kSegmentsPerLine;

@@ -6,7 +6,6 @@
 #include "src/audit/audits.h"
 #include "src/common/sim_error.h"
 #include "src/obs/cpi_stack.h"
-#include "src/obs/trace.h"
 
 namespace cmpsim {
 
@@ -26,20 +25,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
 {
     config_.validate();
     buildSystem();
-
-    if (Tracer *tracer = Tracer::armed()) {
-        // Label the sim-pid tracks so Perfetto renders names instead
-        // of bare tids: tid 0 carries the uncore events, and each
-        // core's miss journeys land on their own track.
-        tracer->threadName(kTraceSimPid, 0, "uncore");
-        if (config_.cpi_stack) {
-            for (unsigned c = 0; c < config_.cores; ++c) {
-                tracer->threadName(
-                    kTraceSimPid, kJourneyTraceTidBase + c,
-                    "core " + std::to_string(c) + " journeys");
-            }
-        }
-    }
 }
 
 CmpSystem::~CmpSystem() = default;
@@ -305,25 +290,13 @@ CmpSystem::runFunctionalLoop(std::uint64_t instr_per_core,
 void
 CmpSystem::warmup(std::uint64_t instr_per_core)
 {
-    Tracer *tracer = Tracer::armed();
-    const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
-
     runFunctionalLoop(instr_per_core, instr_per_core);
     resetAllStats();
-
-    if (tracer != nullptr) {
-        tracer->completeWall("phase.warmup", t0, tracer->nowWallUs(),
-                             {{"instr_per_core", instr_per_core}});
-    }
 }
 
 void
 CmpSystem::run(std::uint64_t instr_per_core)
 {
-    Tracer *tracer = Tracer::armed();
-    const std::uint64_t wall0 =
-        tracer != nullptr ? tracer->nowWallUs() : 0;
-
     const Cycle start = eq_.now();
     const std::uint64_t start_retired = retiredTotal();
     const std::uint64_t target =
@@ -378,9 +351,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
             last_retired = retired;
             last_progress = now;
         } else if (watchdog > 0 && now - last_progress >= watchdog) {
-            traceInstant("watchdog.timeout", now,
-                         {{"stalled_cycles", now - last_progress},
-                          {"retired", retired}});
             throw WatchdogTimeout(
                 "cmp_system.run",
                 "no instruction retired in " + std::to_string(watchdog) +
@@ -407,21 +377,12 @@ CmpSystem::run(std::uint64_t instr_per_core)
         audits_.enforce(); // end-of-simulation audit
     measured_cycles_ = now - start;
     measured_instructions_ = retired - start_retired;
-
-    if (tracer != nullptr) {
-        tracer->completeWall("phase.measure", wall0, tracer->nowWallUs(),
-                             {{"instr_per_core", instr_per_core},
-                              {"cycles", measured_cycles_}});
-    }
 }
 
 void
 CmpSystem::fastForward(std::uint64_t instr_per_core,
                        std::uint64_t warm_per_core)
 {
-    Tracer *tracer = Tracer::armed();
-    const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
-
     const std::uint64_t before = retiredTotal();
     ff_chunks_ += runFunctionalLoop(instr_per_core, warm_per_core);
     const std::uint64_t cores = cores_.size();
@@ -431,11 +392,6 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
         (instr_per_core - std::min(warm_per_core, instr_per_core)) * cores;
     ff_expected_ += budget;
     ff_observed_ += retiredTotal() - before;
-
-    if (tracer != nullptr) {
-        tracer->completeWall("phase.fastforward", t0, tracer->nowWallUs(),
-                             {{"instr_per_core", instr_per_core}});
-    }
 }
 
 std::vector<ValueStore::Op>

@@ -82,7 +82,6 @@ readEnvKnobs()
     k.watchdog = unsignedKnob<Cycle>(raw, "CMPSIM_WATCHDOG");
     k.cpi_stack = boolKnob(raw, "CMPSIM_CPISTACK");
 
-    k.trace = envValue(raw, "CMPSIM_TRACE");
     k.prof = boolKnob(raw, "CMPSIM_PROF").value_or(false);
     return k;
 }

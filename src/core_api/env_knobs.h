@@ -42,7 +42,6 @@ struct EnvKnobs
     std::optional<Cycle> watchdog;         ///< CMPSIM_WATCHDOG
     std::optional<bool> cpi_stack;         ///< CMPSIM_CPISTACK
 
-    std::string trace;  ///< CMPSIM_TRACE: Chrome trace file
     bool prof = false;  ///< CMPSIM_PROF: arm the scoped profiler
 
     /** The raw value of every knob set non-empty, by name: the

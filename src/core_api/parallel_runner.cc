@@ -14,7 +14,6 @@
 #include "src/common/crc32.h"
 #include "src/common/fingerprint.h"
 #include "src/core_api/env_knobs.h"
-#include "src/obs/trace.h"
 
 namespace cmpsim {
 
@@ -332,13 +331,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     auto runTask = [&](std::size_t t) {
         const Task &task = tasks[t];
         TaskFailure &slot = failures[t];
-        // Each concurrent task traces onto its own (pid, tid) track so
-        // parallel points don't interleave.
-        TraceThreadScope trace_scope(kTraceSimPid,
-                                     static_cast<unsigned>(t) + 1);
-        Tracer *tracer = Tracer::armed();
-        const std::uint64_t wall0 =
-            tracer != nullptr ? tracer->nowWallUs() : 0;
         try {
             MetricSummary &summary = batch.summaries[task.point];
             SystemConfig config = points[task.point].config;
@@ -357,13 +349,6 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
             slot = {true, ErrorKind::Internal, e.what()};
         } catch (...) {
             slot = {true, ErrorKind::Internal, "non-standard exception"};
-        }
-        if (tracer != nullptr) {
-            tracer->completeWall(
-                "point.task", wall0, tracer->nowWallUs(),
-                {{"point", std::uint64_t{task.point}},
-                 {"seed", std::uint64_t{task.seed_idx + 1}},
-                 {"status", slot.failed ? "failed" : "ok"}});
         }
     };
 

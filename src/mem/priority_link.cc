@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/trace.h"
-
 namespace cmpsim {
 
 PriorityLink::PriorityLink(EventQueue &eq, double bytes_per_cycle,
@@ -17,13 +15,6 @@ void
 PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
                    Deliver deliver)
 {
-    // Stamp with the current cycle, not `ready` (which may lie in the
-    // future), so the track's timestamps stay monotone.
-    traceInstant("link.transfer", eq_.now(),
-                 {{"bytes", std::uint64_t{bytes}},
-                  {"class", cls == LinkClass::Demand     ? "demand"
-                            : cls == LinkClass::Prefetch ? "prefetch"
-                                                         : "writeback"}});
     total_bytes_ += bytes;
     class_bytes_[static_cast<unsigned>(cls)] += bytes;
     ++transfers_;

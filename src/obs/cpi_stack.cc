@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/log.h"
-#include "src/obs/trace.h"
 
 namespace cmpsim {
 
@@ -81,8 +80,7 @@ MissJournal::seal(MissRecord &r, CpiLeaf leaf, Cycle until)
 }
 
 void
-MissJournal::onL2Request(unsigned cpu, Addr line, bool prefetch,
-                         Cycle when)
+MissJournal::onL2Request(Addr line, bool prefetch, Cycle when)
 {
     auto it = records_.find(line);
     Cycle prev_pf_span = 0;
@@ -110,12 +108,10 @@ MissJournal::onL2Request(unsigned cpu, Addr line, bool prefetch,
     MissRecord r;
     r.line = line;
     r.start = when;
-    r.cpu = cpu;
     r.prefetch_origin = prefetch;
     r.prev_pf_span = prev_pf_span;
     r.frontier = CpiLeaf::L2Service;
     r.frontier_start = when;
-    r.span_id = ++next_span_id_;
     records_[line] = std::move(r);
 }
 
@@ -242,26 +238,6 @@ MissJournal::finish(MissRecord &r)
     }
     for (unsigned i = 0; i < kJourneyLeafCount; ++i)
         leaf_hists_[i].sample(per_leaf[i]);
-
-    if (Tracer *t = Tracer::armed()) {
-        // Per-core journey track, labeled by CmpSystem's thread_name
-        // metadata.
-        TraceThreadScope scope(kTraceSimPid,
-                               kJourneyTraceTidBase + r.cpu);
-        t->asyncBegin("mem.journey", r.start, r.span_id,
-                      {{"line", static_cast<std::uint64_t>(r.line)},
-                       {"origin",
-                        r.prefetch_origin ? "prefetch" : "demand"},
-                       {"size_class",
-                        static_cast<std::uint64_t>(r.data_segments)},
-                       {"demand_joins",
-                        static_cast<std::uint64_t>(r.demand_join)}});
-        for (const MissSegment &s : r.segments) {
-            t->asyncBegin(cpiLeafName(s.leaf), s.begin, r.span_id);
-            t->asyncEnd(cpiLeafName(s.leaf), s.end, r.span_id);
-        }
-        t->asyncEnd("mem.journey", r.end, r.span_id);
-    }
 }
 
 const MissRecord *

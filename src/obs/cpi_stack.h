@@ -13,8 +13,7 @@
  *    service -> link back -> decompression -> L2 service), so a
  *    completed record is a gap-free timeline of the journey tagged
  *    with demand/prefetch origin and compressed size class.
- *    Completion feeds per-segment latency histograms and (when a
- *    tracer is armed) Chrome-trace async spans.
+ *    Completion feeds per-segment latency histograms.
  *
  *  - CpiAccount — per-core critical-path accounting. Each core tick
  *    closes the window since the previous tick and attributes every
@@ -73,10 +72,6 @@ inline constexpr unsigned kCpiLeafCount =
 /** Stable stat-name token for @p leaf ("compute", "link_queue", ...). */
 const char *cpiLeafName(CpiLeaf leaf);
 
-/** Trace tid of core @p cpu's journey track on the sim pseudo-process
- *  (offset keeps it clear of tid 0 and the runner's worker tids). */
-inline constexpr unsigned kJourneyTraceTidBase = 1000;
-
 /** Blocking cause a core reports at the end of one tick. */
 enum class CpiBlock : unsigned {
     Compute,        ///< made progress (or nothing identifiable blocks)
@@ -107,11 +102,9 @@ struct MissRecord
     unsigned demand_join = 0;     ///< demand requests that coalesced
     Cycle demand_join_when = 0;   ///< first demand coalescing time
     unsigned data_segments = 0;   ///< compressed size class (link form)
-    unsigned cpu = 0;
     /** Span of the *previous* complete prefetch journey for this line
      *  that this demand journey displaced (full prefetch hit). */
     Cycle prev_pf_span = 0;
-    std::uint64_t span_id = 0;    ///< Chrome-trace async span id
 
     /** Closed timeline slices, contiguous and in time order. */
     std::vector<MissSegment> segments;
@@ -136,7 +129,7 @@ class MissJournal
     // ---- hooks (timing layers call these; serial context only) ----
 
     /** A request for @p line entered the L2 pipeline at @p when. */
-    void onL2Request(unsigned cpu, Addr line, bool prefetch, Cycle when);
+    void onL2Request(Addr line, bool prefetch, Cycle when);
 
     /** L2 lookup hit: tag check done at @p lookup_done, data ready
      *  (after any decompression) at @p ready. */
@@ -155,7 +148,7 @@ class MissJournal
     void onL2Fill(Addr line, Cycle arrival, Cycle decomp_end);
 
     /** Data granted to the requesting L1 at @p at_l1: the journey is
-     *  complete — sample histograms and emit trace spans. */
+     *  complete — sample its histograms. */
     void onGranted(Addr line, Cycle at_l1);
 
     /** A prefetch journey ended without a fill (line already present
@@ -176,7 +169,7 @@ class MissJournal
      *  @p until is not ahead of it) and restart it there. */
     static void seal(MissRecord &r, CpiLeaf leaf, Cycle until);
 
-    /** Sample per-leaf histograms + emit trace spans for @p r. */
+    /** Sample the total and per-leaf histograms for @p r. */
     void finish(MissRecord &r);
 
     double link_rate_;
@@ -185,7 +178,6 @@ class MissJournal
     /** Survives a stats reset on purpose: in-flight journeys that
      *  straddle the warmup/measure boundary keep their timeline. */
     std::unordered_map<Addr, MissRecord> records_;
-    std::uint64_t next_span_id_ = 0;
 
     Counter completed_;
     Counter pf_squashed_;

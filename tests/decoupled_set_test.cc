@@ -464,8 +464,9 @@ TEST(DecoupledSetTest, LruMovesMatchRotateReferenceByteForByte)
                 DecoupledSet::Victims got;
                 DecoupledSet::Victims want;
                 if (hit == nullptr) {
-                    // Every byte of the entry is set, padding too, so
-                    // the comparison below sees only the moves.
+                    // Every byte of the entry is set, the flag byte's
+                    // unused bits too, so the comparison below sees
+                    // only the moves.
                     TagEntry e;
                     std::memset(static_cast<void *>(&e), 0, sizeof e);
                     e.line = line;
@@ -473,7 +474,7 @@ TEST(DecoupledSetTest, LruMovesMatchRotateReferenceByteForByte)
                     e.segments = static_cast<std::uint8_t>(segs);
                     e.dirty = rng.chance(0.5);
                     e.prefetch = rng.chance(0.3);
-                    e.sharers = static_cast<std::uint16_t>(rng.below(16));
+                    e.sharers = static_cast<std::uint32_t>(rng.below(16));
                     got = set.insert(e);
                     want = ref.insert(e);
                 } else {

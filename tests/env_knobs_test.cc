@@ -208,6 +208,7 @@ TEST(EnvKnobsTest, AnyMalformedKnobFailsMakeConfig)
         EnvGuard sampling("CMPSIM_SAMPLING", "not-a-plan");
         EnvGuard report("CMPSIM_REPORT", "report.json");
         EnvGuard progress("CMPSIM_PROGRESS", "yes");
+        EnvGuard trace("CMPSIM_TRACE", "trace.json");
         EXPECT_NO_THROW(readEnvKnobs());
         SystemConfig cfg;
         EXPECT_NO_THROW(cfg = smallConfig());

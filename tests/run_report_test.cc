@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "src/core_api/cmp_system.h"
 #include "src/obs/profiler.h"
+#include "src/workload/workload_params.h"
 
 namespace cmpsim {
 namespace {
@@ -175,6 +177,45 @@ TEST(ProfilerTest, ScopedTimersAccumulateWhenEnabled)
     profReset();
     for (const ProfSample &s : profSnapshot())
         EXPECT_NE(s.name, "test.prof_site"); // zero-call sites dropped
+}
+
+/** One deterministic mini-run; returns the stats fingerprint text. */
+std::string
+runFingerprint()
+{
+    SystemConfig cfg = makeConfig(/*cores=*/2, /*scale=*/4,
+                                  /*cache_compression=*/true,
+                                  /*link_compression=*/true,
+                                  /*prefetching=*/true,
+                                  /*adaptive=*/true);
+    cfg.seed = 99;
+    CmpSystem sys(cfg, benchmarkParams("zeus"));
+    sys.warmup(5000);
+    sys.run(3000);
+    std::ostringstream os;
+    sys.stats().dump(os);
+    os << "cycles " << sys.cycles() << "\n";
+    os << "instructions " << sys.instructions() << "\n";
+    return os.str();
+}
+
+TEST(ProfilerTest, ProfilingDoesNotPerturbSimulation)
+{
+    setProfEnabled(false);
+    const std::string baseline = runFingerprint();
+    profReset();
+    setProfEnabled(true);
+    const std::string profiled = runFingerprint();
+    setProfEnabled(false);
+    // Byte-identical stats: the scopes only read the host clock.
+    EXPECT_EQ(baseline, profiled);
+    // The profiled run really timed the event kernel's dispatch
+    // (the snapshot lists only sites that recorded calls).
+    bool timed = false;
+    for (const ProfSample &s : profSnapshot())
+        timed |= s.name == "eq.dispatch";
+    EXPECT_TRUE(timed);
+    profReset();
 }
 
 TEST(ProfilerTest, DisabledScopesCostNoSamples)

@@ -28,7 +28,6 @@
 #include "src/obs/cpi_stack.h"
 #include "src/obs/profiler.h"
 #include "src/obs/run_report.h"
-#include "src/obs/trace.h"
 
 using namespace cmpsim;
 
@@ -61,7 +60,6 @@ struct CliOptions
     bool dump_stats = false;
     bool cpi_stack = false;   ///< --cpi-stack: attribution layer
     std::string report_path;  ///< --report: JSON run report
-    std::string trace_path;   ///< --trace: Chrome trace events
 };
 
 [[noreturn]] void
@@ -97,9 +95,6 @@ usage(int code)
         "                      prints per-core stacks and adds a\n"
         "                      cpi_stack section to --report\n"
         "  --report FILE       write a structured JSON run report\n"
-        "  --trace FILE        write Chrome trace events (load in\n"
-        "                      Perfetto / chrome://tracing); also\n"
-        "                      enabled by CMPSIM_TRACE=FILE\n"
         "  --help\n");
     std::exit(code);
 }
@@ -167,8 +162,6 @@ parse(int argc, char **argv)
             o.cpi_stack = true;
         } else if (a == "--report") {
             o.report_path = need_value(i++);
-        } else if (a == "--trace") {
-            o.trace_path = need_value(i++);
         } else {
             die(a.c_str(), "unknown flag (see --help)");
         }
@@ -264,12 +257,9 @@ run(const CliOptions &o)
     // ConfigError, not divide the L2-size estimate by zero.
     cfg.validate();
 
-    // Observability session: the tracer arms process-wide probes
-    // (--trace beats CMPSIM_TRACE); CMPSIM_PROF=1 turns the scoped
-    // timers on, reported in the --report JSON.
+    // CMPSIM_PROF=1 turns the scoped timers on, reported in the
+    // --report JSON.
     setProfEnabled(env.prof);
-    TraceSession trace_session(o.trace_path.empty() ? env.trace
-                                                    : o.trace_path);
 
     std::printf("cmpsim: %s, %u cores, scale %u (L2 %llu KB), "
                 "%.0f GB/s%s%s%s%s%s\n",
@@ -343,11 +333,6 @@ run(const CliOptions &o)
     writeReport(sys);
     if (!o.report_path.empty())
         std::printf("run report    %s\n", o.report_path.c_str());
-    if (trace_session.tracer() != nullptr)
-        std::printf("trace         %llu events -> %s\n",
-                    static_cast<unsigned long long>(
-                        trace_session.tracer()->eventsWritten()),
-                    trace_session.tracer()->path().c_str());
     return 0;
 }
 

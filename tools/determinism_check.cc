@@ -43,7 +43,6 @@
 #include "src/core_api/env_knobs.h"
 #include "src/core_api/parallel_runner.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/sample/matrix_sampler.h"
 #include "src/workload/workload_params.h"
 
@@ -230,11 +229,11 @@ main(int argc, char **argv)
         workloads = {"zeus", "apsi"}; // one commercial, one SPEComp
 
     try {
-        // CI's traced gate sets CMPSIM_TRACE and CMPSIM_PROF: the
-        // hashes must reproduce with the observability probes live,
-        // proving they only read simulator state.
+        // CI's profiled gate sets CMPSIM_PROF=1 and diffs the output
+        // against an unarmed run: the hashes must not move with the
+        // profiler's scopes live, proving they only read simulator
+        // state.
         const cmpsim::EnvKnobs env = cmpsim::readEnvKnobs();
-        cmpsim::TraceSession trace_session(env.trace);
         cmpsim::setProfEnabled(env.prof);
         const int status = run(workloads);
         // profSnapshot() lists only sites that recorded calls.
