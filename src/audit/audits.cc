@@ -125,87 +125,94 @@ auditCompressorRoundTrip(const Compressor &c, const LineData &line,
     return true;
 }
 
-void
-registerEventQueueAudits(InvariantRegistry &reg, const EventQueue &eq,
-                         const std::string &name)
+bool
+auditDecoupledSets(std::span<const DecoupledSet> sets,
+                   bool require_full_charge, std::string &why)
 {
-    reg.add(name + ".monotonic_now",
-            [&eq, last = Cycle{0}](std::string &why) mutable {
-                if (eq.now() < last) {
-                    why = auditFormat(
-                        "now() went backwards: %llu after %llu",
-                        static_cast<unsigned long long>(eq.now()),
-                        static_cast<unsigned long long>(last));
-                    return false;
-                }
-                last = eq.now();
-                return true;
-            });
-    reg.add(name + ".no_past_events", [&eq](std::string &why) {
-        const Cycle next = eq.nextEventCycle();
-        if (next != kCycleNever && next < eq.now()) {
-            why = auditFormat(
-                "event pending at cycle %llu but now() is %llu "
-                "(%zu events queued)",
-                static_cast<unsigned long long>(next),
-                static_cast<unsigned long long>(eq.now()), eq.size());
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        std::string detail;
+        if (!auditDecoupledSet(sets[i], require_full_charge, detail)) {
+            why = auditFormat("set %zu: %s", i, detail.c_str());
             return false;
         }
-        return true;
-    });
-    reg.add(name + ".wheel",
-            [&eq](std::string &why) { return eq.auditWheel(why); });
+    }
+    return true;
 }
 
-void
-registerPriorityLinkAudits(InvariantRegistry &reg,
-                           const PriorityLink &link,
-                           const std::string &name)
+bool
+auditNoPastEvents(const EventQueue &eq, std::string &why)
 {
-    reg.add(name + ".byte_conservation", [&link](std::string &why) {
-        const std::uint64_t requested =
-            link.totalBytes() + link.pendingBytesAtReset();
-        const std::uint64_t accounted = link.deliveredBytes() +
-                                        link.inflightBytes() +
-                                        link.queuedBytes();
-        if (requested != accounted) {
-            why = auditFormat(
-                "bytes requested (%llu + %llu pending at reset) != "
-                "delivered %llu + in-flight %llu + queued %llu",
-                static_cast<unsigned long long>(link.totalBytes()),
-                static_cast<unsigned long long>(
-                    link.pendingBytesAtReset()),
-                static_cast<unsigned long long>(link.deliveredBytes()),
-                static_cast<unsigned long long>(link.inflightBytes()),
-                static_cast<unsigned long long>(link.queuedBytes()));
-            return false;
-        }
-        return true;
-    });
+    const Cycle next = eq.nextEventCycle();
+    if (next != kCycleNever && next < eq.now()) {
+        why = auditFormat("event pending at cycle %llu but now() is %llu "
+                          "(%zu events queued)",
+                          static_cast<unsigned long long>(next),
+                          static_cast<unsigned long long>(eq.now()),
+                          eq.size());
+        return false;
+    }
+    return true;
 }
 
-void
-registerBandwidthResourceAudits(InvariantRegistry &reg,
-                                const BandwidthResource &bw,
-                                const std::string &name)
+bool
+auditByteConservation(const PriorityLink &link, std::string &why)
 {
-    reg.add(name + ".busy_bytes", [&bw](std::string &why) {
-        // Every reserve() adds bytes/rate to the busy accumulator, so
-        // busy * rate must track total bytes up to FP rounding.
-        const double expect =
-            static_cast<double>(bw.totalBytes()) / bw.rate();
-        const double tol = 1e-6 * (expect + 1.0);
-        if (std::fabs(bw.busyCycles() - expect) > tol) {
-            why = auditFormat(
-                "busy cycles %.6f inconsistent with %llu bytes at "
-                "%.3f B/cycle (expected %.6f)",
-                bw.busyCycles(),
-                static_cast<unsigned long long>(bw.totalBytes()),
-                bw.rate(), expect);
-            return false;
-        }
+    const std::uint64_t requested =
+        link.totalBytes() + link.pendingBytesAtReset();
+    const std::uint64_t accounted =
+        link.deliveredBytes() + link.inflightBytes() + link.queuedBytes();
+    if (requested != accounted) {
+        why = auditFormat(
+            "bytes requested (%llu + %llu pending at reset) != "
+            "delivered %llu + in-flight %llu + queued %llu",
+            static_cast<unsigned long long>(link.totalBytes()),
+            static_cast<unsigned long long>(link.pendingBytesAtReset()),
+            static_cast<unsigned long long>(link.deliveredBytes()),
+            static_cast<unsigned long long>(link.inflightBytes()),
+            static_cast<unsigned long long>(link.queuedBytes()));
+        return false;
+    }
+    return true;
+}
+
+bool
+auditBusyBytes(const BandwidthResource &bw, std::string &why)
+{
+    // Every reserve() adds bytes/rate to the busy accumulator, so
+    // busy * rate must track total bytes up to FP rounding.
+    const double expect = static_cast<double>(bw.totalBytes()) / bw.rate();
+    const double tol = 1e-6 * (expect + 1.0);
+    if (std::fabs(bw.busyCycles() - expect) > tol) {
+        why = auditFormat("busy cycles %.6f inconsistent with %llu bytes "
+                          "at %.3f B/cycle (expected %.6f)",
+                          bw.busyCycles(),
+                          static_cast<unsigned long long>(bw.totalBytes()),
+                          bw.rate(), expect);
+        return false;
+    }
+    return true;
+}
+
+bool
+auditControllerCounts(const AdaptivePrefetchController &ctl,
+                      std::uint64_t useful, std::uint64_t useless,
+                      std::uint64_t harmful, std::string &why)
+{
+    // The controller and the cache count each event at the same call
+    // site, so every pair must agree exactly.
+    if (ctl.usefulCount() == useful && ctl.uselessCount() == useless &&
+        ctl.harmfulCount() == harmful)
         return true;
-    });
+    why = auditFormat(
+        "controller counted useful %llu, useless %llu, harmful %llu; "
+        "the cache counted %llu, %llu, %llu",
+        static_cast<unsigned long long>(ctl.usefulCount()),
+        static_cast<unsigned long long>(ctl.uselessCount()),
+        static_cast<unsigned long long>(ctl.harmfulCount()),
+        static_cast<unsigned long long>(useful),
+        static_cast<unsigned long long>(useless),
+        static_cast<unsigned long long>(harmful));
+    return false;
 }
 
 } // namespace cmpsim

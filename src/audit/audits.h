@@ -1,36 +1,35 @@
 /**
  * @file
- * Per-layer invariant audits: the concrete checks components register
- * with an InvariantRegistry (see invariant_registry.h for the
- * machinery and DESIGN.md §6 for the catalogue).
- *
- * Layer coverage:
+ * Invariant checks over shared structures and public state, which
+ * CmpSystem registers with its InvariantRegistry (see
+ * invariant_registry.h for the machinery and DESIGN.md §6 for the
+ * catalogue). Each returns true when its invariant holds, else fills
+ * @p why:
  *  - DecoupledSet: segment accounting vs. budget, valid-prefix LRU
  *    stack order, no duplicate valid line addresses, full 8-segment
  *    charge for uncompressed caches, clean victim-tag state;
- *  - EventQueue: monotonic now(), no event pending in the past,
- *    timing-wheel structure (EventQueue::auditWheel);
+ *  - EventQueue: no event pending in the past;
  *  - PriorityLink: byte conservation (requested = delivered +
  *    in-flight + queued);
  *  - BandwidthResource: busy-time/byte-count consistency;
+ *  - AdaptivePrefetchController: its event counts match its cache's;
  *  - Compressor: lossless compress -> decompress round-trip (run on
  *    every L2 fill when L2Params::verify_fill_roundtrip is set).
- *
- * Cache-internal audits (MSHR accounting, stat conservation) need
- * private state and live on L1Cache/L2Cache as registerAudits()
- * members; CmpSystem adds the cross-component stat checks.
+ * Checks over private state are const members of their component
+ * (L1Cache::auditMshrLimit, CoreModel::auditDoneHorizon, ...).
  */
 
 #ifndef CMPSIM_AUDIT_AUDITS_H
 #define CMPSIM_AUDIT_AUDITS_H
 
+#include <span>
 #include <string>
 
-#include "src/audit/invariant_registry.h"
 #include "src/cache/decoupled_set.h"
 #include "src/common/line_data.h"
 #include "src/compression/compressor.h"
 #include "src/mem/priority_link.h"
+#include "src/prefetch/adaptive_controller.h"
 #include "src/sim/bandwidth_resource.h"
 #include "src/sim/event_queue.h"
 
@@ -61,24 +60,26 @@ bool auditDecoupledSet(const DecoupledSet &set, bool require_full_charge,
 bool auditCompressorRoundTrip(const Compressor &c, const LineData &line,
                               std::string &why);
 
-/** Register @p eq's audits (monotonic now, no past events, wheel
- *  structure) as "<name>.monotonic_now", "<name>.no_past_events" and
- *  "<name>.wheel". */
-void registerEventQueueAudits(InvariantRegistry &reg,
-                              const EventQueue &eq,
-                              const std::string &name);
+/** auditDecoupledSet() over @p sets; @p why names the failing one. */
+bool auditDecoupledSets(std::span<const DecoupledSet> sets,
+                        bool require_full_charge, std::string &why);
 
-/** Register @p link's byte-conservation audit as
- *  "<name>.byte_conservation". */
-void registerPriorityLinkAudits(InvariantRegistry &reg,
-                                const PriorityLink &link,
-                                const std::string &name);
+/** Nothing is pending at a cycle before @p eq's now(). */
+bool auditNoPastEvents(const EventQueue &eq, std::string &why);
 
-/** Register @p bw's busy-time/byte consistency audit as
- *  "<name>.busy_bytes". */
-void registerBandwidthResourceAudits(InvariantRegistry &reg,
-                                     const BandwidthResource &bw,
-                                     const std::string &name);
+/** Bytes requested on @p link equal bytes delivered + in flight +
+ *  queued (with the pending-at-reset baseline). */
+bool auditByteConservation(const PriorityLink &link, std::string &why);
+
+/** @p bw's busy cycles match its byte count at its rate, up to FP
+ *  rounding. */
+bool auditBusyBytes(const BandwidthResource &bw, std::string &why);
+
+/** @p ctl counted exactly the @p useful, @p useless and @p harmful
+ *  prefetch events its cache counted. */
+bool auditControllerCounts(const AdaptivePrefetchController &ctl,
+                           std::uint64_t useful, std::uint64_t useless,
+                           std::uint64_t harmful, std::string &why);
 
 } // namespace cmpsim
 

@@ -298,9 +298,7 @@ L1Cache::accessFunctional(Addr addr, bool is_write)
         }
         ++pf_issued_;
         ++pf_fills_;
-        const bool l2_hit =
-            l2_.accessFunctional(cpu_, a, false, ReqType::L1Prefetch);
-        (void)l2_hit;
+        l2_.accessFunctional(cpu_, a, false, ReqType::L1Prefetch);
         TagEntry pf;
         pf.line = a;
         pf.valid = true;
@@ -335,80 +333,54 @@ L1Cache::registerStats(StatRegistry &reg, const std::string &prefix)
     reg.registerCounter(prefix + ".decomp_avoided", &decomp_avoided_);
 }
 
-void
-L1Cache::registerAudits(InvariantRegistry &reg, const std::string &name)
+bool
+L1Cache::auditSetIntegrity(std::string &why) const
 {
-    reg.add(name + ".set_integrity", [this](std::string &why) {
-        for (unsigned i = 0; i < sets_.size(); ++i) {
-            std::string detail;
-            if (!auditDecoupledSet(sets_[i],
-                                   /*require_full_charge=*/true,
-                                   detail)) {
-                why = auditFormat("set %u: %s", i, detail.c_str());
-                return false;
-            }
-        }
-        return true;
-    });
+    return auditDecoupledSets(sets_, /*require_full_charge=*/true, why);
+}
 
-    reg.add(name + ".mshr_limit", [this](std::string &why) {
-        unsigned busy = 0;
-        for (const Mshr &m : mshr_file_)
-            busy += m.line != kAddrInvalid;
-        if (busy != mshrs_used_ || busy > params_.mshrs) {
-            why = auditFormat("%u MSHRs allocated (counter %u), limit %u",
-                              busy, mshrs_used_, params_.mshrs);
-            return false;
-        }
-        return true;
-    });
-
-    reg.add(name + ".access_balance", [this](std::string &why) {
-        // A timed access resolves as exactly one of hit / miss /
-        // upgrade; the functional path counts an upgrade as a hit as
-        // well, hence the band rather than an equality.
-        const std::uint64_t lo = hits_.value() + misses_.value();
-        const std::uint64_t hi = lo + upgrades_.value();
-        if (accesses_.value() < lo || accesses_.value() > hi) {
-            why = auditFormat(
-                "accesses %llu outside [hits %llu + misses %llu, "
-                "+ upgrades %llu]",
-                static_cast<unsigned long long>(accesses_.value()),
-                static_cast<unsigned long long>(hits_.value()),
-                static_cast<unsigned long long>(misses_.value()),
-                static_cast<unsigned long long>(upgrades_.value()));
-            return false;
-        }
-        return true;
-    });
-
-    if (adaptive_ != nullptr) {
-        reg.add(name + ".adaptive_feedback", [this](std::string &why) {
-            if (adaptive_->usefulCount() != pf_hits_.value() ||
-                adaptive_->uselessCount() !=
-                    pf_useless_evicted_.value() ||
-                adaptive_->harmfulCount() !=
-                    harmful_miss_flags_.value()) {
-                why = auditFormat(
-                    "controller (useful %llu, useless %llu, harmful "
-                    "%llu) disagrees with cache (pf_hits %llu, "
-                    "pf_useless_evicted %llu, harmful_miss_flags %llu)",
-                    static_cast<unsigned long long>(
-                        adaptive_->usefulCount()),
-                    static_cast<unsigned long long>(
-                        adaptive_->uselessCount()),
-                    static_cast<unsigned long long>(
-                        adaptive_->harmfulCount()),
-                    static_cast<unsigned long long>(pf_hits_.value()),
-                    static_cast<unsigned long long>(
-                        pf_useless_evicted_.value()),
-                    static_cast<unsigned long long>(
-                        harmful_miss_flags_.value()));
-                return false;
-            }
-            return true;
-        });
+bool
+L1Cache::auditMshrLimit(std::string &why) const
+{
+    unsigned busy = 0;
+    for (const Mshr &m : mshr_file_)
+        busy += m.line != kAddrInvalid;
+    if (busy != mshrs_used_ || busy > params_.mshrs) {
+        why = auditFormat("%u MSHRs allocated (counter %u), limit %u", busy,
+                          mshrs_used_, params_.mshrs);
+        return false;
     }
+    return true;
+}
+
+bool
+L1Cache::auditAccessBalance(std::string &why) const
+{
+    // A timed access resolves as exactly one of hit / miss / upgrade;
+    // the functional path counts an upgrade as a hit as well, hence
+    // the band rather than an equality.
+    const std::uint64_t lo = hits_.value() + misses_.value();
+    const std::uint64_t hi = lo + upgrades_.value();
+    if (accesses_.value() < lo || accesses_.value() > hi) {
+        why = auditFormat(
+            "accesses %llu outside [hits %llu + misses %llu, + upgrades "
+            "%llu]",
+            static_cast<unsigned long long>(accesses_.value()),
+            static_cast<unsigned long long>(hits_.value()),
+            static_cast<unsigned long long>(misses_.value()),
+            static_cast<unsigned long long>(upgrades_.value()));
+        return false;
+    }
+    return true;
+}
+
+bool
+L1Cache::auditAdaptiveFeedback(std::string &why) const
+{
+    return adaptive_ == nullptr ||
+           auditControllerCounts(*adaptive_, pf_hits_.value(),
+                                 pf_useless_evicted_.value(),
+                                 harmful_miss_flags_.value(), why);
 }
 
 } // namespace cmpsim

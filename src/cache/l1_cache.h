@@ -35,8 +35,6 @@
 
 namespace cmpsim {
 
-class InvariantRegistry;
-
 /** Static configuration of one L1. */
 struct L1Params
 {
@@ -120,12 +118,12 @@ class L1Cache
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
 
-    /**
-     * Register this cache's invariants under "<name>.*": per-set
-     * structural integrity (full 8-segment charge — L1s never store
-     * compressed), the MSHR limit, and access/hit/miss balance.
-     */
-    void registerAudits(InvariantRegistry &reg, const std::string &name);
+    // The l1.* invariant checks (DESIGN.md §6): true when the
+    // invariant holds, else @p why says what disagrees.
+    bool auditSetIntegrity(std::string &why) const;
+    bool auditMshrLimit(std::string &why) const;
+    bool auditAccessBalance(std::string &why) const;
+    bool auditAdaptiveFeedback(std::string &why) const;
 
     /** Test hook. */
     const DecoupledSet &setAt(unsigned index) const { return sets_[index]; }

@@ -225,10 +225,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
         }
     }
 
-    // Train the per-core L2 prefetcher on demand and L1-prefetch
-    // misses ("we allow L1 prefetches to trigger L2 prefetches").
-    if (type == ReqType::Demand ||
-        (type == ReqType::L1Prefetch && params_.l1_prefetch_trains_l2))
+    if (trainsPrefetcher(type))
         trainPrefetcher(cpu, line, when);
 
     auto it = mshrs_.find(line);
@@ -405,12 +402,6 @@ L2Cache::fill(Addr line, Cycle arrival)
             ++pf_fills_l2_;
         else
             ++pf_fills_l1_;
-        if (miss_observer_) {
-            miss_observer_(entry.pf_source == PfSource::L2
-                               ? ReqType::L2Prefetch
-                               : ReqType::L1Prefetch,
-                           line);
-        }
     }
 
     if (params_.verify_fill_roundtrip)
@@ -645,7 +636,7 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
     for (const TagEntry &victim : set.insert(entry))
         handleVictim(victim, 0, true);
 
-    if (type != ReqType::L2Prefetch) {
+    if (trainsPrefetcher(type)) {
         StridePrefetcher *pf = prefetchers_[cpu];
         if (pf) {
             for (Addr a : pf->observeMiss(line, allowedStartup(*pf))) {
@@ -732,129 +723,90 @@ L2Cache::resetStats()
     l2pf_pending_at_reset_ = l2pf_in_network_;
 }
 
-void
-L2Cache::registerAudits(InvariantRegistry &reg, const std::string &name)
+bool
+L2Cache::auditSetIntegrity(std::string &why) const
 {
-    reg.add(name + ".set_integrity", [this](std::string &why) {
-        for (unsigned i = 0; i < sets_.size(); ++i) {
-            std::string detail;
-            if (!auditDecoupledSet(sets_[i], !params_.compressed,
-                                   detail)) {
-                why = auditFormat("set %u: %s", i, detail.c_str());
-                return false;
-            }
-        }
-        return true;
-    });
+    return auditDecoupledSets(sets_, !params_.compressed, why);
+}
 
-    reg.add(name + ".pf_mshr_accounting", [this](std::string &why) {
-        std::uint64_t budget_sum = 0;
-        for (unsigned c = 0; c < pf_outstanding_.size(); ++c) {
-            if (pf_outstanding_[c] > params_.prefetch_outstanding) {
-                why = auditFormat(
-                    "core %u holds %u outstanding L2 prefetches, "
-                    "budget %u",
-                    c, pf_outstanding_[c], params_.prefetch_outstanding);
-                return false;
-            }
-            budget_sum += pf_outstanding_[c];
-        }
-        std::uint64_t l2pf_mshrs = 0;
-        // analyze-ok: unordered-iter integer count of matching entries; order cannot change the audit verdict
-        for (const auto &[line, m] : mshrs_) {
-            (void)line;
-            l2pf_mshrs += m.pf_source == PfSource::L2 ? 1 : 0;
-        }
-        if (budget_sum != l2pf_mshrs) {
-            why = auditFormat(
-                "per-core outstanding-prefetch budgets sum to %llu but "
-                "%llu L2-prefetch MSHRs are allocated",
-                static_cast<unsigned long long>(budget_sum),
-                static_cast<unsigned long long>(l2pf_mshrs));
+bool
+L2Cache::auditPfMshrAccounting(std::string &why) const
+{
+    std::uint64_t budget_sum = 0;
+    for (unsigned c = 0; c < pf_outstanding_.size(); ++c) {
+        if (pf_outstanding_[c] > params_.prefetch_outstanding) {
+            why = auditFormat("core %u holds %u outstanding L2 prefetches, "
+                              "budget %u",
+                              c, pf_outstanding_[c],
+                              params_.prefetch_outstanding);
             return false;
         }
-        return true;
-    });
-
-    reg.add(name + ".demand_balance", [this](std::string &why) {
-        // Demand lookups classify hit-or-miss in the same event that
-        // counts the access, so this is an equality at any instant.
-        const std::uint64_t resolved =
-            demand_hits_.value() + demand_misses_.value();
-        if (demand_accesses_.value() != resolved) {
-            why = auditFormat(
-                "demand_accesses %llu != demand_hits %llu + "
-                "demand_misses %llu",
-                static_cast<unsigned long long>(demand_accesses_.value()),
-                static_cast<unsigned long long>(demand_hits_.value()),
-                static_cast<unsigned long long>(demand_misses_.value()));
-            return false;
-        }
-        return true;
-    });
-
-    reg.add(name + ".prefetch_pipeline", [this](std::string &why) {
-        // Every generated L2 prefetch resolves as exactly one of
-        // issued / squashed / dropped, or is still in the network.
-        const std::uint64_t resolved = l2pf_issued_.value() +
-                                       l2pf_squashed_.value() +
-                                       l2pf_dropped_.value();
-        const std::uint64_t generated =
-            l2pf_generated_.value() + l2pf_pending_at_reset_;
-        if (resolved + l2pf_in_network_ != generated) {
-            why = auditFormat(
-                "issued %llu + squashed %llu + dropped %llu + "
-                "in-network %llu != generated %llu + %llu pending at "
-                "reset",
-                static_cast<unsigned long long>(l2pf_issued_.value()),
-                static_cast<unsigned long long>(l2pf_squashed_.value()),
-                static_cast<unsigned long long>(l2pf_dropped_.value()),
-                static_cast<unsigned long long>(l2pf_in_network_),
-                static_cast<unsigned long long>(l2pf_generated_.value()),
-                static_cast<unsigned long long>(l2pf_pending_at_reset_));
-            return false;
-        }
-        return true;
-    });
-
-    if (adaptive_ != nullptr) {
-        reg.add(name + ".adaptive_feedback", [this](std::string &why) {
-            // Controller events and L2 counters increment at the same
-            // call sites, so each pair must agree exactly.
-            const std::uint64_t hits =
-                pf_hits_l1_.value() + pf_hits_l2_.value();
-            if (adaptive_->usefulCount() != hits) {
-                why = auditFormat(
-                    "controller saw %llu useful prefetches but the L2 "
-                    "counted %llu prefetch-bit hits",
-                    static_cast<unsigned long long>(
-                        adaptive_->usefulCount()),
-                    static_cast<unsigned long long>(hits));
-                return false;
-            }
-            if (adaptive_->uselessCount() != useless_pf_evicted_.value()) {
-                why = auditFormat(
-                    "controller saw %llu useless prefetches but the L2 "
-                    "evicted %llu unreferenced prefetched lines",
-                    static_cast<unsigned long long>(
-                        adaptive_->uselessCount()),
-                    static_cast<unsigned long long>(
-                        useless_pf_evicted_.value()));
-                return false;
-            }
-            if (adaptive_->harmfulCount() != harmful_miss_flags_.value()) {
-                why = auditFormat(
-                    "controller saw %llu harmful prefetches but the L2 "
-                    "flagged %llu victim-tag misses",
-                    static_cast<unsigned long long>(
-                        adaptive_->harmfulCount()),
-                    static_cast<unsigned long long>(
-                        harmful_miss_flags_.value()));
-                return false;
-            }
-            return true;
-        });
+        budget_sum += pf_outstanding_[c];
     }
+    std::uint64_t l2pf_mshrs = 0;
+    // analyze-ok: unordered-iter integer count of matching entries; order cannot change the audit verdict
+    for (const auto &[line, m] : mshrs_) {
+        (void)line;
+        l2pf_mshrs += m.pf_source == PfSource::L2 ? 1 : 0;
+    }
+    if (budget_sum != l2pf_mshrs) {
+        why = auditFormat(
+            "per-core outstanding-prefetch budgets sum to %llu but %llu "
+            "L2-prefetch MSHRs are allocated",
+            static_cast<unsigned long long>(budget_sum),
+            static_cast<unsigned long long>(l2pf_mshrs));
+        return false;
+    }
+    return true;
+}
+
+bool
+L2Cache::auditDemandBalance(std::string &why) const
+{
+    // Demand lookups classify hit-or-miss in the same event that
+    // counts the access, so this is an equality at any instant.
+    if (demand_accesses_.value() ==
+        demand_hits_.value() + demand_misses_.value())
+        return true;
+    why = auditFormat(
+        "demand_accesses %llu != demand_hits %llu + demand_misses %llu",
+        static_cast<unsigned long long>(demand_accesses_.value()),
+        static_cast<unsigned long long>(demand_hits_.value()),
+        static_cast<unsigned long long>(demand_misses_.value()));
+    return false;
+}
+
+bool
+L2Cache::auditPrefetchPipeline(std::string &why) const
+{
+    const std::uint64_t resolved =
+        l2pf_issued_.value() + l2pf_squashed_.value() + l2pf_dropped_.value();
+    const std::uint64_t generated =
+        l2pf_generated_.value() + l2pf_pending_at_reset_;
+    if (resolved + l2pf_in_network_ == generated)
+        return true;
+    why = auditFormat(
+        "issued %llu + squashed %llu + dropped %llu + in-network %llu != "
+        "generated %llu + %llu pending at reset",
+        static_cast<unsigned long long>(l2pf_issued_.value()),
+        static_cast<unsigned long long>(l2pf_squashed_.value()),
+        static_cast<unsigned long long>(l2pf_dropped_.value()),
+        static_cast<unsigned long long>(l2pf_in_network_),
+        static_cast<unsigned long long>(l2pf_generated_.value()),
+        static_cast<unsigned long long>(l2pf_pending_at_reset_));
+    return false;
+}
+
+bool
+L2Cache::auditAdaptiveFeedback(std::string &why) const
+{
+    // Useful: prefetch-bit hits; useless: unreferenced prefetched
+    // lines evicted; harmful: victim-tag misses.
+    return adaptive_ == nullptr ||
+           auditControllerCounts(
+               *adaptive_, pf_hits_l1_.value() + pf_hits_l2_.value(),
+               useless_pf_evicted_.value(), harmful_miss_flags_.value(),
+               why);
 }
 
 } // namespace cmpsim

@@ -54,7 +54,6 @@
 
 namespace cmpsim {
 
-class InvariantRegistry;
 class MissJournal;
 
 /** Static configuration of the shared L2. */
@@ -137,7 +136,7 @@ class L2Cache
     /** Coherence hook: downgrade L1 @p cpu's M copy of @p line to S. */
     using L1Downgrader = std::function<void(unsigned cpu, Addr line)>;
 
-    /** Observer for miss classification (Figure 8): (type, line). */
+    /** Observer of demand misses: (ReqType::Demand, line). */
     using MissObserver = std::function<void(ReqType, Addr)>;
 
     L2Cache(EventQueue &eq, ValueStore &values, MainMemory &memory,
@@ -155,7 +154,7 @@ class L2Cache
     /** Wire the M-to-S downgrade hook. */
     void setL1Downgrader(L1Downgrader down);
 
-    /** Observe demand misses and prefetch fills (for Figure 8). */
+    /** Observe every timed demand miss, at its lookup. */
     void setMissObserver(MissObserver obs);
 
     /** Wire the (opt-in) miss-genealogy journal; nullptr disarms. */
@@ -246,12 +245,13 @@ class L2Cache
      *  StatRegistry::resetAll() zeroed the registered stats. */
     void resetStats();
 
-    /**
-     * Register this cache's invariants under "<name>.*": per-set
-     * structural integrity, prefetch-MSHR accounting, demand-stat
-     * balance and the prefetch-pipeline bound.
-     */
-    void registerAudits(InvariantRegistry &reg, const std::string &name);
+    // The l2.* invariant checks (DESIGN.md §6): true when the
+    // invariant holds, else @p why says what disagrees.
+    bool auditSetIntegrity(std::string &why) const;
+    bool auditPfMshrAccounting(std::string &why) const;
+    bool auditDemandBalance(std::string &why) const;
+    bool auditPrefetchPipeline(std::string &why) const;
+    bool auditAdaptiveFeedback(std::string &why) const;
 
     /** Test hook: direct set inspection. */
     const DecoupledSet &setAt(unsigned index) const { return sets_[index]; }
@@ -319,6 +319,14 @@ class L2Cache
 
     /** Train the per-core L2 prefetcher on a miss at @p line. */
     void trainPrefetcher(unsigned cpu, Addr line, Cycle when);
+
+    /** Whether a miss of @p type trains the L2 prefetcher. */
+    bool
+    trainsPrefetcher(ReqType type) const
+    {
+        return type == ReqType::Demand ||
+               (type == ReqType::L1Prefetch && params_.l1_prefetch_trains_l2);
+    }
 
     /** First demand touch of a prefetched line. */
     void onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when);

@@ -17,6 +17,19 @@
 
 namespace cmpsim {
 
+/** One Zipf(n, s) power-law envelope's constants, computed once so
+ *  that a Random::zipf() draw pays no pow()/log() for them. */
+struct ZipfEnvelope
+{
+    ZipfEnvelope(std::uint64_t ranks, double exponent);
+
+    std::uint64_t n;
+    double s;
+    double top = 0.0;     ///< n^(1-s)   (s != 1 branch)
+    double inv_oms = 0.0; ///< 1 / (1-s) (s != 1 branch)
+    double log_n = 0.0;   ///< ln(n)     (s == 1 branch)
+};
+
 /** xoshiro256** generator with splitmix64 seeding. */
 class Random
 {
@@ -83,7 +96,13 @@ class Random
      * enough to model hot/cold data-set skew.
      */
     std::uint64_t
-    zipf(std::uint64_t n, double s);
+    zipf(std::uint64_t n, double s)
+    {
+        return zipf(ZipfEnvelope(n, s));
+    }
+
+    /** zipf(env.n, env.s), with the envelope computed beforehand. */
+    std::uint64_t zipf(const ZipfEnvelope &env);
 
   private:
     static std::uint64_t

@@ -5,7 +5,6 @@
 
 #include "src/audit/audits.h"
 #include "src/common/sim_error.h"
-#include "src/obs/cpi_stack.h"
 
 namespace cmpsim {
 
@@ -17,21 +16,51 @@ constexpr Cycle kRatioSampleInterval = 20000;
 /** Functional execution interleaves cores in chunks this large so
  *  the shared region and the L2 see a realistic interleaving. */
 constexpr std::uint64_t kFunctionalChunk = 2000;
+
+/** @return @p ok; on a failure, prefix @p why with the failing
+ *  instance's stats name (@p kind followed by @p index). */
+bool
+named(bool ok, const char *kind, std::size_t index, std::string &why)
+{
+    if (!ok)
+        why = kind + std::to_string(index) + ": " + why;
+    return ok;
+}
 } // namespace
+
+CmpSystem::Tile::Tile(const SystemConfig &config,
+                      const WorkloadParams &workload, unsigned cpu,
+                      EventQueue &eq, ValueStore &values, L2Cache &l2,
+                      const MissJournal *journal)
+    : l1i(eq, l2, cpu, config.l1iParams()),
+      l1d(eq, l2, cpu, config.l1Params()),
+      stream(workload, values, cpu, config.seed),
+      core(eq, l1i, l1d, values, stream, cpu, config.coreParams())
+{
+    if (config.prefetching) {
+        pf_l1i.emplace(config.l1PrefetcherParams());
+        pf_l1d.emplace(config.l1PrefetcherParams());
+        ad_l1i.emplace(config.l1_startup_prefetches,
+                       config.adaptive_prefetch);
+        ad_l1d.emplace(config.l1_startup_prefetches,
+                       config.adaptive_prefetch);
+        l1i.setPrefetcher(&*pf_l1i);
+        l1d.setPrefetcher(&*pf_l1d);
+        l1i.setAdaptiveController(&*ad_l1i);
+        l1d.setAdaptiveController(&*ad_l1d);
+    }
+    if (config.cpi_stack) {
+        cpi.emplace(cpu, config.coreParams().rob_entries, journal);
+        core.setCpi(&*cpi);
+    }
+}
 
 CmpSystem::CmpSystem(const SystemConfig &config,
                      const WorkloadParams &workload)
     : config_(config), workload_(workload.scaled(config.scale))
 {
     config_.validate();
-    buildSystem();
-}
 
-CmpSystem::~CmpSystem() = default;
-
-void
-CmpSystem::buildSystem()
-{
     // Pre-size the event queue so mid-run event bursts never
     // reallocate: in-flight continuations are bounded by cores times
     // pipeline depth (each ROB slot holds at most one outstanding
@@ -44,74 +73,12 @@ CmpSystem::buildSystem()
         std::make_unique<MainMemory>(eq_, *values_, config_.memoryParams());
     l2_ = std::make_unique<L2Cache>(eq_, *values_, *memory_,
                                     config_.l2Params());
-
-    const L1Params l1d_params = config_.l1Params();
-    L1Params l1i_params = l1d_params;
-    l1i_params.mshrs = 4; // sequential fetch + a few prefetches
-    l1i_params.prefetch_headroom = 1;
-
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        l1i_.push_back(std::make_unique<L1Cache>(eq_, *l2_, c, l1i_params));
-        l1d_.push_back(std::make_unique<L1Cache>(eq_, *l2_, c, l1d_params));
-    }
-
-    l2_->setL1Invalidator([this](unsigned cpu, Addr line) {
-        const bool d_dirty = l1d_[cpu]->invalidateLine(line);
-        const bool i_dirty = l1i_[cpu]->invalidateLine(line);
-        return d_dirty || i_dirty;
-    });
-    l2_->setL1Downgrader([this](unsigned cpu, Addr line) {
-        l1d_[cpu]->downgradeLine(line);
-        l1i_[cpu]->downgradeLine(line);
-    });
-
-    if (config_.prefetching) {
-        for (unsigned c = 0; c < config_.cores; ++c) {
-            pf_l1i_.push_back(std::make_unique<StridePrefetcher>(
-                config_.l1PrefetcherParams()));
-            pf_l1d_.push_back(std::make_unique<StridePrefetcher>(
-                config_.l1PrefetcherParams()));
-            ad_l1i_.push_back(
-                std::make_unique<AdaptivePrefetchController>(
-                    config_.l1_startup_prefetches,
-                    config_.adaptive_prefetch));
-            ad_l1d_.push_back(
-                std::make_unique<AdaptivePrefetchController>(
-                    config_.l1_startup_prefetches,
-                    config_.adaptive_prefetch));
-            l1i_[c]->setPrefetcher(pf_l1i_[c].get());
-            l1d_[c]->setPrefetcher(pf_l1d_[c].get());
-            l1i_[c]->setAdaptiveController(ad_l1i_[c].get());
-            l1d_[c]->setAdaptiveController(ad_l1d_[c].get());
-        }
-        // One saturating counter for the shared L2 (Section 3), with
-        // per-core L2 prefetch engines [7] (or one shared, ablation).
-        l2_adaptive_ = std::make_unique<AdaptivePrefetchController>(
-            config_.l2_startup_prefetches, config_.adaptive_prefetch);
-        l2_->setAdaptiveController(l2_adaptive_.get());
-        const unsigned engines =
-            config_.shared_l2_prefetcher ? 1 : config_.cores;
-        for (unsigned e = 0; e < engines; ++e) {
-            pf_l2_.push_back(std::make_unique<StridePrefetcher>(
-                config_.l2PrefetcherParams()));
-        }
-        for (unsigned c = 0; c < config_.cores; ++c) {
-            l2_->setPrefetcher(
-                c, pf_l2_[config_.shared_l2_prefetcher ? 0 : c].get());
-        }
-    }
-
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        streams_.push_back(std::make_unique<SyntheticWorkload>(
-            workload_, *values_, c, config_.seed));
-        cores_.push_back(std::make_unique<CoreModel>(
-            eq_, *l1i_[c], *l1d_[c], *values_, *streams_[c], c,
-            config_.coreParams()));
-    }
+    l2_->registerStats(registry_, "l2");
+    memory_->registerStats(registry_, "mem");
 
     if (config_.cpi_stack) {
         // CPI-stack / miss-genealogy layer (DESIGN.md §9): one journal
-        // fed by the uncore timing layers plus one account per core.
+        // fed by the uncore timing layers plus one account per tile.
         // All its stats land in cpi_registry_ so stats() dumps — and
         // the determinism fingerprints — never change when it's armed.
         const MemoryParams mp = config_.memoryParams();
@@ -119,27 +86,54 @@ CmpSystem::buildSystem()
             mp.link_bytes_per_cycle, mp.infinite_bandwidth);
         l2_->setJournal(miss_journal_.get());
         memory_->setJournal(miss_journal_.get());
-        for (unsigned c = 0; c < config_.cores; ++c) {
-            cpi_.push_back(std::make_unique<CpiAccount>(
-                c, config_.coreParams().rob_entries,
-                miss_journal_.get()));
-            cores_[c]->setCpi(cpi_[c].get());
-        }
         miss_journal_->registerStats(cpi_registry_, "genealogy");
-        for (unsigned c = 0; c < config_.cores; ++c) {
-            cpi_[c]->registerStats(cpi_registry_,
-                                   "cpi." + std::to_string(c));
-        }
-        // Conservation: every attributed window's leaves must sum to
-        // exactly the elapsed cycles it covered — checked per core.
-        audits_.add("obs.cpi_conservation", [this](std::string &why) {
-            for (auto &a : cpi_) {
-                if (!a->conserved(why))
-                    return false;
-            }
-            return true;
-        });
     }
+
+    if (config_.prefetching) {
+        // One saturating counter for the shared L2 (Section 3), with
+        // per-core L2 prefetch engines [7] (or one shared, ablation).
+        l2_adaptive_.emplace(config_.l2_startup_prefetches,
+                             config_.adaptive_prefetch);
+        l2_->setAdaptiveController(&*l2_adaptive_);
+        l2_adaptive_->registerStats(registry_, "ad.l2");
+        const unsigned engines =
+            config_.shared_l2_prefetcher ? 1 : config_.cores;
+        pf_l2_.reserve(engines); // the L2 points into it
+        for (unsigned e = 0; e < engines; ++e) {
+            pf_l2_.emplace_back(config_.l2PrefetcherParams());
+            pf_l2_[e].registerStats(registry_, "pf.l2." + std::to_string(e));
+        }
+        for (unsigned c = 0; c < config_.cores; ++c)
+            l2_->setPrefetcher(c, &pf_l2_[engines == 1 ? 0 : c]);
+    }
+
+    tiles_.reserve(config_.cores);
+    for (unsigned c = 0; c < config_.cores; ++c) {
+        Tile &t = *tiles_.emplace_back(std::make_unique<Tile>(
+            config_, workload_, c, eq_, *values_, *l2_,
+            miss_journal_.get()));
+        const std::string idx = std::to_string(c);
+        t.l1i.registerStats(registry_, "l1i." + idx);
+        t.l1d.registerStats(registry_, "l1d." + idx);
+        t.core.registerStats(registry_, "core." + idx);
+        if (config_.prefetching) {
+            t.pf_l1i->registerStats(registry_, "pf.l1i." + idx);
+            t.pf_l1d->registerStats(registry_, "pf.l1d." + idx);
+            t.ad_l1i->registerStats(registry_, "ad.l1i." + idx);
+            t.ad_l1d->registerStats(registry_, "ad.l1d." + idx);
+        }
+        if (t.cpi)
+            t.cpi->registerStats(cpi_registry_, "cpi." + idx);
+    }
+    l2_->setL1Invalidator([this](unsigned cpu, Addr line) {
+        const bool d_dirty = tiles_[cpu]->l1d.invalidateLine(line);
+        const bool i_dirty = tiles_[cpu]->l1i.invalidateLine(line);
+        return d_dirty || i_dirty;
+    });
+    l2_->setL1Downgrader([this](unsigned cpu, Addr line) {
+        tiles_[cpu]->l1d.downgradeLine(line);
+        tiles_[cpu]->l1i.downgradeLine(line);
+    });
 
     if (config_.sampling.armed()) {
         // Statistical sampling (DESIGN.md §14): the fast-forward stats
@@ -150,9 +144,111 @@ CmpSystem::buildSystem()
         registry_.registerCounter("sample.ff_skip_instructions",
                                   &ff_skip_instructions_);
         registry_.registerCounter("sample.ff_chunks", &ff_chunks_);
-        // Conservation: fast-forwards must retire exactly the budget
-        // handed out — a skipped or double-counted instruction would
-        // silently bias every sampled metric.
+    }
+
+    registerInvariants();
+}
+
+CmpSystem::~CmpSystem() = default;
+
+void
+CmpSystem::registerInvariants()
+{
+    audits_.add("eq.monotonic_now",
+                [this, last = Cycle{0}](std::string &why) mutable {
+                    if (eq_.now() < last) {
+                        why = auditFormat(
+                            "now() went backwards: %llu after %llu",
+                            static_cast<unsigned long long>(eq_.now()),
+                            static_cast<unsigned long long>(last));
+                        return false;
+                    }
+                    last = eq_.now();
+                    return true;
+                });
+    audits_.add("eq.no_past_events", [this](std::string &why) {
+        return auditNoPastEvents(eq_, why);
+    });
+    audits_.add("eq.wheel",
+                [this](std::string &why) { return eq_.auditWheel(why); });
+
+    auto on_l2 = [this](bool (L2Cache::*audit)(std::string &) const) {
+        return [this, audit](std::string &why) { return (*l2_.*audit)(why); };
+    };
+    audits_.add("l2.set_integrity", on_l2(&L2Cache::auditSetIntegrity));
+    audits_.add("l2.pf_mshr_accounting",
+                on_l2(&L2Cache::auditPfMshrAccounting));
+    audits_.add("l2.demand_balance", on_l2(&L2Cache::auditDemandBalance));
+    audits_.add("l2.prefetch_pipeline",
+                on_l2(&L2Cache::auditPrefetchPipeline));
+    if (config_.prefetching) {
+        audits_.add("l2.adaptive_feedback",
+                    on_l2(&L2Cache::auditAdaptiveFeedback));
+    }
+    audits_.add("l2.onchip.busy_bytes", [this](std::string &why) {
+        return auditBusyBytes(l2_->onchip(), why);
+    });
+    audits_.add("mem.link.byte_conservation", [this](std::string &why) {
+        return auditByteConservation(memory_->link(), why);
+    });
+
+    // A per-tile check runs over every tile up to the first failure.
+    auto each_tile = [this](auto check) {
+        return [this, check](std::string &why) {
+            for (const auto &t : tiles_) {
+                if (!check(*t, why))
+                    return false;
+            }
+            return true;
+        };
+    };
+    // An L1 check runs over both L1s of every tile.
+    auto each_l1 = [&](bool (L1Cache::*audit)(std::string &) const) {
+        return each_tile([audit](const Tile &t, std::string &why) {
+            const unsigned c = t.core.cpu();
+            return named((t.l1i.*audit)(why), "l1i.", c, why) &&
+                   named((t.l1d.*audit)(why), "l1d.", c, why);
+        });
+    };
+    audits_.add("l1.set_integrity", each_l1(&L1Cache::auditSetIntegrity));
+    audits_.add("l1.mshr_limit", each_l1(&L1Cache::auditMshrLimit));
+    audits_.add("l1.access_balance", each_l1(&L1Cache::auditAccessBalance));
+    if (config_.prefetching) {
+        audits_.add("l1.adaptive_feedback",
+                    each_l1(&L1Cache::auditAdaptiveFeedback));
+    }
+
+    audits_.add("core.done_horizon",
+                each_tile([](const Tile &t, std::string &why) {
+                    return t.core.auditDoneHorizon(why);
+                }));
+    if (config_.prefetching) {
+        audits_.add("prefetch.filters", [this](std::string &why) {
+            for (const auto &t : tiles_) {
+                const unsigned c = t->core.cpu();
+                if (!named(t->pf_l1i->auditFilters(why), "pf.l1i.", c, why) ||
+                    !named(t->pf_l1d->auditFilters(why), "pf.l1d.", c, why))
+                    return false;
+            }
+            for (std::size_t e = 0; e < pf_l2_.size(); ++e) {
+                if (!named(pf_l2_[e].auditFilters(why), "pf.l2.", e, why))
+                    return false;
+            }
+            return true;
+        });
+    }
+
+    if (config_.cpi_stack) {
+        // Every core's CPI leaves sum to exactly the elapsed cycles.
+        audits_.add("obs.cpi_conservation",
+                    each_tile([](const Tile &t, std::string &why) {
+                        return t.cpi->conserved(why);
+                    }));
+    }
+    if (config_.sampling.armed()) {
+        // Fast-forwards must retire exactly the budget handed out — a
+        // skipped or double-counted instruction would silently bias
+        // every sampled metric.
         audits_.add("sample.conservation", [this](std::string &why) {
             if (ff_observed_ == ff_expected_)
                 return true;
@@ -160,67 +256,6 @@ CmpSystem::buildSystem()
                   " instructions against a budget of " +
                   std::to_string(ff_expected_);
             return false;
-        });
-    }
-
-    // Stat registration.
-    l2_->registerStats(registry_, "l2");
-    memory_->registerStats(registry_, "mem");
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        const std::string idx = std::to_string(c);
-        l1i_[c]->registerStats(registry_, "l1i." + idx);
-        l1d_[c]->registerStats(registry_, "l1d." + idx);
-        cores_[c]->registerStats(registry_, "core." + idx);
-        if (config_.prefetching) {
-            pf_l1i_[c]->registerStats(registry_, "pf.l1i." + idx);
-            pf_l1d_[c]->registerStats(registry_, "pf.l1d." + idx);
-            ad_l1i_[c]->registerStats(registry_, "ad.l1i." + idx);
-            ad_l1d_[c]->registerStats(registry_, "ad.l1d." + idx);
-        }
-    }
-    if (config_.prefetching) {
-        for (unsigned e = 0; e < pf_l2_.size(); ++e) {
-            pf_l2_[e]->registerStats(registry_,
-                                     "pf.l2." + std::to_string(e));
-        }
-        l2_adaptive_->registerStats(registry_, "ad.l2");
-    }
-
-    // Invariant registration (DESIGN.md §6). Every component hangs its
-    // named checks on the shared registry; run() enforces it
-    // periodically when config_.audit_interval is set.
-    registerEventQueueAudits(audits_, eq_, "eq");
-    l2_->registerAudits(audits_, "l2");
-    registerBandwidthResourceAudits(audits_, l2_->onchip(), "l2.onchip");
-    registerPriorityLinkAudits(audits_, memory_->link(), "mem.link");
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        const std::string idx = std::to_string(c);
-        l1i_[c]->registerAudits(audits_, "l1i." + idx);
-        l1d_[c]->registerAudits(audits_, "l1d." + idx);
-    }
-    // One audit per structure kind, each looping over every instance:
-    // a name and a closure per core or prefetcher would be
-    // construction work for nothing.
-    audits_.add("core.done_horizon", [this](std::string &why) {
-        for (const auto &core : cores_) {
-            if (!core->auditDoneHorizon(why))
-                return false;
-        }
-        return true;
-    });
-    if (config_.prefetching) {
-        audits_.add("prefetch.filters", [this](std::string &why) {
-            auto pass = [&why](const auto &engines, const char *name) {
-                for (std::size_t e = 0; e < engines.size(); ++e) {
-                    if (!engines[e]->auditFilters(why)) {
-                        why = name + std::to_string(e) + ": " + why;
-                        return false;
-                    }
-                }
-                return true;
-            };
-            return pass(pf_l1i_, "pf.l1i.") && pass(pf_l1d_, "pf.l1d.") &&
-                   pass(pf_l2_, "pf.l2.");
         });
     }
 }
@@ -235,23 +270,18 @@ CmpSystem::resetAllStats()
     l2_->resetStats();
     ratio_samples_.reset();
     cpi_registry_.resetAll();
-    for (auto &a : cpi_)
-        a->resetStats();
-}
-
-void
-CmpSystem::cpiFlush(Cycle now)
-{
-    for (auto &a : cpi_)
-        a->flush(now);
+    for (auto &t : tiles_) {
+        if (t->cpi)
+            t->cpi->resetStats();
+    }
 }
 
 std::uint64_t
 CmpSystem::retiredTotal() const
 {
     std::uint64_t total = 0;
-    for (const auto &core : cores_)
-        total += core->instructionsRetired();
+    for (const auto &t : tiles_)
+        total += t->core.instructionsRetired();
     return total;
 }
 
@@ -275,11 +305,11 @@ CmpSystem::runFunctionalLoop(std::uint64_t instr_per_core,
         const bool skipping = done < skip;
         const std::uint64_t chunk = std::min(
             kFunctionalChunk, (skipping ? skip : instr_per_core) - done);
-        for (auto &core : cores_) {
+        for (auto &t : tiles_) {
             if (skipping)
-                core->runSkip(chunk);
+                t->core.runSkip(chunk);
             else
-                core->runFunctional(chunk);
+                t->core.runFunctional(chunk);
         }
         done += chunk;
         ++chunks;
@@ -322,8 +352,8 @@ CmpSystem::run(std::uint64_t instr_per_core)
     // than running other cores' callbacks, so the minimum taken
     // during the tick pass is exact until the next advanceTo().
     Cycle min_wake = kCycleNever;
-    for (auto &core : cores_)
-        min_wake = std::min(min_wake, core->nextWake());
+    for (auto &t : tiles_)
+        min_wake = std::min(min_wake, t->core.nextWake());
 
     while (retired < target) {
         Cycle next = std::min(eq_.nextEventCycle(), min_wake);
@@ -340,11 +370,12 @@ CmpSystem::run(std::uint64_t instr_per_core)
 
         retired = 0;
         min_wake = kCycleNever;
-        for (auto &core : cores_) {
-            if (core->nextWake() <= now)
-                core->tick(now);
-            retired += core->instructionsRetired();
-            min_wake = std::min(min_wake, core->nextWake());
+        for (auto &t : tiles_) {
+            CoreModel &core = t->core;
+            if (core.nextWake() <= now)
+                core.tick(now);
+            retired += core.instructionsRetired();
+            min_wake = std::min(min_wake, core.nextWake());
         }
 
         if (retired != last_retired) {
@@ -368,10 +399,11 @@ CmpSystem::run(std::uint64_t instr_per_core)
     }
 
     ratio_samples_.sample(l2_->compressionRatio());
-    if (!cpi_.empty()) {
-        // Close every open attribution window so the CPI leaves sum to
-        // exactly the measured cycles before the end-of-run audit.
-        cpiFlush(now);
+    // Close every open attribution window so the CPI leaves sum to
+    // exactly the measured cycles before the end-of-run audit.
+    for (auto &t : tiles_) {
+        if (t->cpi)
+            t->cpi->flush(now);
     }
     if (audit_interval > 0)
         audits_.enforce(); // end-of-simulation audit
@@ -385,7 +417,7 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
 {
     const std::uint64_t before = retiredTotal();
     ff_chunks_ += runFunctionalLoop(instr_per_core, warm_per_core);
-    const std::uint64_t cores = cores_.size();
+    const std::uint64_t cores = tiles_.size();
     const std::uint64_t budget = instr_per_core * cores;
     ff_instructions_ += budget;
     ff_skip_instructions_ +=
@@ -422,9 +454,10 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
     const std::uint64_t slack =
         config_.sampling.detail_per_core *
         static_cast<std::uint64_t>(config_.cores);
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        streams_[i]->copyStateFrom(*leader.streams_[i]);
-        cores_[i]->adoptSkip(*leader.cores_[i], instr_per_core, slack);
+    for (std::size_t i = 0; i < tiles_.size(); ++i) {
+        Tile &t = *tiles_[i];
+        t.stream.copyStateFrom(leader.tiles_[i]->stream);
+        t.core.adoptSkip(leader.tiles_[i]->core, instr_per_core, slack);
     }
     values_->applyOps(ops);
 
@@ -447,12 +480,11 @@ CmpSystem::runDiagnostic(Cycle now) const
     const Cycle horizon = eq_.nextEventCycle();
     out += " eq.next=";
     out += horizon == kCycleNever ? "never" : std::to_string(horizon);
-    for (unsigned c = 0; c < config_.cores; ++c) {
-        const Cycle wake = cores_[c]->nextWake();
-        out += "\n  core." + std::to_string(c) + ": nextWake=";
+    for (const auto &t : tiles_) {
+        const Cycle wake = t->core.nextWake();
+        out += "\n  core." + std::to_string(t->core.cpu()) + ": nextWake=";
         out += wake == kCycleNever ? "never" : std::to_string(wake);
-        out += " retired=" +
-               std::to_string(cores_[c]->instructionsRetired());
+        out += " retired=" + std::to_string(t->core.instructionsRetired());
     }
     return out;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * CmpSystem: the fully wired CMP of the paper — cores, split L1s,
- * per-core L1I/L1D/L2 stride prefetchers, adaptive controllers, the
- * banked shared compressed L2, the pin link with optional link
+ * CmpSystem: the fully wired CMP of the paper — identical tiles (a
+ * core with its split L1s, their stride prefetchers and adaptive
+ * controllers) around the banked shared compressed L2 with its own
+ * per-core prefetch engines, the pin link with optional link
  * compression, and DRAM — built from a SystemConfig plus a workload,
  * with functional warmup and a timed run loop.
  *
@@ -19,18 +20,17 @@
 #define CMPSIM_CORE_API_CMP_SYSTEM_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/audit/invariant_registry.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/system_config.h"
+#include "src/obs/cpi_stack.h"
 #include "src/workload/synthetic_workload.h"
 
 namespace cmpsim {
-
-class CpiAccount;
-class MissJournal;
 
 /** A complete simulated CMP. */
 class CmpSystem
@@ -81,17 +81,18 @@ class CmpSystem
     const L2Cache &l2() const { return *l2_; }
     MainMemory &memory() { return *memory_; }
     const ValueStore &values() const { return *values_; }
-    L1Cache &l1i(unsigned cpu) { return *l1i_[cpu]; }
-    L1Cache &l1d(unsigned cpu) { return *l1d_[cpu]; }
-    CoreModel &core(unsigned cpu) { return *cores_[cpu]; }
+    L1Cache &l1i(unsigned cpu) { return tiles_[cpu]->l1i; }
+    L1Cache &l1d(unsigned cpu) { return tiles_[cpu]->l1d; }
+    CoreModel &core(unsigned cpu) { return tiles_[cpu]->core; }
     StatRegistry &stats() { return registry_; }
     AdaptivePrefetchController &l2Adaptive() { return *l2_adaptive_; }
 
     /**
-     * The system-wide invariant registry. Populated at construction;
-     * run() enforces it every config.audit_interval cycles (and once
-     * at end-of-run) when the interval is non-zero. Tests may call
-     * audits().check()/enforce() directly at any point.
+     * The system-wide invariant registry: the whole catalogue, one
+     * check per structure kind (DESIGN.md §6), registered at
+     * construction. run() enforces it every config.audit_interval
+     * cycles (and once at end-of-run) when the interval is non-zero.
+     * Tests may call audits().check()/enforce() directly at any point.
      */
     InvariantRegistry &audits() { return audits_; }
     const InvariantRegistry &audits() const { return audits_; }
@@ -160,15 +161,43 @@ class CmpSystem
     /** Per-core CPI account, or nullptr when the layer is off. */
     const CpiAccount *cpiAccount(unsigned cpu) const
     {
-        return cpu < cpi_.size() ? cpi_[cpu].get() : nullptr;
+        return cpu < tiles_.size() && tiles_[cpu]->cpi ? &*tiles_[cpu]->cpi
+                                                        : nullptr;
     }
 
     /** The miss-genealogy journal, or nullptr when the layer is off. */
     const MissJournal *missJournal() const { return miss_journal_.get(); }
 
   private:
-    void buildSystem();
+    /** One core's tile (Section 2): the core, its split L1s with
+     *  their stride prefetchers and adaptive controllers (when
+     *  prefetching), its workload stream and, when armed, its CPI
+     *  account. Never moved: the core and the L1s point into it. */
+    struct Tile
+    {
+        Tile(const SystemConfig &config, const WorkloadParams &workload,
+             unsigned cpu, EventQueue &eq, ValueStore &values, L2Cache &l2,
+             const MissJournal *journal);
+        Tile(const Tile &) = delete;
+        Tile &operator=(const Tile &) = delete;
+
+        L1Cache l1i;
+        L1Cache l1d;
+        std::optional<StridePrefetcher> pf_l1i;
+        std::optional<StridePrefetcher> pf_l1d;
+        std::optional<AdaptivePrefetchController> ad_l1i;
+        std::optional<AdaptivePrefetchController> ad_l1d;
+        SyntheticWorkload stream;
+        CoreModel core;
+        std::optional<CpiAccount> cpi;
+    };
+
     void resetAllStats();
+
+    /** Register the invariant catalogue (DESIGN.md §6): one check per
+     *  structure kind, looping over every instance and naming the
+     *  failing one in its detail. */
+    void registerInvariants();
 
     /**
      * The one functional loop behind warmup() and fastForward(): drain
@@ -190,10 +219,6 @@ class CmpSystem
      *  reports: event-queue depth and horizon plus per-core state. */
     std::string runDiagnostic(Cycle now) const;
 
-    /** Close every core's open attribution window at @p now so the
-     *  CPI leaves sum to exactly the elapsed cycles (end-of-run). */
-    void cpiFlush(Cycle now);
-
     SystemConfig config_;
     WorkloadParams workload_;
 
@@ -202,19 +227,12 @@ class CmpSystem
     std::unique_ptr<ValueStore> values_;
     std::unique_ptr<MainMemory> memory_;
     std::unique_ptr<L2Cache> l2_;
-    std::vector<std::unique_ptr<L1Cache>> l1i_;
-    std::vector<std::unique_ptr<L1Cache>> l1d_;
-    std::vector<std::unique_ptr<StridePrefetcher>> pf_l1i_;
-    std::vector<std::unique_ptr<StridePrefetcher>> pf_l1d_;
-    std::vector<std::unique_ptr<StridePrefetcher>> pf_l2_;
-    std::vector<std::unique_ptr<AdaptivePrefetchController>> ad_l1i_;
-    std::vector<std::unique_ptr<AdaptivePrefetchController>> ad_l1d_;
-    std::unique_ptr<AdaptivePrefetchController> l2_adaptive_;
-    std::vector<std::unique_ptr<SyntheticWorkload>> streams_;
-    std::vector<std::unique_ptr<CoreModel>> cores_;
-
-    std::unique_ptr<MissJournal> miss_journal_;     ///< see cpiStats()
-    std::vector<std::unique_ptr<CpiAccount>> cpi_;  ///< per core
+    /** The L2's prefetch engines: one per core, or one shared
+     *  (ablation). The L2 points into this vector. */
+    std::vector<StridePrefetcher> pf_l2_;
+    std::optional<AdaptivePrefetchController> l2_adaptive_;
+    std::unique_ptr<MissJournal> miss_journal_; ///< see cpiStats()
+    std::vector<std::unique_ptr<Tile>> tiles_;  ///< one per core
 
     StatRegistry registry_;
     StatRegistry cpi_registry_; ///< see cpiStats()

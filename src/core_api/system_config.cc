@@ -43,20 +43,21 @@ SystemConfig::validate() const
     if (scale < 1)
         reject("config.scale", "scale must be >= 1");
 
-    const L1Params l1 = l1Params();
-    if (l1.ways == 0)
-        reject("config.l1", "zero L1 ways");
-    if (!isPowerOfTwo(l1.sets)) {
-        reject("config.l1", "non-power-of-two L1 set count " +
-                                std::to_string(l1.sets) + " (scale " +
-                                std::to_string(scale) + ")");
-    }
-    if (l1.mshrs == 0)
-        reject("config.l1", "zero L1 MSHRs");
-    if (l1.ways + l1.victim_tags > kMaxSetTags) {
-        reject("config.l1", std::to_string(l1.ways + l1.victim_tags) +
-                                " tags per L1 set, limit " +
-                                std::to_string(kMaxSetTags));
+    for (const L1Params &l1 : {l1Params(), l1iParams()}) {
+        if (l1.ways == 0)
+            reject("config.l1", "zero L1 ways");
+        if (!isPowerOfTwo(l1.sets)) {
+            reject("config.l1", "non-power-of-two L1 set count " +
+                                    std::to_string(l1.sets) + " (scale " +
+                                    std::to_string(scale) + ")");
+        }
+        if (l1.mshrs <= l1.prefetch_headroom)
+            reject("config.l1", "L1 MSHRs must exceed the prefetch headroom");
+        if (l1.ways + l1.victim_tags > kMaxSetTags) {
+            reject("config.l1", std::to_string(l1.ways + l1.victim_tags) +
+                                    " tags per L1 set, limit " +
+                                    std::to_string(kMaxSetTags));
+        }
     }
 
     const L2Params l2 = l2Params();
@@ -137,6 +138,15 @@ SystemConfig::l1Params() const
     p.victim_tags = adaptive_prefetch ? extra_victim_tags : 0;
     p.hit_latency = 3;
     p.mshrs = 16;
+    return p;
+}
+
+L1Params
+SystemConfig::l1iParams() const
+{
+    L1Params p = l1Params();
+    p.mshrs = 4;
+    p.prefetch_headroom = 1;
     return p;
 }
 

@@ -151,6 +151,8 @@ struct SystemConfig
     // ---- derived parameter blocks ----
 
     L1Params l1Params() const;
+    /** The L1D's geometry, with MSHRs for sequential fetch. */
+    L1Params l1iParams() const;
     L2Params l2Params() const;
     MemoryParams memoryParams() const;
     CoreParams coreParams() const;

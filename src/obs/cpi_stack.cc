@@ -123,8 +123,6 @@ MissJournal::onL2Hit(Addr line, Cycle lookup_done, Cycle ready,
     if (it == records_.end() || it->second.complete)
         return;
     MissRecord &r = it->second;
-    r.l2_hit = true;
-    r.penalized = r.penalized || penalized;
     seal(r, CpiLeaf::L2Service, lookup_done);
     if (penalized)
         seal(r, CpiLeaf::Decompression, ready);
@@ -182,10 +180,8 @@ MissJournal::onL2Fill(Addr line, Cycle arrival, Cycle decomp_end)
         ser = span;
     seal(r, CpiLeaf::LinkQueue, arrival - ser);
     seal(r, CpiLeaf::LinkSerialize, arrival);
-    if (decomp_end > arrival) {
-        r.penalized = true;
+    if (decomp_end > arrival)
         seal(r, CpiLeaf::Decompression, decomp_end);
-    }
     r.frontier = CpiLeaf::L2Service;
 }
 

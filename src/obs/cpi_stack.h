@@ -97,8 +97,6 @@ struct MissRecord
     Cycle end = 0;            ///< data granted at the L1 (when complete)
     bool complete = false;
     bool prefetch_origin = false; ///< journey started as a prefetch
-    bool l2_hit = false;
-    bool penalized = false;       ///< paid the decompression latency
     unsigned demand_join = 0;     ///< demand requests that coalesced
     Cycle demand_join_when = 0;   ///< first demand coalescing time
     unsigned data_segments = 0;   ///< compressed size class (link form)

@@ -8,6 +8,10 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
     : params_(params), values_(values), value_gen_(params.values),
       cpu_(cpu),
       rng_(seed * 0x9e3779b97f4a7c15ULL + cpu * 0x100000001b3ULL + 1),
+      zipf_shared_(params.ws_shared / kLineBytes, params.zipf_s),
+      zipf_hot_(params.ws_hot / kLineBytes, 0.8),
+      zipf_private_(params.ws_private / kLineBytes, params.zipf_s),
+      zipf_code_(params.i_footprint / kLineBytes, params.code_zipf),
       pc_(layout::kCodeBase), streams_(params.stream_count)
 {
     cmpsim_assert(params.load_frac + params.store_frac +
@@ -178,9 +182,7 @@ SyntheticWorkload::pickDataAddr()
                                   s.stride);
         --s.remaining;
     } else if (u < params_.stride_frac + params_.shared_frac) {
-        const std::uint64_t lines = params_.ws_shared / kLineBytes;
-        vaddr = layout::kSharedBase +
-                rng_.zipf(lines, params_.zipf_s) * kLineBytes +
+        vaddr = layout::kSharedBase + rng_.zipf(zipf_shared_) * kLineBytes +
                 rng_.below(kWordsPerLine) * 4;
         record = true;
     } else if (!loops_.empty() &&
@@ -190,14 +192,11 @@ SyntheticWorkload::pickDataAddr()
         last_was_loop_ = true;
     } else if (rng_.chance(params_.hot_frac)) {
         // Hot per-core structures at the front of the private region.
-        const std::uint64_t lines = params_.ws_hot / kLineBytes;
-        vaddr = privateBase() + rng_.zipf(lines, 0.8) * kLineBytes +
+        vaddr = privateBase() + rng_.zipf(zipf_hot_) * kLineBytes +
                 rng_.below(kWordsPerLine) * 4;
         record = true;
     } else {
-        const std::uint64_t lines = params_.ws_private / kLineBytes;
-        vaddr = privateBase() +
-                rng_.zipf(lines, params_.zipf_s) * kLineBytes +
+        vaddr = privateBase() + rng_.zipf(zipf_private_) * kLineBytes +
                 rng_.below(kWordsPerLine) * 4;
         record = true;
     }
@@ -223,11 +222,8 @@ SyntheticWorkload::next()
         in.mispredict = rng_.chance(params_.mispredict_rate);
         if (rng_.chance(params_.branch_far_frac)) {
             // Jump targets are reused (loops, hot functions).
-            const std::uint64_t code_lines =
-                params_.i_footprint / kLineBytes;
             next_pc = layout::kCodeBase +
-                      rng_.zipf(code_lines, params_.code_zipf) *
-                          kLineBytes +
+                      rng_.zipf(zipf_code_) * kLineBytes +
                       rng_.below(kLineBytes / 4) * 4;
         }
     } else if (u < params_.branch_frac + params_.load_frac) {

@@ -121,6 +121,12 @@ class SyntheticWorkload : public InstructionStream
     unsigned cpu_;
     Random rng_;
 
+    /** Zipf envelopes of the four skewed regions, fixed by params_. */
+    ZipfEnvelope zipf_shared_;
+    ZipfEnvelope zipf_hot_;
+    ZipfEnvelope zipf_private_;
+    ZipfEnvelope zipf_code_;
+
     /** Advance one permuted loop and return the touched address. */
     Addr advanceLoop();
 

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/audit/invariant_registry.h"
 #include "src/common/sim_error.h"
-
 #include "src/compression/fpc.h"
 #include "src/core_api/cmp_system.h"
 #include "src/prefetch/stride_prefetcher.h"
@@ -290,27 +290,28 @@ TEST(AuditRoundTripTest, DetectsLossyCompressor)
 TEST(AuditEventQueueTest, CleanQueuePassesAndAdvancesTrack)
 {
     EventQueue eq;
-    InvariantRegistry reg;
-    registerEventQueueAudits(reg, eq, "eq");
-    EXPECT_EQ(reg.names().back(), "eq.wheel");
+    auto clean = [&eq]() -> testing::AssertionResult {
+        std::string why;
+        if (auditNoPastEvents(eq, why) && eq.auditWheel(why))
+            return testing::AssertionSuccess();
+        return testing::AssertionFailure() << why;
+    };
     // The far event waits in the overflow heap until now() comes
     // within a wheel's span of it, then migrates to its bucket.
     const Cycle far = 5 + 2 * EventQueue::kWheelSlots;
     eq.schedule(10, [](Cycle) {});
     eq.schedule(far, [](Cycle) {});
-    EXPECT_TRUE(reg.check().empty());
+    EXPECT_TRUE(clean());
     eq.advanceTo(5);
-    EXPECT_TRUE(reg.check().empty());
+    EXPECT_TRUE(clean());
     eq.advanceTo(50);
-    EXPECT_TRUE(reg.check().empty());
+    EXPECT_TRUE(clean());
     eq.advanceTo(far - EventQueue::kWheelSlots + 1);
-    EXPECT_TRUE(reg.check().empty());
+    EXPECT_TRUE(clean());
     EXPECT_EQ(eq.nextEventCycle(), far);
     eq.advanceTo(far);
     EXPECT_TRUE(eq.empty());
-    const auto failures = reg.check();
-    EXPECT_TRUE(failures.empty())
-        << failures[0].name << ": " << failures[0].detail;
+    EXPECT_TRUE(clean());
 }
 
 // ------------------------------------------------ whole-system audit
@@ -343,6 +344,50 @@ TEST(AuditSystemTest, HorizonAndFilterAuditsRegisteredOncePerSystem)
                    benchmarkParams("jbb"));
     EXPECT_EQ(count(base.audits().names(), "core.done_horizon"), 1);
     EXPECT_EQ(count(base.audits().names(), "prefetch.filters"), 0);
+}
+
+TEST(AuditSystemTest, OneCheckPerStructureKindAtAnyCoreCount)
+{
+    const std::vector<std::string> with_prefetching = {
+        "eq.monotonic_now",     "eq.no_past_events",
+        "eq.wheel",             "l2.set_integrity",
+        "l2.pf_mshr_accounting", "l2.demand_balance",
+        "l2.prefetch_pipeline", "l2.adaptive_feedback",
+        "l2.onchip.busy_bytes", "mem.link.byte_conservation",
+        "l1.set_integrity",     "l1.mshr_limit",
+        "l1.access_balance",    "l1.adaptive_feedback",
+        "core.done_horizon",    "prefetch.filters"};
+    std::vector<std::string> without = with_prefetching;
+    for (const char *gone :
+         {"l2.adaptive_feedback", "l1.adaptive_feedback",
+          "prefetch.filters"})
+        without.erase(std::find(without.begin(), without.end(), gone));
+    ASSERT_EQ(without.size(), 13u);
+
+    for (const unsigned cores : {8u, 16u}) {
+        for (const bool all : {true, false}) {
+            SystemConfig cfg = makeConfig(cores, 4, all, all, all, all);
+            cfg.cpi_stack = false;
+            CmpSystem sys(cfg, benchmarkParams("zeus"));
+            const auto names = sys.audits().names();
+            EXPECT_EQ(names, all ? with_prefetching : without)
+                << cores << " cores";
+            // No name carries an instance index ("l1d.3.set_integrity").
+            for (const std::string &name : names) {
+                EXPECT_EQ(name.find_first_of("0123456789",
+                                             name.find('.')),
+                          std::string::npos)
+                    << name;
+            }
+        }
+    }
+
+    // An armed CPI stack adds its one conservation check.
+    SystemConfig cfg = makeConfig(16, 4, false, false, false, false);
+    cfg.cpi_stack = true;
+    CmpSystem sys(cfg, benchmarkParams("zeus"));
+    EXPECT_EQ(sys.audits().size(), 14u);
+    EXPECT_EQ(sys.audits().names().back(), "obs.cpi_conservation");
 }
 
 TEST(AuditSystemTest, LoweredDoneHorizonIsCaughtAndNamed)
@@ -395,6 +440,44 @@ TEST(AuditSystemTest, CorruptedL2SetIsCaughtAndNamed)
         EXPECT_NE(std::string(e.what()).find("l2.set_integrity"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(AuditSystemTest, CorruptedL1SetIsCaughtAndNamed)
+{
+    SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
+    CmpSystem sys(cfg, benchmarkParams("zeus"));
+    sys.warmup(2000);
+    sys.run(500);
+    EXPECT_TRUE(sys.audits().check().empty());
+
+    // Duplicate a resident line's tag inside one set of core 1's L1D.
+    const L1Cache &l1d = sys.l1d(1);
+    DecoupledSet *victim = nullptr;
+    for (unsigned i = 0; i < l1d.params().sets; ++i) {
+        if (l1d.setAt(i).validCount() > 1) {
+            victim = const_cast<DecoupledSet *>(&l1d.setAt(i));
+            break;
+        }
+    }
+    ASSERT_NE(victim, nullptr) << "run left no L1D set with two lines";
+    victim->entryForTest(1).line = victim->entryForTest(0).line;
+
+    const auto failures = sys.audits().check();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].name, "l1.set_integrity");
+    EXPECT_EQ(failures[0].detail.rfind("l1d.1: set ", 0), 0u)
+        << failures[0].detail;
+    EXPECT_NE(failures[0].detail.find("duplicate valid line"),
+              std::string::npos)
+        << failures[0].detail;
+    try {
+        sys.audits().enforce();
+        FAIL() << "enforce() did not throw";
+    } catch (const InvariantError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("l1.set_integrity"), std::string::npos) << what;
+        EXPECT_NE(what.find("l1d.1: set "), std::string::npos) << what;
     }
 }
 

@@ -370,17 +370,25 @@ TEST(MissClassifyTest, PrefetchesAvoidedByCompression)
 
 TEST(ExperimentTest, MissObserverSeesEveryDemandMiss)
 {
-    SystemConfig cfg = makeConfig(4, 4, false, false, false, false);
-    CmpSystem sys(cfg, benchmarkParams("zeus"));
-    std::uint64_t demand_misses = 0;
-    sys.l2().setMissObserver([&](ReqType t, Addr) {
-        if (t == ReqType::Demand)
-            ++demand_misses;
-    });
-    sys.warmup(kWarm);
-    sys.run(kMeasure);
-    EXPECT_GT(demand_misses, 0u);
-    EXPECT_EQ(demand_misses, sys.stats().counter("l2.demand_misses"));
+    // With prefetching on, prefetch fills must not reach the observer.
+    for (const bool prefetching : {false, true}) {
+        SystemConfig cfg =
+            makeConfig(4, 4, false, false, prefetching, false);
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        std::uint64_t demand_misses = 0;
+        std::uint64_t others = 0;
+        sys.l2().setMissObserver([&](ReqType t, Addr) {
+            ++(t == ReqType::Demand ? demand_misses : others);
+        });
+        sys.warmup(kWarm);
+        sys.run(kMeasure);
+        EXPECT_GT(demand_misses, 0u);
+        EXPECT_EQ(demand_misses, sys.stats().counter("l2.demand_misses"));
+        EXPECT_EQ(others, 0u) << "prefetching " << prefetching;
+        if (prefetching) {
+            EXPECT_GT(sys.stats().counter("l2.pf_fills_l2"), 0u);
+        }
+    }
 }
 
 } // namespace

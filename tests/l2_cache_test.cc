@@ -309,6 +309,31 @@ TEST_F(L2CacheTest, FunctionalAccessMatchesTimedState)
     EXPECT_TRUE(e->hasSharer(0));
 }
 
+TEST_F(L2CacheTest, FunctionalL1PrefetchesTrainOnlyWhenConfigured)
+{
+    // Functional warmup trains like a timed lookup: an L1-prefetch
+    // miss trains the L2 prefetcher only under l1_prefetch_trains_l2.
+    for (const bool trains : {false, true}) {
+        MainMemory memory(eq, values, mem_params);
+        L2Params p;
+        p.sets = 4;
+        p.banks = 1;
+        p.cores = 2;
+        p.l1_prefetch_trains_l2 = trains;
+        L2Cache cache(eq, values, memory, p);
+        PrefetcherParams pp;
+        pp.startup_prefetches = 4;
+        StridePrefetcher pf(pp);
+        cache.setPrefetcher(0, &pf);
+        for (std::uint64_t i = 0; i < 4; ++i)
+            cache.accessFunctional(0, la(100 + i), false,
+                                   ReqType::L1Prefetch);
+        EXPECT_EQ(pf.streamsAllocated(), trains ? 1u : 0u) << trains;
+        EXPECT_EQ(cache.l2PrefetchesIssued(), trains ? 4u : 0u) << trains;
+        EXPECT_EQ(cache.prefetchFills(PfSource::L1), 4u);
+    }
+}
+
 TEST_F(L2CacheTest, FunctionalModeChargesNoBandwidth)
 {
     build(false);

@@ -5,9 +5,9 @@
 #   tools/ci/analyze.sh <build-dir> [<artifact-dir>]
 #
 # <build-dir> is a configured tree with cmpsim_analyze and analyze_test
-# built. Three steps: the analyzer's test suite (per-checker snippets,
-# suppression grammar, JSON schema, tree self-scan); the tree scan
-# through tools/lint.sh, which runs only when the suite passed and
+# built. Three steps, each with <build-dir>'s own analyzer: its test
+# suite (per-checker snippets, suppression grammar, JSON schema, tree
+# self-scan); the tree scan, which runs only when the suite passed and
 # fails on any unsuppressed finding; and the machine-readable findings
 # file analyze_findings.json, which is written either way. The file is
 # left in <artifact-dir> when one is given, else in a temporary
@@ -34,14 +34,14 @@ status=0
 echo "== Analyzer test suite"
 "$here/ctest_suites.sh" "$build" '^analyze\.' || status=1
 
+analyze="$build/tools/analyze/cmpsim_analyze"
 if [ $status -eq 0 ]; then
     echo "== Scan the tree"
-    tools/lint.sh || status=1
+    "$analyze" --root . || status=1
 fi
 
 echo "== Machine-readable findings artifact"
-"$build/tools/analyze/cmpsim_analyze" --root . --json \
-  > "$work/analyze_findings.json" || true
+"$analyze" --root . --json > "$work/analyze_findings.json" || true
 
 [ $status -eq 0 ] && echo "analyze: all checks passed"
 exit $status
