@@ -64,7 +64,7 @@ BM_DecoupledSetInsert(benchmark::State &state)
         e.line = (line++ % 64) << kLineShift;
         e.valid = true;
         e.segments = static_cast<std::uint8_t>(rng.inRange(1, 8));
-        if (TagEntry *hit = set.find(e.line))
+        if (const TagRef hit = set.find(e.line))
             set.touch(hit);
         else
             benchmark::DoNotOptimize(set.insert(e));
@@ -112,7 +112,7 @@ BM_DecoupledSetFind(benchmark::State &state)
         e.valid = true;
         e.segments = 8;
         DecoupledSet &set = sets[lineNumber(e.line) & (kSets - 1)];
-        if (set.find(e.line) == nullptr)
+        if (!set.find(e.line))
             set.insert(e);
     }
     for (auto _ : state) {

@@ -23,15 +23,18 @@ main(int argc, char **argv)
     const unsigned scale =
         argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
 
-    std::printf("cmpsim quickstart: %s on an 8-core CMP (scale %u -> "
-                "%u KB L2)\n\n",
-                workload.c_str(), scale, 4096 / scale);
-
     // Two systems: the base machine and the paper's full proposal
     // (cache + link compression with adaptive prefetching).
     SystemConfig base_cfg =
         makeConfig(8, scale, false, false, false, false);
     SystemConfig full_cfg = makeConfig(8, scale, true, true, true, true);
+    base_cfg.validate(); // scale 0 throws here, not in the L2 size below
+
+    std::printf("cmpsim quickstart: %s on an 8-core CMP (scale %u -> "
+                "%llu KB L2)\n\n",
+                workload.c_str(), scale,
+                static_cast<unsigned long long>(
+                    base_cfg.l2Params().dataCapacityBytes() / 1024));
 
     const RunLengths lengths{300000, 40000};
     CmpSystem base(base_cfg, benchmarkParams(workload));

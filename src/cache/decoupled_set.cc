@@ -22,8 +22,17 @@ DecoupledSet::DecoupledSet(TagEntry *storage, unsigned tags,
     cmpsim_assert(segment_budget >= kSegmentsPerLine);
 }
 
+void
+TagRef::stale(bool found, Addr line)
+{
+    cmpsim_panic("tag handle for line %#llx: %s",
+                 static_cast<unsigned long long>(line),
+                 found ? "its slot no longer holds the line's valid tag"
+                       : "the line is not in the set");
+}
+
 TagEntry *
-DecoupledSet::find(Addr line)
+DecoupledSet::slotOf(Addr line)
 {
     for (TagEntry *e = entries_; e != end(); ++e) {
         if (e->line == line && e->valid)
@@ -32,24 +41,31 @@ DecoupledSet::find(Addr line)
     return nullptr;
 }
 
+TagRef
+DecoupledSet::find(Addr line)
+{
+    return {slotOf(line), line};
+}
+
 const TagEntry *
 DecoupledSet::find(Addr line) const
 {
-    return const_cast<DecoupledSet *>(this)->find(line);
+    return const_cast<DecoupledSet *>(this)->slotOf(line);
 }
 
-TagEntry *
-DecoupledSet::touch(TagEntry *entry)
+TagRef
+DecoupledSet::touch(TagRef ref)
 {
-    cmpsim_assert(entry >= entries_ && entry < end() && entry->valid,
-                  "touch of an entry outside this set's valid tags");
+    TagEntry *entry = &*ref;
+    cmpsim_assert(entry >= entries_ && entry < end(),
+                  "touch of an entry outside this set");
     // Most touches hit the MRU tag already, which needs no move.
     if (entry != entries_) {
         const TagEntry moved = *entry;
         std::copy_backward(entries_, entry, entry + 1);
         entries_[0] = moved;
     }
-    return entries_;
+    return {entries_, ref.line_};
 }
 
 void
@@ -99,7 +115,7 @@ DecoupledSet::insert(const TagEntry &entry)
     cmpsim_assert(entry.segments >= 1 &&
                   entry.segments <= kSegmentsPerLine);
     cmpsim_assert(entry.segments <= segment_budget_);
-    cmpsim_assert(find(entry.line) == nullptr);
+    cmpsim_assert(slotOf(entry.line) == nullptr);
 
     Victims evicted;
 
@@ -134,35 +150,24 @@ DecoupledSet::Victims
 DecoupledSet::resize(Addr line, unsigned segments)
 {
     cmpsim_assert(segments >= 1 && segments <= kSegmentsPerLine);
-    TagEntry *e = find(line);
+    TagEntry *e = slotOf(line);
     cmpsim_assert(e != nullptr);
 
     Victims evicted;
-    if (segments <= e->segments) {
-        used_segments_ -= e->segments - segments;
-        e->segments = static_cast<std::uint8_t>(segments);
-        return evicted;
-    }
-
-    const unsigned grow = segments - e->segments;
-    while (used_segments_ + grow > segment_budget_) {
-        // Never evict the line being resized: it can only become the
-        // LRU-most valid line if it is the only valid line, in which
-        // case the budget always suffices (segments <= budget).
+    while (used_segments_ - e->segments + segments > segment_budget_) {
+        // Evict the LRU-most valid line other than `line`; there is
+        // one, since `line` alone always fits (segments <= budget).
         cmpsim_assert(validCount() > 1);
-        // Temporarily skip `line` by evicting the LRU valid that is
-        // not `line`.
-        for (TagEntry *it = end(); it-- != entries_;) {
-            if (it->valid && it->line != line) {
-                TagEntry victim = *it;
-                retireTag(it);
-                evicted.push_back(victim);
-                break;
-            }
-        }
-        e = find(line); // retireTag reordered the stack; re-find
+        TagEntry *it = end() - 1;
+        while (!it->valid || it == e)
+            --it;
+        evicted.push_back(*it);
+        retireTag(it);
+        // retireTag moved the valid tags behind `it` one slot forward.
+        if (it < e)
+            --e;
     }
-    used_segments_ += grow;
+    used_segments_ = used_segments_ - e->segments + segments;
     e->segments = static_cast<std::uint8_t>(segments);
     return evicted;
 }
@@ -170,7 +175,7 @@ DecoupledSet::resize(Addr line, unsigned segments)
 TagEntry
 DecoupledSet::invalidate(Addr line)
 {
-    TagEntry *it = find(line);
+    TagEntry *it = slotOf(line);
     if (it == nullptr)
         return TagEntry{};
     TagEntry prior = *it;

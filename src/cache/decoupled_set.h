@@ -41,6 +41,46 @@ namespace cmpsim {
 inline constexpr unsigned kMaxSetTags = 16;
 
 /**
+ * A checked handle to one line's valid tag in a set: what
+ * DecoupledSet::find() hands out and touch() moves. The set reorders
+ * its tags in place, so every access checks that the slot still
+ * holds the line's valid tag. After a touch(), insert(), resize() or
+ * invalidate() that moved or retired it, or for the empty handle a
+ * missed find() returns, the access panics naming the line. So a
+ * held handle can never edit another line's directory or compression
+ * state.
+ */
+class TagRef
+{
+  public:
+    /** True when find() found the line; says nothing about later
+     *  moves. */
+    explicit operator bool() const { return entry_ != nullptr; }
+
+    Addr line() const { return line_; }
+
+    TagEntry &
+    operator*() const
+    {
+        if (entry_ == nullptr || entry_->line != line_ || !entry_->valid)
+            [[unlikely]] stale(entry_ != nullptr, line_);
+        return *entry_;
+    }
+
+    TagEntry *operator->() const { return &**this; }
+
+  private:
+    friend class DecoupledSet;
+
+    TagRef(TagEntry *entry, Addr line) : entry_(entry), line_(line) {}
+
+    [[noreturn]] static void stale(bool found, Addr line);
+
+    TagEntry *entry_; ///< nullptr when find() missed
+    Addr line_;
+};
+
+/**
  * One set: an LRU stack of tags over a shared segment pool.
  *
  * Structural invariants (audited by auditDecoupledSet() in
@@ -66,16 +106,18 @@ class DecoupledSet
      */
     DecoupledSet(TagEntry *storage, unsigned tags, unsigned segment_budget);
 
-    /** Find the valid entry for @p line, or nullptr. Does not touch LRU. */
-    TagEntry *find(Addr line);
+    /** A handle to the valid entry for @p line, empty when the line
+     *  is not in the set. Does not touch LRU. */
+    TagRef find(Addr line);
+
+    /** Read-only lookup for observers (probes, tests): the valid
+     *  entry for @p line or nullptr, good until the set next changes. */
     const TagEntry *find(Addr line) const;
 
-    /** Move @p entry, a valid entry find() returned from this set, to
-     *  the MRU position.
-     *  @return the entry at its new (MRU) position.
-     *  @warning invalidates every other TagEntry pointer into this set
-     *  (the LRU stack is reordered in place); re-find() after. */
-    TagEntry *touch(TagEntry *entry);
+    /** Move @p ref's entry, which must be in this set, to the MRU
+     *  position. @return the handle at its new position; other
+     *  handles into the set whose entries moved are stale. */
+    TagRef touch(TagRef ref);
 
     /**
      * Insert @p entry (valid, with a segment count), evicting LRU
@@ -140,6 +182,9 @@ class DecoupledSet
     int validStackDepth(Addr line) const;
 
   private:
+    /** The valid entry for @p line, or nullptr. */
+    TagEntry *slotOf(Addr line);
+
     /** Evict the LRU-most valid entry; returns it and leaves a victim
      *  tag at the LRU end of the stack. */
     TagEntry evictLruValid();

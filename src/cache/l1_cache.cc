@@ -55,17 +55,17 @@ L1Cache::allocMshr(Addr line)
 }
 
 void
-L1Cache::onPrefetchBitHit(TagEntry &e, Cycle when)
+L1Cache::onPrefetchBitHit(TagRef e, Cycle when)
 {
-    e.prefetch = false;
-    e.pf_source = PfSource::None;
+    e->prefetch = false;
+    e->pf_source = PfSource::None;
     ++pf_hits_;
-    if (e.was_compressed)
+    if (e->was_compressed)
         ++decomp_avoided_; // L1 prefetch hid an L2 decompression penalty
     if (adaptive_)
         adaptive_->onUsefulPrefetch();
     if (prefetcher_) {
-        for (Addr a : prefetcher_->observeUse(e.line, allowedStartup()))
+        for (Addr a : prefetcher_->observeUse(e.line(), allowedStartup()))
             prefetchLine(a, when);
     }
 }
@@ -76,12 +76,12 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
     cmpsim_assert(canAccept(addr));
     const Addr line = lineAddr(addr);
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
+    TagRef e = set.find(line);
     ++accesses_;
 
-    if (e != nullptr) {
+    if (e) {
         if (e->prefetch)
-            onPrefetchBitHit(*e, when);
+            onPrefetchBitHit(e, when);
         e = set.touch(e);
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
@@ -138,8 +138,7 @@ void
 L1Cache::prefetchLine(Addr line, Cycle when)
 {
     cmpsim_assert(line == lineAddr(line));
-    if (sets_[setIndex(line)].find(line) != nullptr ||
-        findMshr(line) != nullptr) {
+    if (sets_[setIndex(line)].find(line) || findMshr(line) != nullptr) {
         ++pf_squashed_;
         return;
     }
@@ -176,8 +175,8 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
     --mshrs_used_;
 
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
-    if (e == nullptr) {
+    TagRef e = set.find(line);
+    if (!e) {
         TagEntry entry;
         entry.line = line;
         entry.valid = true;
@@ -239,8 +238,7 @@ L1Cache::invalidateLine(Addr line)
 void
 L1Cache::downgradeLine(Addr line)
 {
-    TagEntry *e = sets_[setIndex(line)].find(line);
-    if (e != nullptr)
+    if (const TagRef e = sets_[setIndex(line)].find(line))
         e->dirty = false;
 }
 
@@ -249,22 +247,20 @@ L1Cache::accessFunctional(Addr addr, bool is_write)
 {
     const Addr line = lineAddr(addr);
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
+    TagRef e = set.find(line);
     ++accesses_;
 
-    if (e != nullptr) {
+    if (e) {
         if (e->prefetch) {
             // Stream-advance prefetches issued here take the timed
             // path; anchor them at the current cycle (0 during warmup)
             // so a mid-run fast-forward never schedules into the past.
-            onPrefetchBitHit(*e, eq_.now());
+            onPrefetchBitHit(e, eq_.now());
         }
         e = set.touch(e);
         if (is_write && !e->dirty) {
             ++upgrades_;
             l2_.accessFunctional(cpu_, line, true, ReqType::Demand);
-            e = set.find(line); // L2-side upgrades never evict L1 lines
-            cmpsim_assert(e != nullptr);
             e->dirty = true;
         }
         ++hits_;
@@ -292,7 +288,7 @@ L1Cache::accessFunctional(Addr addr, bool is_write)
 
     // Functional prefetches: instant fills with the prefetch bit set.
     for (Addr a : to_prefetch) {
-        if (sets_[setIndex(a)].find(a) != nullptr) {
+        if (sets_[setIndex(a)].find(a)) {
             ++pf_squashed_;
             continue;
         }

@@ -188,7 +188,7 @@ class L1Cache
     void handleVictim(const TagEntry &victim, Cycle when, bool functional);
 
     /** First demand use of a prefetched line. */
-    void onPrefetchBitHit(TagEntry &e, Cycle when);
+    void onPrefetchBitHit(TagRef e, Cycle when);
 
     unsigned allowedStartup() const;
 

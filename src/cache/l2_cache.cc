@@ -142,11 +142,11 @@ L2Cache::updateGcp(const DecoupledSet &set, Addr line,
 }
 
 void
-L2Cache::onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when)
+L2Cache::onPrefetchBitHit(unsigned cpu, TagRef e, Cycle when)
 {
-    const PfSource src = e.pf_source;
-    e.prefetch = false;
-    e.pf_source = PfSource::None;
+    const PfSource src = e->pf_source;
+    e->prefetch = false;
+    e->pf_source = PfSource::None;
     if (src == PfSource::L2)
         ++pf_hits_l2_;
     else
@@ -157,7 +157,7 @@ L2Cache::onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when)
     // The demand stream reached prefetched data: advance the stream.
     StridePrefetcher *pf = prefetchers_[cpu];
     if (pf && src == PfSource::L2) {
-        for (Addr a : pf->observeUse(e.line, allowedStartup(*pf))) {
+        for (Addr a : pf->observeUse(e.line(), allowedStartup(*pf))) {
             ++l2pf_generated_;
             request(cpu, a, false, ReqType::L2Prefetch, when, nullptr);
         }
@@ -170,7 +170,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
 {
     CMPSIM_PROF_SCOPE("l2.lookup");
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
+    TagRef e = set.find(line);
 
     if (type == ReqType::Demand)
         ++demand_accesses_;
@@ -179,7 +179,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
         --l2pf_in_network_;
     }
 
-    if (e != nullptr) {
+    if (e) {
         // ------------------------------ hit
         if (type == ReqType::L2Prefetch) {
             ++l2pf_squashed_;
@@ -198,7 +198,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
             updateGcp(set, line, e->segments < kSegmentsPerLine);
 
         if (e->prefetch && type == ReqType::Demand)
-            onPrefetchBitHit(cpu, *e, when);
+            onPrefetchBitHit(cpu, e, when);
 
         set.touch(e);
         Cycle ready = when + params_.lookup_latency +
@@ -285,24 +285,7 @@ void
 L2Cache::grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
                bool penalized, const Done &done)
 {
-    DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
-    if (e == nullptr) {
-        // A previous waiter's grant ran its L1 fill synchronously and
-        // the resulting writeback/resize evicted this line from the
-        // set re-entrantly. Re-install it so the grant below keeps
-        // the directory and inclusion consistent.
-        TagEntry entry;
-        entry.line = line;
-        entry.valid = true;
-        entry.segments =
-            static_cast<std::uint8_t>(storedSegments(line));
-        for (const TagEntry &victim : set.insert(entry))
-            handleVictim(victim, ready, false);
-        e = set.find(line);
-    }
-    cmpsim_assert(e != nullptr);
-
+    const TagRef e = sets_[setIndex(line)].find(line);
     if (exclusive) {
         if (e->owner != kNoOwner &&
             static_cast<unsigned>(e->owner) != cpu) {
@@ -411,9 +394,8 @@ L2Cache::fill(Addr line, Cycle arrival)
         handleVictim(victim, arrival, false);
 
     if (journal_ != nullptr) {
-        const TagEntry *filled = set.find(line);
-        const bool penal = params_.compressed && filled != nullptr &&
-                           filled->segments < kSegmentsPerLine;
+        const bool penal = params_.compressed &&
+                           set.find(line)->segments < kSegmentsPerLine;
         const Cycle decomp_end =
             arrival + (penal ? params_.decompression_latency : 0);
         journal_->onL2Fill(line, arrival, decomp_end);
@@ -494,8 +476,8 @@ L2Cache::writeback(unsigned cpu, Addr line, Cycle when, bool functional)
         onchip_.reserve(when, kDataBytes);
 
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
-    if (e == nullptr) {
+    const TagRef e = set.find(line);
+    if (!e) {
         // The L2 copy is gone (concurrent eviction path); forward the
         // dirty data straight to memory to preserve it.
         if (!functional) {
@@ -520,8 +502,8 @@ L2Cache::writeback(unsigned cpu, Addr line, Cycle when, bool functional)
 void
 L2Cache::sharerEvict(unsigned cpu, Addr line)
 {
-    TagEntry *e = sets_[setIndex(line)].find(line);
-    if (e == nullptr)
+    const TagRef e = sets_[setIndex(line)].find(line);
+    if (!e)
         return;
     e->removeSharer(cpu);
     if (e->owner != kNoOwner && static_cast<unsigned>(e->owner) == cpu)
@@ -532,8 +514,8 @@ void
 L2Cache::upgradeAtomic(unsigned cpu, Addr line)
 {
     ++upgrade_requests_;
-    TagEntry *e = sets_[setIndex(line)].find(line);
-    if (e == nullptr)
+    const TagRef e = sets_[setIndex(line)].find(line);
+    if (!e)
         return;
     for (unsigned c = 0; c < params_.cores; ++c) {
         if (c != cpu && e->hasSharer(c)) {
@@ -553,12 +535,12 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
     // Inclusive time: recursive prefetch fills re-enter this scope.
     CMPSIM_PROF_SCOPE("l2.functional");
     DecoupledSet &set = sets_[setIndex(line)];
-    TagEntry *e = set.find(line);
+    TagRef e = set.find(line);
 
     if (type == ReqType::Demand)
         ++demand_accesses_;
 
-    if (e != nullptr) {
+    if (e) {
         if (type == ReqType::L2Prefetch) {
             ++l2pf_squashed_;
             return true;
@@ -570,7 +552,7 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
             // (0 during warmup) so a mid-run fast-forward never
             // schedules into the past.
             if (e->prefetch)
-                onPrefetchBitHit(cpu, *e, eq_.now());
+                onPrefetchBitHit(cpu, e, eq_.now());
         }
         e = set.touch(e);
         if (exclusive) {

@@ -302,7 +302,8 @@ class L2Cache
      *  spare; its waiter list is empty. */
     Mshr &allocMshr(Addr line);
 
-    /** Coherence actions + data response for a present line. */
+    /** Coherence actions + data response for @p line, which must be
+     *  present: its handle panics otherwise. */
     void grant(unsigned cpu, Addr line, bool exclusive, Cycle ready,
                bool penalized, const Done &done);
 
@@ -329,7 +330,7 @@ class L2Cache
     }
 
     /** First demand touch of a prefetched line. */
-    void onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when);
+    void onPrefetchBitHit(unsigned cpu, TagRef e, Cycle when);
 
     /** Update the adaptive-compression predictor on a hit. */
     void updateGcp(const DecoupledSet &set, Addr line,

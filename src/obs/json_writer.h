@@ -90,7 +90,14 @@ class JsonWriter
     }
 
     // -- scalar values ---------------------------------------------
-    void value(const std::string &v) { item("\"" + jsonEscape(v) + "\""); }
+    void
+    value(const std::string &v)
+    {
+        std::string quoted(1, '"');
+        quoted.append(jsonEscape(v));
+        quoted.push_back('"');
+        item(quoted);
+    }
     void value(const char *v) { value(std::string(v)); }
     void value(bool v) { item(v ? "true" : "false"); }
     void value(std::uint64_t v) { item(std::to_string(v)); }

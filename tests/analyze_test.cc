@@ -202,112 +202,6 @@ TEST(UnorderedIterTest, DeclarationsOutsideSrcScopeTheNamesNotTheScan)
     EXPECT_TRUE(where(r, "unordered-iter").empty());
 }
 
-// ---------------------------------------------------- tagentry-stale
-
-TEST(TagEntryTest, FiresOnUseAcrossReorderingCall)
-{
-    const auto r = analyze(
-        {{"src/cache/bad.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *e = set.find(line);\n"
-          "    set.touch(line);\n"
-          "    e->dirty = true;\n"
-          "}\n"}});
-    const auto hits = where(r, "tagentry-stale");
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0], "src/cache/bad.cc:4");
-}
-
-TEST(TagEntryTest, QuietOnReFindIdiom)
-{
-    const auto r = analyze(
-        {{"src/cache/good.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *e = set.find(line);\n"
-          "    set.touch(line);\n"
-          "    e = set.find(line);\n"
-          "    e->dirty = true;\n"
-          "}\n"}});
-    EXPECT_TRUE(where(r, "tagentry-stale").empty());
-}
-
-TEST(TagEntryTest, ComparisonIsNotAReassignment)
-{
-    // `e == nullptr` must not freshen the binding: only `e = ...`
-    // (a re-find) does.
-    const auto r = analyze(
-        {{"src/cache/bad.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *e = set.find(line);\n"
-          "    set.insert(entry);\n"
-          "    if (e == nullptr) return;\n"
-          "    e->dirty = true;\n"
-          "}\n"}});
-    EXPECT_EQ(where(r, "tagentry-stale").size(), 1u);
-}
-
-TEST(TagEntryTest, QuietOnPointerBoundToTouchResult)
-{
-    // touch() returns the MRU entry: the assignment takes effect after
-    // the reordering call in its own right-hand side.
-    const auto r = analyze(
-        {{"src/cache/good.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *e = set.find(line);\n"
-          "    if (e->prefetch) hit(*e);\n"
-          "    e = set.touch(e);\n"
-          "    e->dirty = true;\n"
-          "    TagEntry *m = set.touch(set.find(other));\n"
-          "    m->prefetch = false;\n"
-          "}\n"}});
-    EXPECT_TRUE(where(r, "tagentry-stale").empty());
-}
-
-TEST(TagEntryTest, FiresWhenTouchResultOutlivesLaterReorder)
-{
-    const auto r = analyze(
-        {{"src/cache/bad.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *e = set.find(line);\n"
-          "    e = set.touch(e);\n"
-          "    set.insert(entry);\n"
-          "    e->dirty = true;\n"
-          "}\n"}});
-    const auto hits = where(r, "tagentry-stale");
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0], "src/cache/bad.cc:5");
-}
-
-TEST(TagEntryTest, TouchAssignmentStillStalesOtherBindings)
-{
-    // Only the assigned pointer is fresh; every other TagEntry* into
-    // the set was moved by the touch.
-    const auto r = analyze(
-        {{"src/cache/bad.cc",
-          "void f(Set &set) {\n"
-          "    TagEntry *a = set.find(x);\n"
-          "    TagEntry *b = set.find(y);\n"
-          "    b = set.touch(b);\n"
-          "    b->dirty = true;\n"
-          "    a->dirty = true;\n"
-          "}\n"}});
-    const auto hits = where(r, "tagentry-stale");
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0], "src/cache/bad.cc:6");
-}
-
-TEST(TagEntryTest, ScopeExitKillsBindings)
-{
-    const auto r = analyze(
-        {{"src/cache/good.cc",
-          "void f(Set &set) {\n"
-          "    { TagEntry *e = set.find(line); use(e); }\n"
-          "    set.touch(line);\n"
-          "    { TagEntry *e = set.find(line); e->dirty = true; }\n"
-          "}\n"}});
-    EXPECT_TRUE(where(r, "tagentry-stale").empty());
-}
-
 // ----------------------------------------------------- knob-registry
 
 /** The one file that may read the environment. */

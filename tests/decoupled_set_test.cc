@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/audit/audits.h"
 #include "src/common/random.h"
+#include "src/common/sim_error.h"
 
 namespace cmpsim {
 namespace {
@@ -27,8 +30,8 @@ TEST(DecoupledSetTest, InsertAndFind)
     std::vector<TagEntry> set_tags(8);
     DecoupledSet set(set_tags.data(), 8, 32);
     EXPECT_TRUE(set.insert(makeEntry(0x100)).empty());
-    EXPECT_NE(set.find(0x100), nullptr);
-    EXPECT_EQ(set.find(0x200), nullptr);
+    EXPECT_TRUE(set.find(0x100));
+    EXPECT_FALSE(set.find(0x200));
     EXPECT_EQ(set.validCount(), 1u);
     EXPECT_EQ(set.usedSegments(), 8u);
 }
@@ -106,7 +109,7 @@ TEST(DecoupledSetTest, SegmentAccountingInvariant)
     DecoupledSet set(set_tags.data(), 8, 32);
     for (int i = 0; i < 2000; ++i) {
         const Addr line = rng.below(64) << kLineShift;
-        if (TagEntry *hit = set.find(line)) {
+        if (const TagRef hit = set.find(line)) {
             if (rng.chance(0.3))
                 set.resize(line, static_cast<unsigned>(rng.inRange(1, 8)));
             else if (rng.chance(0.1))
@@ -153,7 +156,7 @@ TEST(DecoupledSetTest, ResizeGrowEvictsOthersNotSelf)
     const auto evicted = set.resize(7 << kLineShift, 8);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_EQ(evicted[0].line, 0u);
-    EXPECT_NE(set.find(7 << kLineShift), nullptr);
+    EXPECT_TRUE(set.find(7 << kLineShift));
 }
 
 TEST(DecoupledSetTest, ResizeGrowLruLineDoesNotEvictSelf)
@@ -166,7 +169,7 @@ TEST(DecoupledSetTest, ResizeGrowLruLineDoesNotEvictSelf)
     const auto evicted = set.resize(0, 8);
     ASSERT_EQ(evicted.size(), 1u);
     EXPECT_NE(evicted[0].line, 0u);
-    EXPECT_NE(set.find(0), nullptr);
+    EXPECT_TRUE(set.find(0));
     EXPECT_EQ(set.find(0)->segments, 8u);
 }
 
@@ -180,7 +183,7 @@ TEST(DecoupledSetTest, InvalidateKeepsVictimTag)
     const TagEntry prior = set.invalidate(0x340);
     EXPECT_TRUE(prior.valid);
     EXPECT_TRUE(prior.dirty);
-    EXPECT_EQ(set.find(0x340), nullptr);
+    EXPECT_FALSE(set.find(0x340));
     EXPECT_TRUE(set.victimTagMatch(0x340));
     EXPECT_EQ(set.usedSegments(), 0u);
 }
@@ -221,12 +224,28 @@ TEST(DecoupledSetTest, ExtraVictimTagsSurviveFullValidSet)
         EXPECT_TRUE(set.victimTagMatch(a << kLineShift));
 }
 
+/** True when an access through @p h throws InvariantError naming
+ *  @p line. */
+bool
+panicsNaming(const TagRef &h, Addr line)
+{
+    char name[32];
+    std::snprintf(name, sizeof name, "line %#llx",
+                  static_cast<unsigned long long>(line));
+    try {
+        (void)h->dirty;
+    } catch (const InvariantError &e) {
+        return std::string(e.what()).find(name) != std::string::npos;
+    }
+    return false;
+}
+
 TEST(DecoupledSetTest, FindTouchReFindReturnsFreshPointer)
 {
-    // The invalidation hazard the analyzer guards against: touch()
-    // rotates the set's entries, so a pointer from before the touch
-    // dangles. touch() returns the moved entry, which must carry the
-    // same state at MRU position and be what find() now returns.
+    // touch() rotates the set's entries, so the handle from before
+    // the touch names a slot that now holds another line. touch()
+    // returns the moved entry's handle, which must carry the same
+    // state at MRU position and be what find() now returns.
     std::vector<TagEntry> set_tags(8);
     DecoupledSet set(set_tags.data(), 8, 32);
     auto e = makeEntry(0x100, 4);
@@ -235,13 +254,13 @@ TEST(DecoupledSetTest, FindTouchReFindReturnsFreshPointer)
     set.insert(makeEntry(0x200, 4));
     set.insert(makeEntry(0x300, 4));
 
-    TagEntry *before = set.find(0x100);
-    ASSERT_NE(before, nullptr);
+    const TagRef before = set.find(0x100);
+    ASSERT_TRUE(before);
     EXPECT_EQ(set.validStackDepth(0x100), 2);
 
-    TagEntry *after = set.touch(before);
-    ASSERT_EQ(after, set.find(0x100));
-    EXPECT_EQ(after, &set.entries()[0]);
+    const TagRef after = set.touch(before);
+    ASSERT_EQ(&*after, &*set.find(0x100));
+    EXPECT_EQ(&*after, &set.entries()[0]);
     EXPECT_EQ(after->line, 0x100u);
     EXPECT_TRUE(after->dirty);
     EXPECT_EQ(after->segments, 4u);
@@ -252,6 +271,44 @@ TEST(DecoupledSetTest, FindTouchReFindReturnsFreshPointer)
     after->prefetch = true;
     EXPECT_TRUE(set.find(0x100)->prefetch);
     EXPECT_EQ(set.usedSegments(), 12u);
+    EXPECT_TRUE(panicsNaming(before, 0x100));
+}
+
+TEST(DecoupledSetTest, HandleKeptAcrossAMovePanicsNamingItsLine)
+{
+    // Eight 4-segment lines fill the tags and the budget; 0x100 is LRU.
+    std::vector<TagEntry> set_tags(8);
+    DecoupledSet set(set_tags.data(), 8, 32);
+    for (Addr a = 1; a <= 8; ++a)
+        set.insert(makeEntry(a << 8, 4));
+
+    // touch() of a deeper line moves every tag in front of it.
+    TagRef h = set.find(0x800);
+    set.touch(set.find(0x300));
+    EXPECT_TRUE(panicsNaming(h, 0x800));
+    EXPECT_EQ(set.find(0x800)->line, 0x800u);
+
+    // insert() shifts the stack back by one slot.
+    h = set.find(0x800);
+    set.insert(makeEntry(0x900, 1));
+    EXPECT_TRUE(panicsNaming(h, 0x800));
+    EXPECT_EQ(set.find(0x800)->line, 0x800u);
+
+    // A resize() that evicts retires the LRU line under its handle.
+    h = set.find(0x200);
+    ASSERT_EQ(set.validStackDepth(0x200), 7);
+    ASSERT_EQ(set.resize(0x800, 8).size(), 1u);
+    EXPECT_TRUE(panicsNaming(h, 0x200));
+    EXPECT_FALSE(set.find(0x200));
+
+    // invalidate() of a line in front moves the ones behind it.
+    h = set.find(0x400);
+    set.invalidate(0x300);
+    EXPECT_TRUE(panicsNaming(h, 0x400));
+    EXPECT_EQ(set.find(0x400)->line, 0x400u);
+
+    // The empty handle of a missed find() names the line it sought.
+    EXPECT_TRUE(panicsNaming(set.find(0x200), 0x200));
 }
 
 TEST(DecoupledSetTest, InvalidateKeepsValidEntriesInMruPrefix)
@@ -459,11 +516,11 @@ TEST(DecoupledSetTest, LruMovesMatchRotateReferenceByteForByte)
                 const auto segs =
                     g.full_charge ? kSegmentsPerLine
                                   : static_cast<unsigned>(rng.inRange(1, 8));
-                TagEntry *hit = set.find(line);
-                ASSERT_EQ(hit == nullptr, ref.find(line) == nullptr);
+                const TagRef hit = set.find(line);
+                ASSERT_EQ(!hit, ref.find(line) == nullptr);
                 DecoupledSet::Victims got;
                 DecoupledSet::Victims want;
-                if (hit == nullptr) {
+                if (!hit) {
                     // Every byte of the entry is set, the flag byte's
                     // unused bits too, so the comparison below sees
                     // only the moves.
@@ -546,13 +603,13 @@ TEST(DecoupledSetTest, AdjacentViewsNeverTouchEachOthersTags)
     for (unsigned i = 0; i < 5000; ++i) {
         const Addr line = 0x5000 + rng.below(12) * kLineBytes;
         const auto segs = static_cast<unsigned>(rng.inRange(1, 8));
-        TagEntry *hit = mid.find(line);
-        if (hit == nullptr) {
+        const TagRef hit = mid.find(line);
+        if (!hit) {
             mid.insert(makeEntry(line, segs));
         } else {
             switch (rng.below(3)) {
               case 0:
-                EXPECT_EQ(mid.touch(hit), &mid.entries()[0]);
+                EXPECT_EQ(&*mid.touch(hit), &mid.entries()[0]);
                 EXPECT_EQ(mid.entries()[0].line, line);
                 break;
               case 1:

@@ -12,7 +12,7 @@
  * checks are only right over the whole tree.
  *
  * Exit codes: 0 = clean, 1 = unsuppressed findings, 2 = usage or I/O
- * error. CI and tools/lint.sh rely on this contract.
+ * error. CI (tools/ci/analyze.sh) relies on this contract.
  */
 
 #include <exception>

@@ -14,7 +14,6 @@ namespace cmpsim::analyze {
 // keeps link order irrelevant and report order fixed.
 std::unique_ptr<Checker> makeNondetSourceChecker();
 std::unique_ptr<Checker> makeUnorderedIterChecker();
-std::unique_ptr<Checker> makeTagEntryChecker();
 std::unique_ptr<Checker> makeKnobRegistryChecker();
 std::unique_ptr<Checker> makeSharedStateChecker();
 
@@ -25,7 +24,6 @@ allCheckers()
         std::vector<std::unique_ptr<Checker>> v;
         v.push_back(makeNondetSourceChecker());
         v.push_back(makeUnorderedIterChecker());
-        v.push_back(makeTagEntryChecker());
         v.push_back(makeKnobRegistryChecker());
         v.push_back(makeSharedStateChecker());
         return v;

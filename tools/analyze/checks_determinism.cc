@@ -6,9 +6,9 @@
  *
  * nondet-source: bans the raw randomness / wall-clock identifiers in
  * simulator code (all randomness must flow from the seeded Random
- * class). Token-level successor of tools/lint.sh's grep ban-list: a
- * banned name inside a comment or string can no longer fire, and a
- * banned call split across lines no longer hides.
+ * class). The check reads tokens, so a banned name inside a comment
+ * or string cannot fire, and a banned call split across lines does
+ * not hide.
  *
  * unordered-iter: flags iteration over std::unordered_map/set in
  * src/. Iteration order is implementation-defined, so any loop whose

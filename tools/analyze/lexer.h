@@ -4,8 +4,8 @@
  *
  * Deliberately not a compiler front-end: checkers reason about token
  * *streams*, which is exactly the level the simulator's hazards live
- * at (a banned identifier, a pointer name reused after a reordering
- * call, a string literal naming an env knob). The lexer guarantees:
+ * at (a banned identifier, a mutable static, a string literal naming
+ * an env knob). The lexer guarantees:
  *
  *  - comments and string/char literal *bodies* never produce
  *    identifier tokens (so `// rand()` and `"time("` cannot fire a

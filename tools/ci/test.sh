@@ -5,12 +5,12 @@
 #
 # <build-dir> is a configured and built tree (Release, ASan+UBSan or
 # any other build type). In order: the whole ctest suite, the
-# statistical-sampling suite on its own, the determinism gate and,
-# with --perfbench, a short run of each benchmark workload. A
-# CMPSIM_AUDIT value in the environment reaches the first three (the
-# audit leg sets it); the benchmark runs with no CMPSIM_* variable,
-# as it requires. Run from the repository root. Stops at the first
-# failed check, non-zero.
+# statistical-sampling suite on its own, the determinism gate, the
+# quickstart example and, with --perfbench, a short run of each
+# benchmark workload. A CMPSIM_AUDIT value in the environment reaches
+# the first four (the audit leg sets it); the benchmark runs with no
+# CMPSIM_* variable, as it requires. Run from the repository root.
+# Stops at the first failed check, non-zero.
 set -eo pipefail
 
 usage() {
@@ -39,6 +39,12 @@ echo "== Sampling engine suite"
 
 echo "== Determinism check"
 "$build/tools/determinism_check"
+
+# README's smallest end-to-end use of the library must keep running.
+echo "== Quickstart example"
+quickstart=$("$build/examples/quickstart")
+echo "$quickstart"
+grep -q '^speedup: ' <<<"$quickstart"
 
 if [ "$perfbench" -eq 1 ]; then
     # perfbench/run.py builds the benchmark in its own tree and
